@@ -8,8 +8,10 @@ The range basis machinery turns directly into matrix factorizations:
   dual_full_rank_factorize  G = X R, transposed construction
   nrcf                      G = N M^{-1} with [N; M] inner
 
-Each result carries certificates: residual statistics over a random
-evaluation grid and the pole/zero lists of both factors.
+Each result can certify itself: reading .certificates computes, on
+first access, residual statistics over a random evaluation grid and
+the pole/zero lists of both factors (rmfact.certify does the same for
+any G = L R).
 """
 
 import numpy as np

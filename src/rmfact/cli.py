@@ -21,13 +21,12 @@ import numpy as np
 
 from .dss import (
     DescriptorSystem,
+    Structure,
     evaluate,
     frequency_grid,
-    mcmillan_degree,
-    normal_rank,
-    poles,
-    random_nonpole_points,
-    zeros,
+    nonpole_evaluations,
+    structure,
+    system_pencil,
 )
 from .exceptions import (
     BoundaryError,
@@ -39,16 +38,17 @@ from .exceptions import (
     VerificationError,
 )
 from .fact import (
+    certify,
     dual_full_rank_factorize,
     full_rank_factorize,
     inner_outer,
     nrcf,
+    product_residuals,
     pseudo_inverse,
 )
 from .io import (
     SCHEMA_VERSION,
     eigenvalues_to_json,
-    format_eigenvalues,
     parse_system_file,
     report_to_json,
     write_system_file,
@@ -146,34 +146,25 @@ def _input_block(path: str, sys_: DescriptorSystem) -> dict:
     }
 
 
-def _factor_block(sys_: DescriptorSystem, tol) -> dict:
+def _factor_block(sys_: DescriptorSystem, st: Structure) -> dict:
     return {
         "rows": sys_.p,
         "cols": sys_.m,
         "order": sys_.n,
-        "normal_rank": int(normal_rank(sys_, tol)),
-        "mcmillan_degree": int(mcmillan_degree(sys_, tol)),
-        "poles": eigenvalues_to_json(poles(sys_, tol)),
-        "zeros": eigenvalues_to_json(zeros(sys_, tol)),
+        "normal_rank": int(st.normal_rank),
+        "mcmillan_degree": int(st.mcmillan_degree),
+        "poles": eigenvalues_to_json(st.poles),
+        "zeros": eigenvalues_to_json(st.zeros),
     }
 
 
-def _product_residual(sys_, left, right, count, seed) -> float:
-    rng = np.random.default_rng(seed)
-    pts = random_nonpole_points([sys_, left, right], count, rng)
+def _inner_residual(count, *factors) -> float:
+    """max over the frequency grid of |sum F~F - I| for the factors of
+    one stacked column, e.g. |R~R - I| or |N~N + M~M - I|."""
     worst = 0.0
-    for z in pts:
-        Gz = evaluate(sys_, z)
-        Pz = evaluate(left, z) @ evaluate(right, z)
-        worst = max(worst, np.linalg.norm(Gz - Pz, "fro") / (1.0 + np.linalg.norm(Gz, "fro")))
-    return float(worst)
-
-
-def _inner_residual(sys_, count) -> float:
-    worst = 0.0
-    for z in frequency_grid(sys_.ts, count):
-        Rz = evaluate(sys_, z)
-        worst = max(worst, np.linalg.norm(Rz.conj().T @ Rz - np.eye(sys_.m), "fro"))
+    for z in frequency_grid(factors[0].ts, count):
+        gram = sum(F.conj().T @ F for F in (evaluate(f, z) for f in factors))
+        worst = max(worst, np.linalg.norm(gram - np.eye(factors[0].m), "fro"))
     return float(worst)
 
 
@@ -216,16 +207,18 @@ def _fmt_ev(js: dict) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
-def _base_report(args, command) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": command}
+def _start(args):
+    """The system named by args, its tolerance, and the report with
+    its header and input block."""
+    sys_ = parse_system_file(args.system)
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command}
+    report["input"] = _input_block(args.system, sys_)
+    return sys_, _tolerance(args), report
 
 
 def _cmd_info(args) -> int:
-    sys_ = parse_system_file(args.system)
-    tol = _tolerance(args)
-    report = _base_report(args, "info")
-    report["input"] = _input_block(args.system, sys_)
-    block = _factor_block(sys_, tol)
+    sys_, tol, report = _start(args)
+    block = _factor_block(sys_, structure(sys_, tol))
     report["results"] = block
     lines = [
         f"system: {sys_.p}x{sys_.m} {sys_.ts}, order {sys_.n}",
@@ -239,12 +232,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_klf(args) -> int:
-    sys_ = parse_system_file(args.system)
-    tol = _tolerance(args)
-    n = sys_.n
-    M = np.block([[sys_.A, sys_.B], [sys_.C, sys_.D]])
-    N = np.zeros_like(M)
-    N[:n, :n] = sys_.e_matrix
+    sys_, tol, report = _start(args)
+    M, N = system_pencil(sys_)
     res = kronecker_like_form(M, N, tol)
     results = {
         "pencil_rows": M.shape[0],
@@ -256,17 +245,12 @@ def _cmd_klf(args) -> int:
         "infinite_divisor_degrees": [int(k) for k in res.infinite_divisor_degrees],
         "left_minimal_indices": [int(k) for k in res.left_minimal_indices],
     }
-    report = _base_report(args, "klf")
-    report["input"] = _input_block(args.system, sys_)
     report["results"] = results
-    fev = ", ".join(
-        f"{re_:.6g}" if abs(im_) < 1e-12 else f"{re_:.6g}{im_:+.6g}j"
-        for re_, im_ in results["finite_eigenvalues"]
-    )
+    fev = _fmt_ev({"finite": results["finite_eigenvalues"], "infinite": []})
     lines = [
         f"system matrix pencil: {M.shape[0]}x{M.shape[1]}",
         f"right minimal indices: {results['right_minimal_indices']}",
-        f"finite eigenvalues: [{fev}]",
+        f"finite eigenvalues: {fev}",
         f"infinite elementary divisor degrees: {results['infinite_divisor_degrees']}",
         f"left minimal indices: {results['left_minimal_indices']}",
     ]
@@ -275,8 +259,7 @@ def _cmd_klf(args) -> int:
 
 
 def _cmd_sklf(args) -> int:
-    sys_ = parse_system_file(args.system)
-    tol = _tolerance(args)
+    sys_, tol, report = _start(args)
     region = _region(args, sys_.ts)
     sk = special_klf(sys_, region, tol)
     results = {
@@ -288,8 +271,6 @@ def _cmd_sklf(args) -> int:
         "leading_block_rows": sk.n_rg,
         "trailing_block_order": sk.n_bl,
     }
-    report = _base_report(args, "sklf")
-    report["input"] = _input_block(args.system, sys_)
     report["results"] = results
     lines = [
         f"splitting form row blocks [n_rg, n_bl, m_n, p] = [{sk.n_rg}, {sk.n_bl}, {sk.m_n}, {sk.p}]",
@@ -300,24 +281,21 @@ def _cmd_sklf(args) -> int:
     return 0
 
 
-def _run_range_like(args, command):
-    sys_ = parse_system_file(args.system)
-    tol = _tolerance(args)
+def _run_range_like(args):
+    sys_, tol, report = _start(args)
     region = _region(args, sys_.ts)
     opts = _options(args)
     grid = args.grid or DEFAULT_RESIDUAL_GRID
-    report = _base_report(args, command)
-    report["input"] = _input_block(args.system, sys_)
     return sys_, tol, region, opts, grid, report
 
 
 def _cmd_range(args) -> int:
-    sys_, tol, region, opts, grid, report = _run_range_like(args, "range")
+    sys_, tol, region, opts, grid, report = _run_range_like(args)
     rr = range_basis(sys_, region, opts, tol)
-    block = _factor_block(rr.R, tol)
+    block = _factor_block(rr.R, structure(rr.R, tol))
     results = {"R": block, "inner": bool(opts.inner)}
     if opts.inner:
-        results["inner_residual"] = _inner_residual(rr.R, args.grid or DEFAULT_FREQ_GRID)
+        results["inner_residual"] = _inner_residual(args.grid or DEFAULT_FREQ_GRID, rr.R)
     report["results"] = results
     _write_factors(args, report, {"R": rr.R})
     lines = _factor_lines("R", block)
@@ -327,12 +305,13 @@ def _cmd_range(args) -> int:
     return 0
 
 
-def _fact_command(args, command, runner, names) -> int:
-    sys_, tol, region, opts, grid, report = _run_range_like(args, command)
+def _fact_command(args, runner, names) -> int:
+    sys_, tol, region, opts, grid, report = _run_range_like(args)
     fr = runner(sys_, region, opts, tol)
-    left_block = _factor_block(fr.left, tol)
-    right_block = _factor_block(fr.right, tol)
-    residual = _product_residual(sys_, fr.left, fr.right, grid, args.seed)
+    cert = certify(sys_, fr.left, fr.right, tol, np.random.default_rng(args.seed), grid)
+    left_block = _factor_block(fr.left, cert["left_structure"])
+    right_block = _factor_block(fr.right, cert["right_structure"])
+    residual = cert["max_relative_residual"]
     report["results"] = {
         names[0]: left_block,
         names[1]: right_block,
@@ -347,29 +326,19 @@ def _fact_command(args, command, runner, names) -> int:
 
 
 def _cmd_frf(args) -> int:
-    return _fact_command(args, "frf", full_rank_factorize, ("R", "X"))
+    return _fact_command(args, full_rank_factorize, ("R", "X"))
 
 
 def _cmd_dual_frf(args) -> int:
-    return _fact_command(args, "dual-frf", dual_full_rank_factorize, ("X", "R"))
+    return _fact_command(args, dual_full_rank_factorize, ("X", "R"))
 
 
 def _cmd_nrcf(args) -> int:
-    sys_ = parse_system_file(args.system)
-    tol = _tolerance(args)
+    sys_, tol, report = _start(args)
     grid = args.grid or DEFAULT_FREQ_GRID
     N, M = nrcf(sys_, tol)
-    worst = 0.0
-    for z in frequency_grid(sys_.ts, grid):
-        Nz = evaluate(N, z)
-        Mz = evaluate(M, z)
-        worst = max(
-            worst,
-            np.linalg.norm(Nz.conj().T @ Nz + Mz.conj().T @ Mz - np.eye(sys_.m), "fro"),
-        )
-    report = _base_report(args, "nrcf")
-    report["input"] = _input_block(args.system, sys_)
-    nb, mb = _factor_block(N, tol), _factor_block(M, tol)
+    worst = _inner_residual(grid, N, M)
+    nb, mb = _factor_block(N, structure(N, tol)), _factor_block(M, structure(M, tol))
     report["results"] = {
         "N": nb,
         "M": mb,
@@ -384,16 +353,11 @@ def _cmd_nrcf(args) -> int:
 
 
 def _cmd_pinv(args) -> int:
-    sys_ = parse_system_file(args.system)
-    tol = _tolerance(args)
+    sys_, tol, report = _start(args)
     grid = args.grid or DEFAULT_RESIDUAL_GRID
     gp = pseudo_inverse(sys_, tol)
-    rng = np.random.default_rng(args.seed)
-    pts = random_nonpole_points([sys_, gp], grid, rng)
     w1 = w2 = 0.0
-    for z in pts:
-        Gz = evaluate(sys_, z)
-        Pz = evaluate(gp, z)
+    for Gz, Pz in nonpole_evaluations([sys_, gp], grid, np.random.default_rng(args.seed)):
         scale = 1.0 + np.linalg.norm(Gz, "fro")
         w1 = max(w1, np.linalg.norm(Gz @ Pz @ Gz - Gz, "fro") / scale)
         w2 = max(w2, np.linalg.norm(Pz @ Gz @ Pz - Pz, "fro") / scale)
@@ -409,9 +373,7 @@ def _cmd_pinv(args) -> int:
         scale = 1.0 + np.linalg.norm(Gz, "fro")
         w3 = max(w3, np.linalg.norm(GP.conj().T - GP, "fro") / scale)
         w4 = max(w4, np.linalg.norm(PG.conj().T - PG, "fro") / scale)
-    report = _base_report(args, "pinv")
-    report["input"] = _input_block(args.system, sys_)
-    block = _factor_block(gp, tol)
+    block = _factor_block(gp, structure(gp, tol))
     report["results"] = {
         "pinv": block,
         "identity_residuals": {
@@ -431,15 +393,14 @@ def _cmd_pinv(args) -> int:
 
 
 def _cmd_iofac(args) -> int:
-    sys_ = parse_system_file(args.system)
-    tol = _tolerance(args)
+    sys_, tol, report = _start(args)
     grid = args.grid or DEFAULT_FREQ_GRID
     Gi, Go = inner_outer(sys_, tol)
-    inner_res = _inner_residual(Gi, grid)
-    prod_res = _product_residual(sys_, Gi, Go, DEFAULT_RESIDUAL_GRID, args.seed)
-    report = _base_report(args, "iofac")
-    report["input"] = _input_block(args.system, sys_)
-    gi_block, go_block = _factor_block(Gi, tol), _factor_block(Go, tol)
+    inner_res = _inner_residual(grid, Gi)
+    cert = certify(sys_, Gi, Go, tol, np.random.default_rng(args.seed), DEFAULT_RESIDUAL_GRID)
+    prod_res = cert["max_relative_residual"]
+    gi_block = _factor_block(Gi, cert["left_structure"])
+    go_block = _factor_block(Go, cert["right_structure"])
     report["results"] = {
         "inner": gi_block,
         "outer": go_block,
@@ -463,11 +424,9 @@ def _parse_point(text: str) -> complex:
 
 
 def _cmd_eval(args) -> int:
-    sys_ = parse_system_file(args.system)
+    sys_, _, report = _start(args)
     z = _parse_point(args.point)
     val = evaluate(sys_, z)
-    report = _base_report(args, "eval")
-    report["input"] = _input_block(args.system, sys_)
     report["results"] = {
         "point": [z.real, z.imag],
         "value_real": [[float(x.real) for x in row] for row in val],
@@ -484,7 +443,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sys_ = parse_system_file(args.system)
+    sys_, _, report = _start(args)
     left = parse_system_file(args.left)
     right = parse_system_file(args.right)
     if left.ts != sys_.ts or right.ts != sys_.ts:
@@ -495,15 +454,14 @@ def _cmd_verify(args) -> int:
             f"do not compose to {sys_.p}x{sys_.m}"
         )
     grid = args.grid or DEFAULT_RESIDUAL_GRID
-    residual = _product_residual(sys_, left, right, grid, args.seed)
+    residuals = product_residuals(sys_, left, right, grid, np.random.default_rng(args.seed))
+    residual = float(max(residuals, default=0.0))
     checks = {"max_relative_residual": residual, "grid_points": grid, "threshold": args.threshold}
     ok = residual <= args.threshold
     if args.inner:
-        inner_res = _inner_residual(left, DEFAULT_FREQ_GRID)
+        inner_res = _inner_residual(DEFAULT_FREQ_GRID, left)
         checks["inner_residual"] = inner_res
         ok = ok and inner_res <= args.threshold
-    report = _base_report(args, "verify")
-    report["input"] = _input_block(args.system, sys_)
     report["results"] = checks
     report["results"]["passed"] = bool(ok)
     lines = [f"max relative residual on {grid} points: {residual:.3e} (threshold {args.threshold:g})"]

@@ -10,7 +10,8 @@ discrete-time systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -131,9 +132,6 @@ class EigenvalueList:
     @property
     def infinite_count(self) -> int:
         return sum(self.infinite_multiplicities)
-
-    def finite_sorted(self):
-        return sorted(self.finite, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
 
 
 def evaluate(sys: DescriptorSystem, lambda0: complex) -> np.ndarray:
@@ -258,31 +256,59 @@ def _finite_eigen_points(sys: DescriptorSystem):
     return vals
 
 
-def random_nonpole_points(systems, count: int, rng=None, margin_scale: float = 1e-3):
-    """Random complex evaluation points rejection-sampled away from the
-    finite eigenvalues of A - lambda*E of every given system."""
-    rng = np.random.default_rng(0) if rng is None else rng
+def _nonpole_candidates(systems, count: int, rng, margin_scale: float = 1e-3):
+    """Random complex points clear of the finite eigenvalues of
+    A - lambda*E of every given system, drawn until the attempt budget
+    for count points is spent."""
     if isinstance(systems, DescriptorSystem):
         systems = [systems]
     eigs = [z for sys in systems for z in _finite_eigen_points(sys)]
     radius = max([1.0] + [abs(z) for z in eigs])
     margin = margin_scale * radius
-    points = []
-    attempts = 0
-    while len(points) < count and attempts < 100 * count + 100:
-        attempts += 1
+    for _ in range(100 * count + 100):
         z = complex(rng.standard_normal(), rng.standard_normal()) * radius
         if all(abs(z - w) > margin for w in eigs):
-            points.append(z)
+            yield z
+
+
+def random_nonpole_points(systems, count: int, rng=None, margin_scale: float = 1e-3):
+    """Random complex evaluation points rejection-sampled away from the
+    finite eigenvalues of A - lambda*E of every given system."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    points = list(itertools.islice(_nonpole_candidates(systems, count, rng, margin_scale), count))
     if len(points) < count:
         raise StructureError("could not sample evaluation points away from the spectrum")
     return points
 
 
+def nonpole_evaluations(systems, count: int, rng=None) -> list:
+    """Values (G1(z), G2(z), ...) of the given systems at count random
+    points clear of their spectra. A point at which one of them does
+    not evaluate to working precision is replaced by a fresh draw; only
+    an exhausted attempt budget raises."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    candidates = _nonpole_candidates(systems, count, rng)
+    values = []
+    while len(values) < count:
+        z = next(candidates, None)
+        if z is None:
+            raise EvaluationError(
+                f"sampling exhausted its attempt budget: only {len(values)} of {count} "
+                "points clear of the spectra evaluate to working precision"
+            )
+        try:
+            values.append(tuple(evaluate(sys, z) for sys in systems))
+        except EvaluationError:
+            continue
+    return values
+
+
 # -- structural queries ------------------------------------------------------
 
 
-def _system_pencil(sys: DescriptorSystem):
+def system_pencil(sys: DescriptorSystem):
+    """The system matrix pencil [A B; C D] - lambda*[E 0; 0 0] as the
+    pair (M, N)."""
     n, m, p = sys.n, sys.m, sys.p
     M = np.block([[sys.A, sys.B], [sys.C, sys.D]])
     N = np.zeros((n + p, n + m))
@@ -296,7 +322,7 @@ def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig | None = None, rng=N
     at a second point."""
     tol = tol or DEFAULT_TOL
     rng = np.random.default_rng(0) if rng is None else rng
-    M, N = _system_pencil(sys)
+    M, N = system_pencil(sys)
     n = sys.n
     for _ in range(5):
         pts = random_nonpole_points(sys, 2, rng)
@@ -449,6 +475,8 @@ def irreducible_realization(sys: DescriptorSystem, tol: ToleranceConfig | None =
 def _eigen_list_from_pencil(M, N, tol: ToleranceConfig) -> EigenvalueList:
     from .klf import kronecker_like_form
 
+    if M.size == 0:
+        return EigenvalueList((), ())
     res = kronecker_like_form(M, N, tol)
     finite = []
     for a, b in res.finite_eigenvalues:
@@ -463,8 +491,6 @@ def poles(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> Eigenval
     decremented by one."""
     tol = tol or DEFAULT_TOL
     red = irreducible_realization(sys, tol)
-    if red.n == 0:
-        return EigenvalueList((), ())
     return _eigen_list_from_pencil(red.A, red.e_matrix, tol)
 
 
@@ -472,11 +498,29 @@ def zeros(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> Eigenval
     """Zero structure of G from the regular part of the Kronecker-like
     form of the system matrix pencil of an irreducible realization."""
     tol = tol or DEFAULT_TOL
-    red = irreducible_realization(sys, tol)
-    M, N = _system_pencil(red)
-    return _eigen_list_from_pencil(M, N, tol)
+    return _eigen_list_from_pencil(*system_pencil(irreducible_realization(sys, tol)), tol)
 
 
 def mcmillan_degree(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> int:
     """Total pole count, finite plus infinite."""
     return poles(sys, tol).total
+
+
+@dataclass(frozen=True)
+class Structure:
+    """Normal rank, pole and zero structure, and McMillan degree of a
+    rational matrix."""
+
+    normal_rank: int
+    poles: EigenvalueList
+    zeros: EigenvalueList
+    mcmillan_degree: int
+
+
+def structure(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> Structure:
+    """normal_rank, poles, zeros and mcmillan_degree of G in one pass:
+    poles and zeros come from a single irreducible realization."""
+    tol = tol or DEFAULT_TOL
+    red = irreducible_realization(sys, tol)
+    pol = _eigen_list_from_pencil(red.A, red.e_matrix, tol)
+    return Structure(normal_rank(sys, tol), pol, _eigen_list_from_pencil(*system_pencil(red), tol), pol.total)

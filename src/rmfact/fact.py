@@ -5,59 +5,58 @@ with R a p x r range basis and X an r x m full-row-rank cofactor.
 Specializing the basis yields dual factorizations, normalized right
 coprime factorizations, inner-quasi-outer factorizations, and the
 Moore-Penrose pseudo-inverse.
+
+A factorization is certified on demand: certify checks G = L R on
+random points and reports the structure of both factors, and
+FactorizationResult.certificates calls it the first time it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .dss import (
     DescriptorSystem,
     conjugate,
-    evaluate,
     identity_system,
     irreducible_realization,
     make_dss,
+    nonpole_evaluations,
     normal_rank,
     poles,
-    random_nonpole_points,
     series,
     stack_vertical,
+    structure,
     transpose,
-    zeros,
 )
 from .exceptions import BoundaryError, FactorizationError, InputError
 from .klf import RegionPartition, stability_region
 from .numkernel import DEFAULT_TOL, ToleranceConfig
-from .rangebasis import RangeOptions, RangeResult, ZEROS_BAD, ZEROS_NONE, cofactor, range_basis
+from .rangebasis import RangeOptions, ZEROS_BAD, ZEROS_NONE, cofactor, range_basis
 
 RESIDUAL_GRID = 16
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
-    """A two-factor decomposition left @ right of a rational matrix,
-    with certificates: the factored rank, residual statistics over a
-    random evaluation grid, and pole/zero lists of both factors."""
-
-    left: DescriptorSystem
-    right: DescriptorSystem
-    kind: str
-    certificates: dict = field(default_factory=dict)
+def product_residuals(sys, left, right, count=RESIDUAL_GRID, rng=None) -> list:
+    """||G(z) - L(z) R(z)||_F / (1 + ||G(z)||_F) at the count random
+    points of nonpole_evaluations."""
+    return [
+        np.linalg.norm(Gz - Lz @ Rz, "fro") / (1.0 + np.linalg.norm(Gz, "fro"))
+        for Gz, Lz, Rz in nonpole_evaluations([sys, left, right], count, rng)
+    ]
 
 
-def _certificates(sys, left, right, tol, rng=None, count=RESIDUAL_GRID):
-    rng = np.random.default_rng(0) if rng is None else rng
-    pts = random_nonpole_points([sys, left, right], count, rng)
-    residuals = []
-    for z in pts:
-        Gz = evaluate(sys, z)
-        Pz = evaluate(left, z) @ evaluate(right, z)
-        residuals.append(
-            np.linalg.norm(Gz - Pz, "fro") / (1.0 + np.linalg.norm(Gz, "fro"))
-        )
+def certify(sys, left, right, tol=None, rng=None, count=RESIDUAL_GRID) -> dict:
+    """Certificates of G = left @ right: the factored rank, residual
+    statistics over count random points (product_residuals), the
+    orders and the pole/zero lists of both factors, and their full
+    Structure records under left_structure and right_structure."""
+    tol = tol or DEFAULT_TOL
+    residuals = product_residuals(sys, left, right, count, rng)
+    ls, rs = structure(left, tol), structure(right, tol)
     return {
         "rank": left.m,
         "grid_points": count,
@@ -65,11 +64,31 @@ def _certificates(sys, left, right, tol, rng=None, count=RESIDUAL_GRID):
         "mean_relative_residual": float(np.mean(residuals)) if residuals else 0.0,
         "left_order": left.n,
         "right_order": right.n,
-        "left_poles": poles(left, tol),
-        "left_zeros": zeros(left, tol),
-        "right_poles": poles(right, tol),
-        "right_zeros": zeros(right, tol),
+        "left_poles": ls.poles,
+        "left_zeros": ls.zeros,
+        "right_poles": rs.poles,
+        "right_zeros": rs.zeros,
+        "left_structure": ls,
+        "right_structure": rs,
     }
+
+
+@dataclass(frozen=True)
+class FactorizationResult:
+    """A two-factor decomposition left @ right of the rational matrix
+    system. Its certificates (see certify: the factored rank, residual
+    statistics over a random evaluation grid, and pole/zero lists of
+    both factors) are computed the first time they are read."""
+
+    left: DescriptorSystem
+    right: DescriptorSystem
+    kind: str
+    system: DescriptorSystem = field(repr=False)
+    tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False)
+
+    @cached_property
+    def certificates(self) -> dict:
+        return certify(self.system, self.left, self.right, self.tol)
 
 
 def full_rank_factorize(
@@ -77,15 +96,13 @@ def full_rank_factorize(
     region: RegionPartition | None = None,
     opts: RangeOptions | None = None,
     tol: ToleranceConfig | None = None,
-    rng=None,
 ) -> FactorizationResult:
     """G = R X with R a column basis of the range of G and X its
     cofactor sharing the dynamics of G."""
     tol = tol or DEFAULT_TOL
     rr = range_basis(sys, region, opts, tol)
     X = cofactor(sys, rr, tol)
-    cert = _certificates(sys, rr.R, X, tol, rng)
-    return FactorizationResult(left=rr.R, right=X, kind="full-rank", certificates=cert)
+    return FactorizationResult(left=rr.R, right=X, kind="full-rank", system=sys, tol=tol)
 
 
 def dual_full_rank_factorize(
@@ -93,16 +110,14 @@ def dual_full_rank_factorize(
     region: RegionPartition | None = None,
     opts: RangeOptions | None = None,
     tol: ToleranceConfig | None = None,
-    rng=None,
 ) -> FactorizationResult:
     """G = X~ R~ with R~ a row basis of the left range space, obtained
     by factoring the transposed matrix."""
     tol = tol or DEFAULT_TOL
-    primal = full_rank_factorize(transpose(sys), region, opts, tol, rng)
-    left = transpose(primal.right)
-    right = transpose(primal.left)
-    cert = _certificates(sys, left, right, tol, rng)
-    return FactorizationResult(left=left, right=right, kind="dual", certificates=cert)
+    primal = full_rank_factorize(transpose(sys), region, opts, tol)
+    return FactorizationResult(
+        left=transpose(primal.right), right=transpose(primal.left), kind="dual", system=sys, tol=tol
+    )
 
 
 def nrcf(sys: DescriptorSystem, tol: ToleranceConfig | None = None):

@@ -133,19 +133,6 @@ def eigenvalues_to_json(ev: EigenvalueList) -> dict:
     }
 
 
-def format_eigenvalues(ev: EigenvalueList) -> str:
-    """One-line human-readable eigenvalue listing."""
-    parts = []
-    for z in ev.finite_sorted():
-        if abs(z.imag) < 1e-12:
-            parts.append(f"{z.real:.6g}")
-        else:
-            parts.append(f"{z.real:.6g}{z.imag:+.6g}j")
-    for k in ev.infinite_multiplicities:
-        parts.append(f"inf(x{k})" if k != 1 else "inf")
-    return "[" + ", ".join(parts) + "]"
-
-
 def report_to_json(report: dict) -> str:
     """Serialize a report dictionary; floats keep their shortest
     round-trip representation."""

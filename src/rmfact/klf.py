@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dss import system_pencil
 from .exceptions import BoundaryError, InputError, StructureError
 from .numkernel import (
     DEFAULT_TOL,
@@ -388,14 +389,6 @@ class SpecialKlf:
         return self.M[rows, self.c1 + self.n_bl + self.r:]
 
 
-def _system_pencil_pair(sys):
-    n, m, p = sys.n, sys.m, sys.p
-    M = np.block([[sys.A, sys.B], [sys.C, sys.D]])
-    N = np.zeros((n + p, n + m))
-    N[:n, :n] = sys.e_matrix
-    return M, N
-
-
 def _orth_complement_null(stack, width, thresh):
     """Orthonormal basis of the null space of a stacked constraint
     matrix with the given column count; an empty stack leaves the whole
@@ -443,7 +436,7 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig | None = None
     boundary raise BoundaryError."""
     tol = tol or DEFAULT_TOL
     n, m, p = sys.n, sys.m, sys.p
-    Ms, Ns = _system_pencil_pair(sys)
+    Ms, Ns = system_pencil(sys)
     thresh = _pencil_threshold(Ms, Ns, tol)
     _check_bad_stabilizable(sys, region, tol, thresh)
 

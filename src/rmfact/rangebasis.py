@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from .dss import DescriptorSystem, irreducible_realization, make_dss, zeros
 from .exceptions import FactorizationError, InputError
@@ -44,13 +43,12 @@ ZEROS_ALL = "all"
 class RangeOptions:
     """Choices shaping the basis: which zeros of G the basis retains
     (none, only bad-region zeros, or all), whether its poles are moved
-    into a target region, and whether F and W enforce R~ R = I (inner
-    implies stabilization)."""
+    into the stability region, and whether F and W enforce R~ R = I
+    (inner implies stabilization)."""
 
     zeros_policy: str = ZEROS_BAD
     stabilize: bool = False
     inner: bool = False
-    target_pole_region: RegionPartition | None = None
 
     def __post_init__(self):
         if self.zeros_policy not in (ZEROS_NONE, ZEROS_BAD, ZEROS_ALL):
@@ -112,7 +110,7 @@ def range_basis(
     if opts.inner:
         F, W = inner_enforcing_gains(sk, sys.ts, tol)
     elif opts.stabilize:
-        F = _stabilizing_gains(A_bl, E_bl, B_bl, sys.ts, opts.target_pole_region, tol)
+        F = _stabilizing_gains(A_bl, E_bl, B_bl, sys.ts, tol)
         W = np.eye(r)
     else:
         F = np.zeros((r, n_bl))
@@ -246,16 +244,12 @@ def inner_enforcing_gains(blocks: SpecialKlf, ts: str | None = None, tol: Tolera
     return F, W
 
 
-def _mirror_points(lam, ts):
-    if ts == "continuous":
-        return [complex(-abs(z.real), z.imag) for z in lam]
-    return [z / (abs(z) ** 2) for z in lam]
-
-
-def _stabilizing_gains(A_bl, E_bl, B_bl, ts, target: RegionPartition | None, tol):
+def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
     """Feedback moving every unstable controllable eigenvalue of
     (A_bl - lambda E_bl) to its reflection, leaving stable and
-    uncontrollable (hence cancelling) modes untouched."""
+    uncontrollable (hence cancelling) modes untouched. The zero-weight
+    Riccati solution of the anti-stable block mirrors its poles; a
+    solver failure there is a FactorizationError."""
     r = B_bl.shape[1]
     n_bl = A_bl.shape[0]
     if n_bl == 0 or r == 0:
@@ -284,17 +278,12 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, target: RegionPartition | None, tol
         else:
             X22 = scipy.linalg.solve_discrete_are(A22, B2, np.zeros((kb, kb)), np.eye(r))
             F2 = -np.linalg.solve(B2.T @ X22 @ B2 + np.eye(r), B2.T @ X22 @ A22)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-        try:
-            placed = scipy.signal.place_poles(A22, B2, np.array(_mirror_points(np.linalg.eigvals(A22), ts)))
-            F2 = -placed.gain_matrix
-        except Exception as exc:
-            raise FactorizationError(f"pole relocation failed: {exc}") from None
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
+        raise FactorizationError(f"pole relocation failed: {exc}") from None
     F_c = np.hstack([np.zeros((r, kg)), F2]) @ sch.Q.T
-    target = target or stability_region(ts)
     closed = np.linalg.eigvals(A_c + B_c @ F_c)
     for z in closed:
-        if classify_eigenvalue(z, 1.0, target, tol) == "bad":
+        if classify_eigenvalue(z, 1.0, stab, tol) == "bad":
             raise FactorizationError(
                 f"stabilizing feedback left the pole {z} outside the target region"
             )

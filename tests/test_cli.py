@@ -1,10 +1,16 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rmfact
 from rmfact import (
     evaluate,
+    full_rank_factorize,
     make_dss,
     parse_system_file,
     polynomial_rank2_discrete,
@@ -287,3 +293,53 @@ def test_tol_flag_is_accepted(examples):
     ex1, _ = examples
     rep = run_cli_json(["range", ex1, "--tol", "1e-12"])
     assert rep["results"]["R"]["normal_rank"] == 2
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rmfact.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, rmfact.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.strip() == "False"
+
+
+# `rmfact <cmd> --json` reports on the shipped example systems, pinned
+# byte for byte; the report carries the system path as given, so the
+# commands run from the repository root with relative paths
+REPO = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+EX1, EX2 = "demos/data/ex1.json", "demos/data/ex2.json"
+GOLDEN_COMMANDS = {
+    "info_ex1": ["info", EX1],
+    "frf_ex1": ["frf", EX1, "--zeros", "none"],
+    "dual_frf_ex1": ["dual-frf", EX1],
+    "nrcf_ex1": ["nrcf", EX1],
+    "pinv_ex1": ["pinv", EX1],
+    "iofac_ex1": ["iofac", EX1],
+    "info_ex2": ["info", EX2],
+    "frf_ex2": ["frf", EX2, "--zeros", "none"],
+    "dual_frf_ex2": ["dual-frf", EX2],
+    "nrcf_ex2": ["nrcf", EX2],
+    "pinv_ex2": ["pinv", EX2],
+    "iofac_ex2": ["iofac", EX2],
+    "klf_ex1": ["klf", EX1],
+    "sklf_ex2": ["sklf", EX2],
+    "range_ex1": ["range", EX1, "--zeros", "bad"],
+    "eval_ex2": ["eval", EX2, "--point", "0.5+0.5j"],
+    "verify_ex1": ["verify", EX1],
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_COMMANDS))
+def test_json_report_matches_golden(name, monkeypatch, tmp_path):
+    monkeypatch.chdir(REPO)
+    argv = GOLDEN_COMMANDS[name]
+    if argv[0] == "verify":
+        fr = full_rank_factorize(parse_system_file(EX1))
+        argv = argv + [write_system_file(fr.left, str(tmp_path / "L.json")),
+                       write_system_file(fr.right, str(tmp_path / "R.json"))]
+    code, out, err = run_cli(argv + ["--json"])
+    assert code == 0, err
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

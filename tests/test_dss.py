@@ -4,6 +4,7 @@ import pytest
 from rmfact import (
     EvaluationError,
     InputError,
+    Structure,
     conjugate,
     evaluate,
     frequency_grid,
@@ -18,10 +19,11 @@ from rmfact import (
     stable_rank2_continuous,
     stack_horizontal,
     stack_vertical,
+    structure,
     transpose,
     zeros,
 )
-from rmfact.dss import identity_system
+from rmfact.dss import identity_system, nonpole_evaluations
 
 from support import RELAXED, assert_multiset_close, random_system, rank_deficient_system
 
@@ -122,6 +124,14 @@ def test_structural_operations_match_evaluation():
             assert np.allclose(evaluate(series(g3, g1), s), evaluate(g3, s) @ v1, atol=1e-8)
 
 
+def test_structure_matches_separate_queries():
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        g = random_system(rng, n_max=8)
+        want = Structure(normal_rank(g), poles(g), zeros(g), mcmillan_degree(g))
+        assert structure(g) == want
+
+
 def test_identity_system_constant():
     g = identity_system(3, "continuous")
     assert g.n == 0
@@ -202,6 +212,13 @@ def test_random_nonpole_points_deterministic_and_clear_of_poles():
     for s in pts1:
         assert min(abs(s - p) for p in (-1.0, -2.0)) > 1e-6
         evaluate(g, s)
+
+
+def test_nonpole_evaluations_raise_only_on_an_exhausted_budget():
+    # a singular pencil: every sampled point is a pole to working precision
+    g = make_dss(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)), "continuous")
+    with pytest.raises(EvaluationError, match="attempt budget"):
+        nonpole_evaluations([g], 4, np.random.default_rng(0))
 
 
 def test_frequency_grid_layout():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rmfact.dss
 from rmfact import (
     FactorizationError,
     conjugate,
@@ -21,6 +22,7 @@ from rmfact import (
     zeros,
 )
 from rmfact.dss import identity_system
+from rmfact.fact import RESIDUAL_GRID
 
 from support import (
     assert_multiset_close,
@@ -281,3 +283,44 @@ def test_certificates_fields():
         assert key in cert
     assert cert["left_order"] == fr.left.n
     assert len(cert["left_zeros"].finite) == 2
+
+
+def test_certificates_are_computed_on_first_read(monkeypatch):
+    g = stable_rank2_continuous()
+    calls = []
+    reduce = rmfact.dss.irreducible_realization
+
+    def counting(sys, tol=None):
+        calls.append(sys.n)
+        return reduce(sys, tol)
+
+    monkeypatch.setattr(rmfact.dss, "irreducible_realization", counting)
+    for factorize in (full_rank_factorize, dual_full_rank_factorize):
+        calls.clear()
+        fr = factorize(g)
+        assert calls == []
+        cert = fr.certificates
+        assert len(calls) == 2
+        assert fr.certificates is cert and len(calls) == 2
+        # the residual over the default grid and the factor structures, computed independently
+        pts = random_nonpole_points([g, fr.left, fr.right], RESIDUAL_GRID, np.random.default_rng(0))
+        assert cert["max_relative_residual"] == product_residual(g, fr.left, fr.right, pts)
+        assert cert["rank"] == fr.left.m
+        assert cert["grid_points"] == RESIDUAL_GRID
+        assert (cert["left_order"], cert["right_order"]) == (fr.left.n, fr.right.n)
+        for side, sys in (("left", fr.left), ("right", fr.right)):
+            assert cert[f"{side}_poles"] == poles(sys)
+            assert cert[f"{side}_zeros"] == zeros(sys)
+
+
+def test_certify_redraws_points_that_do_not_evaluate():
+    # a badly scaled state similarity of a discrete improper system:
+    # evaluate rejects some sampled points that clear the sampler margin
+    rng = np.random.default_rng(7)
+    g = [random_system(rng, n_max=8) for _ in range(39)][38]
+    assert (g.n, g.ts, g.E is not None) == (7, "discrete", True)
+    d = np.logspace(-3.0, 3.0, g.n)
+    T, Ti = np.diag(d), np.diag(1.0 / d)
+    h = make_dss(Ti @ g.A @ T, Ti @ g.e_matrix @ T, Ti @ g.B, g.C @ T, g.D, g.ts)
+    fr = full_rank_factorize(h)
+    assert fr.certificates["max_relative_residual"] <= 1e-7

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rmfact import (
     FactorizationError,
@@ -159,6 +160,24 @@ def test_stabilize_moves_poles():
             else:
                 assert abs(lam) < 1.0 + 1e-8
         assert poles(rr.R).infinite_multiplicities == ()
+
+
+def test_stabilizing_riccati_failure_is_a_factorization_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", fail)
+    monkeypatch.setattr(scipy.linalg, "solve_discrete_are", fail)
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        try:
+            range_basis(random_system(rng), opts=RangeOptions(stabilize=True))
+        except FactorizationError as exc:
+            assert str(exc) == "pole relocation failed: forced"
+            return
+        except StructureError:
+            continue
+    pytest.fail("no system needed pole relocation")
 
 
 def test_inner_boundary_zero_rejected():
