@@ -55,7 +55,7 @@ from .io import (
 )
 from .klf import kronecker_like_form, special_klf, stability_region
 from .numkernel import ToleranceConfig
-from .rangebasis import RangeOptions, cofactor, range_basis, region_for_policy
+from .rangebasis import RangeOptions, range_basis, region_for_policy
 
 DEFAULT_FREQ_GRID = 32
 DEFAULT_RESIDUAL_GRID = 16

@@ -22,9 +22,11 @@ from .numkernel import (
     EPS,
     ToleranceConfig,
     generalized_eigenvalues,
-    orth_basis,
-    probe_pencil_regular,
+    is_infinite,
+    krylov_basis,
+    noise_floor,
     rank_revealing_svd,
+    staircase_threshold,
 )
 
 CONTINUOUS = "continuous"
@@ -71,10 +73,6 @@ class DescriptorSystem:
     @property
     def e_matrix(self) -> np.ndarray:
         return np.eye(self.n) if self.E is None else self.E
-
-    def require_regular(self, tol: ToleranceConfig | None = None):
-        if self.E is not None and not probe_pencil_regular(self.A, self.E, tol):
-            raise StructureError("pencil A - lambda*E is numerically singular")
 
 
 def make_dss(A, E, B, C, D, ts: str) -> DescriptorSystem:
@@ -249,33 +247,30 @@ def frequency_grid(ts: str, count: int = 32):
 
 
 def _finite_eigen_points(sys: DescriptorSystem):
-    vals = []
-    for a, b in generalized_eigenvalues(sys.A, sys.e_matrix):
-        if b > 1e-12 * max(abs(a), 1.0):
-            vals.append(a / b)
-    return vals
+    pairs = generalized_eigenvalues(sys.A, sys.e_matrix)
+    return [a / b for a, b in pairs if not is_infinite(a, b)]
 
 
-def _nonpole_candidates(systems, count: int, rng, margin_scale: float = 1e-3):
-    """Random complex points clear of the finite eigenvalues of
-    A - lambda*E of every given system, drawn until the attempt budget
-    for count points is spent."""
+def _nonpole_candidates(systems, count: int, rng):
+    """Random complex points farther than 1e-3 times the spectral radius
+    from the finite eigenvalues of A - lambda*E of every given system,
+    drawn until the attempt budget for count points is spent."""
     if isinstance(systems, DescriptorSystem):
         systems = [systems]
     eigs = [z for sys in systems for z in _finite_eigen_points(sys)]
     radius = max([1.0] + [abs(z) for z in eigs])
-    margin = margin_scale * radius
+    margin = 1e-3 * radius
     for _ in range(100 * count + 100):
         z = complex(rng.standard_normal(), rng.standard_normal()) * radius
         if all(abs(z - w) > margin for w in eigs):
             yield z
 
 
-def random_nonpole_points(systems, count: int, rng=None, margin_scale: float = 1e-3):
+def random_nonpole_points(systems, count: int, rng=None):
     """Random complex evaluation points rejection-sampled away from the
     finite eigenvalues of A - lambda*E of every given system."""
     rng = np.random.default_rng(0) if rng is None else rng
-    points = list(itertools.islice(_nonpole_candidates(systems, count, rng, margin_scale), count))
+    points = list(itertools.islice(_nonpole_candidates(systems, count, rng), count))
     if len(points) < count:
         raise StructureError("could not sample evaluation points away from the spectrum")
     return points
@@ -361,7 +356,7 @@ def _pick_shift(A, Emat):
             best_r, best_sigma = r, sigma
         if r > 1e-3:
             break
-    if best_r <= 100 * n * EPS:
+    if best_r <= noise_floor(1.0, n):
         raise StructureError("pencil A - lambda*E is numerically singular")
     return best_sigma
 
@@ -378,16 +373,7 @@ def _controllable_projection(sys: DescriptorSystem, tol: ToleranceConfig):
     M = scipy.linalg.lu_solve(lu, Emat)
     Bt = scipy.linalg.lu_solve(lu, sys.B)
     scale = max(np.linalg.norm(M, "fro"), np.linalg.norm(Bt, "fro"), 1.0)
-    # floor the staircase threshold at a safety margin over machine
-    # precision: the inputs are typically the end of a chain of
-    # orthogonal products, so their noise floor is well above one ulp
-    thresh = max(tol.resolve(scale, (n, n)), 100 * n * EPS * scale)
-    Q = orth_basis(Bt, thresh)
-    while Q.shape[1] < n:
-        grown = orth_basis(np.hstack([Q, M @ Q]), thresh)
-        if grown.shape[1] == Q.shape[1]:
-            break
-        Q = grown
+    Q = krylov_basis(M, Bt, staircase_threshold(tol, scale, (n, n)))
     return Q, M, Bt, sigma
 
 
@@ -429,7 +415,7 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
         scale = max(np.linalg.norm(A, "fro"), 1.0)
         U3, s3, V3t = np.linalg.svd(A22)
         V3 = V3t.T
-        q2 = int(np.count_nonzero(s3 > 100 * n * EPS * scale))
+        q2 = int(np.count_nonzero(s3 > noise_floor(scale, n)))
         if q2 == 0:
             break
         rows_keep = np.hstack([U[:, :q], U2 @ U3[:, q2:]])

@@ -30,10 +30,11 @@ from .dss import (
     series,
     stack_vertical,
     structure,
+    system_pencil,
     transpose,
 )
 from .exceptions import BoundaryError, FactorizationError, InputError
-from .klf import RegionPartition, stability_region
+from .klf import RegionPartition, on_stability_boundary, stability_region
 from .numkernel import DEFAULT_TOL, ToleranceConfig
 from .rangebasis import RangeOptions, ZEROS_BAD, ZEROS_NONE, cofactor, range_basis
 
@@ -129,13 +130,8 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig | None = None):
     mode and the normalization degrades.
     """
     tol = tol or DEFAULT_TOL
-    atol = max(tol.eig_atol, 1e-9)
     for lam in poles(sys, tol).finite:
-        if sys.ts == "continuous":
-            on_edge = abs(lam.real) <= atol * max(1.0, abs(lam))
-        else:
-            on_edge = abs(abs(lam) - 1.0) <= atol
-        if on_edge:
+        if on_stability_boundary(lam, sys.ts, tol):
             raise FactorizationError(
                 f"coprime factorization rejected: pole on the stability boundary (at {lam:.6g})"
             )
@@ -158,9 +154,7 @@ def _inverse_realization(sys: DescriptorSystem) -> DescriptorSystem:
     if sys.p != sys.m:
         raise InputError("inversion requires a square rational matrix")
     n, m = sys.n, sys.m
-    A_i = np.block([[sys.A, sys.B], [sys.C, sys.D]])
-    E_i = np.zeros((n + m, n + m))
-    E_i[:n, :n] = sys.e_matrix
+    A_i, E_i = system_pencil(sys)
     B_i = np.vstack([np.zeros((n, m)), -np.eye(m)])
     C_i = np.hstack([np.zeros((m, n)), np.eye(m)])
     return make_dss(A_i, E_i, B_i, C_i, np.zeros((m, m)), sys.ts)

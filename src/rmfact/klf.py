@@ -22,13 +22,14 @@ from .dss import system_pencil
 from .exceptions import BoundaryError, InputError, StructureError
 from .numkernel import (
     DEFAULT_TOL,
-    EPS,
     ToleranceConfig,
     col_compress,
     generalized_eigenvalues,
+    is_infinite,
     null_basis,
     ordered_generalized_schur,
     row_compress,
+    staircase_threshold,
     svd_rank_abs,
 )
 
@@ -88,18 +89,31 @@ def custom_region(predicate: Callable, infinite_is_bad: bool = False) -> RegionP
     return RegionPartition(REGION_CUSTOM, infinite_is_bad, predicate=predicate)
 
 
+def stability_gap(lam, ts: str) -> float:
+    """Signed distance of lam from the stability boundary of the time
+    domain ts, positive on the instability side: Re(lam) in continuous
+    time, |lam| - 1 in discrete time."""
+    return lam.real if ts == "continuous" else abs(lam) - 1.0
+
+
+def on_stability_boundary(lam, ts: str, tol: ToleranceConfig | None = None) -> bool:
+    """True when lam lies on the stability boundary of ts to within
+    eig_atol: |stability_gap(lam, ts)| <= eig_atol * max(1, |lam|)."""
+    tol = tol or DEFAULT_TOL
+    return abs(stability_gap(lam, ts)) <= tol.eig_atol * max(1.0, abs(lam))
+
+
 def classify_eigenvalue(alpha, beta, region: RegionPartition, tol: ToleranceConfig | None = None) -> str:
     """Classify a generalized eigenvalue given as an (alpha, beta) pair
     into 'good', 'bad', or 'boundary'. A finite eigenvalue closer to
     the region boundary than the configured offset is 'boundary'; with
-    the default zero offset no eigenvalue is, and points within eig_atol
-    of the boundary classify as good (the good region is closed)."""
+    the default zero offset no eigenvalue is, and points on the
+    stability boundary (on_stability_boundary) classify as good (the
+    good region is closed)."""
     tol = tol or DEFAULT_TOL
     alpha = complex(np.asarray(alpha).item())
     beta = float(np.asarray(beta).item())
-    if beta < 0:
-        alpha, beta = -alpha, -beta
-    if beta <= 1e4 * EPS * (abs(alpha) + beta):
+    if is_infinite(alpha, beta):
         return "bad" if region.infinite_is_bad else "good"
     lam = alpha / beta
     if region.kind == REGION_NONE:
@@ -108,12 +122,12 @@ def classify_eigenvalue(alpha, beta, region: RegionPartition, tol: ToleranceConf
         return "bad"
     if region.kind == REGION_CUSTOM:
         return "bad" if region.predicate(lam) else "good"
-    d = lam.real if region.ts == "continuous" else abs(lam) - 1.0
+    d = stability_gap(lam, region.ts)
     if abs(d) < tol.boundary_offset:
         return "boundary"
-    if abs(d) <= tol.eig_atol * max(1.0, abs(lam)):
+    if d <= 0 or on_stability_boundary(lam, region.ts, tol):
         return "good"
-    return "bad" if d > 0 else "good"
+    return "bad"
 
 
 # -- general Kronecker-like form ---------------------------------------------
@@ -254,16 +268,12 @@ def _klf_core(M0, N0, thresh) -> KlfResult:
             "rank decisions produced a non-square regular block; adjust the tolerance"
         )
     nF = nF_r
-    if nF:
-        finite = generalized_eigenvalues(Mw[iR:r1, jR:c1], Nw[iR:r1, jR:c1])
-    else:
-        finite = []
-    for a, b in finite:
-        if b <= 1e4 * EPS * (abs(a) + abs(b)):
-            raise StructureError(
-                "regular split leaked an infinite eigenvalue into the finite block; "
-                "adjust the tolerance"
-            )
+    finite = generalized_eigenvalues(Mw[iR:r1, jR:c1], Nw[iR:r1, jR:c1])
+    if any(is_infinite(a, b) for a, b in finite):
+        raise StructureError(
+            "regular split leaked an infinite eigenvalue into the finite block; "
+            "adjust the tolerance"
+        )
 
     mL = m - r1 - iI
     nL = n - c1 - jI
@@ -288,15 +298,8 @@ def _klf_core(M0, N0, thresh) -> KlfResult:
 
 
 def _pencil_threshold(M, N, tol: ToleranceConfig):
-    scale = 0.0
-    if M.size:
-        scale = np.linalg.norm(np.hstack([M, N]), 2)
-    # floor the shared threshold at a safety margin over machine
-    # precision: the staircase rank decisions see blocks left over from
-    # a chain of orthogonal updates, whose noise floor is well above
-    # one ulp of the pencil scale
-    q = max(M.shape) if M.size else 1
-    return max(tol.resolve(scale, M.shape), 100.0 * q * EPS * scale)
+    scale = np.linalg.norm(np.hstack([M, N]), 2) if M.size else 0.0
+    return staircase_threshold(tol, scale, M.shape)
 
 
 def kronecker_like_form(A, E, tol: ToleranceConfig | None = None) -> KlfResult:
@@ -414,9 +417,7 @@ def _check_bad_stabilizable(sys, region, tol, thresh):
                 f"eigenvalue {a / b} lies within the boundary offset "
                 "of the region boundary"
             )
-        if cls != "bad":
-            continue
-        if b <= 1e4 * EPS * (abs(a) + b):
+        if cls != "bad" or is_infinite(a, b):
             continue
         lam = a / b
         P = np.hstack([sys.A - lam * Emat, sys.B]).astype(complex)

@@ -22,13 +22,17 @@ EPS = float(np.finfo(float).eps)
 class ToleranceConfig:
     """Tolerance policy shared by all reductions.
 
-    rank_rtol: relative rank tolerance; 0 means automatic, which
-        resolves to max(rows, cols) * machine_epsilon * sigma_max of
-        the matrix being ranked.
-    eig_atol: absolute tolerance used when classifying generalized
-        eigenvalue pairs (e.g. deciding that beta is numerically zero).
+    rank_rtol: relative tolerance of every rank decision; 0 means
+        automatic, which resolves to max(rows, cols) * machine_epsilon
+        * sigma_max of the matrix being ranked.
+    eig_atol: width of the stability boundary relative to max(1, |lam|)
+        (klf.on_stability_boundary): eigenvalues on it classify as good,
+        and nrcf and inner bases reject them as poles or zeros.
     boundary_offset: half-width of the exclusion strip around the
-        good/bad region boundary.
+        good/bad region boundary; eigenvalues inside it are 'boundary'.
+
+    Fixed rules: is_infinite decides infinite eigenvalues, noise_floor
+    the roundoff level of data from a chain of orthogonal updates.
     """
 
     rank_rtol: float = 0.0
@@ -48,6 +52,24 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+def noise_floor(scale: float, k: int) -> float:
+    """Roundoff level 100 * k * eps * scale of dimension-k data of norm
+    scale that ends a chain of orthogonal products."""
+    return 100 * k * EPS * scale
+
+
+def staircase_threshold(tol: ToleranceConfig, scale: float, shape) -> float:
+    """Absolute threshold of every rank decision in one staircase
+    reduction: the resolved rank tolerance, floored at the noise floor."""
+    return max(tol.resolve(scale, shape), noise_floor(scale, max(shape)))
+
+
+def is_infinite(alpha, beta) -> bool:
+    """True when the generalized eigenvalue (alpha, beta), beta of either
+    sign, is infinite: |beta| <= 1e4 * eps * (|alpha| + |beta|)."""
+    return abs(beta) <= 1e4 * EPS * (abs(alpha) + abs(beta))
 
 
 def _as_matrix(M, name="matrix"):
@@ -100,8 +122,8 @@ class OrderedSchurResult:
 
     S is quasi-upper-triangular, T upper-triangular, and the orthogonal
     Q, Z satisfy Q.T @ A @ Z = S, Q.T @ E @ Z = T. eigenvalues holds
-    (alpha, beta) pairs with beta >= 0; beta == 0 encodes an infinite
-    eigenvalue.
+    (alpha, beta) pairs with beta >= 0; is_infinite picks out the
+    infinite eigenvalues.
     """
 
     S: np.ndarray
@@ -111,10 +133,10 @@ class OrderedSchurResult:
     eigenvalues: tuple
 
 
-def probe_pencil_regular(A, E, tol: ToleranceConfig | None = None, attempts: int = 8):
+def probe_pencil_regular(A, E, tol: ToleranceConfig | None = None):
     """Return True when A - lambda*E is numerically regular.
 
-    The pencil is probed at pseudo-random shifts; it is declared
+    The pencil is probed at eight pseudo-random shifts; it is declared
     singular only when every probe is rank-deficient.
     """
     tol = tol or DEFAULT_TOL
@@ -125,11 +147,11 @@ def probe_pencil_regular(A, E, tol: ToleranceConfig | None = None, attempts: int
         return True
     scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(E, "fro"), 1.0)
     rng = np.random.default_rng(12345)
-    for _ in range(attempts):
+    for _ in range(8):
         lam = rng.standard_normal() + 1j * rng.standard_normal()
         lam *= 1.0 + rng.random()
         smin = np.linalg.svd(A - lam * E, compute_uv=False)[-1]
-        if smin > n * EPS * scale * 100:
+        if smin > noise_floor(scale, n):
             return True
     return False
 
@@ -168,12 +190,7 @@ def ordered_generalized_schur(A, E, select, tol: ToleranceConfig | None = None) 
         )
 
     S, T, alpha, beta, Q, Z = scipy.linalg.ordqz(A, E, sort=sort_fn, output="real")
-    pairs = []
-    for a, b in zip(alpha, beta):
-        if b < 0:
-            a, b = -a, -b
-        pairs.append((complex(a), float(b)))
-    return OrderedSchurResult(S, T, Q, Z, tuple(pairs))
+    return OrderedSchurResult(S, T, Q, Z, tuple(_eigenvalue_pairs(alpha, beta)))
 
 
 def generalized_eigenvalues(A, E):
@@ -185,12 +202,15 @@ def generalized_eigenvalues(A, E):
     if n == 0:
         return []
     _, _, alpha, beta, _, _ = scipy.linalg.ordqz(A, E, sort=lambda a, b: np.zeros_like(np.asarray(a), dtype=bool), output="real")
-    pairs = []
-    for a, b in zip(alpha, beta):
-        if b < 0:
-            a, b = -a, -b
-        pairs.append((complex(a), float(b)))
-    return pairs
+    return _eigenvalue_pairs(alpha, beta)
+
+
+def _eigenvalue_pairs(alpha, beta):
+    """(alpha, beta) pairs from QZ output with beta made nonnegative."""
+    return [
+        (complex(-a), float(-b)) if b < 0 else (complex(a), float(b))
+        for a, b in zip(alpha, beta)
+    ]
 
 
 # -- internal compression helpers -------------------------------------------
@@ -258,3 +278,16 @@ def orth_basis(M, thresh: float):
     U, s, _ = scipy.linalg.svd(M)
     rank = int(np.count_nonzero(s > thresh))
     return U[:, :rank].copy()
+
+
+def krylov_basis(M, B, thresh: float):
+    """Orthonormal basis of the smallest M-invariant subspace containing
+    range(B), grown by Krylov steps until its dimension stops growing."""
+    n = M.shape[0]
+    Q = orth_basis(B, thresh)
+    while Q.shape[1] < n:
+        grown = orth_basis(np.hstack([Q, M @ Q]), thresh)
+        if grown.shape[1] == Q.shape[1]:
+            break
+        Q = grown
+    return Q

@@ -15,23 +15,24 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dss import DescriptorSystem, irreducible_realization, make_dss, zeros
+from .dss import DescriptorSystem, make_dss, zeros
 from .exceptions import FactorizationError, InputError
 from .klf import (
     RegionPartition,
     SpecialKlf,
     all_finite_region,
     classify_eigenvalue,
+    on_stability_boundary,
     region_none,
     special_klf,
     stability_region,
 )
 from .numkernel import (
     DEFAULT_TOL,
-    EPS,
     ToleranceConfig,
+    krylov_basis,
+    noise_floor,
     ordered_generalized_schur,
-    orth_basis,
 )
 
 ZEROS_NONE = "none"
@@ -86,20 +87,17 @@ def range_basis(
     region: RegionPartition | None = None,
     opts: RangeOptions | None = None,
     tol: ToleranceConfig | None = None,
-    prereduce: bool = False,
 ) -> RangeResult:
     """Compute a full-column-rank basis R of the range space of sys.
 
-    region defaults to the one implied by opts.zeros_policy. With
-    prereduce, the realization is first made irreducible, which
-    repairs non-stabilizable but cancelling modes.
+    region defaults to the one implied by opts.zeros_policy. A
+    realization with non-stabilizable but cancelling modes is accepted
+    once made irreducible (dss.irreducible_realization).
     """
     tol = tol or DEFAULT_TOL
     opts = opts or RangeOptions()
     if region is None:
         region = region_for_policy(opts.zeros_policy, sys.ts)
-    if prereduce:
-        sys = irreducible_realization(sys, tol)
     sk = special_klf(sys, region, tol)
     A_bl = np.array(sk.A_bl)
     E_bl = np.array(sk.E_bl)
@@ -108,7 +106,7 @@ def range_basis(
     D_bl = np.array(sk.D_bl)
     r, n_bl = sk.r, sk.n_bl
     if opts.inner:
-        F, W = inner_enforcing_gains(sk, sys.ts, tol)
+        F, W = inner_enforcing_gains(sk, tol)
     elif opts.stabilize:
         F = _stabilizing_gains(A_bl, E_bl, B_bl, sys.ts, tol)
         W = np.eye(r)
@@ -149,22 +147,11 @@ def cofactor(sys: DescriptorSystem, rr: RangeResult, tol: ToleranceConfig | None
 
 def _inv_sqrt_sym(H):
     w, V = np.linalg.eigh(0.5 * (H + H.T))
-    if H.shape[0] and w[0] <= max(H.shape[0], 1) * 100 * EPS * max(w[-1], 1.0):
+    if H.shape[0] and w[0] <= noise_floor(max(w[-1], 1.0), H.shape[0]):
         raise FactorizationError(
             "inner normalization failed: the weighting Gramian is numerically singular"
         )
     return V @ np.diag(1.0 / np.sqrt(w)) @ V.T if H.shape[0] else np.eye(0)
-
-
-def _controllable_subspace(Abar, Bbar, thresh):
-    Q = orth_basis(Bbar, thresh)
-    n = Abar.shape[0]
-    while 0 < Q.shape[1] < n:
-        grown = orth_basis(np.hstack([Q, Abar @ Q]), thresh)
-        if grown.shape[1] == Q.shape[1]:
-            break
-        Q = grown
-    return Q
 
 
 def _explicit_pair(A_bl, E_bl, B_bl, tol):
@@ -172,18 +159,16 @@ def _explicit_pair(A_bl, E_bl, B_bl, tol):
     Abar = scipy.linalg.lu_solve(lu, A_bl)
     Bbar = scipy.linalg.lu_solve(lu, B_bl)
     scale = max(np.linalg.norm(Abar, "fro"), np.linalg.norm(Bbar, "fro"), 1.0)
-    thresh = tol.resolve(scale, Abar.shape)
-    Q1 = _controllable_subspace(Abar, Bbar, thresh)
-    return Abar, Bbar, Q1
+    return Abar, Bbar, krylov_basis(Abar, Bbar, tol.resolve(scale, Abar.shape))
 
 
-def inner_enforcing_gains(blocks: SpecialKlf, ts: str | None = None, tol: ToleranceConfig | None = None):
+def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig | None = None):
     """Feedback F and weighting W making the basis inner (R~ R = I and
     all poles stable). Solves the Riccati equation of the explicit
     pair obtained with the invertible E_bl, on the controllable part
     only, and pads the feedback with zeros on uncontrollable states."""
     tol = tol or DEFAULT_TOL
-    ts = ts or blocks.ts
+    ts = blocks.ts
     r, n_bl = blocks.r, blocks.n_bl
     D = np.array(blocks.D_bl)
     if r == 0:
@@ -193,7 +178,7 @@ def inner_enforcing_gains(blocks: SpecialKlf, ts: str | None = None, tol: Tolera
         # in discrete time a singular feedthrough is fine as long as
         # the Riccati feedthrough term stays invertible
         sD = np.linalg.svd(D, compute_uv=False) if D.size else np.zeros(1)
-        if D.shape[0] < r or sD[-1] <= 100 * max(D.shape) * EPS * max(sD[0], 1.0):
+        if D.shape[0] < r or sD[-1] <= noise_floor(max(sD[0], 1.0), max(D.shape)):
             raise FactorizationError(
                 "inner basis does not exist: the candidate feedthrough is column rank deficient"
             )
@@ -206,14 +191,8 @@ def inner_enforcing_gains(blocks: SpecialKlf, ts: str | None = None, tol: Tolera
     # an inner basis exists only if the zeros carried by the trailing
     # blocks stay off the stability boundary: feedback cannot move
     # zeros, and R~ R = I fails at a boundary zero
-    zf = zeros(make_dss(A_bl, E_bl, B_bl, C_bl, D, ts), tol).finite
-    atol = max(tol.eig_atol, 1e3 * EPS)
-    for lam in zf:
-        if ts == "continuous":
-            on_edge = abs(lam.real) <= atol * max(1.0, abs(lam))
-        else:
-            on_edge = abs(abs(lam) - 1.0) <= atol
-        if on_edge:
+    for lam in zeros(make_dss(A_bl, E_bl, B_bl, C_bl, D, ts), tol).finite:
+        if on_stability_boundary(lam, ts, tol):
             raise FactorizationError(
                 "inner basis does not exist: a zero of the basis lies on the "
                 f"stability boundary (at {lam:.6g})"

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from rmfact import (
     BoundaryError,
+    FactorizationError,
     InputError,
     StructureError,
     ToleranceConfig,
@@ -15,13 +16,15 @@ from rmfact import (
     kronecker_like_form,
     make_dss,
     normal_rank,
+    nrcf,
     polynomial_rank2_discrete,
     region_none,
     special_klf,
     stability_region,
     stable_rank2_continuous,
 )
-from rmfact.rangebasis import RangeOptions, range_basis
+from rmfact.klf import on_stability_boundary
+from rmfact.rangebasis import RangeOptions, inner_enforcing_gains, range_basis
 
 from support import assert_multiset_close, random_system
 
@@ -42,6 +45,9 @@ def test_classify_continuous_halfplane():
     assert classify_eigenvalue(-1.0, 1.0, reg) == "good"
     assert classify_eigenvalue(1.0, 1.0, reg) == "bad"
     assert classify_eigenvalue(3.0 + 2.0j, 1.0, reg) == "bad"
+    # a negative beta flips neither the eigenvalue nor its class
+    assert classify_eigenvalue(-1.0, -1.0, reg) == "bad"
+    assert classify_eigenvalue(1.0, -1.0, reg) == "good"
 
 
 def test_classify_infinite_eigenvalue():
@@ -67,6 +73,34 @@ def test_classify_boundary_offset():
     assert classify_eigenvalue(5e-3, 1.0, reg, tol) == "boundary"
     assert classify_eigenvalue(-5e-3, 1.0, reg, tol) == "boundary"
     assert classify_eigenvalue(-5e-2, 1.0, reg, tol) == "good"
+
+
+@pytest.mark.parametrize("ts", ["continuous", "discrete"])
+def test_stability_boundary_decisions_agree(ts):
+    # one boundary decision serves classification, the nrcf pole check
+    # and the inner-basis zero check: within eig_atol of the boundary an
+    # eigenvalue classifies as good while nrcf and the inner gains
+    # reject it; farther out, on the unstable side, all three accept it
+    tol = ToleranceConfig()
+    edge = 0.0 if ts == "continuous" else 1.0
+    stable = -0.5 if ts == "continuous" else 0.5
+    for gap in (-0.5, 0.5, 2.0):
+        lam = edge + gap * tol.eig_atol
+        on_edge = abs(gap) < 1.0
+        assert on_stability_boundary(lam, ts, tol) == on_edge
+        assert classify_eigenvalue(lam, 1.0, stability_region(ts), tol) == ("good" if on_edge else "bad")
+        pole_at_lam = make_dss([[lam]], None, [[1.0]], [[1.0]], [[0.0]], ts)
+        # (lambda - lam) / (lambda - stable), every zero kept in the basis
+        zero_at_lam = make_dss([[stable]], None, [[1.0]], [[stable - lam]], [[1.0]], ts)
+        sk = special_klf(zero_at_lam, all_finite_region(), tol)
+        if on_edge:
+            with pytest.raises(FactorizationError, match="stability boundary"):
+                nrcf(pole_at_lam, tol)
+            with pytest.raises(FactorizationError, match="stability boundary"):
+                inner_enforcing_gains(sk, tol)
+        else:
+            nrcf(pole_at_lam, tol)
+            inner_enforcing_gains(sk, tol)
 
 
 def test_classify_custom_region():

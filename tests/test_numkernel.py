@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rmfact.exceptions import InputError, StructureError
 from rmfact.numkernel import (
     ToleranceConfig,
     ordered_generalized_schur,
     generalized_eigenvalues,
+    is_infinite,
+    krylov_basis,
     pivoted_qr,
     probe_pencil_regular,
     rank_revealing_svd,
@@ -79,6 +82,41 @@ def test_ordered_schur_infinite_eigenvalue():
     infinite = [1 for _, b in res.eigenvalues if b <= 1e-12]
     assert len(finite) == 1 and abs(finite[0] - 1.0) < 1e-12
     assert len(infinite) == 1
+    # the infinity rule agrees, whatever the scale of the pencil
+    for scale in (1e-8, 1.0, 1e8):
+        pairs = generalized_eigenvalues(scale * A, scale * E)
+        assert sorted(is_infinite(a, b) for a, b in pairs) == [False, True]
+
+
+def test_is_infinite_is_relative_and_sign_blind():
+    for scale in (1e-12, 1.0, 1e12):
+        for alpha in (scale, -scale, 0.6j * scale + 0.8 * scale):
+            assert is_infinite(alpha, 0.0)
+            assert is_infinite(alpha, 1e-13 * scale) and is_infinite(-alpha, -1e-13 * scale)
+            assert not is_infinite(alpha, 1e-10 * scale)
+            assert not is_infinite(-alpha, -1e-10 * scale)
+    assert not is_infinite(0.0, 1e-300)
+
+
+def test_krylov_basis_invariant_subspace():
+    rng = np.random.default_rng(3)
+    M = scipy.linalg.block_diag(rng.standard_normal((3, 3)), rng.standard_normal((2, 2)))
+    # range(B) lies in the invariant subspace spanned by e4, e5
+    B = np.vstack([np.zeros((3, 1)), rng.standard_normal((2, 1))])
+    Q = krylov_basis(M, B, 1e-12)
+    assert Q.shape == (5, 2)
+    assert np.linalg.norm(Q.T @ Q - np.eye(2)) < 1e-13
+    assert np.linalg.norm(Q[:3]) < 1e-13
+    assert np.linalg.norm(M @ Q - Q @ (Q.T @ M @ Q)) < 1e-12
+    # a generic input reaches the whole space
+    assert krylov_basis(M, rng.standard_normal((5, 1)), 1e-12).shape == (5, 5)
+
+
+def test_krylov_basis_empty_input():
+    M = np.random.default_rng(4).standard_normal((4, 4))
+    assert krylov_basis(M, np.zeros((4, 0)), 1e-12).shape == (4, 0)
+    assert krylov_basis(M, np.zeros((4, 2)), 1e-12).shape == (4, 0)
+    assert krylov_basis(np.zeros((0, 0)), np.zeros((0, 3)), 1e-12).shape == (0, 0)
 
 
 def test_ordered_schur_hand_eigenvalues():
