@@ -24,9 +24,12 @@ from .numkernel import (
     generalized_eigenvalues,
     is_infinite,
     krylov_basis,
+    lu_factor,
+    lu_solve,
     noise_floor,
     rank_revealing_svd,
     staircase_threshold,
+    svd,
 )
 
 CONTINUOUS = "continuous"
@@ -41,7 +44,7 @@ def _matrix(value, rows, cols, name):
         raise InputError(f"{name} must be two-dimensional, got shape {M.shape}")
     if M.shape != (rows, cols):
         raise InputError(f"{name} must have shape {(rows, cols)}, got {M.shape}")
-    if M.size and not np.all(np.isfinite(M)):
+    if M.size and not np.isfinite(M).all():
         raise InputError(f"{name} contains non-finite entries")
     return M
 
@@ -139,7 +142,7 @@ def evaluate(sys: DescriptorSystem, lambda0: complex) -> np.ndarray:
     if n == 0:
         return sys.D.astype(complex)
     P = lam * sys.e_matrix - sys.A
-    s = np.linalg.svd(P, compute_uv=False)
+    s = svd(P, compute_uv=False)
     if s[-1] <= 10 * n * EPS * max(s[0], 1.0):
         cond = np.inf if s[-1] == 0 else s[0] / s[-1]
         raise EvaluationError(
@@ -324,7 +327,7 @@ def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig | None = None, rng=N
         ranks = []
         for z in pts:
             S = M - z * N
-            s = np.linalg.svd(S, compute_uv=False)
+            s = svd(S, compute_uv=False)
             thresh = tol.resolve(s[0] if s.size else 0.0, S.shape)
             ranks.append(int(np.count_nonzero(s > thresh)) - n)
         if ranks[0] == ranks[1]:
@@ -347,7 +350,7 @@ def _pick_shift(A, Emat):
     candidates += list(rng.standard_normal(6))
     for sigma in candidates:
         T = A - sigma * Emat
-        s = np.linalg.svd(T, compute_uv=False)
+        s = svd(T, compute_uv=False)
         # measure invertibility against the pencil scale, not against
         # T itself: a uniformly tiny T is "well conditioned" but the
         # subsequent solve would amplify roundoff to working size
@@ -369,9 +372,9 @@ def _controllable_projection(sys: DescriptorSystem, tol: ToleranceConfig):
     Emat = sys.e_matrix
     sigma = _pick_shift(sys.A, Emat)
     T = sys.A - sigma * Emat
-    lu = scipy.linalg.lu_factor(T)
-    M = scipy.linalg.lu_solve(lu, Emat)
-    Bt = scipy.linalg.lu_solve(lu, sys.B)
+    lu = lu_factor(T)
+    M = lu_solve(lu, Emat)
+    Bt = lu_solve(lu, sys.B)
     scale = max(np.linalg.norm(M, "fro"), np.linalg.norm(Bt, "fro"), 1.0)
     Q = krylov_basis(M, Bt, staircase_threshold(tol, scale, (n, n)))
     return Q, M, Bt, sigma
@@ -413,7 +416,7 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
         # scale of A itself; entries at roundoff level are kept as
         # dynamic structure rather than divided by
         scale = max(np.linalg.norm(A, "fro"), 1.0)
-        U3, s3, V3t = np.linalg.svd(A22)
+        U3, s3, V3t = svd(A22)
         V3 = V3t.T
         q2 = int(np.count_nonzero(s3 > noise_floor(scale, n)))
         if q2 == 0:

@@ -30,6 +30,7 @@ from .numkernel import (
     ordered_generalized_schur,
     row_compress,
     staircase_threshold,
+    svd,
     svd_rank_abs,
 )
 
@@ -421,7 +422,7 @@ def _check_bad_stabilizable(sys, region, tol, thresh):
             continue
         lam = a / b
         P = np.hstack([sys.A - lam * Emat, sys.B]).astype(complex)
-        s = np.linalg.svd(P, compute_uv=False)
+        s = svd(P, compute_uv=False)
         if s[-1] <= thresh:
             raise StructureError(
                 f"realization is not stabilizable: [A - lambda E, B] loses rank at "
@@ -507,9 +508,7 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig | None = None
         sel = lambda a, b: classify_eigenvalue(a, b, region, tol) != "bad"
         win_r = slice(iR, iR + nreg)
         win_c = slice(jR, jR + nreg)
-        sch = ordered_generalized_schur(
-            M_Pt[win_r, win_c], N_Pt[win_r, win_c], sel, tol
-        )
+        sch = ordered_generalized_schur(M_Pt[win_r, win_c], N_Pt[win_r, win_c], sel)
         M_Pt[win_r, jR:] = sch.Q.T @ M_Pt[win_r, jR:]
         N_Pt[win_r, jR:] = sch.Q.T @ N_Pt[win_r, jR:]
         M_Pt[:, win_c] = M_Pt[:, win_c] @ sch.Z

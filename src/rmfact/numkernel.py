@@ -1,17 +1,24 @@
-"""Dense numerical kernels: rank-revealing decompositions and the
-ordered generalized Schur (QZ) decomposition.
+"""Dense numerical kernels: the LAPACK SVD and LU bindings,
+rank-revealing decompositions and the ordered generalized Schur (QZ)
+decomposition.
 
 Every reduction in this package funnels its rank decisions through the
 helpers here so that a single tolerance policy governs the whole
-computation.
+computation. `svd`, `lu_factor` and `lu_solve` are the package's only
+bindings of those LAPACK routines: every call site goes through them.
+They call the compiled routines directly, with the arguments and
+results of their scipy.linalg counterparts, which spend more time
+wrapping the call than LAPACK spends on the small matrices here.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .exceptions import InputError, StructureError
 
@@ -76,9 +83,75 @@ def _as_matrix(M, name="matrix"):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.ndim != 2:
         raise InputError(f"{name} must be two-dimensional")
-    if M.size and not np.all(np.isfinite(M)):
+    if M.size and not np.isfinite(M).all():
         raise InputError(f"{name} contains non-finite entries")
     return M
+
+
+def _require_finite(M):
+    if not np.isfinite(M).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def svd(M, compute_uv: bool = True):
+    """Full SVD of a float64 or complex128 matrix by LAPACK gesdd:
+    (U, s, Vh) with M = U @ diag(s) @ Vh, or s alone.
+
+    Bit-identical to scipy.linalg.svd(M, compute_uv=compute_uv): the
+    same routine, arguments and workspace size, and identity U, Vh for
+    an empty M. Non-finite entries raise ValueError, and a failure to
+    converge LinAlgError.
+    """
+    _require_finite(M)
+    if M.size == 0:
+        s = np.zeros(0)
+        if not compute_uv:
+            return s
+        return np.eye(M.shape[0], dtype=M.dtype), s, np.eye(M.shape[1], dtype=M.dtype)
+    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), (M,), ilp64="preferred")
+    work, info = gesdd_lwork(M.shape[0], M.shape[1], compute_uv=compute_uv, full_matrices=True)
+    if info != 0:
+        raise ValueError(f"gesdd workspace query failed: {info}")
+    U, s, Vh, info = gesdd(
+        M, compute_uv=compute_uv, lwork=int(work.real), full_matrices=True, overwrite_a=False
+    )
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gesdd")
+    return (U, s, Vh) if compute_uv else s
+
+
+def lu_factor(M):
+    """Pivoted LU factorization (lu, piv) of a nonempty square matrix by
+    LAPACK getrf, bit-identical to scipy.linalg.lu_factor(M). Non-finite
+    entries raise ValueError; an exactly zero pivot warns LinAlgWarning."""
+    _require_finite(M)
+    getrf, = get_lapack_funcs(("getrf",), (M,))
+    lu, piv, info = getrf(M, overwrite_a=False)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    if info > 0:
+        warnings.warn(
+            f"Diagonal number {info} is exactly zero. Singular matrix.",
+            scipy.linalg.LinAlgWarning,
+            stacklevel=2,
+        )
+    return lu, piv
+
+
+def lu_solve(lu_and_piv, b):
+    """Solution x of M x = b from lu_factor(M) by LAPACK getrs,
+    bit-identical to scipy.linalg.lu_solve(lu_and_piv, b)."""
+    lu, piv = lu_and_piv
+    _require_finite(b)
+    if lu.shape[0] != b.shape[0]:
+        raise ValueError(f"Shapes of lu {lu.shape} and b {b.shape} are incompatible")
+    getrs, = get_lapack_funcs(("getrs",), (lu, b))
+    x, info = getrs(lu, piv, b, trans=0, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
 
 
 def rank_revealing_svd(M, tol: ToleranceConfig | None = None):
@@ -92,7 +165,7 @@ def rank_revealing_svd(M, tol: ToleranceConfig | None = None):
     M = _as_matrix(M)
     if min(M.shape) == 0:
         return np.eye(M.shape[0]), np.zeros(0), np.eye(M.shape[1]), 0
-    U, s, Vt = scipy.linalg.svd(M)
+    U, s, Vt = svd(M)
     thresh = tol.resolve(s[0] if s.size else 0.0, M.shape)
     rank = int(np.count_nonzero(s > thresh))
     return U, s, Vt.T, rank
@@ -133,13 +206,12 @@ class OrderedSchurResult:
     eigenvalues: tuple
 
 
-def probe_pencil_regular(A, E, tol: ToleranceConfig | None = None):
+def probe_pencil_regular(A, E):
     """Return True when A - lambda*E is numerically regular.
 
     The pencil is probed at eight pseudo-random shifts; it is declared
     singular only when every probe is rank-deficient.
     """
-    tol = tol or DEFAULT_TOL
     A = _as_matrix(A, "A")
     E = _as_matrix(E, "E")
     n = A.shape[0]
@@ -150,20 +222,19 @@ def probe_pencil_regular(A, E, tol: ToleranceConfig | None = None):
     for _ in range(8):
         lam = rng.standard_normal() + 1j * rng.standard_normal()
         lam *= 1.0 + rng.random()
-        smin = np.linalg.svd(A - lam * E, compute_uv=False)[-1]
+        smin = svd(A - lam * E, compute_uv=False)[-1]
         if smin > noise_floor(scale, n):
             return True
     return False
 
 
-def ordered_generalized_schur(A, E, select, tol: ToleranceConfig | None = None) -> OrderedSchurResult:
+def ordered_generalized_schur(A, E, select) -> OrderedSchurResult:
     """Ordered real generalized Schur decomposition of a regular pencil.
 
     select(alpha, beta) marks the eigenvalues that must occupy the
     leading diagonal block; it is called with arrays and must return a
     boolean array (a scalar predicate is lifted elementwise).
     """
-    tol = tol or DEFAULT_TOL
     A = _as_matrix(A, "A")
     E = _as_matrix(E, "E")
     if A.shape != E.shape or A.shape[0] != A.shape[1]:
@@ -172,7 +243,7 @@ def ordered_generalized_schur(A, E, select, tol: ToleranceConfig | None = None) 
     if n == 0:
         I = np.eye(0)
         return OrderedSchurResult(I, I, I, I, ())
-    if not probe_pencil_regular(A, E, tol):
+    if not probe_pencil_regular(A, E):
         raise StructureError(
             "pencil A - lambda*E is numerically singular at every probe shift; "
             "use the Kronecker-like form to separate its singular structure"
@@ -223,7 +294,7 @@ def _eigenvalue_pairs(alpha, beta):
 def svd_rank_abs(M, thresh: float) -> int:
     if min(M.shape) == 0:
         return 0
-    s = scipy.linalg.svd(M, compute_uv=False)
+    s = svd(M, compute_uv=False)
     return int(np.count_nonzero(s > thresh))
 
 
@@ -233,9 +304,9 @@ def row_compress(M, thresh: float):
     Returns (U, rank).
     """
     m = M.shape[0]
-    if min(M.shape) == 0 or not np.any(M):
+    if min(M.shape) == 0 or not M.any():
         return np.eye(m), 0
-    U, s, _ = scipy.linalg.svd(M)
+    U, s, _ = svd(M)
     rank = int(np.count_nonzero(s > thresh))
     return U, rank
 
@@ -247,9 +318,9 @@ def col_compress(M, thresh: float, zeros_leading: bool = False):
     otherwise M @ Z = [0, M1]. Returns (Z, rank).
     """
     n = M.shape[1]
-    if min(M.shape) == 0 or not np.any(M):
+    if min(M.shape) == 0 or not M.any():
         return np.eye(n), 0
-    _, s, Vt = scipy.linalg.svd(M)
+    _, s, Vt = svd(M)
     rank = int(np.count_nonzero(s > thresh))
     V = Vt.T
     if zeros_leading:
@@ -263,9 +334,9 @@ def null_basis(M, thresh: float):
     """Orthonormal basis of the right null space of M (columns)."""
     M = np.atleast_2d(M)
     n = M.shape[1]
-    if min(M.shape) == 0 or not np.any(M):
+    if min(M.shape) == 0 or not M.any():
         return np.eye(n)
-    _, s, Vt = scipy.linalg.svd(M)
+    _, s, Vt = svd(M)
     rank = int(np.count_nonzero(s > thresh))
     return Vt[rank:].T.copy()
 
@@ -273,9 +344,9 @@ def null_basis(M, thresh: float):
 def orth_basis(M, thresh: float):
     """Orthonormal basis of the column space of M."""
     M = np.atleast_2d(M)
-    if min(M.shape) == 0 or not np.any(M):
+    if min(M.shape) == 0 or not M.any():
         return np.zeros((M.shape[0], 0))
-    U, s, _ = scipy.linalg.svd(M)
+    U, s, _ = svd(M)
     rank = int(np.count_nonzero(s > thresh))
     return U[:, :rank].copy()
 

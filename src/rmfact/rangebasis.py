@@ -31,8 +31,11 @@ from .numkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
     krylov_basis,
+    lu_factor,
+    lu_solve,
     noise_floor,
     ordered_generalized_schur,
+    svd,
 )
 
 ZEROS_NONE = "none"
@@ -155,9 +158,9 @@ def _inv_sqrt_sym(H):
 
 
 def _explicit_pair(A_bl, E_bl, B_bl, tol):
-    lu = scipy.linalg.lu_factor(E_bl)
-    Abar = scipy.linalg.lu_solve(lu, A_bl)
-    Bbar = scipy.linalg.lu_solve(lu, B_bl)
+    lu = lu_factor(E_bl)
+    Abar = lu_solve(lu, A_bl)
+    Bbar = lu_solve(lu, B_bl)
     scale = max(np.linalg.norm(Abar, "fro"), np.linalg.norm(Bbar, "fro"), 1.0)
     return Abar, Bbar, krylov_basis(Abar, Bbar, tol.resolve(scale, Abar.shape))
 
@@ -177,7 +180,7 @@ def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig | None = None
         # a continuous inner basis needs full column rank at infinity;
         # in discrete time a singular feedthrough is fine as long as
         # the Riccati feedthrough term stays invertible
-        sD = np.linalg.svd(D, compute_uv=False) if D.size else np.zeros(1)
+        sD = svd(D, compute_uv=False) if D.size else np.zeros(1)
         if D.shape[0] < r or sD[-1] <= noise_floor(max(sD[0], 1.0), max(D.shape)):
             raise FactorizationError(
                 "inner basis does not exist: the candidate feedthrough is column rank deficient"
@@ -241,7 +244,7 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
     B_c = Q1.T @ Bbar
     stab = stability_region(ts)
     sel = lambda a, b: classify_eigenvalue(a, b, stab, tol) != "bad"
-    sch = ordered_generalized_schur(A_c, np.eye(k), sel, tol)
+    sch = ordered_generalized_schur(A_c, np.eye(k), sel)
     kg = sum(1 for a, b in sch.eigenvalues if classify_eigenvalue(a, b, stab, tol) != "bad")
     kb = k - kg
     if kb == 0:

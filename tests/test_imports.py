@@ -1,5 +1,7 @@
-"""Every module of the package uses each name it imports (a stdlib
-stand-in for a linter's unused-import check)."""
+"""Import hygiene of the package, checked with the stdlib ast module:
+every module uses each name it imports (a stand-in for a linter's
+unused-import check), and only numkernel binds the LAPACK SVD and LU
+routines, so every call goes through its kernels."""
 
 import ast
 import pathlib
@@ -41,3 +43,64 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+# dense kernels with one home, numkernel; the other modules call its wrappers
+KERNEL_HOME = "numkernel.py"
+KERNELS = {"scipy.linalg.svd", "numpy.linalg.svd", "scipy.linalg.lu_factor", "scipy.linalg.lu_solve"}
+
+
+def kernel_references(source: str) -> list:
+    """References in source to a name in KERNELS, through an attribute
+    chain on an imported module or a from-import, in line order."""
+    tree = ast.parse(source)
+    # the dotted name each imported name is bound to
+    modules, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                modules[a.asname or a.name.split(".")[0]] = a.name if a.asname else a.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for a in node.names:
+                dotted = f"{node.module}.{a.name}"
+                modules[a.asname or a.name] = dotted
+                if dotted in KERNELS:
+                    found.append((node.lineno, dotted))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            parts, head = [node.attr], node.value
+            while isinstance(head, ast.Attribute):
+                parts.append(head.attr)
+                head = head.value
+            if isinstance(head, ast.Name) and head.id in modules:
+                dotted = ".".join([modules[head.id]] + parts[::-1])
+                if dotted in KERNELS:
+                    found.append((node.lineno, dotted))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_kernel_checker_flags_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "import scipy.linalg as sla\n"
+        "from scipy.linalg import lu_factor, qr\n"
+        "from numpy import linalg\n"
+        "from .numkernel import svd\n"
+        "np.linalg.svd(M)\n"
+        "scipy.linalg.lu_solve(lu, b)\n"
+        "sla.svd(M), linalg.svd(M)\n"
+        "scipy.linalg.qr(M), svd(M), np.linalg.norm(M)\n"
+    )
+    assert kernel_references(source) == [
+        "line 4: scipy.linalg.lu_factor",
+        "line 7: numpy.linalg.svd",
+        "line 8: scipy.linalg.lu_solve",
+        "line 9: numpy.linalg.svd",
+        "line 9: scipy.linalg.svd",
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != KERNEL_HOME])
+def test_lapack_kernels_have_one_home(module):
+    assert kernel_references((PACKAGE / module).read_text()) == []

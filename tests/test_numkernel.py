@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from rmfact import numkernel
 from rmfact.exceptions import InputError, StructureError
 from rmfact.numkernel import (
     ToleranceConfig,
@@ -13,6 +14,62 @@ from rmfact.numkernel import (
     probe_pencil_regular,
     rank_revealing_svd,
 )
+
+def kernel_matrix(shape, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal(shape)
+    if dtype == complex:
+        M = M + 1j * rng.standard_normal(shape)
+    return M
+
+
+def assert_arrays_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+# the kernels call LAPACK directly; these pin them bit-for-bit to the
+# scipy wrappers they replace, so a change in scipy's calls that moves a
+# bit fails here rather than drifting into the reductions
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(6, 3), (3, 6), (5, 5), (1, 1), (0, 3), (2, 0)])
+def test_svd_kernel_matches_scipy(shape, dtype):
+    M = kernel_matrix(shape, dtype)
+    assert_arrays_equal(numkernel.svd(M), scipy.linalg.svd(M))
+    assert_arrays_equal([numkernel.svd(M, compute_uv=False)], [scipy.linalg.svd(M, compute_uv=False)])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_lu_kernels_match_scipy(n, dtype):
+    M = kernel_matrix((n, n), dtype)
+    lu = numkernel.lu_factor(M)
+    assert_arrays_equal(lu, scipy.linalg.lu_factor(M))
+    for rhs in (kernel_matrix((n, 3), dtype, 1), kernel_matrix((n,), float, 2), np.zeros((n, 0))):
+        assert_arrays_equal([numkernel.lu_solve(lu, rhs)], [scipy.linalg.lu_solve(lu, rhs)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "name, kwargs", [("svd", {}), ("svd", {"compute_uv": False}), ("lu_factor", {}), ("lu_solve", {})]
+)
+def test_kernels_reject_nonfinite_like_scipy(name, kwargs, bad):
+    M = np.array([[1.0, bad], [0.5, 2.0]])
+    kernel, reference = getattr(numkernel, name), getattr(scipy.linalg, name)
+    args = (scipy.linalg.lu_factor(np.eye(2)), M) if name == "lu_solve" else (M,)
+    with pytest.raises(Exception) as want:
+        reference(*args, **kwargs)
+    with pytest.raises(want.type):
+        kernel(*args, **kwargs)
+
+
+def test_lu_factor_warns_on_exactly_singular_matrix():
+    M = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
+        lu = numkernel.lu_factor(M)
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        assert_arrays_equal(lu, scipy.linalg.lu_factor(M))
 
 
 def test_svd_identity():
