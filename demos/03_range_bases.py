@@ -5,28 +5,28 @@ Range bases with prescribed zero structure
 A range basis of a p x m rational matrix G of normal rank r is a
 p x r matrix R of full column rank with the same column span over the
 rational functions, so G = R X for a full row rank cofactor X. The
-zeros_policy chooses how much of the zero structure of G the basis
-keeps:
+bad region of the splitting form chooses how much of the zero
+structure of G the basis keeps:
 
-  none  the basis has no zeros at all and minimal McMillan degree
-  bad   only the zeros in the bad region stay (default)
-  all   every zero of G stays with the basis
+  region_none()        no zeros at all and minimal McMillan degree
+  stability_region(ts) only the unstable zeros stay (default)
+  all_finite_region()  every zero of G stays with the basis
 
-On top of that the basis poles can be relocated (stabilize) and the
-basis can be made inner (R~ R = I).
+Independently, gains shapes the basis poles: "none" leaves them,
+"stable" moves them into the stability region, and "inner" also makes
+the basis inner (R~ R = I).
 """
 
 import numpy as np
 
 import rmfact as rm
-from rmfact import RangeOptions
 
 g = rm.stable_rank2_continuous()
 print("G: 3x3 continuous, normal rank 2, zeros {1, 2, inf}")
 
 # minimal basis: one state, no zeros; the cofactor inherits the full
 # McMillan degree of G plus a copy of the basis pole
-rr = rm.range_basis(g, opts=RangeOptions(zeros_policy="none"))
+rr = rm.range_basis(g, rm.region_none())
 X = rm.cofactor(g, rr)
 mu = rm.poles(rr.R).finite[0]
 print()
@@ -39,13 +39,13 @@ print("X picks up mu as a zero:", any(abs(z - mu) < 1e-6 for z in rm.zeros(X).fi
 
 # unstable-zero basis: R keeps exactly the zeros in the open right
 # half-plane
-rr_b = rm.range_basis(g, opts=RangeOptions(zeros_policy="bad"))
+rr_b = rm.range_basis(g)
 print()
 print("zeros bad: R degree", rm.mcmillan_degree(rr_b.R),
       "zeros", sorted(round(z.real, 4) for z in rm.zeros(rr_b.R).finite))
 
 # inner basis: same zeros, poles mirrored so that R~ R = I
-rr_i = rm.range_basis(g, opts=RangeOptions(zeros_policy="bad", inner=True))
+rr_i = rm.range_basis(g, gains="inner")
 print()
 print("inner: R poles", sorted(round(z.real, 4) for z in rm.poles(rr_i.R).finite),
       "zeros", sorted(round(z.real, 4) for z in rm.zeros(rr_i.R).finite))

@@ -38,6 +38,7 @@ from .exceptions import (
     VerificationError,
 )
 from .fact import (
+    RESIDUAL_GRID,
     certify,
     dual_full_rank_factorize,
     full_rank_factorize,
@@ -53,12 +54,11 @@ from .io import (
     report_to_json,
     write_system_file,
 )
-from .klf import kronecker_like_form, special_klf, stability_region
+from .klf import all_finite_region, kronecker_like_form, region_none, special_klf, stability_region
 from .numkernel import ToleranceConfig
-from .rangebasis import RangeOptions, range_basis, region_for_policy
+from .rangebasis import range_basis
 
 DEFAULT_FREQ_GRID = 32
-DEFAULT_RESIDUAL_GRID = 16
 VERIFY_THRESHOLD = 1e-7
 
 
@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     shaping = argparse.ArgumentParser(add_help=False)
     shaping.add_argument("--zeros", choices=["none", "bad", "all"], default="bad", help="which zeros of G the range basis keeps")
-    shaping.add_argument("--region", choices=["cont-stab", "disc-stab"], default=None, help="override the bad region used for the zero split")
     shaping.add_argument("--stabilize", action="store_true", help="move the basis poles into the good region")
     shaping.add_argument("--inner", action="store_true", help="make the basis inner (implies --stabilize)")
 
@@ -118,21 +117,17 @@ def _tolerance(args) -> ToleranceConfig:
     )
 
 
-def _region(args, ts):
-    name = getattr(args, "region", None)
-    if name == "cont-stab":
-        return stability_region("continuous")
-    if name == "disc-stab":
-        return stability_region("discrete")
-    return region_for_policy(args.zeros, ts)
+# the bad region of the splitting form for each --zeros value: the zeros
+# of G in its bad set stay with the basis
+_BAD_REGION = {
+    "none": lambda ts: region_none(),
+    "bad": stability_region,
+    "all": lambda ts: all_finite_region(),
+}
 
 
-def _options(args) -> RangeOptions:
-    return RangeOptions(
-        zeros_policy=args.zeros,
-        stabilize=args.stabilize or args.inner,
-        inner=args.inner,
-    )
+def _gains(args) -> str:
+    return "inner" if args.inner else "stable" if args.stabilize else "none"
 
 
 def _input_block(path: str, sys_: DescriptorSystem) -> dict:
@@ -260,7 +255,7 @@ def _cmd_klf(args) -> int:
 
 def _cmd_sklf(args) -> int:
     sys_, tol, report = _start(args)
-    region = _region(args, sys_.ts)
+    region = _BAD_REGION[args.zeros](sys_.ts)
     sk = special_klf(sys_, region, tol)
     results = {
         "n_rg": sk.n_rg,
@@ -283,31 +278,30 @@ def _cmd_sklf(args) -> int:
 
 def _run_range_like(args):
     sys_, tol, report = _start(args)
-    region = _region(args, sys_.ts)
-    opts = _options(args)
-    grid = args.grid or DEFAULT_RESIDUAL_GRID
-    return sys_, tol, region, opts, grid, report
+    region = _BAD_REGION[args.zeros](sys_.ts)
+    grid = args.grid or RESIDUAL_GRID
+    return sys_, tol, region, _gains(args), grid, report
 
 
 def _cmd_range(args) -> int:
-    sys_, tol, region, opts, grid, report = _run_range_like(args)
-    rr = range_basis(sys_, region, opts, tol)
+    sys_, tol, region, gains, grid, report = _run_range_like(args)
+    rr = range_basis(sys_, region, gains, tol)
     block = _factor_block(rr.R, structure(rr.R, tol))
-    results = {"R": block, "inner": bool(opts.inner)}
-    if opts.inner:
+    results = {"R": block, "inner": gains == "inner"}
+    if gains == "inner":
         results["inner_residual"] = _inner_residual(args.grid or DEFAULT_FREQ_GRID, rr.R)
     report["results"] = results
     _write_factors(args, report, {"R": rr.R})
     lines = _factor_lines("R", block)
-    if opts.inner:
+    if gains == "inner":
         lines.append(f"max |R~R - I| on grid: {results['inner_residual']:.3e}")
     _emit(args, report, lines)
     return 0
 
 
 def _fact_command(args, runner, names) -> int:
-    sys_, tol, region, opts, grid, report = _run_range_like(args)
-    fr = runner(sys_, region, opts, tol)
+    sys_, tol, region, gains, grid, report = _run_range_like(args)
+    fr = runner(sys_, region, gains, tol)
     cert = certify(sys_, fr.left, fr.right, tol, np.random.default_rng(args.seed), grid)
     left_block = _factor_block(fr.left, cert["left_structure"])
     right_block = _factor_block(fr.right, cert["right_structure"])
@@ -354,7 +348,7 @@ def _cmd_nrcf(args) -> int:
 
 def _cmd_pinv(args) -> int:
     sys_, tol, report = _start(args)
-    grid = args.grid or DEFAULT_RESIDUAL_GRID
+    grid = args.grid or RESIDUAL_GRID
     gp = pseudo_inverse(sys_, tol)
     w1 = w2 = 0.0
     for Gz, Pz in nonpole_evaluations([sys_, gp], grid, np.random.default_rng(args.seed)):
@@ -397,7 +391,7 @@ def _cmd_iofac(args) -> int:
     grid = args.grid or DEFAULT_FREQ_GRID
     Gi, Go = inner_outer(sys_, tol)
     inner_res = _inner_residual(grid, Gi)
-    cert = certify(sys_, Gi, Go, tol, np.random.default_rng(args.seed), DEFAULT_RESIDUAL_GRID)
+    cert = certify(sys_, Gi, Go, tol, np.random.default_rng(args.seed), RESIDUAL_GRID)
     prod_res = cert["max_relative_residual"]
     gi_block = _factor_block(Gi, cert["left_structure"])
     go_block = _factor_block(Go, cert["right_structure"])
@@ -453,7 +447,7 @@ def _cmd_verify(args) -> int:
             f"factor dimensions {left.p}x{left.m} * {right.p}x{right.m} "
             f"do not compose to {sys_.p}x{sys_.m}"
         )
-    grid = args.grid or DEFAULT_RESIDUAL_GRID
+    grid = args.grid or RESIDUAL_GRID
     residuals = product_residuals(sys_, left, right, grid, np.random.default_rng(args.seed))
     residual = float(max(residuals, default=0.0))
     checks = {"max_relative_residual": residual, "grid_points": grid, "threshold": args.threshold}

@@ -10,6 +10,7 @@ discrete-time systems.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 
@@ -136,8 +137,10 @@ class EigenvalueList:
 
 
 def evaluate(sys: DescriptorSystem, lambda0: complex) -> np.ndarray:
-    """G(lambda0) = C (lambda0*E - A)^{-1} B + D."""
+    """G(lambda0) = C (lambda0*E - A)^{-1} B + D at a finite point."""
     lam = complex(lambda0)
+    if not cmath.isfinite(lam):
+        raise InputError(f"evaluation point {lam} is not finite")
     n = sys.n
     if n == 0:
         return sys.D.astype(complex)

@@ -34,9 +34,9 @@ from .dss import (
     transpose,
 )
 from .exceptions import BoundaryError, FactorizationError, InputError
-from .klf import RegionPartition, on_stability_boundary, stability_region
+from .klf import RegionPartition, on_stability_boundary, region_none
 from .numkernel import DEFAULT_TOL, ToleranceConfig
-from .rangebasis import RangeOptions, ZEROS_BAD, ZEROS_NONE, cofactor, range_basis
+from .rangebasis import cofactor, range_basis
 
 RESIDUAL_GRID = 16
 
@@ -95,27 +95,27 @@ class FactorizationResult:
 def full_rank_factorize(
     sys: DescriptorSystem,
     region: RegionPartition | None = None,
-    opts: RangeOptions | None = None,
+    gains: str = "none",
     tol: ToleranceConfig | None = None,
 ) -> FactorizationResult:
     """G = R X with R a column basis of the range of G and X its
     cofactor sharing the dynamics of G."""
     tol = tol or DEFAULT_TOL
-    rr = range_basis(sys, region, opts, tol)
-    X = cofactor(sys, rr, tol)
+    rr = range_basis(sys, region, gains, tol)
+    X = cofactor(sys, rr)
     return FactorizationResult(left=rr.R, right=X, kind="full-rank", system=sys, tol=tol)
 
 
 def dual_full_rank_factorize(
     sys: DescriptorSystem,
     region: RegionPartition | None = None,
-    opts: RangeOptions | None = None,
+    gains: str = "none",
     tol: ToleranceConfig | None = None,
 ) -> FactorizationResult:
     """G = X~ R~ with R~ a row basis of the left range space, obtained
     by factoring the transposed matrix."""
     tol = tol or DEFAULT_TOL
-    primal = full_rank_factorize(transpose(sys), region, opts, tol)
+    primal = full_rank_factorize(transpose(sys), region, gains, tol)
     return FactorizationResult(
         left=transpose(primal.right), right=transpose(primal.left), kind="dual", system=sys, tol=tol
     )
@@ -136,9 +136,8 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig | None = None):
                 f"coprime factorization rejected: pole on the stability boundary (at {lam:.6g})"
             )
     stacked = stack_vertical(sys, identity_system(sys.m, sys.ts))
-    opts = RangeOptions(zeros_policy=ZEROS_BAD, stabilize=True, inner=True)
     try:
-        rr = range_basis(stacked, stability_region(sys.ts), opts, tol)
+        rr = range_basis(stacked, None, "inner", tol)
     except BoundaryError as exc:
         raise FactorizationError(str(exc)) from None
     Ri = irreducible_realization(rr.R, tol)
@@ -174,17 +173,16 @@ def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig | None = None) ->
         return make_dss(
             np.zeros((0, 0)), None, np.zeros((0, p)), np.zeros((m, 0)), np.zeros((m, p)), ts
         )
-    opts = RangeOptions(zeros_policy=ZEROS_NONE, stabilize=True, inner=True)
-    rr1 = range_basis(sys, None, opts, tol)
+    rr1 = range_basis(sys, region_none(), "inner", tol)
     U = rr1.R
-    G1 = cofactor(sys, rr1, tol)
+    G1 = cofactor(sys, rr1)
     # the cofactor realization inherits the input's order and can be
     # reducible in ways that block the second compression (for example
     # rank [E B] < n); a minimal realization never is
     G1t = irreducible_realization(transpose(G1), tol)
-    rr2 = range_basis(G1t, None, opts, tol)
+    rr2 = range_basis(G1t, region_none(), "inner", tol)
     V = transpose(rr2.R)
-    G2 = transpose(cofactor(G1t, rr2, tol))
+    G2 = transpose(cofactor(G1t, rr2))
     composed = series(series(conjugate(V), _inverse_realization(G2)), conjugate(U))
     return irreducible_realization(composed, tol)
 
@@ -196,9 +194,8 @@ def inner_outer(sys: DescriptorSystem, tol: ToleranceConfig | None = None):
     the inner basis unattainable.
     """
     tol = tol or DEFAULT_TOL
-    opts = RangeOptions(zeros_policy=ZEROS_BAD, stabilize=True, inner=True)
     try:
-        rr = range_basis(sys, stability_region(sys.ts), opts, tol)
+        rr = range_basis(sys, None, "inner", tol)
     except BoundaryError as exc:
         raise FactorizationError(str(exc)) from None
-    return rr.R, cofactor(sys, rr, tol)
+    return rr.R, cofactor(sys, rr)

@@ -185,10 +185,8 @@ def _stage_split_trailing(M, N, thresh):
     M2 = _rot(M.T).copy()
     N2 = _rot(N.T).copy()
     Q2, Z2, _, i2, j2 = _stage_peel(M2, N2, thresh)
-    Jm = np.eye(m)[:, ::-1]
-    Jn = np.eye(n)[:, ::-1]
-    Qb = Jm @ Z2 @ Jm
-    Zb = Jn @ Q2 @ Jn
+    Qb = _rot(Z2).copy()
+    Zb = _rot(Q2).copy()
     Mt = _rot(M2.T).copy()
     Nt = _rot(N2.T).copy()
     return Qb, Zb, Mt, Nt, m - j2, n - i2
@@ -353,7 +351,6 @@ class SpecialKlf:
     r: int
     m_n: int
     ts: str
-    region: RegionPartition
 
     @property
     def c1(self) -> int:
@@ -577,7 +574,6 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig | None = None
         r=r,
         m_n=m_n,
         ts=sys.ts,
-        region=region,
     )
     _self_check(out, S_orig_M, S_orig_N, thresh)
     return out

@@ -232,8 +232,8 @@ def ordered_generalized_schur(A, E, select) -> OrderedSchurResult:
     """Ordered real generalized Schur decomposition of a regular pencil.
 
     select(alpha, beta) marks the eigenvalues that must occupy the
-    leading diagonal block; it is called with arrays and must return a
-    boolean array (a scalar predicate is lifted elementwise).
+    leading diagonal block; it is called once per eigenvalue with a
+    complex alpha and a real beta and returns a truth value.
     """
     A = _as_matrix(A, "A")
     E = _as_matrix(E, "E")
@@ -250,15 +250,7 @@ def ordered_generalized_schur(A, E, select) -> OrderedSchurResult:
         )
 
     def sort_fn(alpha, beta):
-        try:
-            out = np.asarray(select(alpha, beta))
-            if out.shape == np.shape(alpha):
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array(
-            [bool(select(a, b)) for a, b in zip(np.atleast_1d(alpha), np.atleast_1d(beta))]
-        )
+        return np.array([bool(select(a, b)) for a, b in zip(alpha, beta)], dtype=bool)
 
     S, T, alpha, beta, Q, Z = scipy.linalg.ordqz(A, E, sort=sort_fn, output="real")
     return OrderedSchurResult(S, T, Q, Z, tuple(_eigenvalue_pairs(alpha, beta)))

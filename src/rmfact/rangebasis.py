@@ -3,9 +3,13 @@
 A range basis of a p x m rational matrix G of normal rank r is a
 p x r rational matrix R of full column rank whose columns span the
 same rational column space. R is read off the trailing diagonal
-blocks of the splitting form of the system matrix pencil; a state
-feedback F and an invertible output weighting W refine the basis
-(pole relocation, inner normalization) without changing the span.
+blocks of the splitting form of the system matrix pencil. Two
+independent choices shape it: the bad region of the splitting form
+decides which zeros of G the basis keeps (region_none: none, the
+minimum-degree basis; stability_region: the unstable ones;
+all_finite_region: every one), and the gains choice decides what a
+state feedback F and an invertible output weighting W do to its poles
+without changing the span ("none", "stable", or "inner").
 """
 
 from __future__ import annotations
@@ -20,10 +24,8 @@ from .exceptions import FactorizationError, InputError
 from .klf import (
     RegionPartition,
     SpecialKlf,
-    all_finite_region,
     classify_eigenvalue,
     on_stability_boundary,
-    region_none,
     special_klf,
     stability_region,
 )
@@ -38,29 +40,6 @@ from .numkernel import (
     svd,
 )
 
-ZEROS_NONE = "none"
-ZEROS_BAD = "bad"
-ZEROS_ALL = "all"
-
-
-@dataclass(frozen=True)
-class RangeOptions:
-    """Choices shaping the basis: which zeros of G the basis retains
-    (none, only bad-region zeros, or all), whether its poles are moved
-    into the stability region, and whether F and W enforce R~ R = I
-    (inner implies stabilization)."""
-
-    zeros_policy: str = ZEROS_BAD
-    stabilize: bool = False
-    inner: bool = False
-
-    def __post_init__(self):
-        if self.zeros_policy not in (ZEROS_NONE, ZEROS_BAD, ZEROS_ALL):
-            raise InputError(
-                f"zeros_policy must be one of 'none', 'bad', 'all', got {self.zeros_policy!r}"
-            )
-
-
 @dataclass(frozen=True)
 class RangeResult:
     """Range basis R with the gains that produced it and the splitting
@@ -74,43 +53,35 @@ class RangeResult:
     sklf: SpecialKlf
 
 
-def region_for_policy(policy: str, ts: str) -> RegionPartition:
-    """Region whose bad set holds the zeros the basis must retain."""
-    if policy == ZEROS_NONE:
-        return region_none(infinite_is_bad=False)
-    if policy == ZEROS_BAD:
-        return stability_region(ts)
-    if policy == ZEROS_ALL:
-        return all_finite_region()
-    raise InputError(f"unknown zeros policy {policy!r}")
-
-
 def range_basis(
     sys: DescriptorSystem,
     region: RegionPartition | None = None,
-    opts: RangeOptions | None = None,
+    gains: str = "none",
     tol: ToleranceConfig | None = None,
 ) -> RangeResult:
     """Compute a full-column-rank basis R of the range space of sys.
 
-    region defaults to the one implied by opts.zeros_policy. A
-    realization with non-stabilizable but cancelling modes is accepted
-    once made irreducible (dss.irreducible_realization).
+    The basis keeps the zeros of sys in the bad set of region, which
+    defaults to stability_region(sys.ts). gains shapes its poles:
+    "none" leaves F = 0 and W = I, "stable" moves every unstable
+    controllable pole into the stability region, and "inner" also
+    makes R~ R = I. A realization with non-stabilizable but cancelling
+    modes is accepted once made irreducible
+    (dss.irreducible_realization).
     """
+    if gains not in ("none", "stable", "inner"):
+        raise InputError(f"gains must be one of 'none', 'stable', 'inner', got {gains!r}")
     tol = tol or DEFAULT_TOL
-    opts = opts or RangeOptions()
-    if region is None:
-        region = region_for_policy(opts.zeros_policy, sys.ts)
-    sk = special_klf(sys, region, tol)
+    sk = special_klf(sys, region or stability_region(sys.ts), tol)
     A_bl = np.array(sk.A_bl)
     E_bl = np.array(sk.E_bl)
     B_bl = np.array(sk.B_bl)
     C_bl = np.array(sk.C_bl)
     D_bl = np.array(sk.D_bl)
     r, n_bl = sk.r, sk.n_bl
-    if opts.inner:
+    if gains == "inner":
         F, W = inner_enforcing_gains(sk, tol)
-    elif opts.stabilize:
+    elif gains == "stable":
         F = _stabilizing_gains(A_bl, E_bl, B_bl, sys.ts, tol)
         W = np.eye(r)
     else:
@@ -127,7 +98,7 @@ def range_basis(
     return RangeResult(R=R, F=F, W=W, sklf=sk)
 
 
-def cofactor(sys: DescriptorSystem, rr: RangeResult, tol: ToleranceConfig | None = None) -> DescriptorSystem:
+def cofactor(sys: DescriptorSystem, rr: RangeResult) -> DescriptorSystem:
     """The r x m cofactor X with G = R X. X shares the state dynamics
     of sys; only its output rows are recombined from the splitting
     form transformation."""

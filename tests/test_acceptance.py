@@ -14,7 +14,6 @@ import pytest
 
 from rmfact import (
     FactorizationError,
-    RangeOptions,
     evaluate,
     frequency_grid,
     full_rank_factorize,

@@ -109,6 +109,15 @@ def test_eval_at_pole_is_exit_3(examples):
     assert "error" in err
 
 
+@pytest.mark.parametrize("point", ["inf", "nan", "1+infj"])
+def test_eval_at_nonfinite_point_is_exit_2(examples, point):
+    ex1, _ = examples
+    code, out, err = run_cli(["eval", ex1, "--point", point])
+    assert code == 2
+    assert out == ""
+    assert "is not finite" in err
+
+
 def test_nonstabilizable_realization_is_exit_3(tmp_path):
     # [E B] row rank deficient: no feedback can cure the infinite mode
     doc = {

@@ -74,6 +74,14 @@ def test_evaluate_at_pole_raises():
         evaluate(g, -1.0)
 
 
+@pytest.mark.parametrize("point", [np.inf, np.nan, complex(1.0, np.inf)])
+def test_evaluate_at_nonfinite_point_is_input_error(point):
+    static = make_dss(np.zeros((0, 0)), None, np.zeros((0, 2)), np.zeros((1, 0)), np.ones((1, 2)), "continuous")
+    for g in (stable_rank2_continuous(), static):
+        with pytest.raises(InputError, match="not finite"):
+            evaluate(g, point)
+
+
 def test_conjugate_continuous():
     # G~(s) = G(-s)^T for real realizations
     rng = np.random.default_rng(3)

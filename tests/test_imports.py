@@ -1,7 +1,8 @@
 """Import hygiene of the package, checked with the stdlib ast module:
 every module uses each name it imports (a stand-in for a linter's
-unused-import check), and only numkernel binds the LAPACK SVD and LU
-routines, so every call goes through its kernels."""
+unused-import check), every function reads each of its parameters,
+and only numkernel binds the LAPACK SVD and LU routines, so every
+call goes through its kernels."""
 
 import ast
 import pathlib
@@ -43,6 +44,53 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unread_parameters(source: str) -> list:
+    """Parameters of each def in source that its body never reads as a
+    name, nested functions included, in line order. Lambdas are exempt:
+    callbacks such as ordqz selectors have fixed signatures."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            found += [(node.lineno, f"{node.name}({p.arg})") for p in params if p.arg not in read]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_parameter_checker_flags_only_unread_parameters():
+    source = (
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    b = 2\n"
+        "    return a\n"
+        "class K:\n"
+        "    def g(self, x):\n"
+        "        def h():\n"
+        "            return x\n"
+        "        return h, lambda a, b: a\n"
+        "    def k(self, y):\n"
+        "        return self\n"
+    )
+    assert unread_parameters(source) == [
+        "line 1: f(args)",
+        "line 1: f(b)",
+        "line 1: f(c)",
+        "line 1: f(kw)",
+        "line 5: g(self)",
+        "line 9: k(y)",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_unread_parameters(module):
+    assert unread_parameters((PACKAGE / module).read_text()) == []
 
 
 # dense kernels with one home, numkernel; the other modules call its wrappers

@@ -24,7 +24,7 @@ from rmfact import (
     stable_rank2_continuous,
 )
 from rmfact.klf import on_stability_boundary
-from rmfact.rangebasis import RangeOptions, inner_enforcing_gains, range_basis
+from rmfact.rangebasis import inner_enforcing_gains, range_basis
 
 from support import assert_multiset_close, random_system
 
@@ -297,7 +297,7 @@ def test_sklf_example_two_dimensions():
 
 def test_sklf_idempotent_on_minimal_basis():
     g = stable_rank2_continuous()
-    rr = range_basis(g, opts=RangeOptions(zeros_policy="none"))
+    rr = range_basis(g, region_none())
     sk2 = special_klf(rr.R, region_none())
     assert sk2.n_rg == 0
     assert sk2.n_bl == rr.R.n

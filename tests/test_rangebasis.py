@@ -6,6 +6,7 @@ from rmfact import (
     FactorizationError,
     InputError,
     StructureError,
+    all_finite_region,
     cofactor,
     custom_region,
     evaluate,
@@ -18,12 +19,13 @@ from rmfact import (
     polynomial_rank2_discrete,
     random_nonpole_points,
     range_basis,
+    region_none,
     stable_rank2_continuous,
+    stability_region,
     stack_horizontal,
     zeros,
 )
 from rmfact.dss import identity_system
-from rmfact.rangebasis import RangeOptions
 
 from support import RELAXED, assert_multiset_close, product_residual, random_system
 
@@ -38,7 +40,7 @@ def inner_defect(R, ts, count=32):
 
 def test_example_one_minimal_basis():
     g = stable_rank2_continuous()
-    rr = range_basis(g, opts=RangeOptions(zeros_policy="none"))
+    rr = range_basis(g, region_none())
     assert normal_rank(rr.R) == 2
     assert mcmillan_degree(rr.R) == 1
     zl = zeros(rr.R)
@@ -56,7 +58,7 @@ def test_example_one_bad_zeros_basis():
 
 def test_example_one_inner_basis():
     g = stable_rank2_continuous()
-    rr = range_basis(g, opts=RangeOptions(inner=True))
+    rr = range_basis(g, gains="inner")
     assert_multiset_close(poles(rr.R).finite, [-1.0, -np.sqrt(3.0), -2.0], tol=1e-6)
     # an inner factor keeps the original unstable zeros; their mirror
     # images show up among the poles instead
@@ -67,7 +69,7 @@ def test_example_one_inner_basis():
 
 def test_example_one_cofactor_matching():
     g = stable_rank2_continuous()
-    rr = range_basis(g, opts=RangeOptions(zeros_policy="none"))
+    rr = range_basis(g, region_none())
     X = cofactor(g, rr)
     assert mcmillan_degree(X) == 4
     mu = poles(rr.R).finite
@@ -81,7 +83,7 @@ def test_example_one_cofactor_matching():
 
 def test_example_two_minimal_cofactor():
     g = polynomial_rank2_discrete()
-    rr = range_basis(g, opts=RangeOptions(zeros_policy="none"))
+    rr = range_basis(g, region_none())
     X = cofactor(g, rr)
     assert mcmillan_degree(X) == 2
     mu = poles(rr.R).finite
@@ -114,17 +116,17 @@ def test_residual_over_option_combinations():
     for k in range(6):
         g = random_system(rng)
         pts = random_nonpole_points([g], 16, np.random.default_rng(100 + k))
-        for policy in ("none", "bad", "all"):
-            for stabilize, inner in ((False, False), (True, False), (True, True)):
-                opts = RangeOptions(zeros_policy=policy, stabilize=stabilize, inner=inner)
+        regions = (("none", region_none()), ("bad", stability_region(g.ts)), ("all", all_finite_region()))
+        for policy, region in regions:
+            for gains in ("none", "stable", "inner"):
                 try:
-                    rr = range_basis(g, opts=opts)
+                    rr = range_basis(g, region, gains)
                 except (FactorizationError, StructureError):
-                    assert inner or policy != "bad"
+                    assert gains == "inner" or policy != "bad"
                     continue
                 X = cofactor(g, rr)
                 assert product_residual(g, rr.R, X, pts) <= 1e-8
-                if inner:
+                if gains == "inner":
                     inner_successes += 1
                     assert inner_defect(rr.R, g.ts) <= 1e-8
     assert inner_successes >= 6
@@ -150,7 +152,7 @@ def test_stabilize_moves_poles():
     while done < 8:
         g = random_system(rng)
         try:
-            rr = range_basis(g, opts=RangeOptions(stabilize=True))
+            rr = range_basis(g, gains="stable")
         except (StructureError, FactorizationError):
             continue
         done += 1
@@ -172,7 +174,7 @@ def test_stabilizing_riccati_failure_is_a_factorization_error(monkeypatch):
     rng = np.random.default_rng(17)
     for _ in range(50):
         try:
-            range_basis(random_system(rng), opts=RangeOptions(stabilize=True))
+            range_basis(random_system(rng), gains="stable")
         except FactorizationError as exc:
             assert str(exc) == "pole relocation failed: forced"
             return
@@ -189,7 +191,7 @@ def test_inner_boundary_zero_rejected():
         np.array([[-1.0]]), np.array([[1.0]]), "continuous",
     )
     with pytest.raises(FactorizationError):
-        range_basis(g, opts=RangeOptions(zeros_policy="all", inner=True))
+        range_basis(g, all_finite_region(), "inner")
 
 
 def test_inner_pinned_infinite_zero_rejected():
@@ -200,9 +202,9 @@ def test_inner_pinned_infinite_zero_rejected():
         np.array([[1.0]]), np.array([[0.0]]), "continuous",
     )
     with pytest.raises(FactorizationError):
-        range_basis(g, opts=RangeOptions(zeros_policy="all", inner=True))
+        range_basis(g, all_finite_region(), "inner")
     # once the infinite zero may be absorbed, the inner basis exists
-    rr = range_basis(g, opts=RangeOptions(zeros_policy="bad", inner=True))
+    rr = range_basis(g, gains="inner")
     assert inner_defect(rr.R, "continuous") <= 1e-8
 
 
@@ -215,8 +217,9 @@ def test_custom_region_splits_zeros():
 
 
 def test_options_validation():
-    with pytest.raises(InputError):
-        RangeOptions(zeros_policy="everything")
+    g = stable_rank2_continuous()
+    with pytest.raises(InputError, match="'none', 'stable', 'inner'"):
+        range_basis(g, gains="everything")
 
 
 def test_cofactor_provenance_mismatch():
