@@ -62,6 +62,15 @@ DEFAULT_FREQ_GRID = 32
 VERIFY_THRESHOLD = 1e-7
 
 
+def _int_at_least(low: int):
+    """argparse type accepting only integers >= low."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rmfact",
@@ -73,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("system", help="system file (JSON)")
     common.add_argument("--tol", type=float, default=0.0, help="relative rank tolerance (0 = auto)")
     common.add_argument("--boundary-offset", type=float, default=0.0, help="half-width of the region boundary exclusion strip")
-    common.add_argument("--grid", type=int, default=None, help="number of grid points for residual and inner checks")
-    common.add_argument("--seed", type=int, default=0, help="seed for the random evaluation points")
+    common.add_argument("--grid", type=_int_at_least(1), default=None, help="number of grid points for residual and inner checks")
+    common.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the random evaluation points")
     common.add_argument("--json", action="store_true", help="emit the report as JSON on stdout")
 
     shaping = argparse.ArgumentParser(add_help=False)
@@ -102,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("system", help="system file of G")
     ver.add_argument("left", help="system file of the left factor")
     ver.add_argument("right", help="system file of the right factor")
-    ver.add_argument("--grid", type=int, default=None, help="number of grid points")
-    ver.add_argument("--seed", type=int, default=0, help="seed for the random evaluation points")
+    ver.add_argument("--grid", type=_int_at_least(1), default=None, help="number of grid points")
+    ver.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the random evaluation points")
     ver.add_argument("--inner", action="store_true", help="also require the left factor to be inner")
     ver.add_argument("--threshold", type=float, default=VERIFY_THRESHOLD, help="acceptance threshold for all residuals")
     ver.add_argument("--json", action="store_true", help="emit the report as JSON on stdout")

@@ -22,15 +22,13 @@ from .numkernel import (
     DEFAULT_TOL,
     EPS,
     ToleranceConfig,
+    controllability_staircase,
     generalized_eigenvalues,
     is_infinite,
-    krylov_basis,
-    lu_factor,
-    lu_solve,
     noise_floor,
-    rank_revealing_svd,
     staircase_threshold,
     svd,
+    svd_rank_abs,
 )
 
 CONTINUOUS = "continuous"
@@ -341,60 +339,32 @@ def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig | None = None, rng=N
 # -- irreducible (minimal) realizations --------------------------------------
 
 
-def _pick_shift(A, Emat):
+def controllable_bases(A, E, B, tol: ToleranceConfig):
+    """Orthonormal Q, Z of k columns, k the order of the completely
+    controllable part of (A - lambda*E, B), E None for the identity:
+    the part is (Q.T A Z, Q.T E Z, Q.T B) with C Z. The staircase on
+    (A, E, B) removes the uncontrollable finite eigenvalues; when
+    [E_c B_c] then loses row rank, the staircase on the swapped pair
+    (E_c, A_c, B_c) removes the uncontrollable infinite ones."""
     n = A.shape[0]
-    scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(Emat, "fro"), 1e-300)
-    best_sigma, best_r = None, -1.0
-    rng = np.random.default_rng(17)
-    # moderate shifts only: a shift far outside the dynamics shrinks
-    # the (A - sigma*E)^{-1} Krylov directions that carry the finite
-    # modes until the growth thresholds mistake them for noise
-    candidates = [0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0]
-    candidates += list(rng.standard_normal(6))
-    for sigma in candidates:
-        T = A - sigma * Emat
-        s = svd(T, compute_uv=False)
-        # measure invertibility against the pencil scale, not against
-        # T itself: a uniformly tiny T is "well conditioned" but the
-        # subsequent solve would amplify roundoff to working size
-        r = s[-1] / scale
-        if r > best_r:
-            best_r, best_sigma = r, sigma
-        if r > 1e-3:
-            break
-    if best_r <= noise_floor(1.0, n):
-        raise StructureError("pencil A - lambda*E is numerically singular")
-    return best_sigma
-
-
-def _controllable_projection(sys: DescriptorSystem, tol: ToleranceConfig):
-    """Orthonormal basis of the smallest invariant subspace containing
-    range((A - sigma*E)^{-1} B), which carries both the finite and the
-    infinite controllable structure."""
-    n = sys.n
-    Emat = sys.e_matrix
-    sigma = _pick_shift(sys.A, Emat)
-    T = sys.A - sigma * Emat
-    lu = lu_factor(T)
-    M = lu_solve(lu, Emat)
-    Bt = lu_solve(lu, sys.B)
-    scale = max(np.linalg.norm(M, "fro"), np.linalg.norm(Bt, "fro"), 1.0)
-    Q = krylov_basis(M, Bt, staircase_threshold(tol, scale, (n, n)))
-    return Q, M, Bt, sigma
+    scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(np.eye(n) if E is None else E, "fro"), np.linalg.norm(B, "fro"))
+    thresh = staircase_threshold(tol, scale, (n, n))
+    Q, Z, k = controllability_staircase(A, E, B, thresh)
+    Q, Z = Q[:, :k], Z[:, :k]
+    if E is not None and k:
+        E_c, B_c = Q.T @ E @ Z, Q.T @ B
+        if svd_rank_abs(np.hstack([E_c, B_c]), thresh) < k:
+            Q2, Z2, k = controllability_staircase(E_c, Q.T @ A @ Z, B_c, thresh)
+            Q, Z = Q @ Q2[:, :k], Z @ Z2[:, :k]
+    return Q, Z
 
 
 def _controllable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorSystem:
-    if sys.n == 0:
+    Q, Z = controllable_bases(sys.A, sys.E, sys.B, tol)
+    if Z.shape[1] == sys.n:
         return sys
-    Q, M, Bt, sigma = _controllable_projection(sys, tol)
-    k = Q.shape[1]
-    if k == sys.n:
-        return sys
-    Ek = Q.T @ M @ Q
-    Ak = np.eye(k) + sigma * Ek
-    Bk = Q.T @ Bt
-    Ck = sys.C @ Q
-    return make_dss(Ak, Ek, Bk, Ck, sys.D, sys.ts)
+    E_c = None if sys.E is None else Q.T @ sys.E @ Z
+    return make_dss(Q.T @ sys.A @ Z, E_c, Q.T @ sys.B, sys.C @ Z, sys.D, sys.ts)
 
 
 def _observable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorSystem:
@@ -410,7 +380,10 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
         n = A.shape[0]
         if n == 0:
             break
-        U, s, V, q = rank_revealing_svd(Emat, tol)
+        # ranked on the pencil's scale, an E of roundoff has rank 0
+        U, s, Vt = svd(Emat)
+        V = Vt.T
+        q = int(np.count_nonzero(s > staircase_threshold(tol, max(np.linalg.norm(A, "fro"), s[0]), (n, n))))
         if q == n:
             break
         U2, V2 = U[:, q:], V[:, q:]
@@ -510,9 +483,10 @@ class Structure:
 
 
 def structure(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> Structure:
-    """normal_rank, poles, zeros and mcmillan_degree of G in one pass:
-    poles and zeros come from a single irreducible realization."""
+    """normal_rank, poles, zeros and mcmillan_degree of G in one pass,
+    all from a single irreducible realization, which carries no
+    uncontrollable or unobservable eigenvalue to disturb the rank probe."""
     tol = tol or DEFAULT_TOL
     red = irreducible_realization(sys, tol)
     pol = _eigen_list_from_pencil(red.A, red.e_matrix, tol)
-    return Structure(normal_rank(sys, tol), pol, _eigen_list_from_pencil(*system_pencil(red), tol), pol.total)
+    return Structure(normal_rank(red, tol), pol, _eigen_list_from_pencil(*system_pencil(red), tol), pol.total)

@@ -1,19 +1,19 @@
-"""Dense numerical kernels: the LAPACK SVD and LU bindings,
-rank-revealing decompositions and the ordered generalized Schur (QZ)
-decomposition.
+"""Dense numerical kernels: the LAPACK SVD, RQ and QZ bindings,
+rank-revealing decompositions, the controllability staircase and the
+ordered generalized Schur (QZ) decomposition.
 
 Every reduction in this package funnels its rank decisions through the
 helpers here so that a single tolerance policy governs the whole
-computation. `svd`, `lu_factor` and `lu_solve` are the package's only
-bindings of those LAPACK routines: every call site goes through them.
-They call the compiled routines directly, with the arguments and
-results of their scipy.linalg counterparts, which spend more time
-wrapping the call than LAPACK spends on the small matrices here.
+computation. `svd` (gesdd), `rq` (gerqf, orgrq) and
+`generalized_eigenvalues` (gges) call LAPACK directly, and no other
+module calls an SVD, RQ or QZ routine; `svd` and `rq` pass the arguments
+and return the results of their scipy.linalg counterparts, which spend
+more time wrapping the call than LAPACK spends on the small matrices.
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,36 +122,42 @@ def svd(M, compute_uv: bool = True):
     return (U, s, Vh) if compute_uv else s
 
 
-def lu_factor(M):
-    """Pivoted LU factorization (lu, piv) of a nonempty square matrix by
-    LAPACK getrf, bit-identical to scipy.linalg.lu_factor(M). Non-finite
-    entries raise ValueError; an exactly zero pivot warns LinAlgWarning."""
+def rq(M):
+    """Full RQ factorization (R, Q) of a float64 or complex128 matrix
+    by LAPACK gerqf and orgrq/ungrq: M = R @ Q with Q square orthogonal
+    and R upper trapezoidal. Bit-identical to scipy.linalg.rq(M): the
+    same routines, workspace queries and empty-input result."""
     _require_finite(M)
-    getrf, = get_lapack_funcs(("getrf",), (M,))
-    lu, piv, info = getrf(M, overwrite_a=False)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrf")
-    if info > 0:
-        warnings.warn(
-            f"Diagonal number {info} is exactly zero. Singular matrix.",
-            scipy.linalg.LinAlgWarning,
-            stacklevel=2,
-        )
-    return lu, piv
+    m, n = M.shape
+    if M.size == 0:
+        return np.empty_like(M), np.eye(n, dtype=M.dtype)
+    gerqf, orgrq = get_lapack_funcs(("gerqf", "orgrq"), (M,))
+    rqf, tau = _lapack_call(gerqf, "gerqf", M, overwrite_a=False)
+    R = np.where(_upper_trapezoid(m, n), rqf, 0)
+    if n < m:
+        head = rqf[-n:]
+    else:
+        head = np.empty((n, n), dtype=rqf.dtype)
+        head[-m:] = rqf
+    Q, = _lapack_call(orgrq, "orgrq", head, tau, overwrite_a=1)
+    return R, Q
 
 
-def lu_solve(lu_and_piv, b):
-    """Solution x of M x = b from lu_factor(M) by LAPACK getrs,
-    bit-identical to scipy.linalg.lu_solve(lu_and_piv, b)."""
-    lu, piv = lu_and_piv
-    _require_finite(b)
-    if lu.shape[0] != b.shape[0]:
-        raise ValueError(f"Shapes of lu {lu.shape} and b {b.shape} are incompatible")
-    getrs, = get_lapack_funcs(("getrs",), (lu, b))
-    x, info = getrs(lu, piv, b, trans=0, overwrite_b=False)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    return x
+@functools.lru_cache(maxsize=None)
+def _upper_trapezoid(m: int, n: int):
+    """Read-only mask of np.triu(M, n - m) for an m x n M: np.where with
+    the shared mask is several times faster on small matrices."""
+    return np.broadcast_to(np.arange(n) >= np.arange(m)[:, None] + (n - m), (m, n))
+
+
+def _lapack_call(f, name, *args, **kwargs):
+    """f(*args, **kwargs) at the optimal workspace from a workspace query,
+    without the trailing (work, info) results; info < 0 raises."""
+    work = f(*args, lwork=-1, **kwargs)[-2]
+    out = f(*args, lwork=work[0].real.astype(np.int_), **kwargs)
+    if out[-1] < 0:
+        raise ValueError(f"illegal value in argument {-out[-1]} of {name}")
+    return out[:-2]
 
 
 def rank_revealing_svd(M, tol: ToleranceConfig | None = None):
@@ -257,15 +263,20 @@ def ordered_generalized_schur(A, E, select) -> OrderedSchurResult:
 
 
 def generalized_eigenvalues(A, E):
-    """(alpha, beta) pairs of a square pencil via the QZ algorithm,
-    with beta normalized nonnegative."""
+    """(alpha, beta) pairs of a square pencil by LAPACK gges without
+    Schur vectors, with beta normalized nonnegative. A failure of the QZ
+    iteration raises LinAlgError."""
     A = _as_matrix(A, "A")
     E = _as_matrix(E, "E")
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         return []
-    _, _, alpha, beta, _, _ = scipy.linalg.ordqz(A, E, sort=lambda a, b: np.zeros_like(np.asarray(a), dtype=bool), output="real")
-    return _eigenvalue_pairs(alpha, beta)
+    gges, = get_lapack_funcs(("gges",), (A, E))
+    _, _, _, alphar, alphai, beta, _, _, _, info = gges(
+        lambda *_: 0, A, E, jobvsl=0, jobvsr=0, sort_t=0, overwrite_a=False, overwrite_b=False
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"QZ iteration failed: gges info {info}")
+    return _eigenvalue_pairs(alphar + 1j * alphai, beta)
 
 
 def _eigenvalue_pairs(alpha, beta):
@@ -333,24 +344,35 @@ def null_basis(M, thresh: float):
     return Vt[rank:].T.copy()
 
 
-def orth_basis(M, thresh: float):
-    """Orthonormal basis of the column space of M."""
-    M = np.atleast_2d(M)
-    if min(M.shape) == 0 or not M.any():
-        return np.zeros((M.shape[0], 0))
-    U, s, _ = svd(M)
-    rank = int(np.count_nonzero(s > thresh))
-    return U[:, :rank].copy()
-
-
-def krylov_basis(M, B, thresh: float):
-    """Orthonormal basis of the smallest M-invariant subspace containing
-    range(B), grown by Krylov steps until its dimension stops growing."""
-    n = M.shape[0]
-    Q = orth_basis(B, thresh)
-    while Q.shape[1] < n:
-        grown = orth_basis(np.hstack([Q, M @ Q]), thresh)
-        if grown.shape[1] == Q.shape[1]:
+def controllability_staircase(A, E, B, thresh: float):
+    """Orthogonal Q, Z and order k of the controllable part of
+    (A - lambda*E, B), E None for the identity (then Z is Q): Q.T @ B
+    and the leading k columns of Q.T @ (A - lambda*E) @ Z vanish below
+    row k. The trailing block holds exactly the eigenvalues at which
+    [A - lambda*E, B] loses rank: the uncontrollable finite ones, and for
+    the swapped pair (E, A, B) the uncontrollable infinite ones. Each
+    stage row-compresses its input block (B, then the block of A below
+    the last stage) and restores the upper triangular trailing E by one
+    RQ; the identity E takes the rotation on the columns instead."""
+    n = A.shape[0]
+    A = A.copy()
+    E = None if E is None else E.copy()
+    Q = np.eye(n)
+    Z = Q if E is None else np.eye(n)
+    block, k = B, 0
+    while k < n:
+        U, rho = row_compress(block, thresh)
+        if rho == 0:
             break
-        Q = grown
-    return Q
+        A[k:] = U.T @ A[k:]
+        Q[:, k:] = Q[:, k:] @ U
+        if E is None:
+            A[:, k:] = A[:, k:] @ U
+        else:
+            E[k:, k:], W = rq(U.T @ E[k:, k:])
+            E[:k, k:] = E[:k, k:] @ W.T
+            A[:, k:] = A[:, k:] @ W.T
+            Z[:, k:] = Z[:, k:] @ W.T
+        block = A[k + rho:, k:k + rho]
+        k += rho
+    return Q, Z, k

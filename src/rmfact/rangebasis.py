@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dss import DescriptorSystem, make_dss, zeros
+from .dss import DescriptorSystem, controllable_bases, make_dss, zeros
 from .exceptions import FactorizationError, InputError
 from .klf import (
     RegionPartition,
@@ -32,9 +32,6 @@ from .klf import (
 from .numkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
-    krylov_basis,
-    lu_factor,
-    lu_solve,
     noise_floor,
     ordered_generalized_schur,
     svd,
@@ -129,11 +126,13 @@ def _inv_sqrt_sym(H):
 
 
 def _explicit_pair(A_bl, E_bl, B_bl, tol):
-    lu = lu_factor(E_bl)
-    Abar = lu_solve(lu, A_bl)
-    Bbar = lu_solve(lu, B_bl)
-    scale = max(np.linalg.norm(Abar, "fro"), np.linalg.norm(Bbar, "fro"), 1.0)
-    return Abar, Bbar, krylov_basis(Abar, Bbar, tol.resolve(scale, Abar.shape))
+    """Explicit pair (E_c^-1 A_c, E_c^-1 B_c) of the controllable part
+    (A_c - lambda E_c, B_c) of the trailing blocks and the orthonormal
+    Z_c with x = Z_c x_c for its state."""
+    Q, Z = controllable_bases(A_bl, E_bl, B_bl, tol)
+    k = Z.shape[1]
+    AB = np.linalg.solve(Q.T @ E_bl @ Z, Q.T @ np.hstack([A_bl @ Z, B_bl]))
+    return AB[:, :k], AB[:, k:], Z
 
 
 def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig | None = None):
@@ -171,13 +170,10 @@ def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig | None = None
                 "inner basis does not exist: a zero of the basis lies on the "
                 f"stability boundary (at {lam:.6g})"
             )
-    Abar, Bbar, Q1 = _explicit_pair(A_bl, E_bl, B_bl, tol)
-    k = Q1.shape[1]
-    if k == 0:
+    A_c, B_c, Z_c = _explicit_pair(A_bl, E_bl, B_bl, tol)
+    if Z_c.shape[1] == 0:
         return np.zeros((r, n_bl)), _inv_sqrt_sym(D.T @ D)
-    A_c = Q1.T @ Abar @ Q1
-    B_c = Q1.T @ Bbar
-    C1 = C_bl @ Q1
+    C1 = C_bl @ Z_c
     Qc = C1.T @ C1
     Rc = D.T @ D
     Sc = C1.T @ D
@@ -193,8 +189,7 @@ def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig | None = None
             W = _inv_sqrt_sym(H)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
         raise FactorizationError(f"inner gain computation failed: {exc}") from None
-    F = F_c @ Q1.T
-    return F, W
+    return F_c @ Z_c.T, W
 
 
 def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
@@ -207,12 +202,10 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
     n_bl = A_bl.shape[0]
     if n_bl == 0 or r == 0:
         return np.zeros((r, n_bl))
-    Abar, Bbar, Q1 = _explicit_pair(A_bl, E_bl, B_bl, tol)
-    k = Q1.shape[1]
+    A_c, B_c, Z_c = _explicit_pair(A_bl, E_bl, B_bl, tol)
+    k = Z_c.shape[1]
     if k == 0:
         return np.zeros((r, n_bl))
-    A_c = Q1.T @ Abar @ Q1
-    B_c = Q1.T @ Bbar
     stab = stability_region(ts)
     sel = lambda a, b: classify_eigenvalue(a, b, stab, tol) != "bad"
     sch = ordered_generalized_schur(A_c, np.eye(k), sel)
@@ -240,4 +233,4 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
             raise FactorizationError(
                 f"stabilizing feedback left the pole {z} outside the target region"
             )
-    return F_c @ Q1.T
+    return F_c @ Z_c.T

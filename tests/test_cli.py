@@ -17,6 +17,7 @@ from rmfact import (
     stable_rank2_continuous,
     write_system_file,
 )
+from rmfact.cli import run_command
 
 from support import assert_multiset_close, run_cli, run_cli_json, write_examples
 
@@ -116,6 +117,35 @@ def test_eval_at_nonfinite_point_is_exit_2(examples, point):
     assert code == 2
     assert out == ""
     assert "is not finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{ex1}", "{ex1}", "{ex1}", "--grid", "-2"],
+        ["verify", "{ex1}", "{ex1}", "{ex1}", "--seed", "-1"],
+        ["frf", "{ex1}", "--grid", "-3"],
+        ["frf", "{ex1}", "--grid", "0"],
+        ["frf", "{ex1}", "--seed", "-1"],
+        ["nrcf", "{ex1}", "--grid", "-3"],
+        ["iofac", "{ex1}", "--grid", "-3"],
+        ["pinv", "{ex1}", "--grid", "2.5"],
+    ],
+    ids=["verify-grid", "verify-seed", "frf-grid", "frf-grid-zero", "frf-seed", "nrcf-grid", "iofac-grid", "pinv-grid-fraction"],
+)
+def test_grid_and_seed_out_of_range_are_exit_2(examples, argv, capsys):
+    ex1, _ = examples
+    with pytest.raises(SystemExit) as done:
+        run_command([str(ex1) if a == "{ex1}" else a for a in argv] + ["--json"])
+    assert done.value.code == 2
+    flag = argv[-2]
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_smallest_grid_and_seed_are_accepted(examples):
+    ex1, _ = examples
+    rep = run_cli_json(["frf", ex1, "--grid", "1", "--seed", "0"])
+    assert rep["results"]["grid_points"] == 1
 
 
 def test_nonstabilizable_realization_is_exit_3(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rmfact import (
     EvaluationError,
@@ -185,6 +186,43 @@ def test_irreducible_strips_padding():
     for s in (0.5, 1j, -0.3 + 2j):
         assert np.allclose(evaluate(red, s), evaluate(g, s), atol=1e-10)
     assert mcmillan_degree(padded) == n
+
+
+# (A, E) of a padding block, and whether the input reaches it and the
+# output sees it
+PADDINGS = {
+    "uncontrollable infinite Jordan block": (np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), False, True),
+    "unobservable infinite Jordan block": (np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), True, False),
+    "uncontrollable non-dynamic state": (np.eye(1), np.zeros((1, 1)), False, True),
+}
+
+
+def padded(g, block, rng):
+    """g with the padding block appended, under a random orthogonal
+    state similarity."""
+    A_p, E_p, reached, seen = block
+    k = A_p.shape[0]
+    A = scipy.linalg.block_diag(g.A, A_p)
+    E = scipy.linalg.block_diag(g.e_matrix, E_p)
+    B = np.vstack([g.B, rng.standard_normal((k, g.m)) if reached else np.zeros((k, g.m))])
+    C = np.hstack([g.C, rng.standard_normal((g.p, k)) if seen else np.zeros((g.p, k))])
+    Q = np.linalg.qr(rng.standard_normal((g.n + k, g.n + k)))[0]
+    return make_dss(Q @ A @ Q.T, Q @ E @ Q.T, Q @ B, C @ Q.T, g.D, g.ts)
+
+
+@pytest.mark.parametrize("padding", list(PADDINGS))
+def test_padding_leaves_realization_order_and_structure(padding):
+    rng = np.random.default_rng(2024)
+    systems = [stable_rank2_continuous(), polynomial_rank2_discrete()]
+    systems += [random_system(rng, n_max=8) for _ in range(20)]
+    for g in systems:
+        h = padded(g, PADDINGS[padding], rng)
+        assert irreducible_realization(h).n == irreducible_realization(g).n
+        want, got = structure(g), structure(h)
+        assert (got.normal_rank, got.mcmillan_degree) == (want.normal_rank, want.mcmillan_degree)
+        for w, x in ((want.poles, got.poles), (want.zeros, got.zeros)):
+            assert x.infinite_multiplicities == w.infinite_multiplicities
+            assert_multiset_close(x.finite, w.finite, tol=1e-6)
 
 
 def test_irreducible_removes_nondynamic_modes():

@@ -1,8 +1,9 @@
 """Import hygiene of the package, checked with the stdlib ast module:
 every module uses each name it imports (a stand-in for a linter's
 unused-import check), every function reads each of its parameters,
-and only numkernel binds the LAPACK SVD and LU routines, so every
-call goes through its kernels."""
+and only numkernel binds the LAPACK SVD, RQ and QZ routines, so every
+call goes through its kernels; no module binds the LU routines, which
+the package no longer uses."""
 
 import ast
 import pathlib
@@ -95,7 +96,15 @@ def test_no_unread_parameters(module):
 
 # dense kernels with one home, numkernel; the other modules call its wrappers
 KERNEL_HOME = "numkernel.py"
-KERNELS = {"scipy.linalg.svd", "numpy.linalg.svd", "scipy.linalg.lu_factor", "scipy.linalg.lu_solve"}
+KERNELS = {
+    "scipy.linalg.svd",
+    "numpy.linalg.svd",
+    "scipy.linalg.lu_factor",
+    "scipy.linalg.lu_solve",
+    "scipy.linalg.rq",
+    "scipy.linalg.qz",
+    "scipy.linalg.ordqz",
+}
 
 
 def kernel_references(source: str) -> list:

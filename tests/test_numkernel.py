@@ -8,8 +8,8 @@ from rmfact.numkernel import (
     ToleranceConfig,
     ordered_generalized_schur,
     generalized_eigenvalues,
+    controllability_staircase,
     is_infinite,
-    krylov_basis,
     pivoted_qr,
     probe_pencil_regular,
     rank_revealing_svd,
@@ -41,35 +41,21 @@ def test_svd_kernel_matches_scipy(shape, dtype):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("n", [1, 4, 7])
-def test_lu_kernels_match_scipy(n, dtype):
-    M = kernel_matrix((n, n), dtype)
-    lu = numkernel.lu_factor(M)
-    assert_arrays_equal(lu, scipy.linalg.lu_factor(M))
-    for rhs in (kernel_matrix((n, 3), dtype, 1), kernel_matrix((n,), float, 2), np.zeros((n, 0))):
-        assert_arrays_equal([numkernel.lu_solve(lu, rhs)], [scipy.linalg.lu_solve(lu, rhs)])
+@pytest.mark.parametrize("shape", [(6, 3), (3, 6), (5, 5), (1, 1), (0, 3), (2, 0)])
+def test_rq_kernel_matches_scipy(shape, dtype):
+    M = kernel_matrix(shape, dtype)
+    assert_arrays_equal(numkernel.rq(M), scipy.linalg.rq(M))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize(
-    "name, kwargs", [("svd", {}), ("svd", {"compute_uv": False}), ("lu_factor", {}), ("lu_solve", {})]
-)
+@pytest.mark.parametrize("name, kwargs", [("svd", {}), ("svd", {"compute_uv": False}), ("rq", {})])
 def test_kernels_reject_nonfinite_like_scipy(name, kwargs, bad):
     M = np.array([[1.0, bad], [0.5, 2.0]])
     kernel, reference = getattr(numkernel, name), getattr(scipy.linalg, name)
-    args = (scipy.linalg.lu_factor(np.eye(2)), M) if name == "lu_solve" else (M,)
     with pytest.raises(Exception) as want:
-        reference(*args, **kwargs)
+        reference(M, **kwargs)
     with pytest.raises(want.type):
-        kernel(*args, **kwargs)
-
-
-def test_lu_factor_warns_on_exactly_singular_matrix():
-    M = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
-        lu = numkernel.lu_factor(M)
-    with pytest.warns(scipy.linalg.LinAlgWarning):
-        assert_arrays_equal(lu, scipy.linalg.lu_factor(M))
+        kernel(M, **kwargs)
 
 
 def test_svd_identity():
@@ -155,25 +141,77 @@ def test_is_infinite_is_relative_and_sign_blind():
     assert not is_infinite(0.0, 1e-300)
 
 
-def test_krylov_basis_invariant_subspace():
+def assert_staircase_form(A, E, B, Q, Z, k):
+    """Q, Z orthogonal, Q.T B zero below row k, and Q.T (A - lambda E) Z
+    zero below row k in its leading k columns, to the noise floor."""
+    n = A.shape[0]
+    floor = numkernel.noise_floor(max(np.linalg.norm(A), np.linalg.norm(E), np.linalg.norm(B)), n)
+    for M in (Q, Z):
+        assert np.linalg.norm(M.T @ M - np.eye(n)) < 1e-13 * n
+    assert np.linalg.norm((Q.T @ B)[k:]) <= floor
+    assert np.linalg.norm((Q.T @ A @ Z)[k:, :k]) <= floor
+    assert np.linalg.norm((Q.T @ E @ Z)[k:, :k]) <= floor
+
+
+def test_staircase_isolates_uncontrollable_finite_eigenvalues():
+    # Q0 [[A11, A12], [0, A22]] Z0 - lambda Q0 [[E11, E12], [0, I]] Z0
+    # with input Q0 [B1; 0]: the eigenvalues of A22 are uncontrollable
     rng = np.random.default_rng(3)
-    M = scipy.linalg.block_diag(rng.standard_normal((3, 3)), rng.standard_normal((2, 2)))
-    # range(B) lies in the invariant subspace spanned by e4, e5
-    B = np.vstack([np.zeros((3, 1)), rng.standard_normal((2, 1))])
-    Q = krylov_basis(M, B, 1e-12)
-    assert Q.shape == (5, 2)
-    assert np.linalg.norm(Q.T @ Q - np.eye(2)) < 1e-13
-    assert np.linalg.norm(Q[:3]) < 1e-13
-    assert np.linalg.norm(M @ Q - Q @ (Q.T @ M @ Q)) < 1e-12
-    # a generic input reaches the whole space
-    assert krylov_basis(M, rng.standard_normal((5, 1)), 1e-12).shape == (5, 5)
+    planted = np.array([-0.5, 2.0, 3.0])
+    A22 = np.triu(rng.standard_normal((3, 3)), 1) + np.diag(planted)
+    A = np.block([[rng.standard_normal((4, 4)), rng.standard_normal((4, 3))], [np.zeros((3, 4)), A22]])
+    E = np.block([[rng.standard_normal((4, 4)), rng.standard_normal((4, 3))], [np.zeros((3, 4)), np.eye(3)]])
+    B = np.vstack([rng.standard_normal((4, 2)), np.zeros((3, 2))])
+    Q0 = np.linalg.qr(rng.standard_normal((7, 7)))[0]
+    Z0 = np.linalg.qr(rng.standard_normal((7, 7)))[0]
+    A, E, B = Q0 @ A @ Z0, Q0 @ E @ Z0, Q0 @ B
+    Q, Z, k = controllability_staircase(A, E, B, 1e-12)
+    assert k == 4
+    assert_staircase_form(A, E, B, Q, Z, k)
+    trailing = generalized_eigenvalues((Q.T @ A @ Z)[k:, k:], (Q.T @ E @ Z)[k:, k:])
+    assert np.allclose(sorted((a / b).real for a, b in trailing), planted)
 
 
-def test_krylov_basis_empty_input():
-    M = np.random.default_rng(4).standard_normal((4, 4))
-    assert krylov_basis(M, np.zeros((4, 0)), 1e-12).shape == (4, 0)
-    assert krylov_basis(M, np.zeros((4, 2)), 1e-12).shape == (4, 0)
-    assert krylov_basis(np.zeros((0, 0)), np.zeros((0, 3)), 1e-12).shape == (0, 0)
+def test_staircase_with_identity_e_is_a_similarity():
+    # a single input and an uncontrollable block planted by a similarity
+    rng = np.random.default_rng(4)
+    n1 = 5
+    Q0 = np.linalg.qr(rng.standard_normal((7, 7)))[0]
+    A = Q0 @ scipy.linalg.block_diag(rng.standard_normal((n1, n1)), np.diag([1.5, -2.0])) @ Q0.T
+    B = Q0 @ np.vstack([rng.standard_normal((n1, 1)), np.zeros((2, 1))])
+    Q, Z, k = controllability_staircase(A, None, B, 1e-12)
+    assert k == n1 and Z is Q
+    assert_staircase_form(A, np.eye(7), B, Q, Z, k)
+
+
+def test_swapped_staircase_isolates_uncontrollable_infinite_eigenvalues():
+    # a non-dynamic state driven by the others: the staircase on (A, E, B)
+    # reaches every state, the one on the swapped pair (E, A, B) isolates
+    # the infinite eigenvalue that [E B] does not reach
+    rng = np.random.default_rng(5)
+    n = 5
+    A = rng.standard_normal((n, n))
+    E = scipy.linalg.block_diag(rng.standard_normal((n - 1, n - 1)), np.zeros((1, 1)))
+    B = np.vstack([rng.standard_normal((n - 1, 2)), np.zeros((1, 2))])
+    Q0 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    Z0 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A, E, B = Q0 @ A @ Z0, Q0 @ E @ Z0, Q0 @ B
+    assert controllability_staircase(A, E, B, 1e-12)[2] == n
+    Q, Z, k = controllability_staircase(E, A, B, 1e-12)
+    assert k == n - 1
+    assert_staircase_form(E, A, B, Q, Z, k)
+    (a, b), = generalized_eigenvalues((Q.T @ A @ Z)[k:, k:], (Q.T @ E @ Z)[k:, k:])
+    assert is_infinite(a, b)
+
+
+def test_staircase_empty_and_zero_input():
+    A = np.random.default_rng(6).standard_normal((4, 4))
+    for B in (np.zeros((4, 0)), np.zeros((4, 2))):
+        for E in (None, np.eye(4)):
+            Q, Z, k = controllability_staircase(A, E, B, 1e-12)
+            assert k == 0 and np.array_equal(Q, np.eye(4)) and np.array_equal(Z, np.eye(4))
+    Q, Z, k = controllability_staircase(np.zeros((0, 0)), None, np.zeros((0, 3)), 1e-12)
+    assert k == 0 and Q.shape == Z.shape == (0, 0)
 
 
 def test_ordered_schur_hand_eigenvalues():
