@@ -26,9 +26,11 @@ from .numkernel import (
     generalized_eigenvalues,
     is_infinite,
     noise_floor,
+    row_scaling,
     staircase_threshold,
     svd,
     svd_rank_abs,
+    thresholded_svd,
 )
 
 CONTINUOUS = "continuous"
@@ -340,13 +342,17 @@ def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig | None = None, rng=N
 
 
 def controllable_bases(A, E, B, tol: ToleranceConfig):
-    """Orthonormal Q, Z of k columns, k the order of the completely
-    controllable part of (A - lambda*E, B), E None for the identity:
-    the part is (Q.T A Z, Q.T E Z, Q.T B) with C Z. The staircase on
-    (A, E, B) removes the uncontrollable finite eigenvalues; when
-    [E_c B_c] then loses row rank, the staircase on the swapped pair
-    (E_c, A_c, B_c) removes the uncontrollable infinite ones."""
+    """Bases L, Z (Z orthonormal) of the k-state completely controllable
+    part (L.T A Z, L.T E Z, L.T B) of (A - lambda*E, B), E None for the
+    identity, with C Z. The staircase on (A, E, B) removes the
+    uncontrollable finite eigenvalues and, when [E_c B_c] loses row
+    rank, the one on the swapped pair (E_c, A_c, B_c) the infinite ones.
+    An explicit E has the rows of [A E B] scaled by row_scaling first,
+    so one badly scaled row does not set the rank threshold of all; L
+    carries the scaling."""
     n = A.shape[0]
+    d = np.ones((n, 1)) if E is None else row_scaling(np.hstack([A, E, B]))[:, None]
+    A, B, E = d * A, d * B, None if E is None else d * E
     scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(np.eye(n) if E is None else E, "fro"), np.linalg.norm(B, "fro"))
     thresh = staircase_threshold(tol, scale, (n, n))
     Q, Z, k = controllability_staircase(A, E, B, thresh)
@@ -356,15 +362,15 @@ def controllable_bases(A, E, B, tol: ToleranceConfig):
         if svd_rank_abs(np.hstack([E_c, B_c]), thresh) < k:
             Q2, Z2, k = controllability_staircase(E_c, Q.T @ A @ Z, B_c, thresh)
             Q, Z = Q @ Q2[:, :k], Z @ Z2[:, :k]
-    return Q, Z
+    return d * Q, Z
 
 
 def _controllable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorSystem:
-    Q, Z = controllable_bases(sys.A, sys.E, sys.B, tol)
+    L, Z = controllable_bases(sys.A, sys.E, sys.B, tol)
     if Z.shape[1] == sys.n:
         return sys
-    E_c = None if sys.E is None else Q.T @ sys.E @ Z
-    return make_dss(Q.T @ sys.A @ Z, E_c, Q.T @ sys.B, sys.C @ Z, sys.D, sys.ts)
+    E_c = None if sys.E is None else L.T @ sys.E @ Z
+    return make_dss(L.T @ sys.A @ Z, E_c, L.T @ sys.B, sys.C @ Z, sys.D, sys.ts)
 
 
 def _observable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorSystem:
@@ -381,9 +387,8 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
         if n == 0:
             break
         # ranked on the pencil's scale, an E of roundoff has rank 0
-        U, s, Vt = svd(Emat)
-        V = Vt.T
-        q = int(np.count_nonzero(s > staircase_threshold(tol, max(np.linalg.norm(A, "fro"), s[0]), (n, n))))
+        scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(Emat, "fro"))
+        U, _, V, q = thresholded_svd(Emat, staircase_threshold(tol, scale, (n, n)))
         if q == n:
             break
         U2, V2 = U[:, q:], V[:, q:]
@@ -391,31 +396,20 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
         # the eliminable part of A22 must be solidly nonzero on the
         # scale of A itself; entries at roundoff level are kept as
         # dynamic structure rather than divided by
-        scale = max(np.linalg.norm(A, "fro"), 1.0)
-        U3, s3, V3t = svd(A22)
-        V3 = V3t.T
-        q2 = int(np.count_nonzero(s3 > noise_floor(scale, n)))
+        U3, _, V3, q2 = thresholded_svd(A22, noise_floor(max(np.linalg.norm(A, "fro"), 1.0), n))
         if q2 == 0:
             break
-        rows_keep = np.hstack([U[:, :q], U2 @ U3[:, q2:]])
-        rows_elim = U2 @ U3[:, :q2]
-        cols_keep = np.hstack([V[:, :q], V2 @ V3[:, q2:]])
-        cols_elim = V2 @ V3[:, :q2]
-        A11 = rows_keep.T @ A @ cols_keep
-        A12 = rows_keep.T @ A @ cols_elim
-        A21 = rows_elim.T @ A @ cols_keep
-        A22i = rows_elim.T @ A @ cols_elim
-        B1 = rows_keep.T @ B
-        B2 = rows_elim.T @ B
-        C1 = C @ cols_keep
-        C2 = C @ cols_elim
-        sol = np.linalg.solve(A22i, np.hstack([A21, B2]))
-        X21, XB = sol[:, : A21.shape[1]], sol[:, A21.shape[1]:]
-        A = A11 - A12 @ X21
-        B = B1 - A12 @ XB
-        C = C1 - C2 @ X21
-        D = D - C2 @ XB
-        Emat = rows_keep.T @ Emat @ cols_keep
+        # the k kept states first, the q2 eliminated ones last
+        L = np.hstack([U[:, :q], U2 @ U3[:, q2:], U2 @ U3[:, :q2]])
+        R = np.hstack([V[:, :q], V2 @ V3[:, q2:], V2 @ V3[:, :q2]])
+        k = n - q2
+        T, Bt, Ct = L.T @ A @ R, L.T @ B, C @ R
+        X = np.linalg.solve(T[k:, k:], np.hstack([T[k:, :k], Bt[k:]]))
+        A = T[:k, :k] - T[:k, k:] @ X[:, :k]
+        B = Bt[:k] - T[:k, k:] @ X[:, k:]
+        C = Ct[:, :k] - Ct[:, k:] @ X[:, :k]
+        D = D - Ct[:, k:] @ X[:, k:]
+        Emat = L[:, :k].T @ Emat @ R[:, :k]
     return make_dss(A, Emat if A.shape[0] else None, B, C, D, sys.ts)
 
 

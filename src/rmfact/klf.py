@@ -30,7 +30,6 @@ from .numkernel import (
     ordered_generalized_schur,
     row_compress,
     staircase_threshold,
-    svd,
     svd_rank_abs,
 )
 
@@ -418,9 +417,7 @@ def _check_bad_stabilizable(sys, region, tol, thresh):
         if cls != "bad" or is_infinite(a, b):
             continue
         lam = a / b
-        P = np.hstack([sys.A - lam * Emat, sys.B]).astype(complex)
-        s = svd(P, compute_uv=False)
-        if s[-1] <= thresh:
+        if svd_rank_abs(np.hstack([sys.A - lam * Emat, sys.B]).astype(complex), thresh) < sys.n:
             raise StructureError(
                 f"realization is not stabilizable: [A - lambda E, B] loses rank at "
                 f"the bad eigenvalue {lam}"

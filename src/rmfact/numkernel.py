@@ -1,6 +1,7 @@
 """Dense numerical kernels: the LAPACK SVD, RQ and QZ bindings,
-rank-revealing decompositions, the controllability staircase and the
-ordered generalized Schur (QZ) decomposition.
+rank-revealing decompositions, an exact power-of-2 row scaling, the
+controllability staircase and the ordered generalized Schur (QZ)
+decomposition.
 
 Every reduction in this package funnels its rank decisions through the
 helpers here so that a single tolerance policy governs the whole
@@ -294,11 +295,15 @@ def _eigenvalue_pairs(alpha, beta):
 # that one tolerance governs a whole pencil reduction.
 
 
+def thresholded_svd(M, thresh: float):
+    """(U, sigma, V, rank) with M = U @ diag(sigma) @ V.T, rank the
+    count of singular values above the absolute threshold thresh."""
+    U, s, Vt = svd(M)
+    return U, s, Vt.T, int(np.count_nonzero(s > thresh))
+
+
 def svd_rank_abs(M, thresh: float) -> int:
-    if min(M.shape) == 0:
-        return 0
-    s = svd(M, compute_uv=False)
-    return int(np.count_nonzero(s > thresh))
+    return int(np.count_nonzero(svd(M, compute_uv=False) > thresh))
 
 
 def row_compress(M, thresh: float):
@@ -309,8 +314,7 @@ def row_compress(M, thresh: float):
     m = M.shape[0]
     if min(M.shape) == 0 or not M.any():
         return np.eye(m), 0
-    U, s, _ = svd(M)
-    rank = int(np.count_nonzero(s > thresh))
+    U, _, _, rank = thresholded_svd(M, thresh)
     return U, rank
 
 
@@ -323,14 +327,10 @@ def col_compress(M, thresh: float, zeros_leading: bool = False):
     n = M.shape[1]
     if min(M.shape) == 0 or not M.any():
         return np.eye(n), 0
-    _, s, Vt = svd(M)
-    rank = int(np.count_nonzero(s > thresh))
-    V = Vt.T
+    _, _, V, rank = thresholded_svd(M, thresh)
     if zeros_leading:
-        Z = np.hstack([V[:, rank:], V[:, :rank]])
-    else:
-        Z = V
-    return Z, rank
+        return np.hstack([V[:, rank:], V[:, :rank]]), rank
+    return V, rank
 
 
 def null_basis(M, thresh: float):
@@ -339,9 +339,19 @@ def null_basis(M, thresh: float):
     n = M.shape[1]
     if min(M.shape) == 0 or not M.any():
         return np.eye(n)
-    _, s, Vt = svd(M)
-    rank = int(np.count_nonzero(s > thresh))
-    return Vt[rank:].T.copy()
+    _, _, V, rank = thresholded_svd(M, thresh)
+    return V[:, rank:].copy()
+
+
+def row_scaling(M):
+    """Powers of 2 d bringing each nonzero row norm of M to within a
+    factor 2 of the median one (the upper middle value), exponents
+    rounded toward zero: a row already within a factor 2 keeps d = 1,
+    and d[:, None] * M is exact."""
+    r = np.linalg.norm(M, axis=1)
+    nonzero = np.sort(r[r > 0])
+    ratio = r / nonzero[nonzero.size // 2] if nonzero.size else r
+    return 2.0 ** -np.trunc(np.log2(np.where(r > 0, ratio, 1.0)))
 
 
 def controllability_staircase(A, E, B, thresh: float):

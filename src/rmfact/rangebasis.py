@@ -129,9 +129,9 @@ def _explicit_pair(A_bl, E_bl, B_bl, tol):
     """Explicit pair (E_c^-1 A_c, E_c^-1 B_c) of the controllable part
     (A_c - lambda E_c, B_c) of the trailing blocks and the orthonormal
     Z_c with x = Z_c x_c for its state."""
-    Q, Z = controllable_bases(A_bl, E_bl, B_bl, tol)
+    L, Z = controllable_bases(A_bl, E_bl, B_bl, tol)
     k = Z.shape[1]
-    AB = np.linalg.solve(Q.T @ E_bl @ Z, Q.T @ np.hstack([A_bl @ Z, B_bl]))
+    AB = np.linalg.solve(L.T @ E_bl @ Z, L.T @ np.hstack([A_bl @ Z, B_bl]))
     return AB[:, :k], AB[:, k:], Z
 
 

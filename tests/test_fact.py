@@ -220,6 +220,21 @@ def test_pinv_identities_example_two():
     assert herm <= 1e-6
 
 
+def test_pinv_identities_badly_scaled_composition():
+    # draw 38 of the rng-7 suite: the pseudo-inverse composes a 13-state
+    # realization with one row of A and B near 3e7 against O(1) rows;
+    # ranked on the scale of that row, the controllable part loses two
+    # states the result needs
+    rng = np.random.default_rng(7)
+    for _ in range(38):
+        random_system(rng, n_max=8)
+    g = random_system(rng, n_max=8)
+    gp = pseudo_inverse(g)
+    prod, herm = moore_penrose_defects(g, gp, np.random.default_rng(33))
+    assert prod <= 1e-6
+    assert herm <= 1e-6
+
+
 # -- inner-quasi-outer factorization ----------------------------------------------
 
 

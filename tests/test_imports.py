@@ -1,9 +1,9 @@
 """Import hygiene of the package, checked with the stdlib ast module:
 every module uses each name it imports (a stand-in for a linter's
 unused-import check), every function reads each of its parameters,
-and only numkernel binds the LAPACK SVD, RQ and QZ routines, so every
-call goes through its kernels; no module binds the LU routines, which
-the package no longer uses."""
+and only numkernel may bind the LAPACK SVD, RQ and QZ routines or
+scipy's lu_factor and lu_solve, so every call goes through its
+kernels."""
 
 import ast
 import pathlib

@@ -214,6 +214,20 @@ def test_staircase_empty_and_zero_input():
     assert k == 0 and Q.shape == Z.shape == (0, 0)
 
 
+def test_row_scaling_moves_only_outlying_rows_by_powers_of_two():
+    rng = np.random.default_rng(7)
+    M = rng.uniform(0.6, 1.0, (6, 4))
+    assert np.array_equal(numkernel.row_scaling(M), np.ones(6))
+    M[1] *= 3e7
+    M[4] *= 1e-5
+    M[5] = 0.0
+    d = numkernel.row_scaling(M)
+    assert np.array_equal(d, 2.0 ** np.round(np.log2(d)))
+    assert d[[0, 2, 3, 5]].tolist() == [1.0] * 4
+    ratio = np.linalg.norm(d[:5, None] * M[:5], axis=1) / np.median(np.linalg.norm(M[:5], axis=1))
+    assert np.all((ratio > 0.5) & (ratio < 2.0))
+
+
 def test_ordered_schur_hand_eigenvalues():
     # companion matrix of lambda^2 + 3 lambda + 2 = (lambda+1)(lambda+2)
     A = np.array([[0.0, 1.0], [-2.0, -3.0]])
