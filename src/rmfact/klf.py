@@ -30,6 +30,7 @@ from .numkernel import (
     ordered_generalized_schur,
     row_compress,
     staircase_threshold,
+    svd,
     svd_rank_abs,
 )
 
@@ -296,7 +297,7 @@ def _klf_core(M0, N0, thresh) -> KlfResult:
 
 
 def _pencil_threshold(M, N, tol: ToleranceConfig):
-    scale = np.linalg.norm(np.hstack([M, N]), 2) if M.size else 0.0
+    scale = svd(np.hstack([M, N]), compute_uv=False)[0] if M.size else 0.0
     return staircase_threshold(tol, scale, M.shape)
 
 
@@ -336,7 +337,13 @@ class SpecialKlf:
     rank, E_bl and B_n are invertible, and the eigenvalues of the
     trailing system pencil built on the bl blocks lie in the bad
     region (plus any singular or infinite structure not movable into
-    the leading block)."""
+    the leading block).
+
+    bad_eigenvalues records the (alpha, beta) pairs of the finite
+    eigenvalues that special_klf classified as bad, as it classified
+    them. They are the finite zeros of the trailing system pencil, so
+    of every range basis built on the bl blocks: feedback does not move
+    them."""
 
     M: np.ndarray
     N: np.ndarray
@@ -350,6 +357,7 @@ class SpecialKlf:
     r: int
     m_n: int
     ts: str
+    bad_eigenvalues: tuple
 
     @property
     def c1(self) -> int:
@@ -484,17 +492,15 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig | None = None
         )
     nreg = nF + iI
 
-    for a, b in res.finite_eigenvalues:
-        if classify_eigenvalue(a, b, region, tol) == "boundary":
+    classes = [classify_eigenvalue(a, b, region, tol) for a, b in res.finite_eigenvalues]
+    for (a, b), cls in zip(res.finite_eigenvalues, classes):
+        if cls == "boundary":
             raise BoundaryError(
                 f"eigenvalue {a / b} lies within the boundary offset of the "
                 "region boundary"
             )
-    n_fg = sum(
-        1
-        for a, b in res.finite_eigenvalues
-        if classify_eigenvalue(a, b, region, tol) == "good"
-    )
+    bad = tuple(ab for ab, cls in zip(res.finite_eigenvalues, classes) if cls == "bad")
+    n_fg = classes.count("good")
     n_good = n_fg + (0 if region.infinite_is_bad else iI)
     if 0 < n_good < nreg:
         # move the good part of the whole regular block (finite and
@@ -571,6 +577,7 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig | None = None
         r=r,
         m_n=m_n,
         ts=sys.ts,
+        bad_eigenvalues=bad,
     )
     _self_check(out, S_orig_M, S_orig_N, thresh)
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dss import DescriptorSystem, controllable_bases, make_dss, zeros
+from .dss import DescriptorSystem, controllable_bases, make_dss
 from .exceptions import FactorizationError, InputError
 from .klf import (
     RegionPartition,
@@ -137,7 +137,9 @@ def _explicit_pair(A_bl, E_bl, B_bl, tol):
 
 def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig | None = None):
     """Feedback F and weighting W making the basis inner (R~ R = I and
-    all poles stable). Solves the Riccati equation of the explicit
+    all poles stable). The zeros of the basis are the splitting form's
+    record blocks.bad_eigenvalues; one on the stability boundary
+    rejects the basis. Solves the Riccati equation of the explicit
     pair obtained with the invertible E_bl, on the controllable part
     only, and pads the feedback with zeros on uncontrollable states."""
     tol = tol or DEFAULT_TOL
@@ -162,9 +164,11 @@ def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig | None = None
     B_bl = np.array(blocks.B_bl)
     C_bl = np.array(blocks.C_bl)
     # an inner basis exists only if the zeros carried by the trailing
-    # blocks stay off the stability boundary: feedback cannot move
-    # zeros, and R~ R = I fails at a boundary zero
-    for lam in zeros(make_dss(A_bl, E_bl, B_bl, C_bl, D, ts), tol).finite:
+    # blocks, the bad eigenvalues of the splitting form, stay off the
+    # stability boundary: feedback cannot move zeros, and R~ R = I
+    # fails at a boundary zero
+    for a, b in blocks.bad_eigenvalues:
+        lam = a / b
         if on_stability_boundary(lam, ts, tol):
             raise FactorizationError(
                 "inner basis does not exist: a zero of the basis lies on the "

@@ -2,8 +2,8 @@
 every module uses each name it imports (a stand-in for a linter's
 unused-import check), every function reads each of its parameters,
 and only numkernel may bind the LAPACK SVD, RQ and QZ routines or
-scipy's lu_factor and lu_solve, so every call goes through its
-kernels."""
+scipy's lu_factor and lu_solve, or take a matrix 2-norm (an SVD), so
+every call goes through its kernels."""
 
 import ast
 import pathlib
@@ -107,9 +107,26 @@ KERNELS = {
 }
 
 
+# a matrix 2-norm is an SVD: calls of these with ord 2 or -2 count as one
+NORMS = {"numpy.linalg.norm", "scipy.linalg.norm"}
+
+
+def _spectral_ord(call: ast.Call) -> bool:
+    """True when a norm call passes ord 2 or -2, positionally or by name."""
+    ords = call.args[1:2] + [k.value for k in call.keywords if k.arg == "ord"]
+    for node in ords:
+        try:
+            if ast.literal_eval(node) in (2, -2):
+                return True
+        except ValueError:
+            pass
+    return False
+
+
 def kernel_references(source: str) -> list:
     """References in source to a name in KERNELS, through an attribute
-    chain on an imported module or a from-import, in line order."""
+    chain on an imported module or a from-import, and calls of a name in
+    NORMS with a spectral ord, in line order."""
     tree = ast.parse(source)
     # the dotted name each imported name is bound to
     modules, found = {}, []
@@ -123,16 +140,21 @@ def kernel_references(source: str) -> list:
                 modules[a.asname or a.name] = dotted
                 if dotted in KERNELS:
                     found.append((node.lineno, dotted))
+
+    def resolve(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in modules:
+            return ".".join([modules[node.id]] + parts[::-1])
+        return None
+
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            parts, head = [node.attr], node.value
-            while isinstance(head, ast.Attribute):
-                parts.append(head.attr)
-                head = head.value
-            if isinstance(head, ast.Name) and head.id in modules:
-                dotted = ".".join([modules[head.id]] + parts[::-1])
-                if dotted in KERNELS:
-                    found.append((node.lineno, dotted))
+        if isinstance(node, ast.Attribute) and resolve(node) in KERNELS:
+            found.append((node.lineno, resolve(node)))
+        elif isinstance(node, ast.Call) and resolve(node.func) in NORMS and _spectral_ord(node):
+            found.append((node.lineno, f"{resolve(node.func)}(ord=2)"))
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
@@ -143,18 +165,26 @@ def test_kernel_checker_flags_every_spelling():
         "import scipy.linalg as sla\n"
         "from scipy.linalg import lu_factor, qr\n"
         "from numpy import linalg\n"
+        "from numpy.linalg import norm\n"
         "from .numkernel import svd\n"
         "np.linalg.svd(M)\n"
         "scipy.linalg.lu_solve(lu, b)\n"
         "sla.svd(M), linalg.svd(M)\n"
         "scipy.linalg.qr(M), svd(M), np.linalg.norm(M)\n"
+        "np.linalg.norm(M, 'fro'), norm(M, axis=0), linalg.norm(M, 1), sla.norm(M, ord=np.inf)\n"
+        "np.linalg.norm(M, 2), linalg.norm(M, ord=-2)\n"
+        "norm(M, ord=2), sla.norm(M, 2)\n"
     )
     assert kernel_references(source) == [
         "line 4: scipy.linalg.lu_factor",
-        "line 7: numpy.linalg.svd",
-        "line 8: scipy.linalg.lu_solve",
-        "line 9: numpy.linalg.svd",
-        "line 9: scipy.linalg.svd",
+        "line 8: numpy.linalg.svd",
+        "line 9: scipy.linalg.lu_solve",
+        "line 10: numpy.linalg.svd",
+        "line 10: scipy.linalg.svd",
+        "line 13: numpy.linalg.norm(ord=2)",
+        "line 13: numpy.linalg.norm(ord=2)",
+        "line 14: numpy.linalg.norm(ord=2)",
+        "line 14: scipy.linalg.norm(ord=2)",
     ]
 
 

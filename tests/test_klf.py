@@ -22,6 +22,7 @@ from rmfact import (
     special_klf,
     stability_region,
     stable_rank2_continuous,
+    zeros,
 )
 from rmfact.klf import on_stability_boundary
 from rmfact.rangebasis import inner_enforcing_gains, range_basis
@@ -302,6 +303,31 @@ def test_sklf_idempotent_on_minimal_basis():
     assert sk2.n_rg == 0
     assert sk2.n_bl == rr.R.n
     assert sk2.r == 2
+
+
+def test_sklf_records_bad_eigenvalues_as_trailing_zeros():
+    # the finite eigenvalues special_klf classifies as bad are the
+    # finite zeros of the trailing system pencil, so the inner gains
+    # can test the record instead of computing zeros() of the blocks
+    rng = np.random.default_rng(2024)
+    systems = [stable_rank2_continuous(), polynomial_rank2_discrete()]
+    systems += [random_system(rng, n_max=8) for _ in range(20)]
+    recorded = 0
+    for g in systems:
+        for region in (region_none(), stability_region(g.ts), all_finite_region()):
+            try:
+                sk = special_klf(g, region)
+            except (StructureError, BoundaryError):
+                continue  # a refused realization has no splitting form
+            blocks = make_dss(
+                sk.A_bl, sk.E_bl if sk.n_bl else None, sk.B_bl, sk.C_bl, sk.D_bl, g.ts
+            )
+            bad = [a / b for a, b in sk.bad_eigenvalues]
+            assert_multiset_close(bad, zeros(blocks).finite, tol=1e-8)
+            if region.kind == "none":
+                assert bad == []
+            recorded += len(bad)
+    assert recorded > 0
 
 
 def test_sklf_boundary_offset_error():

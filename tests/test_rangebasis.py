@@ -194,6 +194,28 @@ def test_inner_boundary_zero_rejected():
         range_basis(g, all_finite_region(), "inner")
 
 
+def _disabled(*args, **kwargs):
+    raise AssertionError("the inner gains recomputed the zeros of the basis")
+
+
+def test_inner_gains_read_zeros_from_splitting_form(monkeypatch):
+    # the inner gains test the bad eigenvalues the splitting form
+    # recorded: with no irreducible realization and no general KLF,
+    # range_basis still returns the same gains
+    rng = np.random.default_rng(2024)
+    suite = [random_system(rng, n_max=8) for _ in range(3)]
+    for g in (stable_rank2_continuous(), suite[2]):
+        want = range_basis(g, gains="inner")
+        assert want.sklf.bad_eigenvalues
+        with monkeypatch.context() as mp:
+            mp.setattr("rmfact.dss.irreducible_realization", _disabled)
+            mp.setattr("rmfact.klf.kronecker_like_form", _disabled)
+            got = range_basis(g, gains="inner")
+        assert np.array_equal(got.F, want.F)
+        assert np.array_equal(got.W, want.W)
+    assert g.ts == "discrete"
+
+
 def test_inner_pinned_infinite_zero_rejected():
     # keeping the infinite zero of 1/(s+1) in the basis pins a zero
     # feedthrough, so a continuous inner basis cannot exist
