@@ -257,14 +257,15 @@ def _finite_eigen_points(sys: DescriptorSystem):
     return [a / b for a, b in pairs if not is_infinite(a, b)]
 
 
-def _nonpole_candidates(systems, count: int, rng):
-    """Random complex points farther than 1e-3 times the spectral radius
-    from the finite eigenvalues of A - lambda*E of every given system,
-    drawn until the attempt budget for count points is spent."""
+def _nonpole_candidates(systems, count: int, rng, radius=None):
+    """Random complex points of the given scale, by default the spectral
+    radius (at least 1), farther than 1e-3 times it from the finite
+    eigenvalues of A - lambda*E of every given system, drawn until the
+    attempt budget for count points is spent."""
     if isinstance(systems, DescriptorSystem):
         systems = [systems]
     eigs = [z for sys in systems for z in _finite_eigen_points(sys)]
-    radius = max([1.0] + [abs(z) for z in eigs])
+    radius = max([1.0] + [abs(z) for z in eigs]) if radius is None else radius
     margin = 1e-3 * radius
     for _ in range(100 * count + 100):
         z = complex(rng.standard_normal(), rng.standard_normal()) * radius
@@ -320,13 +321,16 @@ def system_pencil(sys: DescriptorSystem):
 def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig | None = None, rng=None) -> int:
     """Rank of G(lambda) over the rational functions, computed as
     rank S(lambda0) - n at random non-eigenvalue points, cross-checked
-    at a second point."""
+    at a second point. The rank of S is generic, so the points stay at
+    unit scale: scaled to a spurious huge eigenvalue, they would push
+    an infinite Jordan block's 1/|lambda0| singular values under the
+    rank threshold."""
     tol = tol or DEFAULT_TOL
     rng = np.random.default_rng(0) if rng is None else rng
     M, N = system_pencil(sys)
     n = sys.n
-    for _ in range(5):
-        pts = random_nonpole_points(sys, 2, rng)
+    candidates = _nonpole_candidates(sys, 10, rng, radius=1.0)
+    for pts in itertools.islice(zip(candidates, candidates), 5):
         ranks = []
         for z in pts:
             S = M - z * N
@@ -335,7 +339,7 @@ def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig | None = None, rng=N
             ranks.append(int(np.count_nonzero(s > thresh)) - n)
         if ranks[0] == ranks[1]:
             return max(ranks[0], 0)
-    raise StructureError("normal rank probe points kept disagreeing after 5 attempts")
+    raise StructureError("normal rank probe points kept disagreeing or ran out after 5 attempts")
 
 
 # -- irreducible (minimal) realizations --------------------------------------
@@ -379,53 +383,53 @@ def _observable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorS
 
 def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorSystem:
     """Eliminate states violating A N(E) in R(E); the transfer function
-    is preserved exactly by Gaussian elimination of algebraic states."""
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    Emat = sys.e_matrix
-    while True:
-        n = A.shape[0]
-        if n == 0:
-            break
-        # ranked on the pencil's scale, an E of roundoff has rank 0
-        scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(Emat, "fro"))
-        U, _, V, q = thresholded_svd(Emat, staircase_threshold(tol, scale, (n, n)))
-        if q == n:
-            break
-        U2, V2 = U[:, q:], V[:, q:]
-        A22 = U2.T @ A @ V2
-        # the eliminable part of A22 must be solidly nonzero on the
-        # scale of A itself; entries at roundoff level are kept as
-        # dynamic structure rather than divided by
-        U3, _, V3, q2 = thresholded_svd(A22, noise_floor(max(np.linalg.norm(A, "fro"), 1.0), n))
-        if q2 == 0:
-            break
-        # the k kept states first, the q2 eliminated ones last
-        L = np.hstack([U[:, :q], U2 @ U3[:, q2:], U2 @ U3[:, :q2]])
-        R = np.hstack([V[:, :q], V2 @ V3[:, q2:], V2 @ V3[:, :q2]])
-        k = n - q2
-        T, Bt, Ct = L.T @ A @ R, L.T @ B, C @ R
-        X = np.linalg.solve(T[k:, k:], np.hstack([T[k:, :k], Bt[k:]]))
-        A = T[:k, :k] - T[:k, k:] @ X[:, :k]
-        B = Bt[:k] - T[:k, k:] @ X[:, k:]
-        C = Ct[:, :k] - Ct[:, k:] @ X[:, :k]
-        D = D - Ct[:, k:] @ X[:, k:]
-        Emat = L[:, :k].T @ Emat @ R[:, :k]
-    return make_dss(A, Emat if A.shape[0] else None, B, C, D, sys.ts)
+    is preserved exactly by Gaussian elimination of algebraic states.
+    The system comes back as given when it has no such states: no
+    state, E of full rank on the pencil scale, or A22 at the noise
+    floor."""
+    A, Emat, n = sys.A, sys.e_matrix, sys.n
+    if n == 0:
+        return sys
+    # ranked on the pencil's scale, an E of roundoff has rank 0
+    scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(Emat, "fro"))
+    U, _, V, q = thresholded_svd(Emat, staircase_threshold(tol, scale, (n, n)))
+    if q == n:
+        return sys
+    U2, V2 = U[:, q:], V[:, q:]
+    A22 = U2.T @ A @ V2
+    # the eliminable part of A22 must be solidly nonzero on the
+    # scale of A itself; entries at roundoff level are kept as
+    # dynamic structure rather than divided by
+    U3, _, V3, q2 = thresholded_svd(A22, noise_floor(max(np.linalg.norm(A, "fro"), 1.0), n))
+    if q2 == 0:
+        return sys
+    # the k kept states first, the q2 eliminated ones last
+    L = np.hstack([U[:, :q], U2 @ U3[:, q2:], U2 @ U3[:, :q2]])
+    R = np.hstack([V[:, :q], V2 @ V3[:, q2:], V2 @ V3[:, :q2]])
+    k = n - q2
+    T, Bt, Ct = L.T @ A @ R, L.T @ sys.B, sys.C @ R
+    X = np.linalg.solve(T[k:, k:], np.hstack([T[k:, :k], Bt[k:]]))
+    return make_dss(
+        T[:k, :k] - T[:k, k:] @ X[:, :k],
+        L[:, :k].T @ Emat @ R[:, :k] if k else None,
+        Bt[:k] - T[:k, k:] @ X[:, k:],
+        Ct[:, :k] - Ct[:, k:] @ X[:, :k],
+        sys.D - Ct[:, k:] @ X[:, k:],
+        sys.ts,
+    )
 
 
 def irreducible_realization(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> DescriptorSystem:
     """Controllable, observable realization of the same transfer
-    function, with non-dynamic modes removed."""
+    function, with non-dynamic modes removed, in one pass: the
+    controllable part, then its observable part, then the elimination
+    of the non-dynamic states. One pass reaches the fixed point in
+    exact arithmetic: the observable part of a controllable
+    realization stays controllable, and eliminating non-dynamic states
+    through an invertible constant block keeps both properties. A
+    second pass would only rank the roundoff the first one left."""
     tol = tol or DEFAULT_TOL
-    current = sys
-    for _ in range(5):
-        before = current.n
-        current = _controllable_part(current, tol)
-        current = _observable_part(current, tol)
-        current = _remove_nondynamic(current, tol)
-        if current.n == before:
-            break
-    return current
+    return _remove_nondynamic(_observable_part(_controllable_part(sys, tol), tol), tol)
 
 
 # -- poles, zeros, McMillan degree -------------------------------------------

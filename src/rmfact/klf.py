@@ -397,15 +397,6 @@ class SpecialKlf:
         return self.M[rows, self.c1 + self.n_bl + self.r:]
 
 
-def _orth_complement_null(stack, width, thresh):
-    """Orthonormal basis of the null space of a stacked constraint
-    matrix with the given column count; an empty stack leaves the whole
-    space."""
-    if stack.shape[0] == 0:
-        return np.eye(width)
-    return null_basis(stack, thresh)
-
-
 def _check_bad_stabilizable(sys, region, tol, thresh):
     n = sys.n
     Emat = sys.e_matrix
@@ -530,12 +521,12 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig | None = None
     # the trailing rows so the block input matrix stays constant
     V1 = K @ Z_P[:, :c1]
     Erows = Q_P[:, n_rg:].T @ Ns[:r_e, :c_dyn]
-    Z3 = _orth_complement_null(np.vstack([Erows, V1.T]), c_dyn, thresh)
+    Z3 = null_basis(np.vstack([Erows, V1.T]), thresh)
     if Z3.shape[1] != r:
         raise StructureError(
             "trailing block lambda part is not of full row rank; adjust the tolerance"
         )
-    Z2 = _orth_complement_null(np.vstack([V1.T, Z3.T]), c_dyn, thresh)
+    Z2 = null_basis(np.vstack([V1.T, Z3.T]), thresh)
     if Z2.shape[1] != n_bl:
         raise StructureError(
             "kernel completion lost dimensions; adjust the tolerance"

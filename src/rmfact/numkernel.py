@@ -15,6 +15,7 @@ more time wrapping the call than LAPACK spends on the small matrices.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ class ToleranceConfig:
     boundary_offset: float = 0.0
 
     def __post_init__(self):
-        if self.rank_rtol < 0 or self.eig_atol < 0 or self.boundary_offset < 0:
-            raise InputError("tolerance fields must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.rank_rtol, self.eig_atol, self.boundary_offset)):
+            raise InputError("tolerance fields must be finite and nonnegative")
 
     def resolve(self, sigma_max: float, shape) -> float:
         """Absolute rank threshold for a matrix of the given shape whose

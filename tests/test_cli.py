@@ -334,6 +334,15 @@ def test_tol_flag_is_accepted(examples):
     assert rep["results"]["R"]["normal_rank"] == 2
 
 
+@pytest.mark.parametrize("argv", [["--tol", "inf"], ["--tol", "nan"], ["--tol=-1e-12"], ["--boundary-offset", "nan"]])
+def test_nonfinite_or_negative_tolerance_is_exit_2(examples, argv):
+    ex1, _ = examples
+    code, out, err = run_cli(["info", ex1, "--json"] + argv)
+    assert code == 2
+    assert out == ""
+    assert "finite and nonnegative" in err
+
+
 def test_cli_import_leaves_out_scipy_signal():
     src = os.path.dirname(os.path.dirname(os.path.abspath(rmfact.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

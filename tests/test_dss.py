@@ -217,9 +217,14 @@ def test_padding_leaves_realization_order_and_structure(padding):
     systems += [random_system(rng, n_max=8) for _ in range(20)]
     for g in systems:
         h = padded(g, PADDINGS[padding], rng)
-        assert irreducible_realization(h).n == irreducible_realization(g).n
+        red_g, red_h = irreducible_realization(g), irreducible_realization(h)
+        assert red_h.n == red_g.n
+        # one pass reaches the fixed point
+        assert irreducible_realization(red_g).n == red_g.n
+        assert irreducible_realization(red_h).n == red_h.n
         want, got = structure(g), structure(h)
         assert (got.normal_rank, got.mcmillan_degree) == (want.normal_rank, want.mcmillan_degree)
+        assert normal_rank(h) == want.normal_rank
         for w, x in ((want.poles, got.poles), (want.zeros, got.zeros)):
             assert x.infinite_multiplicities == w.infinite_multiplicities
             assert_multiset_close(x.finite, w.finite, tol=1e-6)

@@ -84,6 +84,15 @@ def test_svd_rejects_nonfinite():
         rank_revealing_svd(np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"rank_rtol": -1.0}, {"rank_rtol": np.inf}, {"rank_rtol": np.nan}, {"eig_atol": np.inf}, {"boundary_offset": np.nan}],
+)
+def test_tolerance_fields_must_be_finite_and_nonnegative(kwargs):
+    with pytest.raises(InputError, match="finite and nonnegative"):
+        ToleranceConfig(**kwargs)
+
+
 def test_qr_identity():
     Q, R, perm, rank = pivoted_qr(np.eye(3))
     assert rank == 3
