@@ -258,7 +258,7 @@ def _finite_eigen_points(sys: DescriptorSystem):
 
 
 def _nonpole_candidates(systems, count: int, rng, radius=None):
-    """Random complex points of the given scale, by default the spectral
+    """Random complex points of the given radius, by default the spectral
     radius (at least 1), farther than 1e-3 times it from the finite
     eigenvalues of A - lambda*E of every given system, drawn until the
     attempt budget for count points is spent."""
@@ -321,22 +321,23 @@ def system_pencil(sys: DescriptorSystem):
 def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig | None = None, rng=None) -> int:
     """Rank of G(lambda) over the rational functions, computed as
     rank S(lambda0) - n at random non-eigenvalue points, cross-checked
-    at a second point. The rank of S is generic, so the points stay at
-    unit scale: scaled to a spurious huge eigenvalue, they would push
-    an infinite Jordan block's 1/|lambda0| singular values under the
-    rank threshold."""
+    at a second point. The points are drawn on the pencil's scale
+    ||A||/||E|| (at least 1): drawn on that of a spurious huge eigenvalue,
+    an infinite Jordan block's 1/|lambda0| falls under the threshold."""
     tol = tol or DEFAULT_TOL
     rng = np.random.default_rng(0) if rng is None else rng
     M, N = system_pencil(sys)
-    n = sys.n
-    candidates = _nonpole_candidates(sys, 10, rng, radius=1.0)
-    for pts in itertools.islice(zip(candidates, candidates), 5):
+    norm_e = np.linalg.norm(sys.e_matrix, "fro")
+    radius = max(1.0, np.linalg.norm(sys.A, "fro") / norm_e) if norm_e else 1.0
+    # five attempts of two points each
+    points = list(itertools.islice(_nonpole_candidates(sys, 2 * 5, rng, radius), 2 * 5))
+    for pts in zip(points[0::2], points[1::2]):
         ranks = []
         for z in pts:
             S = M - z * N
             s = svd(S, compute_uv=False)
             thresh = tol.resolve(s[0] if s.size else 0.0, S.shape)
-            ranks.append(int(np.count_nonzero(s > thresh)) - n)
+            ranks.append(int(np.count_nonzero(s > thresh)) - sys.n)
         if ranks[0] == ranks[1]:
             return max(ranks[0], 0)
     raise StructureError("normal rank probe points kept disagreeing or ran out after 5 attempts")

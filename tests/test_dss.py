@@ -230,6 +230,13 @@ def test_padding_leaves_realization_order_and_structure(padding):
             assert_multiset_close(x.finite, w.finite, tol=1e-6)
 
 
+def test_normal_rank_of_fast_pole():
+    # s/(s+1e8): at unit scale det S(z) = -z is buried under the
+    # threshold set by the 1e8 entries
+    g = make_dss(np.array([[-1e8]]), None, np.array([[1.0]]), np.array([[-1e8]]), np.array([[1.0]]), "continuous")
+    assert normal_rank(g) == 1
+
+
 def test_irreducible_removes_nondynamic_modes():
     # E = 0, A invertible: the state contributes a constant -C A^{-1} B
     g = make_dss(
