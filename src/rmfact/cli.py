@@ -14,6 +14,7 @@ realizations, evaluation at a pole), 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -71,6 +72,14 @@ def _int_at_least(low: int):
     return integer
 
 
+def _finite_nonnegative(text: str) -> float:
+    """argparse type accepting only finite numbers >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rmfact",
@@ -114,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--grid", type=_int_at_least(1), default=None, help="number of grid points")
     ver.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the random evaluation points")
     ver.add_argument("--inner", action="store_true", help="also require the left factor to be inner")
-    ver.add_argument("--threshold", type=float, default=VERIFY_THRESHOLD, help="acceptance threshold for all residuals")
+    ver.add_argument("--threshold", type=_finite_nonnegative, default=VERIFY_THRESHOLD, help="acceptance threshold for all residuals")
     ver.add_argument("--json", action="store_true", help="emit the report as JSON on stdout")
     return top
 

@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import EvaluationError, InputError, StructureError
 from .numkernel import (
@@ -176,12 +175,29 @@ def conjugate(sys: DescriptorSystem) -> DescriptorSystem:
     if n == 0:
         return make_dss(sys.A.T, None if sys.E is None else sys.E.T, sys.C.T, sys.B.T, sys.D.T, sys.ts)
     Emat = sys.e_matrix
-    At = scipy.linalg.block_diag(Emat.T, np.eye(n))
-    Et = np.block([[sys.A.T, np.zeros((n, n))], [np.eye(n), np.zeros((n, n))]])
+    At = _diag_blocks(Emat.T, np.eye(n))
+    Et = _block([[sys.A.T, np.zeros((n, n))], [np.eye(n), np.zeros((n, n))]])
     Bt = np.vstack([-sys.C.T, np.zeros((n, p))])
     Ct = np.hstack([np.zeros((m, n)), sys.B.T])
     out = make_dss(At, Et, Bt, Ct, sys.D.T, sys.ts)
     return _remove_nondynamic(out, DEFAULT_TOL)
+
+
+def _block(rows):
+    """The block matrix of a list of block rows, built by the
+    concatenations numpy's block function makes for small arrays: each
+    row, then the rows. np.concatenate keeps the memory order of its
+    inputs, and later BLAS products round by that order."""
+    return np.concatenate([np.concatenate(row, axis=1) for row in rows], axis=0)
+
+
+def _diag_blocks(X, Y):
+    """[X 0; 0 Y] as a new C-order array, as scipy's block-diagonal
+    builder makes it."""
+    out = np.zeros((X.shape[0] + Y.shape[0], X.shape[1] + Y.shape[1]))
+    out[: X.shape[0], : X.shape[1]] = X
+    out[X.shape[0]:, X.shape[1]:] = Y
+    return out
 
 
 def _check_ts(sys1, sys2):
@@ -194,12 +210,12 @@ def stack_vertical(sys1: DescriptorSystem, sys2: DescriptorSystem) -> Descriptor
     _check_ts(sys1, sys2)
     if sys1.m != sys2.m:
         raise InputError("vertical stacking requires equal input counts")
-    A = scipy.linalg.block_diag(sys1.A, sys2.A)
+    A = _diag_blocks(sys1.A, sys2.A)
     E = None
     if sys1.E is not None or sys2.E is not None:
-        E = scipy.linalg.block_diag(sys1.e_matrix, sys2.e_matrix)
+        E = _diag_blocks(sys1.e_matrix, sys2.e_matrix)
     B = np.vstack([sys1.B, sys2.B])
-    C = scipy.linalg.block_diag(sys1.C, sys2.C)
+    C = _diag_blocks(sys1.C, sys2.C)
     D = np.vstack([sys1.D, sys2.D])
     return make_dss(A, E, B, C, D, sys1.ts)
 
@@ -209,11 +225,11 @@ def stack_horizontal(sys1: DescriptorSystem, sys2: DescriptorSystem) -> Descript
     _check_ts(sys1, sys2)
     if sys1.p != sys2.p:
         raise InputError("horizontal stacking requires equal output counts")
-    A = scipy.linalg.block_diag(sys1.A, sys2.A)
+    A = _diag_blocks(sys1.A, sys2.A)
     E = None
     if sys1.E is not None or sys2.E is not None:
-        E = scipy.linalg.block_diag(sys1.e_matrix, sys2.e_matrix)
-    B = scipy.linalg.block_diag(sys1.B, sys2.B)
+        E = _diag_blocks(sys1.e_matrix, sys2.e_matrix)
+    B = _diag_blocks(sys1.B, sys2.B)
     C = np.hstack([sys1.C, sys2.C])
     D = np.hstack([sys1.D, sys2.D])
     return make_dss(A, E, B, C, D, sys1.ts)
@@ -225,10 +241,10 @@ def series(sys1: DescriptorSystem, sys2: DescriptorSystem) -> DescriptorSystem:
     if sys1.m != sys2.p:
         raise InputError("series connection requires inner dimensions to match")
     n1, n2 = sys1.n, sys2.n
-    A = np.block([[sys1.A, sys1.B @ sys2.C], [np.zeros((n2, n1)), sys2.A]])
+    A = _block([[sys1.A, sys1.B @ sys2.C], [np.zeros((n2, n1)), sys2.A]])
     E = None
     if sys1.E is not None or sys2.E is not None:
-        E = scipy.linalg.block_diag(sys1.e_matrix, sys2.e_matrix)
+        E = _diag_blocks(sys1.e_matrix, sys2.e_matrix)
     B = np.vstack([sys1.B @ sys2.D, sys2.B])
     C = np.hstack([sys1.C, sys1.D @ sys2.C])
     D = sys1.D @ sys2.D
@@ -312,7 +328,7 @@ def system_pencil(sys: DescriptorSystem):
     """The system matrix pencil [A B; C D] - lambda*[E 0; 0 0] as the
     pair (M, N)."""
     n, m, p = sys.n, sys.m, sys.p
-    M = np.block([[sys.A, sys.B], [sys.C, sys.D]])
+    M = _block([[sys.A, sys.B], [sys.C, sys.D]])
     N = np.zeros((n + p, n + m))
     N[:n, :n] = sys.e_matrix
     return M, N

@@ -1,21 +1,25 @@
 """Dense numerical kernels: the LAPACK SVD, RQ and QZ bindings,
 rank-revealing decompositions, an exact power-of-2 row scaling, the
-controllability staircase and the ordered generalized Schur (QZ)
-decomposition.
+controllability staircase, the ordered generalized Schur (QZ)
+decomposition and the stabilizing Riccati solver.
 
 Every reduction in this package funnels its rank decisions through the
 helpers here so that a single tolerance policy governs the whole
-computation. `svd` (gesdd), `rq` (gerqf, orgrq) and
-`generalized_eigenvalues` (gges) call LAPACK directly, and no other
-module calls an SVD, RQ or QZ routine; `svd` and `rq` pass the arguments
-and return the results of their scipy.linalg counterparts, which spend
-more time wrapping the call than LAPACK spends on the small matrices.
+computation. `svd` (gesdd), `rq` (gerqf, orgrq),
+`generalized_eigenvalues` (gges), `ordered_generalized_schur` (gges,
+tgsen) and `stabilizing_riccati` (gebal, geqrf, orgqr, gges, tgsen,
+getrf, trtrs) call LAPACK directly, and no other module calls an SVD,
+RQ, QZ or Riccati routine. Apart from `generalized_eigenvalues`, each
+makes the LAPACK calls of its scipy.linalg counterpart and returns its
+results bit for bit: on the small matrices here, scipy's argument
+handling costs more than the LAPACK work.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +99,12 @@ def _require_finite(M):
         raise ValueError("array must not contain infs or NaNs")
 
 
+def _finite_array(M):
+    M = np.asarray(M)
+    _require_finite(M)
+    return M
+
+
 def svd(M, compute_uv: bool = True):
     """Full SVD of a float64 or complex128 matrix by LAPACK gesdd:
     (U, s, Vh) with M = U @ diag(s) @ Vh, or s alone.
@@ -110,18 +120,24 @@ def svd(M, compute_uv: bool = True):
         if not compute_uv:
             return s
         return np.eye(M.shape[0], dtype=M.dtype), s, np.eye(M.shape[1], dtype=M.dtype)
-    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), (M,), ilp64="preferred")
-    work, info = gesdd_lwork(M.shape[0], M.shape[1], compute_uv=compute_uv, full_matrices=True)
-    if info != 0:
-        raise ValueError(f"gesdd workspace query failed: {info}")
-    U, s, Vh, info = gesdd(
-        M, compute_uv=compute_uv, lwork=int(work.real), full_matrices=True, overwrite_a=False
-    )
+    gesdd, lwork = _gesdd(M.dtype, M.shape, compute_uv)
+    U, s, Vh, info = gesdd(M, compute_uv=compute_uv, lwork=lwork, full_matrices=True, overwrite_a=False)
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gesdd")
     return (U, s, Vh) if compute_uv else s
+
+
+@functools.lru_cache(maxsize=None)
+def _gesdd(dtype, shape, compute_uv: bool):
+    """gesdd for dtype and its optimal workspace size for shape, queried
+    once: the binding and the query cost more than a small SVD."""
+    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=dtype, ilp64="preferred")
+    work, info = gesdd_lwork(*shape, compute_uv=compute_uv, full_matrices=True)
+    if info != 0:
+        raise ValueError(f"gesdd workspace query failed: {info}")
+    return gesdd, int(work.real)
 
 
 def rq(M):
@@ -260,8 +276,188 @@ def ordered_generalized_schur(A, E, select) -> OrderedSchurResult:
     def sort_fn(alpha, beta):
         return np.array([bool(select(a, b)) for a, b in zip(alpha, beta)], dtype=bool)
 
-    S, T, alpha, beta, Q, Z = scipy.linalg.ordqz(A, E, sort=sort_fn, output="real")
+    S, T, alpha, beta, Q, Z = _ordered_qz(A, E, sort_fn)
     return OrderedSchurResult(S, T, Q, Z, tuple(_eigenvalue_pairs(alpha, beta)))
+
+
+def _ordered_qz(A, B, select):
+    """Real generalized Schur form (S, T, alpha, beta, Q, Z) of the pencil
+    A - lambda*B by gges, reordered by tgsen so that the eigenvalues for
+    which the boolean array select(alpha, beta) is true lead. The calls,
+    warning and errors of scipy's ordered QZ with sort=select."""
+    gges, tgsen = get_lapack_funcs(("gges", "tgsen"), (A, B))
+    n = A.shape[0]
+    # sort_t=0: gges never calls the selector
+    lwork = gges(lambda *_: None, A, B, lwork=-1)[-2][0].real.astype(int)
+    S, T, _, alphar, alphai, beta, Q, Z, _, info = gges(lambda *_: None, A, B, lwork=lwork, sort_t=0)
+    if info < 0:
+        raise ValueError(f"Illegal value in argument {-info} of gges")
+    if 0 < info <= n:
+        warnings.warn(
+            "The QZ iteration failed. (a,b) are not in Schur form, but ALPHAR(j), ALPHAI(j), "
+            f"and BETA(j) should be correct for J={info - 1},...,N",
+            scipy.linalg.LinAlgWarning,
+            stacklevel=3,
+        )
+    elif info == n + 1:
+        raise np.linalg.LinAlgError("Something other than QZ iteration failed")
+    keep = select(alphar + alphai * 1j, beta)
+    S, T, alphar, alphai, beta, Q, Z, _, _, _, _, info = tgsen(
+        keep, S, T, Q, Z, ijob=0, lwork=4 * n + 16, liwork=1
+    )
+    if info != 0:
+        raise ValueError(
+            "Reordering of (A, B) failed because the transformed matrix pair (A, B) would be too "
+            "far from generalized Schur form; the problem is very ill-conditioned."
+        )
+    return S, T, alphar + alphai * 1j, beta, Q, Z
+
+
+def _left_half_plane(alpha, beta):
+    """Finite eigenvalues alpha/beta with negative real part."""
+    keep = np.zeros(alpha.shape, dtype=bool)
+    finite = beta != 0
+    keep[finite] = (alpha[finite] / beta[finite]).real < 0.0
+    return keep
+
+
+def _inside_unit_circle(alpha, beta):
+    """Finite eigenvalues alpha/beta of modulus below 1."""
+    keep = np.zeros(alpha.shape, dtype=bool)
+    finite = beta != 0
+    keep[finite] = abs(alpha[finite] / beta[finite]) < 1.0
+    return keep
+
+
+def stabilizing_riccati(A, B, Q, R, S, ts: str):
+    """Stabilizing solution X of the algebraic Riccati equation of the
+    real pair (A, B) with weights [Q S; S.T R], S None for zero:
+    A.T X + X A - (X B + S) R^-1 (B.T X + S.T) + Q = 0 for
+    ts "continuous", A.T X A - X - (A.T X B + S) (R + B.T X B)^-1
+    (B.T X A + S.T) + Q = 0 for ts "discrete".
+
+    Bit-identical to scipy's continuous and discrete ARE solvers (e
+    None, s=S, balanced) with the same checks, warning and errors, by
+    the same LAPACK calls on the extended pencil
+    H - lambda J: gebal on |H| + |J| for the symplectic balancing,
+    geqrf and orgqr to deflate the columns of R, gges and tgsen to lead
+    with the stable eigenvalues, and getrf and trtrs to solve for X
+    from the stable deflating subspace. Non-finite or mismatched data, Q
+    or R not symmetric, or in continuous time R numerically singular
+    raise ValueError; a pencil whose stable subspace cannot be
+    isolated, such as one with an eigenvalue on the stability boundary,
+    raises LinAlgError.
+    """
+    if ts not in ("continuous", "discrete"):
+        raise ValueError(f"ts must be 'continuous' or 'discrete', got {ts!r}")
+    continuous = ts == "continuous"
+    a, b, q, r = (np.atleast_2d(_finite_array(M)) for M in (A, B, Q, R))
+    for name, M in zip("aqr", (a, q, r)):
+        if M.shape[0] != M.shape[1]:
+            raise ValueError(f"Matrix {name} should be square.")
+    m, n = b.shape
+    if m != a.shape[0]:
+        raise ValueError("Matrix a and b should have the same number of rows.")
+    if m != q.shape[0]:
+        raise ValueError("Matrix a and q should have the same shape.")
+    if n != r.shape[0]:
+        raise ValueError("Matrix b and r should have the same number of cols.")
+    for name, M in zip("qr", (q, r)):
+        if np.linalg.norm(M - M.T, 1) > np.spacing(np.linalg.norm(M, 1)) * 100:
+            raise ValueError(f"Matrix {name} should be symmetric/hermitian.")
+    if continuous:
+        min_sv = svd(r, compute_uv=False)[-1]
+        if min_sv == 0.0 or min_sv < np.spacing(1.0) * np.linalg.norm(r, 1):
+            raise ValueError("Matrix r is numerically singular.")
+    s = None if S is None else np.atleast_2d(_finite_array(S))
+    if s is not None and s.shape != b.shape:
+        raise ValueError("Matrix b and s should have the same shape.")
+
+    # H - lambda J, rows and columns in the blocks (m, m, n); zero S
+    # leaves +0 blocks
+    N = 2 * m + n
+    H = np.zeros((N, N))
+    J = np.zeros((N, N))
+    H[:m, :m] = a
+    H[:m, 2 * m:] = b
+    H[m:2 * m, :m] = -q
+    if s is not None:
+        H[m:2 * m, 2 * m:] = -s
+        H[2 * m:, :m] = s.T
+    H[2 * m:, 2 * m:] = r
+    if continuous:
+        H[m:2 * m, m:2 * m] = -a.T
+        H[2 * m:, m:2 * m] = b.T
+        J[:2 * m, :2 * m] = np.eye(2 * m)
+    else:
+        H[m:2 * m, m:2 * m] = np.eye(m)
+        J[:m, :m] = np.eye(m)
+        J[m:2 * m, m:2 * m] = a.T
+        J[2 * m:, m:2 * m] = -b.T
+
+    # balance |H| + |J| off its diagonal, then impose diag(D, D^-1, .)
+    # with D the power-of-2 geometric mean of the two halves (Benner)
+    W = np.abs(H) + np.abs(J)
+    np.fill_diagonal(W, 0.0)
+    _require_finite(W)
+    gebal, geqrf, orgqr, getrf, trtrs = get_lapack_funcs(("gebal", "geqrf", "orgqr", "getrf", "trtrs"), (H,))
+    _, lo, hi, ps, _ = gebal(W, scale=1, permute=0)
+    sca = np.ones_like(ps)
+    sca[lo:hi + 1] = ps[lo:hi + 1]
+    # gebal scales by powers of 2, so close to 1 is equal to 1
+    if (sca != 1.0).any():
+        sca = np.log2(sca)
+        half = np.round((sca[m:2 * m] - sca[:m]) / 2)
+        sca = 2 ** np.concatenate([half, -half, sca[2 * m:]])
+        scale = sca[:, None] * np.reciprocal(sca)
+        H *= scale
+        J *= scale
+
+    # deflate the n columns of R: the trailing N - n columns of the full
+    # orthogonal factor of H[:, -n:] span their left null space
+    _require_finite(H[:, -n:])
+    qr, tau = _lapack_call(geqrf, "geqrf", H[:, -n:], overwrite_a=False)
+    full = np.empty((N, N))
+    full[:, :n] = qr
+    U, = _lapack_call(orgqr, "orgqr", full, tau, overwrite_a=1)
+    H = U[:, n:].T.dot(H[:, :2 * m])
+    if continuous:
+        J = U[:2 * m, n:].T.dot(J[:2 * m, :2 * m])
+    else:
+        J = U[:, n:].T.dot(J[:, :2 * m])
+
+    stable = _left_half_plane if continuous else _inside_unit_circle
+    u = _ordered_qz(H, J, stable)[5]
+    u00 = u[:m, :m]
+    u10 = u[m:, :m]
+    _require_finite(u00)
+    lu, piv, _ = getrf(u00)
+    sv = svd(np.triu(lu), compute_uv=False)
+    if sv[-1] == 0 or 1 / (sv[0] / sv[-1]) < np.spacing(1.0):
+        raise np.linalg.LinAlgError("Failed to find a finite solution.")
+    # X = u10 u00^-1 from u00 = P L U: trtrs reads only the triangle of
+    # lu.T it is told to, U.T below and L.T above the diagonal
+    y, _ = trtrs(lu.T, u10.T, lower=1)
+    x, _ = trtrs(lu.T, y, lower=0, unitdiag=1)
+    perm = np.arange(m)
+    for i, p in enumerate(piv):
+        perm[[i, p]] = perm[[p, i]]
+    P = np.zeros((m, m))
+    P[perm, np.arange(m)] = 1.0
+    x = x.T.dot(P.T)
+    x *= sca[:m, None] * sca[:m]
+
+    # the stable subspace of a solvable equation makes u00.T u10 symmetric
+    u_sym = u00.T.dot(u10)
+    n_u_sym = np.linalg.norm(u_sym, 1)
+    u_sym = u_sym - u_sym.T
+    if np.linalg.norm(u_sym, 1) > max(np.spacing(1000.0), 0.1 * n_u_sym):
+        raise np.linalg.LinAlgError(
+            "The associated Hamiltonian pencil has eigenvalues too close to the imaginary axis"
+            if continuous
+            else "The associated symplectic pencil has eigenvalues too close to the unit circle"
+        )
+    return (x + x.T) / 2
 
 
 def generalized_eigenvalues(A, E):

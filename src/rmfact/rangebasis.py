@@ -34,6 +34,7 @@ from .numkernel import (
     ToleranceConfig,
     noise_floor,
     ordered_generalized_schur,
+    stabilizing_riccati,
     svd,
 )
 
@@ -182,16 +183,15 @@ def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig | None = None
     Rc = D.T @ D
     Sc = C1.T @ D
     try:
+        X = stabilizing_riccati(A_c, B_c, Qc, Rc, Sc, ts)
         if ts == "continuous":
-            X = scipy.linalg.solve_continuous_are(A_c, B_c, Qc, Rc, s=Sc)
             F_c = -np.linalg.solve(Rc, B_c.T @ X + Sc.T)
             W = _inv_sqrt_sym(Rc)
         else:
-            X = scipy.linalg.solve_discrete_are(A_c, B_c, Qc, Rc, s=Sc)
             H = B_c.T @ X @ B_c + Rc
             F_c = -np.linalg.solve(H, B_c.T @ X @ A_c + Sc.T)
             W = _inv_sqrt_sym(H)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise FactorizationError(f"inner gain computation failed: {exc}") from None
     return F_c @ Z_c.T, W
 
@@ -222,13 +222,12 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
     A22 = S22 @ np.linalg.inv(T22)
     B2 = (sch.Q.T @ B_c)[kg:, :]
     try:
+        X22 = stabilizing_riccati(A22, B2, np.zeros((kb, kb)), np.eye(r), None, ts)
         if ts == "continuous":
-            X22 = scipy.linalg.solve_continuous_are(A22, B2, np.zeros((kb, kb)), np.eye(r))
             F2 = -B2.T @ X22
         else:
-            X22 = scipy.linalg.solve_discrete_are(A22, B2, np.zeros((kb, kb)), np.eye(r))
             F2 = -np.linalg.solve(B2.T @ X22 @ B2 + np.eye(r), B2.T @ X22 @ A22)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise FactorizationError(f"pole relocation failed: {exc}") from None
     F_c = np.hstack([np.zeros((r, kg)), F2]) @ sch.Q.T
     closed = np.linalg.eigvals(A_c + B_c @ F_c)

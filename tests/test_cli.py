@@ -142,6 +142,16 @@ def test_grid_and_seed_out_of_range_are_exit_2(examples, argv, capsys):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+def test_verify_threshold_must_be_finite_and_nonnegative(examples, value, capsys):
+    ex1, _ = examples
+    with pytest.raises(SystemExit) as done:
+        run_command(["verify", str(ex1), str(ex1), str(ex1), f"--threshold={value}", "--json"])
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --threshold" in err and "finite number >= 0" in err
+
+
 def test_smallest_grid_and_seed_are_accepted(examples):
     ex1, _ = examples
     rep = run_cli_json(["frf", ex1, "--grid", "1", "--seed", "0"])

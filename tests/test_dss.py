@@ -24,7 +24,8 @@ from rmfact import (
     transpose,
     zeros,
 )
-from rmfact.dss import identity_system, nonpole_evaluations
+from rmfact.dss import _remove_nondynamic, identity_system, nonpole_evaluations, system_pencil
+from rmfact.numkernel import DEFAULT_TOL
 
 from support import RELAXED, assert_multiset_close, random_system, rank_deficient_system
 
@@ -305,3 +306,83 @@ def test_stacks_require_matching_ts():
     g2 = identity_system(2, "discrete")
     with pytest.raises(InputError):
         stack_vertical(g1, g2)
+
+
+# the parent constructions of the realization assembly, kept as the
+# reference: later BLAS products round by the memory order of these
+# arrays, so the assembly must keep both their values and their layout
+def reference_series(g, h):
+    A = np.block([[g.A, g.B @ h.C], [np.zeros((h.n, g.n)), h.A]])
+    E = None if g.E is None and h.E is None else scipy.linalg.block_diag(g.e_matrix, h.e_matrix)
+    return make_dss(A, E, np.vstack([g.B @ h.D, h.B]), np.hstack([g.C, g.D @ h.C]), g.D @ h.D, g.ts)
+
+
+def reference_stack_vertical(g, h):
+    E = None if g.E is None and h.E is None else scipy.linalg.block_diag(g.e_matrix, h.e_matrix)
+    return make_dss(
+        scipy.linalg.block_diag(g.A, h.A), E, np.vstack([g.B, h.B]),
+        scipy.linalg.block_diag(g.C, h.C), np.vstack([g.D, h.D]), g.ts,
+    )
+
+
+def reference_stack_horizontal(g, h):
+    E = None if g.E is None and h.E is None else scipy.linalg.block_diag(g.e_matrix, h.e_matrix)
+    return make_dss(
+        scipy.linalg.block_diag(g.A, h.A), E, scipy.linalg.block_diag(g.B, h.B),
+        np.hstack([g.C, h.C]), np.hstack([g.D, h.D]), g.ts,
+    )
+
+
+def reference_conjugate(g):
+    if g.ts == "continuous" or g.n == 0:
+        return conjugate(g)
+    n = g.n
+    At = scipy.linalg.block_diag(g.e_matrix.T, np.eye(n))
+    Et = np.block([[g.A.T, np.zeros((n, n))], [np.eye(n), np.zeros((n, n))]])
+    Bt = np.vstack([-g.C.T, np.zeros((n, g.p))])
+    Ct = np.hstack([np.zeros((g.m, n)), g.B.T])
+    return _remove_nondynamic(make_dss(At, Et, Bt, Ct, g.D.T, g.ts), DEFAULT_TOL)
+
+
+def assert_same_layout(got, want):
+    """Equal bit for bit, zero signs included, in the same memory order."""
+    if want is None:
+        assert got is None
+        return
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (want.flags.c_contiguous, want.flags.f_contiguous)
+
+
+def assert_same_realization(got, want):
+    for name in ("A", "E", "B", "C", "D"):
+        assert_same_layout(getattr(got, name), getattr(want, name))
+
+
+def layout_variants(ts):
+    """Two-input, two-output realizations whose matrices are F-ordered
+    (built by transpose), strided views, or empty (no states)."""
+    rng = np.random.default_rng(5)
+    A, E, B, C, D = (rng.standard_normal(shape) for shape in ((4, 4), (4, 4), (4, 2), (2, 4), (2, 2)))
+    big = rng.standard_normal((12, 12))
+    strided = big[:8:2, :8:2], big[1:8:2, 1:8:2], big[:8:2, -2:], big[-2:, :8:2], big[-2:, -2:]
+    return [
+        transpose(make_dss(A, None, B, C, D, ts)),
+        transpose(make_dss(A, E, B, C, D, ts)),
+        make_dss(*strided, ts),
+        make_dss(np.zeros((0, 0)), None, np.zeros((0, 2)), np.zeros((2, 0)), D, ts),
+    ]
+
+
+@pytest.mark.parametrize("ts", ["continuous", "discrete"])
+def test_assembly_keeps_the_block_constructions_layout(ts):
+    systems = layout_variants(ts)
+    assert systems[0].A.flags.f_contiguous and not systems[0].A.flags.c_contiguous
+    assert not (systems[2].A.flags.c_contiguous or systems[2].A.flags.f_contiguous)
+    for g in systems:
+        M, _ = system_pencil(g)
+        assert_same_layout(M, np.block([[g.A, g.B], [g.C, g.D]]))
+        assert_same_realization(conjugate(g), reference_conjugate(g))
+        for h in systems:
+            assert_same_realization(series(g, h), reference_series(g, h))
+            assert_same_realization(stack_vertical(g, h), reference_stack_vertical(g, h))
+            assert_same_realization(stack_horizontal(g, h), reference_stack_horizontal(g, h))

@@ -1,9 +1,9 @@
 """Import hygiene of the package, checked with the stdlib ast module:
 every module uses each name it imports (a stand-in for a linter's
 unused-import check), every function reads each of its parameters,
-and only numkernel may bind the LAPACK SVD, RQ and QZ routines or
-scipy's lu_factor and lu_solve, or take a matrix 2-norm (an SVD), so
-every call goes through its kernels."""
+and only numkernel may bind the LAPACK SVD, RQ and QZ routines, scipy's
+lu_factor and lu_solve or its Riccati solvers, or take a matrix 2-norm
+(an SVD), so every call goes through its kernels."""
 
 import ast
 import pathlib
@@ -104,6 +104,8 @@ KERNELS = {
     "scipy.linalg.rq",
     "scipy.linalg.qz",
     "scipy.linalg.ordqz",
+    "scipy.linalg.solve_continuous_are",
+    "scipy.linalg.solve_discrete_are",
 }
 
 

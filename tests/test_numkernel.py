@@ -58,6 +58,75 @@ def test_kernels_reject_nonfinite_like_scipy(name, kwargs, bad):
         kernel(M, **kwargs)
 
 
+def riccati_data(ts, k, with_s, spread, seed=3):
+    """(A, B, Q, R, S) of a random output weighting [C D].T [C D]; with
+    spread, a diagonal state similarity puts A's entries 1e-6..1e6 apart,
+    which makes the balancing scale the pencil."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((k, k))
+    B = rng.standard_normal((k, 2))
+    C = rng.standard_normal((2, k))
+    D = rng.standard_normal((2, 2))
+    if spread:
+        d = 10.0 ** np.linspace(-3.0, 3.0, k) if k > 1 else np.array([1e6])
+        A, B, C = d[:, None] * A / d, d[:, None] * B, C / d
+    R = D.T @ D + (np.eye(2) if ts == "continuous" else 0.0)
+    return A, B, C.T @ C, R, C.T @ D if with_s else None
+
+
+def riccati_reference(ts):
+    return scipy.linalg.solve_continuous_are if ts == "continuous" else scipy.linalg.solve_discrete_are
+
+
+def assert_riccati_like_scipy(A, B, Q, R, S, ts):
+    """The kernel returns scipy's X bit for bit, or raises its error."""
+    try:
+        want = riccati_reference(ts)(A, B, Q, R, s=S)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            numkernel.stabilizing_riccati(A, B, Q, R, S, ts)
+        assert str(got.value) == str(exc)
+        return exc
+    got = numkernel.stabilizing_riccati(A, B, Q, R, S, ts)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+    return None
+
+
+@pytest.mark.parametrize("spread", [False, True], ids=["unit", "spread"])
+@pytest.mark.parametrize("with_s", [False, True], ids=["no-s", "s"])
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("ts", ["continuous", "discrete"])
+def test_riccati_kernel_matches_scipy(ts, k, with_s, spread):
+    assert assert_riccati_like_scipy(*riccati_data(ts, k, with_s, spread), ts) is None
+
+
+def riccati_failure_data(ts, case):
+    if case == "boundary-mode":
+        # an eigenvalue on the stability boundary that B does not reach
+        on_boundary, stable = (0.0, -0.5) if ts == "continuous" else (1.0, 0.5)
+        return np.diag([on_boundary, stable]), np.array([[0.0], [1.0]]), np.eye(2), np.eye(1), None
+    A, B, Q, R, S = riccati_data(ts, 3, True, False)
+    if case == "singular-r":
+        return A, B, Q, np.zeros((2, 2)), S
+    A[1, 2] = np.nan
+    return A, B, Q, R, S
+
+
+@pytest.mark.parametrize(
+    "ts, case, error",
+    [
+        ("continuous", "boundary-mode", np.linalg.LinAlgError),
+        ("discrete", "boundary-mode", np.linalg.LinAlgError),
+        ("continuous", "singular-r", ValueError),
+        ("continuous", "nonfinite", ValueError),
+        ("discrete", "nonfinite", ValueError),
+    ],
+)
+def test_riccati_kernel_fails_like_scipy(ts, case, error):
+    assert isinstance(assert_riccati_like_scipy(*riccati_failure_data(ts, case), ts), error)
+
+
 def test_svd_identity():
     U, s, V, rank = rank_revealing_svd(np.eye(2))
     assert rank == 2

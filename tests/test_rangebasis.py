@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from rmfact import (
     FactorizationError,
@@ -165,22 +164,29 @@ def test_stabilize_moves_poles():
         assert poles(rr.R).infinite_multiplicities == ()
 
 
-def test_stabilizing_riccati_failure_is_a_factorization_error(monkeypatch):
+def assert_riccati_failure_is_a_factorization_error(monkeypatch, gains, message):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("forced")
 
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", fail)
-    monkeypatch.setattr(scipy.linalg, "solve_discrete_are", fail)
+    monkeypatch.setattr("rmfact.rangebasis.stabilizing_riccati", fail)
     rng = np.random.default_rng(17)
     for _ in range(50):
         try:
-            range_basis(random_system(rng), gains="stable")
+            range_basis(random_system(rng), gains=gains)
         except FactorizationError as exc:
-            assert str(exc) == "pole relocation failed: forced"
+            assert str(exc) == message
             return
         except StructureError:
             continue
-    pytest.fail("no system needed pole relocation")
+    pytest.fail(f"no system needed a Riccati solve for gains={gains!r}")
+
+
+def test_stabilizing_riccati_failure_is_a_factorization_error(monkeypatch):
+    assert_riccati_failure_is_a_factorization_error(monkeypatch, "stable", "pole relocation failed: forced")
+
+
+def test_inner_riccati_failure_is_a_factorization_error(monkeypatch):
+    assert_riccati_failure_is_a_factorization_error(monkeypatch, "inner", "inner gain computation failed: forced")
 
 
 def test_inner_boundary_zero_rejected():
