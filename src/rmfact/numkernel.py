@@ -1,34 +1,88 @@
-"""Dense numerical kernels: the LAPACK SVD, RQ and QZ bindings,
-rank-revealing decompositions, an exact power-of-2 row scaling, the
-controllability staircase, the ordered generalized Schur (QZ)
-decomposition and the stabilizing Riccati solver.
+"""Dense numerical kernels: the LAPACK SVD, RQ, QZ and linear-solve
+bindings, rank-revealing decompositions, an exact power-of-2 row
+scaling, the controllability staircase, the ordered generalized Schur
+(QZ) decomposition and the stabilizing Riccati solver.
 
 Every reduction in this package funnels its rank decisions through the
 helpers here so that a single tolerance policy governs the whole
 computation. `svd` (gesdd), `rq` (gerqf, orgrq),
 `generalized_eigenvalues` (gges), `ordered_generalized_schur` (gges,
-tgsen) and `stabilizing_riccati` (gebal, geqrf, orgqr, gges, tgsen,
-getrf, trtrs) call LAPACK directly, and no other module calls an SVD,
-RQ, QZ or Riccati routine. Apart from `generalized_eigenvalues`, each
-makes the LAPACK calls of its scipy.linalg counterpart and returns its
+tgsen), `stabilizing_riccati` (gebal, geqrf, orgqr, gges, tgsen,
+getrf, trtrs) and `solve` (getrf, potrf, sytrf and their kin) call
+LAPACK directly, and no other module calls an SVD, RQ, QZ, Riccati or
+linear-solve routine. Apart from `generalized_eigenvalues`, each makes
+the LAPACK calls of its scipy.linalg counterpart and returns its
 results bit for bit: on the small matrices here, scipy's argument
 handling costs more than the LAPACK work.
+
+The routines are the function objects of scipy's compiled wrapper
+module `scipy.linalg._flapack` (and `_flapack_64` in an ILP64 build),
+the ones scipy.linalg.lapack.get_lapack_funcs hands out. The module is
+loaded from its file, because importing the scipy.linalg package that
+holds it would load all of scipy.linalg and take about half of a cold
+`rmfact` command's time; where the file cannot be loaded, the module
+comes from scipy.linalg.lapack instead. Only this module imports scipy,
+and it imports scipy.linalg itself only where that is rarely needed:
+in `pivoted_qr`, and to warn of a failed QZ iteration or an
+ill-conditioned solve.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import get_lapack_funcs
+import scipy
 
 from .exceptions import InputError, StructureError
 
 EPS = float(np.finfo(float).eps)
+
+
+def _compiled(name: str):
+    """scipy's compiled module scipy.linalg.<name>, loaded from its file
+    under scipy's package path without running the scipy.linalg
+    package's __init__, and registered under its full name so that a
+    later import of scipy.linalg shares it."""
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.machinery.PathFinder.find_spec(full, [os.path.join(p, "linalg") for p in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"no compiled module {full} under {scipy.__path__}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(full, module)
+
+
+# the wrapper modules behind scipy.linalg.lapack, _flapack_64 only in an
+# ILP64 build; a scipy without the file or the build record (older than
+# 1.11) takes them from scipy.linalg.lapack itself
+try:
+    _flapack = _compiled("_flapack")
+    _ilp64 = scipy.__config__.CONFIG["Build Dependencies"]["lapack"]["has ilp64"]
+    _flapack_64 = _compiled("_flapack_64") if _ilp64 else None
+except (ImportError, AttributeError, KeyError):
+    from scipy.linalg.lapack import _flapack, _flapack_64
+
+# scipy's names of the complex routines behind the real orthogonal ones
+_COMPLEX_ALIASES = {"orgqr": "ungqr", "orgrq": "ungrq"}
+
+
+def _lapack(names, dtype, module=_flapack):
+    """The compiled LAPACK routines names of module for a float64 or
+    complex128 dtype: the very objects get_lapack_funcs(names,
+    dtype=dtype) returns."""
+    if np.dtype(dtype).kind == "c":
+        return [getattr(module, "z" + _COMPLEX_ALIASES.get(name, name)) for name in names]
+    return [getattr(module, "d" + name) for name in names]
 
 
 @dataclass(frozen=True)
@@ -133,7 +187,7 @@ def svd(M, compute_uv: bool = True):
 def _gesdd(dtype, shape, compute_uv: bool):
     """gesdd for dtype and its optimal workspace size for shape, queried
     once: the binding and the query cost more than a small SVD."""
-    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=dtype, ilp64="preferred")
+    gesdd, gesdd_lwork = _lapack(("gesdd", "gesdd_lwork"), dtype, _flapack_64 or _flapack)
     work, info = gesdd_lwork(*shape, compute_uv=compute_uv, full_matrices=True)
     if info != 0:
         raise ValueError(f"gesdd workspace query failed: {info}")
@@ -149,7 +203,7 @@ def rq(M):
     m, n = M.shape
     if M.size == 0:
         return np.empty_like(M), np.eye(n, dtype=M.dtype)
-    gerqf, orgrq = get_lapack_funcs(("gerqf", "orgrq"), (M,))
+    gerqf, orgrq = _lapack(("gerqf", "orgrq"), M.dtype)
     rqf, tau = _lapack_call(gerqf, "gerqf", M, overwrite_a=False)
     R = np.where(_upper_trapezoid(m, n), rqf, 0)
     if n < m:
@@ -176,6 +230,82 @@ def _lapack_call(f, name, *args, **kwargs):
     if out[-1] < 0:
         raise ValueError(f"illegal value in argument {-out[-1]} of {name}")
     return out[:-2]
+
+
+def solve(a, b):
+    """Solution x of a @ x = b for a square float64 a and a float64
+    matrix b, as a new C-order array.
+
+    Bit-identical to scipy 1.17's scipy.linalg.solve(a, b), by the same
+    structure tests and LAPACK calls: a 1 x 1 a divides, a diagonal one
+    multiplies by the reciprocal diagonal, a triangular one calls trtrs,
+    a tridiagonal one of order above 3 gttrf, an exactly symmetric one
+    potrf, or sytrf when potrf fails, and any other getrf. A singular a
+    raises LinAlgError, and an estimated reciprocal condition number
+    below eps warns LinAlgWarning, with scipy's messages.
+    """
+    a, b = _finite_array(a), _finite_array(b)
+    n = a.shape[0]
+    if a.shape != (n, n) or b.ndim != 2 or b.shape[0] != n:
+        raise ValueError(f"incompatible shapes: {a.shape=} and {b.shape=}")
+    if a.size == 0 or b.size == 0:
+        return np.empty_like(b)
+    if n == 1:
+        if a[0, 0] == 0:
+            raise np.linalg.LinAlgError("A singular matrix detected.")
+        return b / a
+    rows, cols = np.nonzero(a)
+    below, above = (rows - cols).max(initial=0), (cols - rows).max(initial=0)
+    # the norm of a that scipy's condition estimates take, but for a
+    # tridiagonal a: the row-sum norm, summed left to right
+    anorm = _lapack(("lange",), a.dtype)[0]("I", a)
+    if below == above == 0:
+        d = np.diag(a)
+        _raise_if_singular(not d.all())
+        x = b * (1 / d)[:, None]
+        # scipy reports the condition number itself as rcond
+        rcond, shown = np.abs(d).min() / np.abs(d).max(), np.abs(d).max() / np.abs(d).min()
+    elif below == 0 or above == 0:
+        trtrs, trcon = _lapack(("trtrs", "trcon"), a.dtype)
+        x, info = trtrs(a, b, lower=above == 0)
+        _raise_if_singular(info > 0)
+        rcond = shown = trcon(a, norm="1", uplo="L" if above == 0 else "U")[0]
+    elif below == above == 1 and n > 3:
+        gttrf, gttrs, gtcon = _lapack(("gttrf", "gttrs", "gtcon"), a.dtype)
+        *lu, info = gttrf(np.diag(a, -1), np.diag(a), np.diag(a, 1))
+        _raise_if_singular(info > 0)
+        x, _ = gttrs(*lu, b)
+        # its norm there: the column-sum norm, summed bottom to top
+        rcond = shown = gtcon(*lu, np.abs(a[::-1]).sum(axis=0).max())[0]
+    elif (a == a.T).all():
+        potrf, potrs, pocon = _lapack(("potrf", "potrs", "pocon"), a.dtype)
+        c, info = potrf(a)
+        if info == 0:
+            x, _ = potrs(c, b)
+            rcond = shown = pocon(c, anorm)[0]
+        else:
+            sytrf, sytrf_lwork, sytrs, sycon = _lapack(("sytrf", "sytrf_lwork", "sytrs", "sycon"), a.dtype)
+            lu, ipiv, info = sytrf(a, lwork=int(sytrf_lwork(n)[0]))
+            _raise_if_singular(info > 0)
+            x, _ = sytrs(lu, ipiv, b)
+            rcond = shown = sycon(lu, ipiv, anorm)[0]
+    else:
+        getrf, getrs, gecon = _lapack(("getrf", "getrs", "gecon"), a.dtype)
+        lu, piv, info = getrf(a)
+        _raise_if_singular(info > 0)
+        x, _ = getrs(lu, piv, b)
+        rcond = shown = gecon(lu, anorm)[0]
+    if rcond < EPS:
+        from scipy.linalg import LinAlgWarning
+
+        warnings.warn(f"An ill-conditioned matrix detected: slice 0 has rcond = {shown}.", LinAlgWarning, stacklevel=2)
+    return np.ascontiguousarray(x)
+
+
+def _raise_if_singular(singular: bool):
+    """scipy's LinAlgError for a matrix found exactly singular."""
+    if singular:
+        raise np.linalg.LinAlgError("A singular matrix detected: slice(s) [0] are singular.")
 
 
 def rank_revealing_svd(M, tol: ToleranceConfig | None = None):
@@ -205,6 +335,8 @@ def pivoted_qr(M, tol: ToleranceConfig | None = None):
     M = _as_matrix(M)
     if min(M.shape) == 0:
         return np.eye(M.shape[0]), np.zeros(M.shape), np.arange(M.shape[1]), 0
+    import scipy.linalg
+
     Q, R, perm = scipy.linalg.qr(M, pivoting=True)
     diag = np.abs(np.diag(R))
     scale = diag[0] if diag.size else 0.0
@@ -285,7 +417,7 @@ def _ordered_qz(A, B, select):
     A - lambda*B by gges, reordered by tgsen so that the eigenvalues for
     which the boolean array select(alpha, beta) is true lead. The calls,
     warning and errors of scipy's ordered QZ with sort=select."""
-    gges, tgsen = get_lapack_funcs(("gges", "tgsen"), (A, B))
+    gges, tgsen = _lapack(("gges", "tgsen"), A.dtype)
     n = A.shape[0]
     # sort_t=0: gges never calls the selector
     lwork = gges(lambda *_: None, A, B, lwork=-1)[-2][0].real.astype(int)
@@ -293,10 +425,12 @@ def _ordered_qz(A, B, select):
     if info < 0:
         raise ValueError(f"Illegal value in argument {-info} of gges")
     if 0 < info <= n:
+        from scipy.linalg import LinAlgWarning
+
         warnings.warn(
             "The QZ iteration failed. (a,b) are not in Schur form, but ALPHAR(j), ALPHAI(j), "
             f"and BETA(j) should be correct for J={info - 1},...,N",
-            scipy.linalg.LinAlgWarning,
+            LinAlgWarning,
             stacklevel=3,
         )
     elif info == n + 1:
@@ -400,7 +534,7 @@ def stabilizing_riccati(A, B, Q, R, S, ts: str):
     W = np.abs(H) + np.abs(J)
     np.fill_diagonal(W, 0.0)
     _require_finite(W)
-    gebal, geqrf, orgqr, getrf, trtrs = get_lapack_funcs(("gebal", "geqrf", "orgqr", "getrf", "trtrs"), (H,))
+    gebal, geqrf, orgqr, getrf, trtrs = _lapack(("gebal", "geqrf", "orgqr", "getrf", "trtrs"), H.dtype)
     _, lo, hi, ps, _ = gebal(W, scale=1, permute=0)
     sca = np.ones_like(ps)
     sca[lo:hi + 1] = ps[lo:hi + 1]
@@ -468,7 +602,7 @@ def generalized_eigenvalues(A, E):
     E = _as_matrix(E, "E")
     if A.shape[0] == 0:
         return []
-    gges, = get_lapack_funcs(("gges",), (A, E))
+    gges, = _lapack(("gges",), A.dtype)
     _, _, _, alphar, alphai, beta, _, _, _, info = gges(
         lambda *_: 0, A, E, jobvsl=0, jobvsr=0, sort_t=0, overwrite_a=False, overwrite_b=False
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dss import DescriptorSystem, controllable_bases, make_dss
 from .exceptions import FactorizationError, InputError
@@ -34,6 +33,7 @@ from .numkernel import (
     ToleranceConfig,
     noise_floor,
     ordered_generalized_schur,
+    solve,
     stabilizing_riccati,
     svd,
 )
@@ -108,7 +108,7 @@ def cofactor(sys: DescriptorSystem, rr: RangeResult) -> DescriptorSystem:
         CD = np.zeros((0, sys.n + sys.m))
     else:
         block = np.hstack([np.zeros((r, c1)), -rr.F, np.eye(r), np.zeros((r, m_n))])
-        CD = scipy.linalg.solve(rr.W, block) @ sk.Z.T
+        CD = solve(rr.W, block) @ sk.Z.T
     Ct = CD[:, : sys.n]
     Dt = CD[:, sys.n:]
     return make_dss(sys.A, sys.E, sys.B, Ct, Dt, sys.ts)

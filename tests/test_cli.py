@@ -353,14 +353,47 @@ def test_nonfinite_or_negative_tolerance_is_exit_2(examples, argv):
     assert "finite and nonnegative" in err
 
 
-def test_cli_import_leaves_out_scipy_signal():
+# which of the two costly scipy packages are loaded, after `import
+# rmfact.cli` and after the given commands have run in the same process
+HYGIENE_PROBE = """
+import contextlib, io, json, sys
+import rmfact.cli
+def loaded():
+    return [name for name in ("scipy.signal", "scipy.linalg") if name in sys.modules]
+report = {"import": loaded(), "codes": []}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        report["codes"].append(rmfact.cli.run_command(argv + ["--json"]))
+report["run"] = loaded()
+print(json.dumps(report))
+"""
+
+
+def test_cli_import_leaves_out_scipy_signal(tmp_path):
+    # every subcommand on both example systems, so that no path of a
+    # cold command loads either package lazily
+    argvs = []
+    for name, argv in GOLDEN_COMMANDS.items():
+        for ex in (EX1, EX2):
+            run = [argv[0], ex] + argv[2:]
+            if argv[0] == "verify":
+                fr = full_rank_factorize(parse_system_file(str(REPO / ex)))
+                stem = pathlib.Path(ex).stem
+                run += [write_system_file(fr.left, str(tmp_path / f"L_{stem}.json")),
+                        write_system_file(fr.right, str(tmp_path / f"R_{stem}.json"))]
+            if run not in argvs:
+                argvs.append(run)
+    assert sorted({a[0] for a in argvs}) == sorted(
+        ["info", "frf", "dual-frf", "nrcf", "pinv", "iofac", "klf", "sklf", "range", "eval", "verify"]
+    )
     src = os.path.dirname(os.path.dirname(os.path.abspath(rmfact.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, rmfact.cli; print('scipy.signal' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+        [sys.executable, "-c", HYGIENE_PROBE, json.dumps(argvs)],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=300, check=True,
     )
-    assert done.stdout.strip() == "False"
+    report = json.loads(done.stdout)
+    assert report == {"import": [], "codes": [0] * len(argvs), "run": []}
 
 
 # `rmfact <cmd> --json` reports on the shipped example systems, pinned

@@ -1,9 +1,12 @@
 """Import hygiene of the package, checked with the stdlib ast module:
 every module uses each name it imports (a stand-in for a linter's
 unused-import check), every function reads each of its parameters,
-and only numkernel may bind the LAPACK SVD, RQ and QZ routines, scipy's
-lu_factor and lu_solve or its Riccati solvers, or take a matrix 2-norm
-(an SVD), so every call goes through its kernels."""
+only numkernel imports scipy, and only numkernel may bind the LAPACK
+SVD, RQ and QZ routines, scipy's lu_factor, lu_solve and solve or its
+Riccati solvers, or take a matrix 2-norm (an SVD), so every call goes
+through its kernels. numkernel loads scipy's compiled LAPACK module
+without the scipy.linalg package, which a cold CLI process would
+otherwise spend about half its time importing."""
 
 import ast
 import pathlib
@@ -101,6 +104,7 @@ KERNELS = {
     "numpy.linalg.svd",
     "scipy.linalg.lu_factor",
     "scipy.linalg.lu_solve",
+    "scipy.linalg.solve",
     "scipy.linalg.rq",
     "scipy.linalg.qz",
     "scipy.linalg.ordqz",
@@ -193,3 +197,39 @@ def test_kernel_checker_flags_every_spelling():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != KERNEL_HOME])
 def test_lapack_kernels_have_one_home(module):
     assert kernel_references((PACKAGE / module).read_text()) == []
+
+
+def scipy_imports(source: str) -> list:
+    """Import statements anywhere in source that load scipy or one of its
+    modules, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy":
+            found.append((node.lineno, node.module))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_scipy_import_checker_flags_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "import scipy\n"
+        "import os, scipy.linalg as sla\n"
+        "from scipy import linalg\n"
+        "from .numkernel import svd\n"
+        "def f():\n"
+        "    from scipy.linalg.lapack import get_lapack_funcs\n"
+        "    return get_lapack_funcs\n"
+    )
+    assert scipy_imports(source) == [
+        "line 2: scipy",
+        "line 3: scipy.linalg",
+        "line 4: scipy",
+        "line 7: scipy.linalg.lapack",
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != KERNEL_HOME] + ["__init__.py"])
+def test_only_numkernel_imports_scipy(module):
+    assert scipy_imports((PACKAGE / module).read_text()) == []

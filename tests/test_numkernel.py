@@ -1,3 +1,11 @@
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -125,6 +133,230 @@ def riccati_failure_data(ts, case):
 )
 def test_riccati_kernel_fails_like_scipy(ts, case, error):
     assert isinstance(assert_riccati_like_scipy(*riccati_failure_data(ts, case), ts), error)
+
+
+def solve_matrix(kind, r, rng):
+    """A random r x r matrix of one of the structures scipy's solve tells
+    apart; the symmetric ones exactly symmetric."""
+    M = rng.standard_normal((r, r))
+    if kind == "identity":
+        return np.eye(r)
+    if kind == "diagonal":
+        return np.diag(M[0] * 10.0 ** np.linspace(-3.0, 3.0, r))
+    if kind == "spd":
+        S = M @ M.T + r * np.eye(r)
+        return (S + S.T) / 2
+    if kind == "sym-indefinite":
+        S = M + M.T
+        S[0, 0], S[-1, -1] = -abs(S[0, 0]) - 1.0, abs(S[-1, -1]) + 1.0
+        return S
+    if kind == "upper":
+        return np.triu(M) + 3.0 * np.eye(r)
+    if kind == "lower":
+        return np.tril(M) + 3.0 * np.eye(r)
+    if kind == "tridiagonal":
+        return np.triu(np.tril(M, 1), -1) + 3.0 * np.eye(r)
+    return M
+
+
+def assert_solve_like_scipy(a, b):
+    """The kernel returns scipy's x bit for bit and in C order, or raises
+    its error, and it warns as scipy does. Returns scipy's result or
+    error and the categories of its warnings."""
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        try:
+            want = scipy.linalg.solve(a, b)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            want = exc
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as got:
+                numkernel.solve(a, b)
+            assert str(got.value) == str(want)
+        else:
+            got = numkernel.solve(a, b)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous and want.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+    assert [(w.category, str(w.message)) for w in got_warnings] == [
+        (w.category, str(w.message)) for w in want_warnings
+    ]
+    return want, [w.category for w in want_warnings]
+
+
+SOLVE_KINDS = ["identity", "diagonal", "spd", "sym-indefinite", "upper", "lower", "tridiagonal", "general"]
+
+
+# the cofactor's solve; its C order matters, since the product that
+# follows rounds differently on a Fortran-order operand
+@pytest.mark.parametrize("kind", SOLVE_KINDS)
+@pytest.mark.parametrize("r", range(1, 7))
+def test_solve_kernel_matches_scipy(kind, r):
+    rng = np.random.default_rng([r, SOLVE_KINDS.index(kind)])
+    a = solve_matrix(kind, r, rng)
+    for k in (1, 2, 7, 45):
+        b = rng.standard_normal((r, k)) * 10.0 ** rng.integers(-3, 4, (r, 1))
+        b[rng.random((r, k)) < 0.2] = -0.0
+        want, warned = assert_solve_like_scipy(a, b)
+        assert isinstance(want, np.ndarray) and warned == []
+
+
+# order 70 is above sytrf's block size, where its result depends on the
+# workspace size
+@pytest.mark.parametrize("r", [5, 70])
+def test_solve_kernel_takes_the_symmetric_fallback_in_every_layout(r):
+    a = solve_matrix("sym-indefinite", r, np.random.default_rng(r))
+    assert numkernel._flapack.dpotrf(a)[1] > 0
+    b = np.random.default_rng(6).standard_normal((r, 9))
+    for a_, b_ in [(a, b), (np.asfortranarray(a), b), (a, np.asfortranarray(b)), (a[:, ::-1][:, ::-1], b[:, ::-1])]:
+        assert_solve_like_scipy(a_, b_)
+
+
+def ill_conditioned(kind, r=5):
+    a = solve_matrix(kind, r, np.random.default_rng(r))
+    scale = np.diag(10.0 ** (-6.0 * np.arange(r)))
+    return (scale @ a @ scale + (scale @ a @ scale).T) / 2 if kind in ("spd", "sym-indefinite") else a @ scale
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.zeros((1, 1)),
+        np.zeros((3, 3)),
+        np.diag([1.0, 0.0, 2.0]),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+        np.array([[1.0, 2.0], [3.0, 6.0]]),
+        np.triu(np.ones((4, 4))) - np.diag([0.0, 0.0, 1.0, 0.0]),
+        np.diag([1.0, 1.0, 0.0, 0.0]) + np.diag([1.0, 1.0, 1.0], 1) + np.diag([1.0, 0.0, 0.0], -1),
+    ],
+    ids=["1x1", "zero", "diagonal", "symmetric", "general", "triangular", "tridiagonal"],
+)
+def test_solve_kernel_raises_scipys_error_on_a_singular_matrix(a):
+    want, _ = assert_solve_like_scipy(a, np.ones((a.shape[0], 3)))
+    assert isinstance(want, np.linalg.LinAlgError)
+
+
+# the last one's largest column sum rounds to 1 top down and above 1
+# bottom up, the order of scipy's tridiagonal norm
+@pytest.mark.parametrize(
+    "a",
+    [ill_conditioned(kind) for kind in SOLVE_KINDS if kind != "identity"]
+    + [np.array([[0.5, 1.0, 0.0, 0.0], [0.25, 1e-16, 0.0, 0.0], [0.0, 1e-16, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5 + 2.0**-53]])],
+    ids=[kind for kind in SOLVE_KINDS if kind != "identity"] + ["tridiagonal-norm-order"],
+)
+def test_solve_kernel_warns_like_scipy_below_eps(a):
+    want, warned = assert_solve_like_scipy(a, np.ones((a.shape[0], 2)))
+    assert isinstance(want, np.ndarray) and warned == [scipy.linalg.LinAlgWarning]
+
+
+@pytest.mark.parametrize("small, warns", [(numkernel.EPS, False), (0.99 * numkernel.EPS, True)])
+def test_solve_kernel_warns_only_below_eps(small, warns):
+    _, warned = assert_solve_like_scipy(np.diag([1.0, small]), np.ones((2, 1)))
+    assert warned == ([scipy.linalg.LinAlgWarning] if warns else [])
+
+
+def test_solve_kernel_rejects_nonfinite_and_mismatched_data_like_scipy():
+    assert isinstance(assert_solve_like_scipy(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones((2, 1)))[0], ValueError)
+    assert isinstance(assert_solve_like_scipy(np.eye(2), np.array([[np.inf], [1.0]]))[0], ValueError)
+    with pytest.raises(ValueError):
+        numkernel.solve(np.eye(2), np.ones((3, 1)))
+
+
+def lapack_names():
+    """Every routine name numkernel binds through _lapack, read from its
+    source."""
+    names = set()
+    for node in ast.walk(ast.parse(pathlib.Path(numkernel.__file__).read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_lapack":
+            names.update(ast.literal_eval(node.args[0]))
+    return sorted(names)
+
+
+# each bound routine is the very object scipy.linalg.lapack hands out,
+# whichever of scipy.linalg and rmfact is imported first, and also when
+# the compiled module cannot be loaded from its file
+BINDING_PROBE = """
+import importlib.util, json, sys
+names, order = json.loads(sys.argv[1]), sys.argv[2]
+if order == "no-file":
+    load = importlib.util.module_from_spec
+    def refuse(spec):
+        if spec.name.startswith("scipy.linalg._flapack"):
+            raise ImportError("refused")
+        return load(spec)
+    importlib.util.module_from_spec = refuse
+if order == "scipy-first":
+    import scipy.linalg.lapack
+import numpy as np
+from rmfact import numkernel
+linalg_loaded = "scipy.linalg" in sys.modules
+from scipy.linalg.lapack import get_lapack_funcs
+differ = [
+    (name, np.dtype(dtype).name)
+    for name in names
+    for dtype in (np.float64, np.complex128)
+    if numkernel._lapack((name,), dtype)[0] is not get_lapack_funcs((name,), dtype=dtype)[0]
+]
+differ += [
+    ("gesdd ilp64=preferred", np.dtype(dtype).name)
+    for dtype in (np.float64, np.complex128)
+    if numkernel._gesdd(np.dtype(dtype), (3, 2), True)[0]
+    is not get_lapack_funcs(("gesdd",), dtype=dtype, ilp64="preferred")[0]
+]
+print(json.dumps({"linalg_loaded": linalg_loaded, "differ": differ}))
+"""
+
+
+@pytest.mark.parametrize("order", ["rmfact-first", "scipy-first", "no-file"])
+def test_bindings_are_scipys_function_objects(order):
+    names = lapack_names()
+    assert {"gesdd", "gerqf", "orgrq", "gges", "tgsen", "getrf", "potrf", "sytrf"} <= set(names)
+    src = str(pathlib.Path(numkernel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", BINDING_PROBE, json.dumps(names), order],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    report = json.loads(done.stdout)
+    assert report["differ"] == []
+    # the file load leaves the scipy.linalg package unimported; its
+    # failure falls back to scipy.linalg.lapack
+    assert report["linalg_loaded"] == (order != "rmfact-first")
+
+
+def failing_gges(get):
+    """get, a LAPACK binder, with each gges it hands out reporting a failed
+    QZ iteration (info 1) after a real run."""
+
+    def fail(gges):
+        def call(*args, **kwargs):
+            out = gges(*args, **kwargs)
+            return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
+
+        call.typecode = "d"
+        return call
+
+    def patched(names, *args):
+        funcs = get(names, *args)
+        if isinstance(names, str):
+            return funcs
+        return [fail(f) if name == "gges" else f for name, f in zip(names, funcs)]
+
+    return patched
+
+
+def test_failed_qz_iteration_warns_like_scipy(monkeypatch):
+    A, B = kernel_matrix((4, 4), float, 1), kernel_matrix((4, 4), float, 2)
+    monkeypatch.setattr(numkernel, "_lapack", failing_gges(numkernel._lapack))
+    monkeypatch.setattr(scipy.linalg._decomp_qz, "get_lapack_funcs", failing_gges(scipy.linalg.lapack.get_lapack_funcs))
+    with pytest.warns(scipy.linalg.LinAlgWarning) as got:
+        numkernel._ordered_qz(A, B, numkernel._left_half_plane)
+    with pytest.warns(scipy.linalg.LinAlgWarning) as want:
+        scipy.linalg.ordqz(A, B, sort="lhp")
+    assert [str(w.message) for w in got] == [str(w.message) for w in want]
+    assert "QZ iteration failed" in str(got[0].message)
 
 
 def test_svd_identity():
