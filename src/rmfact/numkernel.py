@@ -77,9 +77,9 @@ _COMPLEX_ALIASES = {"orgqr": "ungqr", "orgrq": "ungrq"}
 
 
 def _lapack(names, dtype, module=_flapack):
-    """The compiled LAPACK routines names of module for a float64 or
-    complex128 dtype: the very objects get_lapack_funcs(names,
-    dtype=dtype) returns."""
+    """The compiled LAPACK routines `names` of module for a float64 or
+    complex128 dtype: the objects get_lapack_funcs(names, dtype=dtype)
+    returns."""
     if np.dtype(dtype).kind == "c":
         return [getattr(module, "z" + _COMPLEX_ALIASES.get(name, name)) for name in names]
     return [getattr(module, "d" + name) for name in names]

@@ -217,7 +217,10 @@ def test_solve_kernel_takes_the_symmetric_fallback_in_every_layout(r):
 def ill_conditioned(kind, r=5):
     a = solve_matrix(kind, r, np.random.default_rng(r))
     scale = np.diag(10.0 ** (-6.0 * np.arange(r)))
-    return (scale @ a @ scale + (scale @ a @ scale).T) / 2 if kind in ("spd", "sym-indefinite") else a @ scale
+    if kind in ("spd", "sym-indefinite"):
+        S = scale @ a @ scale
+        return (S + S.T) / 2
+    return a @ scale
 
 
 @pytest.mark.parametrize(
