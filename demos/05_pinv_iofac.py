@@ -52,7 +52,8 @@ print()
 print("inner factor degree:", rm.mcmillan_degree(Gi),
       "poles:", [round(z.real, 6) for z in rm.poles(Gi).finite])
 print("quasi-outer degree:", rm.mcmillan_degree(Go),
-      "zeros:", sorted(round(z.real, 6) for z in rm.zeros(Go).finite))
+      # + 0.0 prints a zero that rounds to -0.0 as 0.0
+      "zeros:", sorted(round(z.real, 6) + 0.0 for z in rm.zeros(Go).finite))
 worst = max(
     np.linalg.norm(rm.evaluate(Gi, z).conj().T @ rm.evaluate(Gi, z) - np.eye(2))
     for z in rm.frequency_grid("discrete", 32)

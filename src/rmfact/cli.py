@@ -297,12 +297,11 @@ def _cmd_sklf(args) -> int:
 def _run_range_like(args):
     sys_, tol, report = _start(args)
     region = _BAD_REGION[args.zeros](sys_.ts)
-    grid = args.grid or RESIDUAL_GRID
-    return sys_, tol, region, _gains(args), grid, report
+    return sys_, tol, region, _gains(args), report
 
 
 def _cmd_range(args) -> int:
-    sys_, tol, region, gains, grid, report = _run_range_like(args)
+    sys_, tol, region, gains, report = _run_range_like(args)
     rr = range_basis(sys_, region, gains, tol)
     block = _factor_block(rr.R, structure(rr.R, tol))
     results = {"R": block, "inner": gains == "inner"}
@@ -318,7 +317,8 @@ def _cmd_range(args) -> int:
 
 
 def _fact_command(args, runner, names) -> int:
-    sys_, tol, region, gains, grid, report = _run_range_like(args)
+    sys_, tol, region, gains, report = _run_range_like(args)
+    grid = args.grid or RESIDUAL_GRID
     fr = runner(sys_, region, gains, tol)
     cert = certify(sys_, fr.left, fr.right, tol, np.random.default_rng(args.seed), grid)
     left_block = _factor_block(fr.left, cert["left_structure"])
@@ -374,7 +374,7 @@ def _cmd_pinv(args) -> int:
         w1 = max(w1, np.linalg.norm(Gz @ Pz @ Gz - Gz, "fro") / scale)
         w2 = max(w2, np.linalg.norm(Pz @ Gz @ Pz - Pz, "fro") / scale)
     w3 = w4 = 0.0
-    for z in frequency_grid(sys_.ts, DEFAULT_FREQ_GRID):
+    for z in frequency_grid(sys_.ts, args.grid or DEFAULT_FREQ_GRID):
         try:
             Gz = evaluate(sys_, z)
             Pz = evaluate(gp, z)
@@ -409,7 +409,7 @@ def _cmd_iofac(args) -> int:
     grid = args.grid or DEFAULT_FREQ_GRID
     Gi, Go = inner_outer(sys_, tol)
     inner_res = _inner_residual(grid, Gi)
-    cert = certify(sys_, Gi, Go, tol, np.random.default_rng(args.seed), RESIDUAL_GRID)
+    cert = certify(sys_, Gi, Go, tol, np.random.default_rng(args.seed), args.grid or RESIDUAL_GRID)
     prod_res = cert["max_relative_residual"]
     gi_block = _factor_block(Gi, cert["left_structure"])
     go_block = _factor_block(Go, cert["right_structure"])
@@ -471,7 +471,7 @@ def _cmd_verify(args) -> int:
     checks = {"max_relative_residual": residual, "grid_points": grid, "threshold": args.threshold}
     ok = residual <= args.threshold
     if args.inner:
-        inner_res = _inner_residual(DEFAULT_FREQ_GRID, left)
+        inner_res = _inner_residual(args.grid or DEFAULT_FREQ_GRID, left)
         checks["inner_residual"] = inner_res
         ok = ok and inner_res <= args.threshold
     report["results"] = checks

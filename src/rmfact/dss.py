@@ -36,14 +36,20 @@ CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
 
-def _matrix(value, rows, cols, name):
+def _matrix(value, name, rows=None, cols=None, square=False):
+    """value as a float64 matrix, a scalar read as 1 x 1, with rows rows
+    and cols columns where given (None: any) and square if asked;
+    InputError names the matrix and the shape it must have."""
     M = np.asarray(value, dtype=float)
     if M.ndim == 0:
         M = M.reshape(1, 1)
-    if M.ndim == 1:
+    if M.ndim != 2:
         raise InputError(f"{name} must be two-dimensional, got shape {M.shape}")
-    if M.shape != (rows, cols):
-        raise InputError(f"{name} must have shape {(rows, cols)}, got {M.shape}")
+    if square and M.shape[0] != M.shape[1]:
+        raise InputError(f"{name} must be square, got shape {M.shape}")
+    if (rows is not None and M.shape[0] != rows) or (cols is not None and M.shape[1] != cols):
+        want = ", ".join("any" if k is None else str(k) for k in (rows, cols))
+        raise InputError(f"{name} must have shape ({want}), got {M.shape}")
     if M.size and not np.isfinite(M).all():
         raise InputError(f"{name} contains non-finite entries")
     return M
@@ -82,34 +88,13 @@ def make_dss(A, E, B, C, D, ts: str) -> DescriptorSystem:
     """Validate and build a DescriptorSystem. E may be None (identity)."""
     if ts not in (CONTINUOUS, DISCRETE):
         raise InputError(f"ts must be '{CONTINUOUS}' or '{DISCRETE}', got {ts!r}")
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 0:
-        A = A.reshape(1, 1)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"A must be square, got shape {A.shape}")
+    A = _matrix(A, "A", square=True)
     n = A.shape[0]
-    A = _matrix(A, n, n, "A")
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 0:
-        B = B.reshape(1, 1)
-    if B.ndim != 2:
-        raise InputError("B must be two-dimensional")
-    if B.shape[0] != n:
-        raise InputError(f"B must have {n} rows, got {B.shape[0]}")
-    m = B.shape[1]
-    B = _matrix(B, n, m, "B")
-    C = np.asarray(C, dtype=float)
-    if C.ndim == 0:
-        C = C.reshape(1, 1)
-    if C.ndim != 2:
-        raise InputError("C must be two-dimensional")
-    if C.shape[1] != n:
-        raise InputError(f"C must have {n} columns, got {C.shape[1]}")
-    p = C.shape[0]
-    C = _matrix(C, p, n, "C")
-    D = _matrix(D, p, m, "D")
+    B = _matrix(B, "B", rows=n)
+    C = _matrix(C, "C", cols=n)
+    D = _matrix(D, "D", C.shape[0], B.shape[1])
     if E is not None:
-        E = _matrix(E, n, n, "E")
+        E = _matrix(E, "E", n, n)
         if np.array_equal(E, np.eye(n)):
             E = None
     for M in (A, B, C, D) + (() if E is None else (E,)):

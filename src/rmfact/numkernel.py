@@ -1,19 +1,20 @@
-"""Dense numerical kernels: the LAPACK SVD, RQ, QZ and linear-solve
-bindings, rank-revealing decompositions, an exact power-of-2 row
-scaling, the controllability staircase, the ordered generalized Schur
-(QZ) decomposition and the stabilizing Riccati solver.
+"""Dense numerical kernels: the LAPACK SVD, RQ and QZ bindings, the
+thresholded rank decisions, an exact power-of-2 row scaling, the
+controllability staircase, the ordered generalized Schur (QZ)
+decomposition and the stabilizing Riccati solver.
 
 Every reduction in this package funnels its rank decisions through the
 helpers here so that a single tolerance policy governs the whole
 computation. `svd` (gesdd), `rq` (gerqf, orgrq),
 `generalized_eigenvalues` (gges), `ordered_generalized_schur` (gges,
-tgsen), `stabilizing_riccati` (gebal, geqrf, orgqr, gges, tgsen,
-getrf, trtrs) and `solve` (getrf, potrf, sytrf and their kin) call
-LAPACK directly, and no other module calls an SVD, RQ, QZ, Riccati or
-linear-solve routine. Apart from `generalized_eigenvalues`, each makes
-the LAPACK calls of its scipy.linalg counterpart and returns its
-results bit for bit: on the small matrices here, scipy's argument
-handling costs more than the LAPACK work.
+tgsen) and `stabilizing_riccati` (gebal, geqrf, orgqr, gges, tgsen,
+getrf, trtrs) call LAPACK directly, and no other module calls an SVD,
+RQ, QZ or Riccati routine; `dss` and `rangebasis` solve their small
+linear systems with numpy.linalg.solve. Apart from
+`generalized_eigenvalues`, each kernel makes the LAPACK calls of its
+scipy.linalg counterpart and returns its results bit for bit: on the
+small matrices here, scipy's argument handling costs more than the
+LAPACK work.
 
 The routines are the function objects of scipy's compiled wrapper
 module `scipy.linalg._flapack` (and `_flapack_64` in an ILP64 build),
@@ -21,10 +22,9 @@ the ones scipy.linalg.lapack.get_lapack_funcs hands out. The module is
 loaded from its file, because importing the scipy.linalg package that
 holds it would load all of scipy.linalg and take about half of a cold
 `rmfact` command's time; where the file cannot be loaded, the module
-comes from scipy.linalg.lapack instead. Only this module imports scipy,
-and it imports scipy.linalg itself only where that is rarely needed:
-in `pivoted_qr`, and to warn of a failed QZ iteration or an
-ill-conditioned solve.
+comes from scipy.linalg.lapack instead. Only this module imports scipy;
+apart from that fallback, its one import of scipy.linalg is where a
+failed QZ iteration needs scipy's LinAlgWarning.
 """
 
 from __future__ import annotations
@@ -230,119 +230,6 @@ def _lapack_call(f, name, *args, **kwargs):
     if out[-1] < 0:
         raise ValueError(f"illegal value in argument {-out[-1]} of {name}")
     return out[:-2]
-
-
-def solve(a, b):
-    """Solution x of a @ x = b for a square float64 a and a float64
-    matrix b, as a new C-order array.
-
-    Bit-identical to scipy 1.17's scipy.linalg.solve(a, b), by the same
-    structure tests and LAPACK calls: a 1 x 1 a divides, a diagonal one
-    multiplies by the reciprocal diagonal, a triangular one calls trtrs,
-    a tridiagonal one of order above 3 gttrf, an exactly symmetric one
-    potrf, or sytrf when potrf fails, and any other getrf. A singular a
-    raises LinAlgError, and an estimated reciprocal condition number
-    below eps warns LinAlgWarning, with scipy's messages.
-    """
-    a, b = _finite_array(a), _finite_array(b)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.ndim != 2 or b.shape[0] != n:
-        raise ValueError(f"incompatible shapes: {a.shape=} and {b.shape=}")
-    if a.size == 0 or b.size == 0:
-        return np.empty_like(b)
-    if n == 1:
-        if a[0, 0] == 0:
-            raise np.linalg.LinAlgError("A singular matrix detected.")
-        return b / a
-    rows, cols = np.nonzero(a)
-    below, above = (rows - cols).max(initial=0), (cols - rows).max(initial=0)
-    # the norm of a that scipy's condition estimates take, but for a
-    # tridiagonal a: the row-sum norm, summed left to right
-    anorm = _lapack(("lange",), a.dtype)[0]("I", a)
-    if below == above == 0:
-        d = np.diag(a)
-        _raise_if_singular(not d.all())
-        x = b * (1 / d)[:, None]
-        # scipy reports the condition number itself as rcond
-        rcond, shown = np.abs(d).min() / np.abs(d).max(), np.abs(d).max() / np.abs(d).min()
-    elif below == 0 or above == 0:
-        trtrs, trcon = _lapack(("trtrs", "trcon"), a.dtype)
-        x, info = trtrs(a, b, lower=above == 0)
-        _raise_if_singular(info > 0)
-        rcond = shown = trcon(a, norm="1", uplo="L" if above == 0 else "U")[0]
-    elif below == above == 1 and n > 3:
-        gttrf, gttrs, gtcon = _lapack(("gttrf", "gttrs", "gtcon"), a.dtype)
-        *lu, info = gttrf(np.diag(a, -1), np.diag(a), np.diag(a, 1))
-        _raise_if_singular(info > 0)
-        x, _ = gttrs(*lu, b)
-        # its norm there: the column-sum norm, summed bottom to top
-        rcond = shown = gtcon(*lu, np.abs(a[::-1]).sum(axis=0).max())[0]
-    elif (a == a.T).all():
-        potrf, potrs, pocon = _lapack(("potrf", "potrs", "pocon"), a.dtype)
-        c, info = potrf(a)
-        if info == 0:
-            x, _ = potrs(c, b)
-            rcond = shown = pocon(c, anorm)[0]
-        else:
-            sytrf, sytrf_lwork, sytrs, sycon = _lapack(("sytrf", "sytrf_lwork", "sytrs", "sycon"), a.dtype)
-            lu, ipiv, info = sytrf(a, lwork=int(sytrf_lwork(n)[0]))
-            _raise_if_singular(info > 0)
-            x, _ = sytrs(lu, ipiv, b)
-            rcond = shown = sycon(lu, ipiv, anorm)[0]
-    else:
-        getrf, getrs, gecon = _lapack(("getrf", "getrs", "gecon"), a.dtype)
-        lu, piv, info = getrf(a)
-        _raise_if_singular(info > 0)
-        x, _ = getrs(lu, piv, b)
-        rcond = shown = gecon(lu, anorm)[0]
-    if rcond < EPS:
-        from scipy.linalg import LinAlgWarning
-
-        warnings.warn(f"An ill-conditioned matrix detected: slice 0 has rcond = {shown}.", LinAlgWarning, stacklevel=2)
-    return np.ascontiguousarray(x)
-
-
-def _raise_if_singular(singular: bool):
-    """scipy's LinAlgError for a matrix found exactly singular."""
-    if singular:
-        raise np.linalg.LinAlgError("A singular matrix detected: slice(s) [0] are singular.")
-
-
-def rank_revealing_svd(M, tol: ToleranceConfig | None = None):
-    """Full SVD with a numerical rank decision.
-
-    Returns (U, sigma, V, rank) with M = U @ diag(sigma) @ V.T padded
-    to full orthogonal U, V. sigma is descending; rank counts the
-    singular values above the resolved tolerance.
-    """
-    tol = tol or DEFAULT_TOL
-    M = _as_matrix(M)
-    if min(M.shape) == 0:
-        return np.eye(M.shape[0]), np.zeros(0), np.eye(M.shape[1]), 0
-    U, s, Vt = svd(M)
-    thresh = tol.resolve(s[0] if s.size else 0.0, M.shape)
-    rank = int(np.count_nonzero(s > thresh))
-    return U, s, Vt.T, rank
-
-
-def pivoted_qr(M, tol: ToleranceConfig | None = None):
-    """QR factorization with column pivoting and a rank decision.
-
-    Returns (Q, R, perm, rank) with Q @ R = M[:, perm]; the diagonal
-    of R is nonincreasing in magnitude.
-    """
-    tol = tol or DEFAULT_TOL
-    M = _as_matrix(M)
-    if min(M.shape) == 0:
-        return np.eye(M.shape[0]), np.zeros(M.shape), np.arange(M.shape[1]), 0
-    import scipy.linalg
-
-    Q, R, perm = scipy.linalg.qr(M, pivoting=True)
-    diag = np.abs(np.diag(R))
-    scale = diag[0] if diag.size else 0.0
-    thresh = tol.resolve(scale, M.shape)
-    rank = int(np.count_nonzero(diag > thresh))
-    return Q, R, perm, rank
 
 
 @dataclass(frozen=True)

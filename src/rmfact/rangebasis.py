@@ -33,7 +33,6 @@ from .numkernel import (
     ToleranceConfig,
     noise_floor,
     ordered_generalized_schur,
-    solve,
     stabilizing_riccati,
     svd,
 )
@@ -108,7 +107,7 @@ def cofactor(sys: DescriptorSystem, rr: RangeResult) -> DescriptorSystem:
         CD = np.zeros((0, sys.n + sys.m))
     else:
         block = np.hstack([np.zeros((r, c1)), -rr.F, np.eye(r), np.zeros((r, m_n))])
-        CD = solve(rr.W, block) @ sk.Z.T
+        CD = np.linalg.solve(rr.W, block) @ sk.Z.T
     Ct = CD[:, : sys.n]
     Dt = CD[:, sys.n:]
     return make_dss(sys.A, sys.E, sys.B, Ct, Dt, sys.ts)

@@ -158,6 +158,39 @@ def test_smallest_grid_and_seed_are_accepted(examples):
     assert rep["results"]["grid_points"] == 1
 
 
+def test_grid_flag_reaches_every_check(examples, tmp_path, monkeypatch):
+    # every residual and inner check of every command samples --grid
+    # points: the counts of both point generators are recorded
+    ex1, ex2 = examples
+    frf = run_cli_json(["frf", ex1, "--out", tmp_path / "frf"])["outputs"]
+    iofac = run_cli_json(["iofac", ex2, "--out", tmp_path / "io"])["outputs"]
+    counts = []
+
+    def record(generator):
+        def wrapped(systems_or_ts, count, *args):
+            counts.append(count)
+            return generator(systems_or_ts, count, *args)
+        return wrapped
+
+    monkeypatch.setattr("rmfact.cli.frequency_grid", record(rmfact.cli.frequency_grid))
+    monkeypatch.setattr("rmfact.cli.nonpole_evaluations", record(rmfact.cli.nonpole_evaluations))
+    monkeypatch.setattr("rmfact.fact.nonpole_evaluations", record(rmfact.fact.nonpole_evaluations))
+    for argv in (
+        ["frf", ex1],
+        ["dual-frf", ex1],
+        ["range", ex1, "--inner"],
+        ["nrcf", ex1],
+        ["pinv", ex2],
+        ["iofac", ex1],
+        ["verify", ex1, frf["R"], frf["X"]],
+        ["verify", ex2, iofac["inner"], iofac["outer"], "--inner"],
+    ):
+        counts.clear()
+        rep = run_cli_json(argv + ["--grid", "5"])
+        assert counts and set(counts) == {5}, (argv, counts)
+        assert rep["results"].get("grid_points", 5) == 5
+
+
 def test_nonstabilizable_realization_is_exit_3(tmp_path):
     # [E B] row rank deficient: no feedback can cure the infinite mode
     doc = {

@@ -301,6 +301,35 @@ def test_make_dss_validation():
         make_dss(np.array([[np.inf, 0], [0, 1]]), None, np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 1)), "continuous")
 
 
+@pytest.mark.parametrize(
+    "matrices, message",
+    [
+        ((np.ones((2, 3)), None, np.ones((2, 1)), np.ones((1, 2)), 0.0), r"A must be square, got shape \(2, 3\)"),
+        ((np.ones(2), None, np.ones((2, 1)), np.ones((1, 2)), 0.0), r"A must be two-dimensional, got shape \(2,\)"),
+        ((np.eye(2), None, np.ones((3, 1)), np.ones((1, 2)), 0.0), r"B must have shape \(2, any\), got \(3, 1\)"),
+        ((np.eye(2), None, np.ones(2), np.ones((1, 2)), 0.0), r"B must be two-dimensional, got shape \(2,\)"),
+        ((np.eye(2), None, np.ones((2, 1)), np.ones((1, 3)), 0.0), r"C must have shape \(any, 2\), got \(1, 3\)"),
+        ((np.eye(2), None, np.ones((2, 1)), np.ones((1, 2)), np.ones((2, 1))), r"D must have shape \(1, 1\), got \(2, 1\)"),
+        ((np.eye(2), np.eye(3), np.ones((2, 1)), np.ones((1, 2)), 0.0), r"E must have shape \(2, 2\), got \(3, 3\)"),
+        ((np.eye(2), None, np.ones((2, 1)), np.ones((1, 2)), np.nan), "D contains non-finite entries"),
+    ],
+)
+def test_make_dss_names_the_matrix_and_its_shape(matrices, message):
+    with pytest.raises(InputError, match=message):
+        make_dss(*matrices, "continuous")
+
+
+def test_make_dss_reads_scalars_as_1x1_and_identity_e_as_none():
+    g = make_dss(-1.0, np.eye(1), 2.0, 3, 0, "discrete")
+    assert g.E is None and (g.n, g.m, g.p) == (1, 1, 1)
+    assert [M.tolist() for M in (g.A, g.B, g.C, g.D)] == [[[-1.0]], [[2.0]], [[3.0]], [[0.0]]]
+    assert all(M.dtype == float and not M.flags.writeable for M in (g.A, g.B, g.C, g.D))
+    h = make_dss(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)), np.ones((1, 2)), "continuous")
+    assert h.E is None and (h.n, h.m, h.p) == (0, 2, 1)
+    e = make_dss(np.eye(2), np.diag([1.0, 0.0]), np.ones((2, 1)), np.ones((1, 2)), 0.0, "continuous").E
+    assert e is not None and not e.flags.writeable
+
+
 def test_stacks_require_matching_ts():
     g1 = identity_system(2, "continuous")
     g2 = identity_system(2, "discrete")

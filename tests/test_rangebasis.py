@@ -250,6 +250,29 @@ def test_options_validation():
         range_basis(g, gains="everything")
 
 
+@pytest.mark.parametrize("gains", ["none", "stable"])
+def test_cofactor_with_identity_weighting_is_the_block_itself(gains):
+    # W = I: the solve of W X = [0, -F, I, 0] returns the block's values,
+    # so the cofactor's output rows are the block times Z.T exactly
+    rng = np.random.default_rng(2024)
+    systems = [stable_rank2_continuous(), polynomial_rank2_discrete()]
+    systems += [random_system(rng, n_max=8) for _ in range(20)]
+    checked = 0
+    for g in systems:
+        try:
+            rr = range_basis(g, gains=gains)
+        except (StructureError, FactorizationError):
+            continue
+        sk = rr.sklf
+        assert np.array_equal(rr.W, np.eye(sk.r))
+        block = np.hstack([np.zeros((sk.r, sk.c1)), -rr.F, np.eye(sk.r), np.zeros((sk.r, sk.m_n))])
+        CD = block @ sk.Z.T
+        X = cofactor(g, rr)
+        assert np.array_equal(X.C, CD[:, :g.n]) and np.array_equal(X.D, CD[:, g.n:])
+        checked += 1
+    assert checked >= 20
+
+
 def test_cofactor_provenance_mismatch():
     g = stable_rank2_continuous()
     rr = range_basis(g)
