@@ -133,6 +133,78 @@ def test_riccati_kernel_fails_like_scipy(ts, case, error):
     assert isinstance(assert_riccati_like_scipy(*riccati_failure_data(ts, case), ts), error)
 
 
+def solve_matrix(kind, r, rng):
+    """A random r x r matrix of one of the structures scipy's solve tells
+    apart; the symmetric ones exactly symmetric."""
+    M = rng.standard_normal((r, r))
+    if kind == "identity":
+        return np.eye(r)
+    if kind == "diagonal":
+        return np.diag(M[0] * 10.0 ** np.linspace(-3.0, 3.0, r))
+    if kind == "spd":
+        S = M @ M.T + r * np.eye(r)
+        return (S + S.T) / 2
+    if kind == "sym-indefinite":
+        S = M + M.T
+        S[0, 0], S[-1, -1] = -abs(S[0, 0]) - 1.0, abs(S[-1, -1]) + 1.0
+        return S
+    if kind == "upper":
+        return np.triu(M) + 3.0 * np.eye(r)
+    if kind == "lower":
+        return np.tril(M) + 3.0 * np.eye(r)
+    if kind == "tridiagonal":
+        return np.triu(np.tril(M, 1), -1) + 3.0 * np.eye(r)
+    return M
+
+
+SOLVE_KINDS = ["identity", "diagonal", "spd", "sym-indefinite", "upper", "lower", "tridiagonal", "general"]
+
+
+# the cofactor's solve, numpy.linalg.solve like every small solve in dss
+# and rangebasis, against scipy's structure-dispatching solve: the same x
+# to within the roundoff the condition number allows, in C order, since
+# the product that follows rounds differently on a Fortran-order operand;
+# an identity weighting hands the block back unchanged
+@pytest.mark.parametrize("kind", SOLVE_KINDS)
+@pytest.mark.parametrize("r", range(1, 7))
+def test_solve_kernel_matches_scipy(kind, r):
+    rng = np.random.default_rng([r, SOLVE_KINDS.index(kind)])
+    a = solve_matrix(kind, r, rng)
+    cond = np.linalg.cond(a)
+    for k in (1, 2, 7, 45):
+        b = rng.standard_normal((r, k)) * 10.0 ** rng.integers(-3, 4, (r, 1))
+        b[rng.random((r, k)) < 0.2] = -0.0
+        want = scipy.linalg.solve(a, b)
+        got = np.linalg.solve(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        bound = 4 * r * numkernel.EPS * cond * np.linalg.norm(want, axis=0)
+        assert (np.linalg.norm(got - want, axis=0) <= bound).all()
+        if kind == "identity":
+            assert np.array_equal(got, b)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.zeros((1, 1)),
+        np.zeros((3, 3)),
+        np.diag([1.0, 0.0, 2.0]),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+        np.array([[1.0, 2.0], [3.0, 6.0]]),
+        np.triu(np.ones((4, 4))) - np.diag([0.0, 0.0, 1.0, 0.0]),
+        np.diag([1.0, 1.0, 0.0, 0.0]) + np.diag([1.0, 1.0, 1.0], 1) + np.diag([1.0, 0.0, 0.0], -1),
+    ],
+    ids=["1x1", "zero", "diagonal", "symmetric", "general", "triangular", "tridiagonal"],
+)
+def test_solve_kernel_raises_scipys_error_on_a_singular_matrix(a):
+    b = np.ones((a.shape[0], 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.solve(a, b)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, b)
+
+
 def lapack_names():
     """Every routine name numkernel binds through _lapack, read from its
     source."""
