@@ -21,6 +21,7 @@ from .numkernel import (
     DEFAULT_TOL,
     EPS,
     ToleranceConfig,
+    _matrix,
     controllability_staircase,
     generalized_eigenvalues,
     is_infinite,
@@ -34,25 +35,6 @@ from .numkernel import (
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
-
-
-def _matrix(value, name, rows=None, cols=None, square=False):
-    """value as a float64 matrix, a scalar read as 1 x 1, with rows rows
-    and cols columns where given (None: any) and square if asked;
-    InputError names the matrix and the shape it must have."""
-    M = np.asarray(value, dtype=float)
-    if M.ndim == 0:
-        M = M.reshape(1, 1)
-    if M.ndim != 2:
-        raise InputError(f"{name} must be two-dimensional, got shape {M.shape}")
-    if square and M.shape[0] != M.shape[1]:
-        raise InputError(f"{name} must be square, got shape {M.shape}")
-    if (rows is not None and M.shape[0] != rows) or (cols is not None and M.shape[1] != cols):
-        want = ", ".join("any" if k is None else str(k) for k in (rows, cols))
-        raise InputError(f"{name} must have shape ({want}), got {M.shape}")
-    if M.size and not np.isfinite(M).all():
-        raise InputError(f"{name} contains non-finite entries")
-    return M
 
 
 @dataclass(frozen=True)
@@ -85,7 +67,10 @@ class DescriptorSystem:
 
 
 def make_dss(A, E, B, C, D, ts: str) -> DescriptorSystem:
-    """Validate and build a DescriptorSystem. E may be None (identity)."""
+    """Validate and build a DescriptorSystem. E may be None (identity).
+    ts, the shapes and the finiteness of all entries are checked, or
+    InputError names what failed; the realization keeps float64 copies
+    of the matrices (numkernel._matrix), not the caller's arrays."""
     if ts not in (CONTINUOUS, DISCRETE):
         raise InputError(f"ts must be '{CONTINUOUS}' or '{DISCRETE}', got {ts!r}")
     A = _matrix(A, "A", square=True)
@@ -93,11 +78,22 @@ def make_dss(A, E, B, C, D, ts: str) -> DescriptorSystem:
     B = _matrix(B, "B", rows=n)
     C = _matrix(C, "C", cols=n)
     D = _matrix(D, "D", C.shape[0], B.shape[1])
-    if E is not None:
-        E = _matrix(E, "E", n, n)
-        if np.array_equal(E, np.eye(n)):
-            E = None
-    for M in (A, B, C, D) + (() if E is None else (E,)):
+    E = None if E is None else _matrix(E, "E", n, n)
+    return _system(A, E, B, C, D, ts)
+
+
+def _system(A, E, B, C, D, ts: str) -> DescriptorSystem:
+    """Constructor of every computed realization: float64 matrices of
+    matching shapes, not shape-checked or copied. E equal to the
+    identity is stored as None and the matrices are made read-only. A
+    non-finite entry means a reduction broke down: StructureError."""
+    if E is not None and np.array_equal(E, np.eye(A.shape[0])):
+        E = None
+    for name, M in zip("AEBCD", (A, E, B, C, D)):
+        if M is None:
+            continue
+        if not np.isfinite(M).all():
+            raise StructureError(f"computed realization has non-finite entries in {name}")
         M.setflags(write=False)
     return DescriptorSystem(A, E, B, C, D, ts)
 
@@ -142,7 +138,7 @@ def evaluate(sys: DescriptorSystem, lambda0: complex) -> np.ndarray:
 def transpose(sys: DescriptorSystem) -> DescriptorSystem:
     """Realization of G(lambda).T."""
     E = None if sys.E is None else sys.E.T
-    return make_dss(sys.A.T, E, sys.C.T, sys.B.T, sys.D.T, sys.ts)
+    return _system(sys.A.T, E, sys.C.T, sys.B.T, sys.D.T, sys.ts)
 
 
 def conjugate(sys: DescriptorSystem) -> DescriptorSystem:
@@ -155,16 +151,16 @@ def conjugate(sys: DescriptorSystem) -> DescriptorSystem:
     """
     if sys.ts == CONTINUOUS:
         E = None if sys.E is None else sys.E.T
-        return make_dss(-sys.A.T, E, sys.C.T, -sys.B.T, sys.D.T, sys.ts)
+        return _system(-sys.A.T, E, sys.C.T, -sys.B.T, sys.D.T, sys.ts)
     n, m, p = sys.n, sys.m, sys.p
     if n == 0:
-        return make_dss(sys.A.T, None if sys.E is None else sys.E.T, sys.C.T, sys.B.T, sys.D.T, sys.ts)
+        return _system(sys.A.T, None if sys.E is None else sys.E.T, sys.C.T, sys.B.T, sys.D.T, sys.ts)
     Emat = sys.e_matrix
     At = _diag_blocks(Emat.T, np.eye(n))
     Et = _block([[sys.A.T, np.zeros((n, n))], [np.eye(n), np.zeros((n, n))]])
     Bt = np.vstack([-sys.C.T, np.zeros((n, p))])
     Ct = np.hstack([np.zeros((m, n)), sys.B.T])
-    out = make_dss(At, Et, Bt, Ct, sys.D.T, sys.ts)
+    out = _system(At, Et, Bt, Ct, sys.D.T, sys.ts)
     return _remove_nondynamic(out, DEFAULT_TOL)
 
 
@@ -202,7 +198,7 @@ def stack_vertical(sys1: DescriptorSystem, sys2: DescriptorSystem) -> Descriptor
     B = np.vstack([sys1.B, sys2.B])
     C = _diag_blocks(sys1.C, sys2.C)
     D = np.vstack([sys1.D, sys2.D])
-    return make_dss(A, E, B, C, D, sys1.ts)
+    return _system(A, E, B, C, D, sys1.ts)
 
 
 def stack_horizontal(sys1: DescriptorSystem, sys2: DescriptorSystem) -> DescriptorSystem:
@@ -217,7 +213,7 @@ def stack_horizontal(sys1: DescriptorSystem, sys2: DescriptorSystem) -> Descript
     B = _diag_blocks(sys1.B, sys2.B)
     C = np.hstack([sys1.C, sys2.C])
     D = np.hstack([sys1.D, sys2.D])
-    return make_dss(A, E, B, C, D, sys1.ts)
+    return _system(A, E, B, C, D, sys1.ts)
 
 
 def series(sys1: DescriptorSystem, sys2: DescriptorSystem) -> DescriptorSystem:
@@ -233,11 +229,11 @@ def series(sys1: DescriptorSystem, sys2: DescriptorSystem) -> DescriptorSystem:
     B = np.vstack([sys1.B @ sys2.D, sys2.B])
     C = np.hstack([sys1.C, sys1.D @ sys2.C])
     D = sys1.D @ sys2.D
-    return make_dss(A, E, B, C, D, sys1.ts)
+    return _system(A, E, B, C, D, sys1.ts)
 
 
 def identity_system(m: int, ts: str) -> DescriptorSystem:
-    return make_dss(np.zeros((0, 0)), None, np.zeros((0, m)), np.zeros((m, 0)), np.eye(m), ts)
+    return _system(np.zeros((0, 0)), None, np.zeros((0, m)), np.zeros((m, 0)), np.eye(m), ts)
 
 
 # -- evaluation grids --------------------------------------------------------
@@ -376,7 +372,7 @@ def _controllable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
     if Z.shape[1] == sys.n:
         return sys
     E_c = None if sys.E is None else L.T @ sys.E @ Z
-    return make_dss(L.T @ sys.A @ Z, E_c, L.T @ sys.B, sys.C @ Z, sys.D, sys.ts)
+    return _system(L.T @ sys.A @ Z, E_c, L.T @ sys.B, sys.C @ Z, sys.D, sys.ts)
 
 
 def _observable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorSystem:
@@ -411,7 +407,7 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
     k = n - q2
     T, Bt, Ct = L.T @ A @ R, L.T @ sys.B, sys.C @ R
     X = np.linalg.solve(T[k:, k:], np.hstack([T[k:, :k], Bt[k:]]))
-    return make_dss(
+    return _system(
         T[:k, :k] - T[:k, k:] @ X[:, :k],
         L[:, :k].T @ Emat @ R[:, :k] if k else None,
         Bt[:k] - T[:k, k:] @ X[:, k:],
@@ -438,16 +434,13 @@ def irreducible_realization(sys: DescriptorSystem, tol: ToleranceConfig | None =
 
 
 def _eigen_list_from_pencil(M, N, tol: ToleranceConfig) -> EigenvalueList:
-    from .klf import kronecker_like_form
+    from .klf import _klf_core, _pencil_threshold
 
     if M.size == 0:
         return EigenvalueList((), ())
-    res = kronecker_like_form(M, N, tol)
-    finite = []
-    for a, b in res.finite_eigenvalues:
-        finite.append(a / b)
+    res = _klf_core(M, N, _pencil_threshold(M, N, tol))
     infinite = tuple(d - 1 for d in res.infinite_divisor_degrees if d > 1)
-    return EigenvalueList(tuple(finite), infinite)
+    return EigenvalueList(tuple(a / b for a, b in res.finite_eigenvalues), infinite)
 
 
 def poles(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> EigenvalueList:

@@ -20,10 +20,10 @@ import numpy as np
 
 from .dss import (
     DescriptorSystem,
+    _system,
     conjugate,
     identity_system,
     irreducible_realization,
-    make_dss,
     nonpole_evaluations,
     normal_rank,
     poles,
@@ -142,8 +142,8 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig | None = None):
         raise FactorizationError(str(exc)) from None
     Ri = irreducible_realization(rr.R, tol)
     p = sys.p
-    N = make_dss(Ri.A, Ri.E, Ri.B, Ri.C[:p, :], Ri.D[:p, :], sys.ts)
-    M = make_dss(Ri.A, Ri.E, Ri.B, Ri.C[p:, :], Ri.D[p:, :], sys.ts)
+    N = _system(Ri.A, Ri.E, Ri.B, Ri.C[:p, :], Ri.D[:p, :], sys.ts)
+    M = _system(Ri.A, Ri.E, Ri.B, Ri.C[p:, :], Ri.D[p:, :], sys.ts)
     return N, M
 
 
@@ -156,7 +156,7 @@ def _inverse_realization(sys: DescriptorSystem) -> DescriptorSystem:
     A_i, E_i = system_pencil(sys)
     B_i = np.vstack([np.zeros((n, m)), -np.eye(m)])
     C_i = np.hstack([np.zeros((m, n)), np.eye(m)])
-    return make_dss(A_i, E_i, B_i, C_i, np.zeros((m, m)), sys.ts)
+    return _system(A_i, E_i, B_i, C_i, np.zeros((m, m)), sys.ts)
 
 
 def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> DescriptorSystem:
@@ -170,9 +170,7 @@ def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig | None = None) ->
     r = normal_rank(sys, tol)
     m, p, ts = sys.m, sys.p, sys.ts
     if r == 0:
-        return make_dss(
-            np.zeros((0, 0)), None, np.zeros((0, p)), np.zeros((m, 0)), np.zeros((m, p)), ts
-        )
+        return _system(np.zeros((0, 0)), None, np.zeros((0, p)), np.zeros((m, 0)), np.zeros((m, p)), ts)
     rr1 = range_basis(sys, region_none(), "inner", tol)
     U = rr1.R
     G1 = cofactor(sys, rr1)

@@ -23,11 +23,12 @@ from .exceptions import BoundaryError, InputError, StructureError
 from .numkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _matrix,
+    _ordered_schur,
     col_compress,
     generalized_eigenvalues,
     is_infinite,
     null_basis,
-    ordered_generalized_schur,
     row_compress,
     staircase_threshold,
     svd,
@@ -306,16 +307,11 @@ def kronecker_like_form(A, E, tol: ToleranceConfig | None = None) -> KlfResult:
     block upper triangular Kronecker-like form, returning the
     transformed pencil, the transformations, and the right minimal
     indices, finite eigenvalues, infinite elementary divisor degrees,
-    and left minimal indices."""
+    and left minimal indices. A and E are checked by _matrix: of one
+    shape, with finite entries."""
     tol = tol or DEFAULT_TOL
-    A = np.asarray(A, dtype=float)
-    E = np.asarray(E, dtype=float)
-    if A.ndim != 2 or E.ndim != 2:
-        raise InputError("pencil matrices must be two-dimensional")
-    if A.shape != E.shape:
-        raise InputError(f"pencil matrices must share a shape, got {A.shape} and {E.shape}")
-    if A.size and not (np.all(np.isfinite(A)) and np.all(np.isfinite(E))):
-        raise InputError("pencil matrices contain non-finite entries")
+    A = _matrix(A, "A")
+    E = _matrix(E, "E", *A.shape)
     return _klf_core(A, E, _pencil_threshold(A, E, tol))
 
 
@@ -499,7 +495,7 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig | None = None
         sel = lambda a, b: classify_eigenvalue(a, b, region, tol) != "bad"
         win_r = slice(iR, iR + nreg)
         win_c = slice(jR, jR + nreg)
-        sch = ordered_generalized_schur(M_Pt[win_r, win_c], N_Pt[win_r, win_c], sel)
+        sch = _ordered_schur(M_Pt[win_r, win_c], N_Pt[win_r, win_c], sel)
         M_Pt[win_r, jR:] = sch.Q.T @ M_Pt[win_r, jR:]
         N_Pt[win_r, jR:] = sch.Q.T @ N_Pt[win_r, jR:]
         M_Pt[:, win_c] = M_Pt[:, win_c] @ sch.Z

@@ -16,6 +16,14 @@ scipy.linalg counterpart and returns its results bit for bit: on the
 small matrices here, scipy's argument handling costs more than the
 LAPACK work.
 
+Inputs are checked where they enter: make_dss and the raw-array entry
+points kronecker_like_form and ordered_generalized_schur by `_matrix`,
+the one cast-and-check helper; io and the CLI as they parse; `svd`, `rq`
+and `stabilizing_riccati` reject non-finite data as scipy does.
+Internal calls pass checked float64 matrices and are not checked again:
+the rank funnels call gesdd unscanned, and dss._system checks each
+computed realization once for a non-finite entry.
+
 The routines are the function objects of scipy's compiled wrapper
 module `scipy.linalg._flapack` (and `_flapack_64` in an ILP64 build),
 the ones scipy.linalg.lapack.get_lapack_funcs hands out. The module is
@@ -139,10 +147,21 @@ def is_infinite(alpha, beta) -> bool:
     return abs(beta) <= 1e4 * EPS * (abs(alpha) + abs(beta))
 
 
-def _as_matrix(M, name="matrix"):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+def _matrix(value, name, rows=None, cols=None, square=False):
+    """A new float64 copy of value in its memory order, a scalar read
+    as 1 x 1, with rows rows and cols columns where given (None: any)
+    and square if asked, every entry finite; InputError names the
+    matrix and the shape it must have. The one check of outside data."""
+    M = np.array(value, dtype=float)
+    if M.ndim == 0:
+        M = M.reshape(1, 1)
     if M.ndim != 2:
-        raise InputError(f"{name} must be two-dimensional")
+        raise InputError(f"{name} must be two-dimensional, got shape {M.shape}")
+    if square and M.shape[0] != M.shape[1]:
+        raise InputError(f"{name} must be square, got shape {M.shape}")
+    if (rows is not None and M.shape[0] != rows) or (cols is not None and M.shape[1] != cols):
+        want = ", ".join("any" if k is None else str(k) for k in (rows, cols))
+        raise InputError(f"{name} must have shape ({want}), got {M.shape}")
     if M.size and not np.isfinite(M).all():
         raise InputError(f"{name} contains non-finite entries")
     return M
@@ -169,6 +188,12 @@ def svd(M, compute_uv: bool = True):
     converge LinAlgError.
     """
     _require_finite(M)
+    return _svd(M, compute_uv)
+
+
+def _svd(M, compute_uv: bool):
+    """svd without the finiteness scan, for the rank funnels, which get
+    checked data through orthogonal updates that keep it finite."""
     if M.size == 0:
         s = np.zeros(0)
         if not compute_uv:
@@ -255,8 +280,6 @@ def probe_pencil_regular(A, E):
     The pencil is probed at eight pseudo-random shifts; it is declared
     singular only when every probe is rank-deficient.
     """
-    A = _as_matrix(A, "A")
-    E = _as_matrix(E, "E")
     n = A.shape[0]
     if n == 0:
         return True
@@ -276,12 +299,15 @@ def ordered_generalized_schur(A, E, select) -> OrderedSchurResult:
 
     select(alpha, beta) marks the eigenvalues that must occupy the
     leading diagonal block; it is called once per eigenvalue with a
-    complex alpha and a real beta and returns a truth value.
+    complex alpha and a real beta and returns a truth value. A and E
+    are checked by _matrix: square, of one shape, with finite entries.
     """
-    A = _as_matrix(A, "A")
-    E = _as_matrix(E, "E")
-    if A.shape != E.shape or A.shape[0] != A.shape[1]:
-        raise InputError("A and E must be square with equal shape")
+    A = _matrix(A, "A", square=True)
+    return _ordered_schur(A, _matrix(E, "E", *A.shape), select)
+
+
+def _ordered_schur(A, E, select) -> OrderedSchurResult:
+    """ordered_generalized_schur of checked square float64 A and E."""
     n = A.shape[0]
     if n == 0:
         I = np.eye(0)
@@ -485,8 +511,6 @@ def generalized_eigenvalues(A, E):
     """(alpha, beta) pairs of a square pencil by LAPACK gges without
     Schur vectors, with beta normalized nonnegative. A failure of the QZ
     iteration raises LinAlgError."""
-    A = _as_matrix(A, "A")
-    E = _as_matrix(E, "E")
     if A.shape[0] == 0:
         return []
     gges, = _lapack(("gges",), A.dtype)
@@ -516,12 +540,12 @@ def _eigenvalue_pairs(alpha, beta):
 def thresholded_svd(M, thresh: float):
     """(U, sigma, V, rank) with M = U @ diag(sigma) @ V.T, rank the
     count of singular values above the absolute threshold thresh."""
-    U, s, Vt = svd(M)
+    U, s, Vt = _svd(M, True)
     return U, s, Vt.T, int(np.count_nonzero(s > thresh))
 
 
 def svd_rank_abs(M, thresh: float) -> int:
-    return int(np.count_nonzero(svd(M, compute_uv=False) > thresh))
+    return int(np.count_nonzero(_svd(M, False) > thresh))
 
 
 def row_compress(M, thresh: float):
@@ -553,7 +577,6 @@ def col_compress(M, thresh: float, zeros_leading: bool = False):
 
 def null_basis(M, thresh: float):
     """Orthonormal basis of the right null space of M (columns)."""
-    M = np.atleast_2d(M)
     n = M.shape[1]
     if min(M.shape) == 0 or not M.any():
         return np.eye(n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dss import DescriptorSystem, controllable_bases, make_dss
+from .dss import DescriptorSystem, _system, controllable_bases
 from .exceptions import FactorizationError, InputError
 from .klf import (
     RegionPartition,
@@ -31,8 +31,8 @@ from .klf import (
 from .numkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _ordered_schur,
     noise_floor,
-    ordered_generalized_schur,
     stabilizing_riccati,
     svd,
 )
@@ -70,11 +70,7 @@ def range_basis(
         raise InputError(f"gains must be one of 'none', 'stable', 'inner', got {gains!r}")
     tol = tol or DEFAULT_TOL
     sk = special_klf(sys, region or stability_region(sys.ts), tol)
-    A_bl = np.array(sk.A_bl)
-    E_bl = np.array(sk.E_bl)
-    B_bl = np.array(sk.B_bl)
-    C_bl = np.array(sk.C_bl)
-    D_bl = np.array(sk.D_bl)
+    A_bl, E_bl, B_bl, C_bl, D_bl = (np.array(M) for M in (sk.A_bl, sk.E_bl, sk.B_bl, sk.C_bl, sk.D_bl))
     r, n_bl = sk.r, sk.n_bl
     if gains == "inner":
         F, W = inner_enforcing_gains(sk, tol)
@@ -84,14 +80,7 @@ def range_basis(
     else:
         F = np.zeros((r, n_bl))
         W = np.eye(r)
-    R = make_dss(
-        A_bl + B_bl @ F,
-        E_bl if n_bl else None,
-        B_bl @ W,
-        C_bl + D_bl @ F,
-        D_bl @ W,
-        sys.ts,
-    )
+    R = _system(A_bl + B_bl @ F, E_bl if n_bl else None, B_bl @ W, C_bl + D_bl @ F, D_bl @ W, sys.ts)
     return RangeResult(R=R, F=F, W=W, sklf=sk)
 
 
@@ -110,7 +99,7 @@ def cofactor(sys: DescriptorSystem, rr: RangeResult) -> DescriptorSystem:
         CD = np.linalg.solve(rr.W, block) @ sk.Z.T
     Ct = CD[:, : sys.n]
     Dt = CD[:, sys.n:]
-    return make_dss(sys.A, sys.E, sys.B, Ct, Dt, sys.ts)
+    return _system(sys.A, sys.E, sys.B, Ct, Dt, sys.ts)
 
 
 # -- gain computations --------------------------------------------------------
@@ -132,6 +121,8 @@ def _explicit_pair(A_bl, E_bl, B_bl, tol):
     L, Z = controllable_bases(A_bl, E_bl, B_bl, tol)
     k = Z.shape[1]
     AB = np.linalg.solve(L.T @ E_bl @ Z, L.T @ np.hstack([A_bl @ Z, B_bl]))
+    if not np.isfinite(AB).all():
+        raise FactorizationError("the explicit pair of the trailing blocks has non-finite entries")
     return AB[:, :k], AB[:, k:], Z
 
 
@@ -159,10 +150,7 @@ def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig | None = None
             )
     if n_bl == 0:
         return np.zeros((r, 0)), _inv_sqrt_sym(D.T @ D)
-    A_bl = np.array(blocks.A_bl)
-    E_bl = np.array(blocks.E_bl)
-    B_bl = np.array(blocks.B_bl)
-    C_bl = np.array(blocks.C_bl)
+    A_bl, E_bl, B_bl, C_bl = (np.array(M) for M in (blocks.A_bl, blocks.E_bl, blocks.B_bl, blocks.C_bl))
     # an inner basis exists only if the zeros carried by the trailing
     # blocks, the bad eigenvalues of the splitting form, stay off the
     # stability boundary: feedback cannot move zeros, and R~ R = I
@@ -211,7 +199,7 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
         return np.zeros((r, n_bl))
     stab = stability_region(ts)
     sel = lambda a, b: classify_eigenvalue(a, b, stab, tol) != "bad"
-    sch = ordered_generalized_schur(A_c, np.eye(k), sel)
+    sch = _ordered_schur(A_c, np.eye(k), sel)
     kg = sum(1 for a, b in sch.eigenvalues if classify_eigenvalue(a, b, stab, tol) != "bad")
     kb = k - kg
     if kb == 0:

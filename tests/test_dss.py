@@ -6,6 +6,7 @@ from rmfact import (
     EvaluationError,
     InputError,
     Structure,
+    StructureError,
     conjugate,
     evaluate,
     frequency_grid,
@@ -24,7 +25,7 @@ from rmfact import (
     transpose,
     zeros,
 )
-from rmfact.dss import _remove_nondynamic, identity_system, nonpole_evaluations, system_pencil
+from rmfact.dss import _remove_nondynamic, _system, identity_system, nonpole_evaluations, system_pencil
 from rmfact.numkernel import DEFAULT_TOL
 
 from support import RELAXED, assert_multiset_close, random_system, rank_deficient_system
@@ -330,6 +331,28 @@ def test_make_dss_reads_scalars_as_1x1_and_identity_e_as_none():
     assert e is not None and not e.flags.writeable
 
 
+def test_make_dss_copies_the_callers_arrays():
+    A, E, B, C, D = np.diag([-1.0, -2.0]), np.diag([1.0, 0.0]), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1))
+    g = make_dss(A, E, B, C, D, "continuous")
+    for M in (A, E, B, C, D):
+        assert M.flags.writeable
+        M[0, 0] = 7.0
+    assert [M.tolist() for M in (g.A, g.E, g.B, g.C, g.D)] == [
+        [[-1.0, 0.0], [0.0, -2.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]]
+    ]
+    # the copy keeps the memory order, so later products round alike
+    assert make_dss(A.T, None, C.T, B.T, D.T, "continuous").A.flags.f_contiguous
+
+
+@pytest.mark.parametrize("name", "AEBCD")
+def test_computed_realization_with_nonfinite_entries_is_a_structure_error(name):
+    mats = dict(A=np.eye(2), E=np.diag([1.0, 0.0]), B=np.ones((2, 1)), C=np.ones((1, 2)), D=np.zeros((1, 1)))
+    mats[name] = mats[name].copy()
+    mats[name][-1, -1] = np.nan
+    with pytest.raises(StructureError, match=f"computed realization has non-finite entries in {name}"):
+        _system(*mats.values(), "continuous")
+
+
 def test_stacks_require_matching_ts():
     g1 = identity_system(2, "continuous")
     g2 = identity_system(2, "discrete")
@@ -389,7 +412,9 @@ def assert_same_realization(got, want):
 
 def layout_variants(ts):
     """Two-input, two-output realizations whose matrices are F-ordered
-    (built by transpose), strided views, or empty (no states)."""
+    (built by transpose), strided views, or empty (no states). make_dss
+    copies a strided view to a contiguous array, so the strided one is
+    built as the reductions build theirs, by the private constructor."""
     rng = np.random.default_rng(5)
     A, E, B, C, D = (rng.standard_normal(shape) for shape in ((4, 4), (4, 4), (4, 2), (2, 4), (2, 2)))
     big = rng.standard_normal((12, 12))
@@ -397,7 +422,7 @@ def layout_variants(ts):
     return [
         transpose(make_dss(A, None, B, C, D, ts)),
         transpose(make_dss(A, E, B, C, D, ts)),
-        make_dss(*strided, ts),
+        _system(*strided, ts),
         make_dss(np.zeros((0, 0)), None, np.zeros((0, 2)), np.zeros((2, 0)), D, ts),
     ]
 

@@ -4,12 +4,18 @@ import pytest
 import rmfact.dss
 from rmfact import (
     FactorizationError,
+    FactorizationResult,
+    InputError,
+    RmfactError,
+    Structure,
+    StructureError,
     conjugate,
     dual_full_rank_factorize,
     evaluate,
     frequency_grid,
     full_rank_factorize,
     inner_outer,
+    irreducible_realization,
     make_dss,
     mcmillan_degree,
     normal_rank,
@@ -19,6 +25,8 @@ from rmfact import (
     pseudo_inverse,
     random_nonpole_points,
     stable_rank2_continuous,
+    structure,
+    write_system_file,
     zeros,
 )
 from rmfact.dss import identity_system
@@ -29,6 +37,7 @@ from support import (
     moore_penrose_defects,
     product_residual,
     random_system,
+    run_cli,
     zero_pole_balance,
 )
 
@@ -339,3 +348,88 @@ def test_certify_redraws_points_that_do_not_evaluate():
     h = make_dss(Ti @ g.A @ T, Ti @ g.e_matrix @ T, Ti @ g.B, g.C @ T, g.D, g.ts)
     fr = full_rank_factorize(h)
     assert fr.certificates["max_relative_residual"] <= 1e-7
+
+
+def padded_example(g):
+    """g with one uncontrollable and one unobservable stable state
+    appended, so that irreducible_realization must reduce it."""
+    n = g.n
+    A = np.zeros((n + 2, n + 2))
+    A[:n, :n] = g.A
+    A[n, n], A[n + 1, n + 1] = -0.5, 0.25
+    E = None
+    if g.E is not None:
+        E = np.eye(n + 2)
+        E[:n, :n] = g.E
+    B = np.vstack([g.B, np.zeros((1, g.m)), np.ones((1, g.m))])
+    C = np.hstack([g.C, np.ones((g.p, 1)), np.zeros((g.p, 1))])
+    return make_dss(A, E, B, C, g.D, g.ts)
+
+
+def nan_in_l(controllable_bases):
+    """controllable_bases with a NaN made in the first entry of L, as an
+    overflow in a reduction would make it."""
+
+    def patched(A, E, B, tol):
+        L, Z = controllable_bases(A, E, B, tol)
+        L = L.copy()
+        L[0, 0] = np.nan
+        return L, Z
+
+    return patched
+
+
+def realizations(result):
+    if isinstance(result, FactorizationResult):
+        return [result.left, result.right]
+    if isinstance(result, tuple):
+        return list(result)
+    if isinstance(result, Structure):
+        return []
+    return [result]
+
+
+OPERATIONS = {
+    "structure": structure,
+    "irreducible_realization": irreducible_realization,
+    "frf": full_rank_factorize,
+    "frf_stable": lambda g: full_rank_factorize(g, gains="stable"),
+    "dual_frf": dual_full_rank_factorize,
+    "nrcf": nrcf,
+    "pinv": pseudo_inverse,
+    "iofac": inner_outer,
+}
+
+
+@pytest.mark.parametrize(
+    "module, refused",
+    [
+        # the irreducible realization, which structure, nrcf and pinv build
+        ("rmfact.dss", {"structure", "irreducible_realization", "nrcf", "pinv"}),
+        # the explicit pair behind the stabilizing and inner gains
+        ("rmfact.rangebasis", {"frf_stable", "nrcf", "pinv", "iofac"}),
+    ],
+)
+def test_nan_made_inside_a_reduction_is_never_returned(monkeypatch, module, refused):
+    monkeypatch.setattr(f"{module}.controllable_bases", nan_in_l(rmfact.dss.controllable_bases))
+    for g in (padded_example(stable_rank2_continuous()), padded_example(polynomial_rank2_discrete())):
+        for name, op in OPERATIONS.items():
+            try:
+                result = op(g)
+            except RmfactError as exc:
+                # the computation broke down, not the caller's data
+                assert not isinstance(exc, InputError), (name, exc)
+                assert name not in refused or isinstance(exc, (StructureError, FactorizationError)), (name, exc)
+                continue
+            assert name not in refused, name
+            for sys in realizations(result):
+                assert all(np.isfinite(M).all() for M in (sys.A, sys.e_matrix, sys.B, sys.C, sys.D)), name
+
+
+def test_cli_reports_a_nan_made_inside_a_reduction_as_exit_3(monkeypatch, tmp_path):
+    path = tmp_path / "padded.json"
+    write_system_file(padded_example(stable_rank2_continuous()), str(path))
+    monkeypatch.setattr("rmfact.dss.controllable_bases", nan_in_l(rmfact.dss.controllable_bases))
+    code, _, err = run_cli(["info", path, "--json"])
+    assert code == 3, err
+    assert "computed realization has non-finite entries in A" in err

@@ -4,7 +4,9 @@ unused-import check), every function reads each of its parameters,
 only numkernel imports scipy, and only numkernel may bind the LAPACK
 SVD, RQ and QZ routines, scipy's lu_factor, lu_solve and solve or its
 Riccati solvers, or take a matrix 2-norm (an SVD), so every call goes
-through its kernels. numkernel loads scipy's compiled LAPACK module
+through its kernels. Only io and gallery call make_dss, and only
+dss._system the DescriptorSystem constructor, so computed realizations
+skip the input checks. numkernel loads scipy's compiled LAPACK module
 without the scipy.linalg package, which a cold CLI process would
 otherwise spend about half its time importing."""
 
@@ -233,3 +235,58 @@ def test_scipy_import_checker_flags_every_spelling():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != KERNEL_HOME] + ["__init__.py"])
 def test_only_numkernel_imports_scipy(module):
     assert scipy_imports((PACKAGE / module).read_text()) == []
+
+
+# outside data enters through io and gallery, which check it with
+# make_dss; every realization the package computes is built by
+# dss._system, the one caller of the DescriptorSystem constructor
+CHECKED_ENTRIES = {"io.py", "gallery.py"}
+CONSTRUCTORS = ("make_dss", "DescriptorSystem")
+
+
+def constructor_calls(source: str) -> list:
+    """Calls in source of make_dss or DescriptorSystem, by name or as an
+    attribute, with the innermost def that makes each (<module> at top
+    level), in line order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in CONSTRUCTORS:
+                    found.append((child.lineno, f"{where} calls {name}"))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return [f"line {line}: {call}" for line, call in sorted(found)]
+
+
+def test_constructor_checker_flags_every_spelling():
+    source = (
+        "from . import dss\n"
+        "from .dss import DescriptorSystem, make_dss\n"
+        "g = make_dss(A, None, B, C, D, ts)\n"
+        "def f(sys):\n"
+        "    def g():\n"
+        "        return dss.DescriptorSystem(sys.A, None, sys.B, sys.C, sys.D, sys.ts)\n"
+        "    return g, isinstance(sys, DescriptorSystem), dss.make_dss(*sys)\n"
+    )
+    assert constructor_calls(source) == [
+        "line 3: <module> calls make_dss",
+        "line 6: g calls DescriptorSystem",
+        "line 7: f calls make_dss",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_computed_realizations_skip_the_input_checks(module):
+    allowed = {"_system calls DescriptorSystem"} if module == "dss.py" else set()
+    calls = constructor_calls((PACKAGE / module).read_text())
+    if module in CHECKED_ENTRIES:
+        calls = [c for c in calls if not c.endswith("calls make_dss")]
+    assert [c for c in calls if c.split(": ", 1)[1] not in allowed] == []

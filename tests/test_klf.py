@@ -17,6 +17,7 @@ from rmfact import (
     make_dss,
     normal_rank,
     nrcf,
+    ordered_generalized_schur,
     polynomial_rank2_discrete,
     region_none,
     special_klf,
@@ -123,6 +124,34 @@ def test_klf_regular_diagonal():
     assert res.finite_size == 2
     eigs = sorted((a / b).real for a, b in res.finite_eigenvalues)
     assert np.allclose(eigs, [1.0, 2.0], atol=1e-12)
+
+
+# the raw-array entry points check their matrices as make_dss does
+RAW_ENTRY_POINTS = {
+    "kronecker_like_form": kronecker_like_form,
+    "ordered_generalized_schur": lambda A, E: ordered_generalized_schur(A, E, lambda a, b: b > 0),
+}
+
+
+@pytest.mark.parametrize("entry", list(RAW_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "A, E, message",
+    [
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.eye(2), "A contains non-finite entries"),
+        (np.eye(2), np.array([[1.0, 0.0], [np.inf, 1.0]]), "E contains non-finite entries"),
+        (np.ones(2), np.ones(2), r"A must be two-dimensional, got shape \(2,\)"),
+        (np.eye(2), np.ones((2, 2, 1)), r"E must be two-dimensional, got shape \(2, 2, 1\)"),
+        (np.eye(2), np.eye(3), r"E must have shape \(2, 2\), got \(3, 3\)"),
+    ],
+)
+def test_raw_array_entry_points_name_the_matrix(entry, A, E, message):
+    with pytest.raises(InputError, match=message):
+        RAW_ENTRY_POINTS[entry](A, E)
+
+
+def test_ordered_schur_needs_a_square_pencil():
+    with pytest.raises(InputError, match=r"A must be square, got shape \(1, 2\)"):
+        ordered_generalized_schur(np.ones((1, 2)), np.ones((1, 2)), lambda a, b: b > 0)
 
 
 def test_klf_rank_one_rectangular():
