@@ -383,10 +383,10 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
     """Eliminate states violating A N(E) in R(E); the transfer function
     is preserved exactly by Gaussian elimination of algebraic states.
     The system comes back as given when it has no such states: no
-    state, E of full rank on the pencil scale, or A22 at the noise
-    floor."""
-    A, Emat, n = sys.A, sys.e_matrix, sys.n
-    if n == 0:
+    state, E None (the identity, never rank-decided), E of full rank on
+    the pencil scale, or A22 at the noise floor."""
+    A, Emat, n = sys.A, sys.E, sys.n
+    if n == 0 or Emat is None:
         return sys
     # ranked on the pencil's scale, an E of roundoff has rank 0
     scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(Emat, "fro"))
@@ -443,13 +443,24 @@ def _eigen_list_from_pencil(M, N, tol: ToleranceConfig) -> EigenvalueList:
     return EigenvalueList(tuple(a / b for a, b in res.finite_eigenvalues), infinite)
 
 
+def _irreducible_poles(red: DescriptorSystem, tol: ToleranceConfig) -> EigenvalueList:
+    """Poles of the irreducible realization red. With E None they are
+    the QZ eigenvalues of (A, I), all finite: the Kronecker-like form of
+    A - lambda*I ranks I as nonsingular at the first decision of each
+    peel, transforms nothing and hands A and I to the same gges call,
+    so both routes give the same bits. Otherwise the Kronecker-like
+    form of A - lambda*E decides the finite and infinite part."""
+    if red.E is None:
+        return EigenvalueList(tuple(a / b for a, b in generalized_eigenvalues(red.A, np.eye(red.n))), ())
+    return _eigen_list_from_pencil(red.A, red.E, tol)
+
+
 def poles(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> EigenvalueList:
     """Pole structure of G: finite eigenvalues of A - lambda*E of an
     irreducible realization, plus infinite eigenvalue multiplicities
-    decremented by one."""
+    decremented by one (_irreducible_poles)."""
     tol = tol or DEFAULT_TOL
-    red = irreducible_realization(sys, tol)
-    return _eigen_list_from_pencil(red.A, red.e_matrix, tol)
+    return _irreducible_poles(irreducible_realization(sys, tol), tol)
 
 
 def zeros(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> EigenvalueList:
@@ -460,8 +471,12 @@ def zeros(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> Eigenval
 
 
 def mcmillan_degree(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> int:
-    """Total pole count, finite plus infinite."""
-    return poles(sys, tol).total
+    """Total pole count, finite plus infinite: the order of an
+    irreducible realization with E None, whose poles are all finite,
+    else the count of _irreducible_poles."""
+    tol = tol or DEFAULT_TOL
+    red = irreducible_realization(sys, tol)
+    return red.n if red.E is None else _irreducible_poles(red, tol).total
 
 
 @dataclass(frozen=True)
@@ -481,5 +496,5 @@ def structure(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> Stru
     uncontrollable or unobservable eigenvalue to disturb the rank probe."""
     tol = tol or DEFAULT_TOL
     red = irreducible_realization(sys, tol)
-    pol = _eigen_list_from_pencil(red.A, red.e_matrix, tol)
+    pol = _irreducible_poles(red, tol)
     return Structure(normal_rank(red, tol), pol, _eigen_list_from_pencil(*system_pencil(red), tol), pol.total)

@@ -13,7 +13,7 @@ derived from the norm of the input data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -217,7 +217,11 @@ def _degrees_from_stairs(stairs):
 class KlfResult:
     """Block upper triangular pencil Q.T (A - lambda E) Z with diagonal
     blocks ordered [right singular | finite | infinite | left singular]
-    and the structural invariants read off the staircase sizes."""
+    and the structural invariants read off the staircase sizes.
+
+    _klf_core computes every field except left_minimal_indices, which
+    it leaves None: only kronecker_like_form reads the left structure,
+    and it peels the trailing left singular block for it."""
 
     M: np.ndarray
     N: np.ndarray
@@ -226,7 +230,7 @@ class KlfResult:
     right_minimal_indices: tuple
     finite_eigenvalues: tuple
     infinite_divisor_degrees: tuple
-    left_minimal_indices: tuple
+    left_minimal_indices: tuple | None
     right_shape: tuple
     finite_size: int
     infinite_shape: tuple
@@ -234,6 +238,13 @@ class KlfResult:
 
 
 def _klf_core(M0, N0, thresh) -> KlfResult:
+    """Kronecker-like form of M0 - lambda*N0 with every rank decision
+    against the absolute threshold thresh, in three staircase peels:
+    the split of the infinite and left singular structure to the
+    trailing block, the right singular peel of the leading block and
+    the infinite peel of the trailing one, then the QZ eigenvalues of
+    the finite block. The left minimal indices are not computed
+    (None); kronecker_like_form adds them."""
     m, n = M0.shape
     Mw = M0.copy()
     Nw = N0.copy()
@@ -275,12 +286,6 @@ def _klf_core(M0, N0, thresh) -> KlfResult:
             "adjust the tolerance"
         )
 
-    mL = m - r1 - iI
-    nL = n - c1 - jI
-    ML = _rot(Mw[r1 + iI:, c1 + jI:].T).copy()
-    NL = _rot(Nw[r1 + iI:, c1 + jI:].T).copy()
-    _, _, stairs_l, _, _ = _stage_peel(ML, NL, thresh)
-
     return KlfResult(
         M=Mw,
         N=Nw,
@@ -289,12 +294,23 @@ def _klf_core(M0, N0, thresh) -> KlfResult:
         right_minimal_indices=_indices_from_stairs(stairs_r),
         finite_eigenvalues=tuple(finite),
         infinite_divisor_degrees=_degrees_from_stairs(stairs_i),
-        left_minimal_indices=_indices_from_stairs(stairs_l),
+        left_minimal_indices=None,
         right_shape=(iR, jR),
         finite_size=nF,
         infinite_shape=(iI, jI),
-        left_shape=(mL, nL),
+        left_shape=(m - r1 - iI, n - c1 - jI),
     )
+
+
+def _left_minimal_indices(res: KlfResult, thresh) -> tuple:
+    """Left minimal indices of the pencil reduced by res: the staircase
+    peel of Van Dooren (1979) on the rotated transpose of its trailing
+    left singular block."""
+    m, n = res.M.shape
+    mL, nL = res.left_shape
+    ML = _rot(res.M[m - mL:, n - nL:].T).copy()
+    NL = _rot(res.N[m - mL:, n - nL:].T).copy()
+    return _indices_from_stairs(_stage_peel(ML, NL, thresh)[2])
 
 
 def _pencil_threshold(M, N, tol: ToleranceConfig):
@@ -307,12 +323,15 @@ def kronecker_like_form(A, E, tol: ToleranceConfig | None = None) -> KlfResult:
     block upper triangular Kronecker-like form, returning the
     transformed pencil, the transformations, and the right minimal
     indices, finite eigenvalues, infinite elementary divisor degrees,
-    and left minimal indices. A and E are checked by _matrix: of one
-    shape, with finite entries."""
+    and left minimal indices. _klf_core computes all but the left
+    minimal indices, which this function peels from the trailing block.
+    A and E are checked by _matrix: of one shape, with finite entries."""
     tol = tol or DEFAULT_TOL
     A = _matrix(A, "A")
     E = _matrix(E, "E", *A.shape)
-    return _klf_core(A, E, _pencil_threshold(A, E, tol))
+    thresh = _pencil_threshold(A, E, tol)
+    res = _klf_core(A, E, thresh)
+    return replace(res, left_minimal_indices=_left_minimal_indices(res, thresh))
 
 
 # -- range/coimage splitting form --------------------------------------------
@@ -394,6 +413,12 @@ class SpecialKlf:
 
 
 def _check_bad_stabilizable(sys, region, tol, thresh):
+    """Refuse a realization that special_klf cannot split for region:
+    [E B] of row rank below n (not stabilizable at infinity), a finite
+    eigenvalue of A - lambda*E within the boundary offset, or a bad one
+    at which [A - lambda*E, B] loses rank. The last two need the QZ
+    eigenvalues of (A, E), which a REGION_NONE partition skips: there
+    no finite eigenvalue classifies as bad or boundary."""
     n = sys.n
     Emat = sys.e_matrix
     EB = np.hstack([Emat, sys.B])
@@ -402,6 +427,8 @@ def _check_bad_stabilizable(sys, region, tol, thresh):
         raise StructureError(
             "realization is not stabilizable at infinity: [E B] is row rank deficient"
         )
+    if region.kind == REGION_NONE:
+        return
     for a, b in generalized_eigenvalues(sys.A, Emat):
         cls = classify_eigenvalue(a, b, region, tol)
         if cls == "boundary":

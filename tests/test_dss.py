@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import rmfact.klf
 from rmfact import (
     EvaluationError,
     InputError,
     Structure,
     StructureError,
+    ToleranceConfig,
     conjugate,
     evaluate,
     frequency_grid,
@@ -23,12 +25,20 @@ from rmfact import (
     stack_vertical,
     structure,
     transpose,
+    write_system_file,
     zeros,
 )
-from rmfact.dss import _remove_nondynamic, _system, identity_system, nonpole_evaluations, system_pencil
+from rmfact.dss import (
+    _eigen_list_from_pencil,
+    _remove_nondynamic,
+    _system,
+    identity_system,
+    nonpole_evaluations,
+    system_pencil,
+)
 from rmfact.numkernel import DEFAULT_TOL
 
-from support import RELAXED, assert_multiset_close, random_system, rank_deficient_system
+from support import RELAXED, assert_multiset_close, random_system, rank_deficient_system, run_cli_json
 
 
 def test_example_one_structure():
@@ -440,3 +450,67 @@ def test_assembly_keeps_the_block_constructions_layout(ts):
             assert_same_realization(series(g, h), reference_series(g, h))
             assert_same_realization(stack_vertical(g, h), reference_stack_vertical(g, h))
             assert_same_realization(stack_horizontal(g, h), reference_stack_horizontal(g, h))
+
+
+# -- poles of a standard realization -------------------------------------------
+
+
+@pytest.mark.parametrize("improper_prob", [0.0, 1.0])
+def test_poles_equal_the_klf_route_bit_for_bit(improper_prob):
+    # E None takes the QZ of (A, I) without a Kronecker-like form; the
+    # form it skips would hand the same A and I to the same QZ call
+    rng = np.random.default_rng(404)
+    for _ in range(40):
+        g = random_system(rng, n_max=8, improper_prob=improper_prob)
+        red = irreducible_realization(g)
+        pl = poles(g)
+        assert pl == _eigen_list_from_pencil(red.A, red.e_matrix, DEFAULT_TOL)
+        assert mcmillan_degree(g) == pl.total
+
+
+def test_standard_realization_poles_skip_the_klf(monkeypatch):
+    calls = []
+    klf_core = rmfact.klf._klf_core
+
+    def counting(*args):
+        calls.append(args)
+        return klf_core(*args)
+
+    monkeypatch.setattr(rmfact.klf, "_klf_core", counting)
+    rng = np.random.default_rng(405)
+    for _ in range(20):
+        g = random_system(rng, n_max=8, improper_prob=0.0)
+        assert len(poles(g).finite) == mcmillan_degree(g) == irreducible_realization(g).n
+    assert calls == []
+    # the zeros still come from the form of the system matrix pencil
+    zeros(g)
+    assert len(calls) == 1
+
+
+def coarse_tolerance_system():
+    # ||A||_F is about 12, so 0.1 ||A||_F ranks an identity E as zero
+    rng = np.random.default_rng(1)
+    A = 5 * rng.standard_normal((4, 4))
+    B = rng.standard_normal((4, 2))
+    C = rng.standard_normal((2, 4))
+    D = rng.standard_normal((2, 2))
+    return make_dss(A, None, B, C, D, "continuous")
+
+
+def test_coarse_tolerance_keeps_a_standard_realization():
+    g = coarse_tolerance_system()
+    tol = ToleranceConfig(rank_rtol=0.1)
+    assert np.linalg.norm(g.A) > 10
+    assert irreducible_realization(g, tol).n == 4
+    assert mcmillan_degree(g, tol) == 4
+    pl = poles(g, tol)
+    assert len(pl.finite) == 4 and pl.infinite_multiplicities == ()
+    assert pl == poles(g)
+
+
+def test_cli_info_at_a_coarse_tolerance_keeps_the_poles(tmp_path):
+    path = tmp_path / "coarse.json"
+    write_system_file(coarse_tolerance_system(), str(path))
+    res = run_cli_json(["info", path, "--tol", "0.1"])["results"]
+    assert res["mcmillan_degree"] == 4
+    assert len(res["poles"]["finite"]) == 4 and res["poles"]["infinite"] == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import rmfact.klf
 from rmfact import (
     BoundaryError,
     FactorizationError,
@@ -25,7 +26,8 @@ from rmfact import (
     stable_rank2_continuous,
     zeros,
 )
-from rmfact.klf import on_stability_boundary
+from rmfact.klf import _klf_core, _pencil_threshold, on_stability_boundary
+from rmfact.numkernel import DEFAULT_TOL
 from rmfact.rangebasis import inner_enforcing_gains, range_basis
 
 from support import assert_multiset_close, random_system
@@ -236,6 +238,26 @@ def test_klf_random_invariants():
     assert time.time() - start < 30.0
 
 
+def test_left_structure_peel_runs_only_for_kronecker_like_form(monkeypatch):
+    peels = []
+    peel = rmfact.klf._stage_peel
+
+    def counting(*args):
+        peels.append(args)
+        return peel(*args)
+
+    monkeypatch.setattr(rmfact.klf, "_stage_peel", counting)
+    M, N = system_pencil(stable_rank2_continuous())
+    core = _klf_core(M, N, _pencil_threshold(M, N, DEFAULT_TOL))
+    assert len(peels) == 3
+    assert core.left_minimal_indices is None
+    del peels[:]
+    res = kronecker_like_form(M, N)
+    assert len(peels) == 4
+    assert res.left_minimal_indices == (1,)
+    assert np.array_equal(res.M, core.M) and np.array_equal(res.Z, core.Z)
+
+
 # -- range/coimage splitting form ---------------------------------------------
 
 
@@ -397,3 +419,34 @@ def test_sklf_rejects_uncontrollable_bad_eigenvalue():
     # the same realization is fine when every finite point is good
     sk = special_klf(g, region_none())
     assert sk.r == 1
+
+
+def test_region_none_splitting_skips_the_eigenvalue_checks(monkeypatch):
+    # no finite eigenvalue is bad or boundary for region_none, so the
+    # QZ of (A, E) is left out; the KLF of the restricted pencil keeps
+    # its own QZ call
+    outside = []
+    depth = [0]
+    qz, core = rmfact.klf.generalized_eigenvalues, rmfact.klf._klf_core
+
+    def counting_qz(*args):
+        if not depth[0]:
+            outside.append(args)
+        return qz(*args)
+
+    def nested_core(*args):
+        depth[0] += 1
+        try:
+            return core(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(rmfact.klf, "generalized_eigenvalues", counting_qz)
+    monkeypatch.setattr(rmfact.klf, "_klf_core", nested_core)
+    rng = np.random.default_rng(406)
+    systems = [stable_rank2_continuous(), polynomial_rank2_discrete()] + [random_system(rng) for _ in range(10)]
+    for g in systems:
+        special_klf(g, region_none())
+    assert outside == []
+    special_klf(stable_rank2_continuous(), stability_region("continuous"))
+    assert len(outside) == 1
