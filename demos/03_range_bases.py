@@ -49,20 +49,10 @@ rr_i = rm.range_basis(g, gains="inner")
 print()
 print("inner: R poles", sorted(round(z.real, 4) for z in rm.poles(rr_i.R).finite),
       "zeros", sorted(round(z.real, 4) for z in rm.zeros(rr_i.R).finite))
-worst = max(
-    np.linalg.norm(rm.evaluate(rr_i.R, z).conj().T @ rm.evaluate(rr_i.R, z) - np.eye(2))
-    for z in rm.frequency_grid("continuous", 32)
-)
-print("max |R~R - I| over the frequency grid:", f"{worst:.2e}")
+print("max |R~R - I| over the frequency grid:", f"{rm.gram_residual([rr_i.R]):.2e}")
 
 # all variants factor G exactly
 rng = np.random.default_rng(0)
 for name, rrx in (("none", rr), ("bad", rr_b), ("inner", rr_i)):
-    Xx = rm.cofactor(g, rrx)
-    pts = rm.random_nonpole_points([g, rrx.R, Xx], 8, rng)
-    resid = max(
-        np.linalg.norm(rm.evaluate(g, z) - rm.evaluate(rrx.R, z) @ rm.evaluate(Xx, z))
-        / (1.0 + np.linalg.norm(rm.evaluate(g, z)))
-        for z in pts
-    )
+    resid = max(rm.product_residuals(g, rrx.R, rm.cofactor(g, rrx), 8, rng))
     print(f"residual G - R X ({name}): {resid:.2e}")

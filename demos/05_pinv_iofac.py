@@ -28,24 +28,12 @@ gp = rm.pseudo_inverse(g)
 print()
 print("pseudo-inverse order:", gp.n)
 
+# product identities at 12 random points, Hermitian ones on the unit circle
 rng = np.random.default_rng(1)
-pts = rm.random_nonpole_points([g, gp], 12, rng)
-w1 = w2 = 0.0
-for z in pts:
-    Gz, Pz = rm.evaluate(g, z), rm.evaluate(gp, z)
-    scale = 1.0 + np.linalg.norm(Gz)
-    w1 = max(w1, np.linalg.norm(Gz @ Pz @ Gz - Gz) / scale)
-    w2 = max(w2, np.linalg.norm(Pz @ Gz @ Pz - Pz) / scale)
-print("product identities (any point):  ", f"{w1:.2e}", f"{w2:.2e}")
-
-w3 = w4 = 0.0
-for z in rm.frequency_grid("discrete", 32):
-    Gz, Pz = rm.evaluate(g, z), rm.evaluate(gp, z)
-    GP, PG = Gz @ Pz, Pz @ Gz
-    scale = 1.0 + np.linalg.norm(Gz)
-    w3 = max(w3, np.linalg.norm(GP.conj().T - GP) / scale)
-    w4 = max(w4, np.linalg.norm(PG.conj().T - PG) / scale)
-print("Hermitian identities (unit circle):", f"{w3:.2e}", f"{w4:.2e}")
+res = rm.penrose_residuals(g, gp, 12, rng)
+print("product identities (any point):  ", f"{res['G_Gp_G']:.2e}", f"{res['Gp_G_Gp']:.2e}")
+print("Hermitian identities (unit circle):",
+      f"{res['hermitian_G_Gp']:.2e}", f"{res['hermitian_Gp_G']:.2e}")
 
 Gi, Go = rm.inner_outer(g)
 print()
@@ -54,19 +42,8 @@ print("inner factor degree:", rm.mcmillan_degree(Gi),
 print("quasi-outer degree:", rm.mcmillan_degree(Go),
       # + 0.0 prints a zero that rounds to -0.0 as 0.0
       "zeros:", sorted(round(z.real, 6) + 0.0 for z in rm.zeros(Go).finite))
-worst = max(
-    np.linalg.norm(rm.evaluate(Gi, z).conj().T @ rm.evaluate(Gi, z) - np.eye(2))
-    for z in rm.frequency_grid("discrete", 32)
-)
-print("max |Gi~Gi - I| on the unit circle:", f"{worst:.2e}")
-
-pts = rm.random_nonpole_points([g, Gi, Go], 8, rng)
-resid = max(
-    np.linalg.norm(rm.evaluate(g, z) - rm.evaluate(Gi, z) @ rm.evaluate(Go, z))
-    / (1.0 + np.linalg.norm(rm.evaluate(g, z)))
-    for z in pts
-)
-print("product residual G - Gi Go:", f"{resid:.2e}")
+print("max |Gi~Gi - I| on the unit circle:", f"{rm.gram_residual([Gi]):.2e}")
+print("product residual G - Gi Go:", f"{max(rm.product_residuals(g, Gi, Go, 8, rng)):.2e}")
 
 # the continuous example rounds the picture out: its unstable zeros
 # {1, 2} turn into the zeros of the inner factor, with poles at the

@@ -6,6 +6,12 @@ standard output, human-readable by default or as a single JSON
 document with --json. Factor realizations are written as system files
 when --out names a directory.
 
+The residuals the reports print (G = L R, R~R = I, N~N + M~M = I and
+the Moore-Penrose conditions) come from rmfact.fact, which owns every
+identity check; this module only formats them. One report builder,
+_factor_report, writes the factor blocks, results, --out files and
+human-readable lines of range, frf, dual-frf, nrcf, pinv and iofac.
+
 Exit codes: 0 success, 2 input or parse error, 3 structural or
 factorization error (boundary eigenvalues, non-stabilizable
 realizations, evaluation at a pole), 4 verification failure.
@@ -20,15 +26,7 @@ import sys
 
 import numpy as np
 
-from .dss import (
-    DescriptorSystem,
-    Structure,
-    evaluate,
-    frequency_grid,
-    nonpole_evaluations,
-    structure,
-    system_pencil,
-)
+from .dss import DescriptorSystem, Structure, evaluate, structure, system_pencil
 from .exceptions import (
     BoundaryError,
     EvaluationError,
@@ -39,12 +37,15 @@ from .exceptions import (
     VerificationError,
 )
 from .fact import (
+    FREQ_GRID,
     RESIDUAL_GRID,
     certify,
     dual_full_rank_factorize,
     full_rank_factorize,
+    gram_residual,
     inner_outer,
     nrcf,
+    penrose_residuals,
     product_residuals,
     pseudo_inverse,
 )
@@ -59,7 +60,6 @@ from .klf import all_finite_region, kronecker_like_form, region_none, special_kl
 from .numkernel import ToleranceConfig
 from .rangebasis import range_basis
 
-DEFAULT_FREQ_GRID = 32
 VERIFY_THRESHOLD = 1e-7
 
 
@@ -171,26 +171,6 @@ def _factor_block(sys_: DescriptorSystem, st: Structure) -> dict:
     }
 
 
-def _inner_residual(count, *factors) -> float:
-    """max over the frequency grid of |sum F~F - I| for the factors of
-    one stacked column, e.g. |R~R - I| or |N~N + M~M - I|."""
-    worst = 0.0
-    for z in frequency_grid(factors[0].ts, count):
-        gram = sum(F.conj().T @ F for F in (evaluate(f, z) for f in factors))
-        worst = max(worst, np.linalg.norm(gram - np.eye(factors[0].m), "fro"))
-    return float(worst)
-
-
-def _write_factors(args, report, factors):
-    if getattr(args, "out", None) is None:
-        return
-    os.makedirs(args.out, exist_ok=True)
-    paths = {}
-    for name, sys_ in factors.items():
-        paths[name] = write_system_file(sys_, os.path.join(args.out, f"{name}.json"))
-    report["outputs"] = paths
-
-
 def _emit(args, report, human_lines):
     if args.json:
         print(report_to_json(report))
@@ -227,6 +207,23 @@ def _start(args):
     report = {"schema_version": SCHEMA_VERSION, "command": args.command}
     report["input"] = _input_block(args.system, sys_)
     return sys_, _tolerance(args), report
+
+
+def _factor_report(args, report, factors, results, lines) -> int:
+    """Finish the report of a factorization command: one block per
+    factor (key, label, realization, Structure) in order, then the
+    extra results, the --out files and the human-readable lines, the
+    given lines after the factor lines."""
+    blocks = {key: _factor_block(f, st) for key, _, f, st in factors}
+    report["results"] = {**blocks, **results}
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+        report["outputs"] = {
+            key: write_system_file(f, os.path.join(args.out, f"{key}.json")) for key, _, f, _ in factors
+        }
+    human = [line for key, label, _, _ in factors for line in _factor_lines(label, blocks[key])]
+    _emit(args, report, human + lines)
+    return 0
 
 
 def _cmd_info(args) -> int:
@@ -303,17 +300,12 @@ def _run_range_like(args):
 def _cmd_range(args) -> int:
     sys_, tol, region, gains, report = _run_range_like(args)
     rr = range_basis(sys_, region, gains, tol)
-    block = _factor_block(rr.R, structure(rr.R, tol))
-    results = {"R": block, "inner": gains == "inner"}
+    st = structure(rr.R, tol)
+    results, lines = {"inner": gains == "inner"}, []
     if gains == "inner":
-        results["inner_residual"] = _inner_residual(args.grid or DEFAULT_FREQ_GRID, rr.R)
-    report["results"] = results
-    _write_factors(args, report, {"R": rr.R})
-    lines = _factor_lines("R", block)
-    if gains == "inner":
-        lines.append(f"max |R~R - I| on grid: {results['inner_residual']:.3e}")
-    _emit(args, report, lines)
-    return 0
+        results["inner_residual"] = worst = gram_residual([rr.R], args.grid or FREQ_GRID)
+        lines.append(f"max |R~R - I| on grid: {worst:.3e}")
+    return _factor_report(args, report, [("R", "R", rr.R, st)], results, lines)
 
 
 def _fact_command(args, runner, names) -> int:
@@ -321,20 +313,14 @@ def _fact_command(args, runner, names) -> int:
     grid = args.grid or RESIDUAL_GRID
     fr = runner(sys_, region, gains, tol)
     cert = certify(sys_, fr.left, fr.right, tol, np.random.default_rng(args.seed), grid)
-    left_block = _factor_block(fr.left, cert["left_structure"])
-    right_block = _factor_block(fr.right, cert["right_structure"])
     residual = cert["max_relative_residual"]
-    report["results"] = {
-        names[0]: left_block,
-        names[1]: right_block,
-        "max_relative_residual": residual,
-        "grid_points": grid,
-    }
-    _write_factors(args, report, {names[0]: fr.left, names[1]: fr.right})
-    lines = _factor_lines(names[0], left_block) + _factor_lines(names[1], right_block)
-    lines.append(f"max relative residual on {grid} points: {residual:.3e}")
-    _emit(args, report, lines)
-    return 0
+    factors = [
+        (names[0], names[0], fr.left, cert["left_structure"]),
+        (names[1], names[1], fr.right, cert["right_structure"]),
+    ]
+    results = {"max_relative_residual": residual, "grid_points": grid}
+    lines = [f"max relative residual on {grid} points: {residual:.3e}"]
+    return _factor_report(args, report, factors, results, lines)
 
 
 def _cmd_frf(args) -> int:
@@ -347,85 +333,46 @@ def _cmd_dual_frf(args) -> int:
 
 def _cmd_nrcf(args) -> int:
     sys_, tol, report = _start(args)
-    grid = args.grid or DEFAULT_FREQ_GRID
+    grid = args.grid or FREQ_GRID
     N, M = nrcf(sys_, tol)
-    worst = _inner_residual(grid, N, M)
-    nb, mb = _factor_block(N, structure(N, tol)), _factor_block(M, structure(M, tol))
-    report["results"] = {
-        "N": nb,
-        "M": mb,
-        "normalization_residual": float(worst),
-        "grid_points": grid,
-    }
-    _write_factors(args, report, {"N": N, "M": M})
-    lines = _factor_lines("N", nb) + _factor_lines("M", mb)
-    lines.append(f"max |N~N + M~M - I| on grid: {worst:.3e}")
-    _emit(args, report, lines)
-    return 0
+    worst = gram_residual([N, M], grid)
+    factors = [("N", "N", N, structure(N, tol)), ("M", "M", M, structure(M, tol))]
+    results = {"normalization_residual": worst, "grid_points": grid}
+    lines = [f"max |N~N + M~M - I| on grid: {worst:.3e}"]
+    return _factor_report(args, report, factors, results, lines)
 
 
 def _cmd_pinv(args) -> int:
     sys_, tol, report = _start(args)
     grid = args.grid or RESIDUAL_GRID
     gp = pseudo_inverse(sys_, tol)
-    w1 = w2 = 0.0
-    for Gz, Pz in nonpole_evaluations([sys_, gp], grid, np.random.default_rng(args.seed)):
-        scale = 1.0 + np.linalg.norm(Gz, "fro")
-        w1 = max(w1, np.linalg.norm(Gz @ Pz @ Gz - Gz, "fro") / scale)
-        w2 = max(w2, np.linalg.norm(Pz @ Gz @ Pz - Pz, "fro") / scale)
-    w3 = w4 = 0.0
-    for z in frequency_grid(sys_.ts, args.grid or DEFAULT_FREQ_GRID):
-        try:
-            Gz = evaluate(sys_, z)
-            Pz = evaluate(gp, z)
-        except EvaluationError:
-            continue
-        GP = Gz @ Pz
-        PG = Pz @ Gz
-        scale = 1.0 + np.linalg.norm(Gz, "fro")
-        w3 = max(w3, np.linalg.norm(GP.conj().T - GP, "fro") / scale)
-        w4 = max(w4, np.linalg.norm(PG.conj().T - PG, "fro") / scale)
-    block = _factor_block(gp, structure(gp, tol))
-    report["results"] = {
-        "pinv": block,
-        "identity_residuals": {
-            "G_Gp_G": w1,
-            "Gp_G_Gp": w2,
-            "hermitian_G_Gp": w3,
-            "hermitian_Gp_G": w4,
-        },
-        "grid_points": grid,
-    }
-    _write_factors(args, report, {"pinv": gp})
-    lines = _factor_lines("pseudo-inverse", block)
-    lines.append(f"residuals: G G# G {w1:.3e}, G# G G# {w2:.3e}, "
-                 f"hermitian {w3:.3e} / {w4:.3e}")
-    _emit(args, report, lines)
-    return 0
+    res = penrose_residuals(sys_, gp, grid, np.random.default_rng(args.seed), args.grid or FREQ_GRID)
+    factors = [("pinv", "pseudo-inverse", gp, structure(gp, tol))]
+    results = {"identity_residuals": res, "grid_points": grid}
+    lines = [
+        f"residuals: G G# G {res['G_Gp_G']:.3e}, G# G G# {res['Gp_G_Gp']:.3e}, "
+        f"hermitian {res['hermitian_G_Gp']:.3e} / {res['hermitian_Gp_G']:.3e}"
+    ]
+    return _factor_report(args, report, factors, results, lines)
 
 
 def _cmd_iofac(args) -> int:
     sys_, tol, report = _start(args)
-    grid = args.grid or DEFAULT_FREQ_GRID
+    grid = args.grid or FREQ_GRID
     Gi, Go = inner_outer(sys_, tol)
-    inner_res = _inner_residual(grid, Gi)
+    inner_res = gram_residual([Gi], grid)
     cert = certify(sys_, Gi, Go, tol, np.random.default_rng(args.seed), args.grid or RESIDUAL_GRID)
     prod_res = cert["max_relative_residual"]
-    gi_block = _factor_block(Gi, cert["left_structure"])
-    go_block = _factor_block(Go, cert["right_structure"])
-    report["results"] = {
-        "inner": gi_block,
-        "outer": go_block,
-        "inner_residual": inner_res,
-        "max_relative_residual": prod_res,
-        "grid_points": grid,
-    }
-    _write_factors(args, report, {"inner": Gi, "outer": Go})
-    lines = _factor_lines("inner factor", gi_block) + _factor_lines("quasi-outer factor", go_block)
-    lines.append(f"max |Gi~Gi - I| on grid: {inner_res:.3e}")
-    lines.append(f"max relative product residual: {prod_res:.3e}")
-    _emit(args, report, lines)
-    return 0
+    factors = [
+        ("inner", "inner factor", Gi, cert["left_structure"]),
+        ("outer", "quasi-outer factor", Go, cert["right_structure"]),
+    ]
+    results = {"inner_residual": inner_res, "max_relative_residual": prod_res, "grid_points": grid}
+    lines = [
+        f"max |Gi~Gi - I| on grid: {inner_res:.3e}",
+        f"max relative product residual: {prod_res:.3e}",
+    ]
+    return _factor_report(args, report, factors, results, lines)
 
 
 def _parse_point(text: str) -> complex:
@@ -471,7 +418,7 @@ def _cmd_verify(args) -> int:
     checks = {"max_relative_residual": residual, "grid_points": grid, "threshold": args.threshold}
     ok = residual <= args.threshold
     if args.inner:
-        inner_res = _inner_residual(args.grid or DEFAULT_FREQ_GRID, left)
+        inner_res = gram_residual([left], args.grid or FREQ_GRID)
         checks["inner_residual"] = inner_res
         ok = ok and inner_res <= args.threshold
     report["results"] = checks

@@ -9,6 +9,12 @@ Moore-Penrose pseudo-inverse.
 A factorization is certified on demand: certify checks G = L R on
 random points and reports the structure of both factors, and
 FactorizationResult.certificates calls it the first time it is read.
+
+Every residual of a factorization identity is computed here and
+nowhere else in the package: product_residuals for G = L R,
+gram_residual for the inner and normalization identities (R~R = I,
+N~N + M~M = I) and penrose_residuals for the four Moore-Penrose
+conditions. The command-line reports and the demos call them.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .dss import (
     DescriptorSystem,
     _system,
     conjugate,
+    evaluate,
+    frequency_grid,
     identity_system,
     irreducible_realization,
     nonpole_evaluations,
@@ -33,12 +41,15 @@ from .dss import (
     system_pencil,
     transpose,
 )
-from .exceptions import BoundaryError, FactorizationError, InputError
+from .exceptions import BoundaryError, EvaluationError, FactorizationError, InputError
 from .klf import RegionPartition, on_stability_boundary, region_none
 from .numkernel import DEFAULT_TOL, ToleranceConfig
 from .rangebasis import cofactor, range_basis
 
+# random points of a product identity, which holds everywhere, and
+# frequency-axis points of the inner and Hermitian identities
 RESIDUAL_GRID = 16
+FREQ_GRID = 32
 
 
 def product_residuals(sys, left, right, count=RESIDUAL_GRID, rng=None) -> list:
@@ -50,27 +61,58 @@ def product_residuals(sys, left, right, count=RESIDUAL_GRID, rng=None) -> list:
     ]
 
 
+def gram_residual(factors, count=FREQ_GRID) -> float:
+    """max over frequency_grid(count) of ||sum F~F - I||_F for the
+    factors of one stacked column: ||R~R - I|| for an inner R,
+    ||N~N + M~M - I|| for a normalized coprime pair. A grid point at
+    which a factor does not evaluate raises EvaluationError."""
+    worst = 0.0
+    for z in frequency_grid(factors[0].ts, count):
+        gram = sum(F.conj().T @ F for F in (evaluate(f, z) for f in factors))
+        worst = max(worst, np.linalg.norm(gram - np.eye(factors[0].m), "fro"))
+    return float(worst)
+
+
+def penrose_residuals(sys, gp, count=RESIDUAL_GRID, rng=None, grid=FREQ_GRID) -> dict:
+    """The Moore-Penrose defects of gp as the pseudo-inverse of G,
+    each divided by 1 + ||G(z)||_F and maximized: G G# G - G and
+    G# G G# - G# at the count random points of nonpole_evaluations,
+    and the Hermitian defects of G G# and G# G on frequency_grid(grid),
+    the axis where those identities hold. A grid point at which G or
+    G# does not evaluate is skipped."""
+    w1 = w2 = 0.0
+    for Gz, Pz in nonpole_evaluations([sys, gp], count, rng):
+        scale = 1.0 + np.linalg.norm(Gz, "fro")
+        w1 = max(w1, np.linalg.norm(Gz @ Pz @ Gz - Gz, "fro") / scale)
+        w2 = max(w2, np.linalg.norm(Pz @ Gz @ Pz - Pz, "fro") / scale)
+    w3 = w4 = 0.0
+    for z in frequency_grid(sys.ts, grid):
+        try:
+            Gz, Pz = evaluate(sys, z), evaluate(gp, z)
+        except EvaluationError:
+            continue
+        GP, PG = Gz @ Pz, Pz @ Gz
+        scale = 1.0 + np.linalg.norm(Gz, "fro")
+        w3 = max(w3, np.linalg.norm(GP.conj().T - GP, "fro") / scale)
+        w4 = max(w4, np.linalg.norm(PG.conj().T - PG, "fro") / scale)
+    return {"G_Gp_G": w1, "Gp_G_Gp": w2, "hermitian_G_Gp": w3, "hermitian_Gp_G": w4}
+
+
 def certify(sys, left, right, tol=None, rng=None, count=RESIDUAL_GRID) -> dict:
     """Certificates of G = left @ right: the factored rank, residual
-    statistics over count random points (product_residuals), the
-    orders and the pole/zero lists of both factors, and their full
-    Structure records under left_structure and right_structure."""
+    statistics over count random points (product_residuals), and the
+    Structure records of both factors under left_structure and
+    right_structure. Each fact appears once: the factor poles and
+    zeros are in the records, the orders are left.n and right.n."""
     tol = tol or DEFAULT_TOL
     residuals = product_residuals(sys, left, right, count, rng)
-    ls, rs = structure(left, tol), structure(right, tol)
     return {
         "rank": left.m,
         "grid_points": count,
         "max_relative_residual": float(max(residuals)) if residuals else 0.0,
         "mean_relative_residual": float(np.mean(residuals)) if residuals else 0.0,
-        "left_order": left.n,
-        "right_order": right.n,
-        "left_poles": ls.poles,
-        "left_zeros": ls.zeros,
-        "right_poles": rs.poles,
-        "right_zeros": rs.zeros,
-        "left_structure": ls,
-        "right_structure": rs,
+        "left_structure": structure(left, tol),
+        "right_structure": structure(right, tol),
     }
 
 
@@ -78,8 +120,8 @@ def certify(sys, left, right, tol=None, rng=None, count=RESIDUAL_GRID) -> dict:
 class FactorizationResult:
     """A two-factor decomposition left @ right of the rational matrix
     system. Its certificates (see certify: the factored rank, residual
-    statistics over a random evaluation grid, and pole/zero lists of
-    both factors) are computed the first time they are read."""
+    statistics over a random evaluation grid, and the Structure records
+    of both factors) are computed the first time they are read."""
 
     left: DescriptorSystem
     right: DescriptorSystem

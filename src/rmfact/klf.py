@@ -152,7 +152,7 @@ def _stage_peel(M, N, thresh):
             stairs.append((0, n - j0))
             j0 = n
             break
-        Zk, keep = col_compress(N[i0:, j0:], thresh, zeros_leading=True)
+        Zk, keep = col_compress(N[i0:, j0:], thresh)
         tau = (n - j0) - keep
         if tau == 0:
             break
@@ -475,7 +475,7 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig | None = None
         Q_tot = Q_tot @ U_E
         Ns[r_e:n, :] = 0.0
         T0 = Ms[r_e:n, :]
-        Zk, rk = col_compress(T0, thresh, zeros_leading=True)
+        Zk, rk = col_compress(T0, thresh)
         if rk < m_n:
             raise StructureError(
                 "realization is not stabilizable at infinity: [E B] is row rank deficient"
@@ -495,8 +495,8 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig | None = None
     M_P = Ms[:r_e, :c_dyn] @ K
     N_P = Ns[:r_e, :c_dyn] @ K
     res = _klf_core(M_P, N_P, thresh)
-    M_Pt, N_Pt = res.M.copy(), res.N.copy()
-    Q_P, Z_P = res.Q.copy(), res.Z.copy()
+    # fresh arrays of _klf_core's own, reordered in place below
+    M_Pt, N_Pt, Q_P, Z_P = res.M, res.N, res.Q, res.Z
     iR, jR = res.right_shape
     nF = res.finite_size
     iI, jI = res.infinite_shape

@@ -560,19 +560,14 @@ def row_compress(M, thresh: float):
     return U, rank
 
 
-def col_compress(M, thresh: float, zeros_leading: bool = False):
-    """Orthogonal Z compressing the columns of M.
-
-    With zeros_leading=False, M @ Z = [M1, 0] with M1 full column rank;
-    otherwise M @ Z = [0, M1]. Returns (Z, rank).
-    """
+def col_compress(M, thresh: float):
+    """Orthogonal Z compressing the columns of M to the trailing ones:
+    M @ Z = [0, M1] with M1 full column rank. Returns (Z, rank)."""
     n = M.shape[1]
     if min(M.shape) == 0 or not M.any():
         return np.eye(n), 0
     _, _, V, rank = thresholded_svd(M, thresh)
-    if zeros_leading:
-        return np.hstack([V[:, rank:], V[:, :rank]]), rank
-    return V, rank
+    return np.hstack([V[:, rank:], V[:, :rank]]), rank
 
 
 def null_basis(M, thresh: float):

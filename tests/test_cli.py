@@ -9,7 +9,9 @@ import pytest
 
 import rmfact
 from rmfact import (
+    EvaluationError,
     evaluate,
+    frequency_grid,
     full_rank_factorize,
     make_dss,
     parse_system_file,
@@ -172,8 +174,7 @@ def test_grid_flag_reaches_every_check(examples, tmp_path, monkeypatch):
             return generator(systems_or_ts, count, *args)
         return wrapped
 
-    monkeypatch.setattr("rmfact.cli.frequency_grid", record(rmfact.cli.frequency_grid))
-    monkeypatch.setattr("rmfact.cli.nonpole_evaluations", record(rmfact.cli.nonpole_evaluations))
+    monkeypatch.setattr("rmfact.fact.frequency_grid", record(rmfact.fact.frequency_grid))
     monkeypatch.setattr("rmfact.fact.nonpole_evaluations", record(rmfact.fact.nonpole_evaluations))
     for argv in (
         ["frf", ex1],
@@ -189,6 +190,41 @@ def test_grid_flag_reaches_every_check(examples, tmp_path, monkeypatch):
         rep = run_cli_json(argv + ["--grid", "5"])
         assert counts and set(counts) == {5}, (argv, counts)
         assert rep["results"].get("grid_points", 5) == 5
+
+
+@pytest.fixture()
+def grid_pole(tmp_path):
+    """System files of a discrete 1x1 G whose A rotates by pi/4, so its
+    pole e^{i pi/4} is a point of the 4-point frequency grid, and of
+    the identity I."""
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    g = make_dss(np.array([[c, -s], [s, c]]), None, np.array([[1.0], [0.0]]),
+                 np.array([[1.0, 0.0]]), np.array([[1.0]]), "discrete")
+    with pytest.raises(EvaluationError):
+        evaluate(g, frequency_grid("discrete", 4)[0])
+    ident = make_dss(np.zeros((0, 0)), None, np.zeros((0, 1)), np.zeros((1, 0)), np.eye(1), "discrete")
+    paths = tmp_path / "g.json", tmp_path / "i.json"
+    write_system_file(g, str(paths[0]))
+    write_system_file(ident, str(paths[1]))
+    return paths
+
+
+def test_pinv_skips_a_grid_point_at_a_pole(grid_pole):
+    # the Hermitian identities hold where G and G# evaluate; a grid
+    # point at a pole is left out of their maximum
+    g, _ = grid_pole
+    res = run_cli_json(["pinv", g, "--grid", "4"])["results"]["identity_residuals"]
+    assert sorted(res) == ["G_Gp_G", "Gp_G_Gp", "hermitian_G_Gp", "hermitian_Gp_G"]
+    assert all(np.isfinite(v) and v <= 1e-12 for v in res.values()), res
+
+
+def test_inner_check_at_a_grid_pole_is_exit_3(grid_pole):
+    # an inner factor must evaluate on the whole grid: a pole there
+    # fails the check instead of being skipped
+    g, ident = grid_pole
+    code, out, err = run_cli(["verify", g, g, ident, "--inner", "--grid", "4"])
+    assert code == 3 and out == ""
+    assert "is a pole to working precision" in err
 
 
 def test_nonstabilizable_realization_is_exit_3(tmp_path):

@@ -14,6 +14,7 @@ from rmfact import (
     evaluate,
     frequency_grid,
     full_rank_factorize,
+    gram_residual,
     inner_outer,
     irreducible_realization,
     make_dss,
@@ -24,6 +25,7 @@ from rmfact import (
     polynomial_rank2_discrete,
     pseudo_inverse,
     random_nonpole_points,
+    range_basis,
     stable_rank2_continuous,
     structure,
     write_system_file,
@@ -61,6 +63,11 @@ def inner_defect(R, ts, count=32):
         v = evaluate(R, s)
         worst = max(worst, np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
     return worst
+
+
+def test_gram_residual_matches_the_inner_defect_oracle():
+    R = range_basis(stable_rank2_continuous(), gains="inner").R
+    assert gram_residual([R]) == inner_defect(R, "continuous")
 
 
 # -- full-rank factorization ----------------------------------------------------
@@ -294,19 +301,17 @@ def test_inner_outer_zero_pole_balance():
 def test_certificates_fields():
     fr = full_rank_factorize(stable_rank2_continuous())
     cert = fr.certificates
-    for key in (
+    # each fact once: the factor orders are left.n and right.n, the
+    # poles and zeros live in the Structure records
+    assert set(cert) == {
         "rank",
         "grid_points",
         "max_relative_residual",
         "mean_relative_residual",
-        "left_poles",
-        "left_zeros",
-        "right_poles",
-        "right_zeros",
-    ):
-        assert key in cert
-    assert cert["left_order"] == fr.left.n
-    assert len(cert["left_zeros"].finite) == 2
+        "left_structure",
+        "right_structure",
+    }
+    assert len(cert["left_structure"].zeros.finite) == 2
 
 
 def test_certificates_are_computed_on_first_read(monkeypatch):
@@ -331,10 +336,9 @@ def test_certificates_are_computed_on_first_read(monkeypatch):
         assert cert["max_relative_residual"] == product_residual(g, fr.left, fr.right, pts)
         assert cert["rank"] == fr.left.m
         assert cert["grid_points"] == RESIDUAL_GRID
-        assert (cert["left_order"], cert["right_order"]) == (fr.left.n, fr.right.n)
         for side, sys in (("left", fr.left), ("right", fr.right)):
-            assert cert[f"{side}_poles"] == poles(sys)
-            assert cert[f"{side}_zeros"] == zeros(sys)
+            assert cert[f"{side}_structure"].poles == poles(sys)
+            assert cert[f"{side}_structure"].zeros == zeros(sys)
 
 
 def test_certify_redraws_points_that_do_not_evaluate():

@@ -6,7 +6,10 @@ SVD, RQ and QZ routines, scipy's lu_factor, lu_solve and solve or its
 Riccati solvers, or take a matrix 2-norm (an SVD), so every call goes
 through its kernels. Only io and gallery call make_dss, and only
 dss._system the DescriptorSystem constructor, so computed realizations
-skip the input checks. numkernel loads scipy's compiled LAPACK module
+skip the input checks. Only dss and fact draw evaluation points
+(frequency_grid, nonpole_evaluations), so every residual of a
+factorization identity is computed in fact, and cli evaluates a system
+only for its eval command. numkernel loads scipy's compiled LAPACK module
 without the scipy.linalg package, which a cold CLI process would
 otherwise spend about half its time importing."""
 
@@ -244,8 +247,8 @@ CHECKED_ENTRIES = {"io.py", "gallery.py"}
 CONSTRUCTORS = ("make_dss", "DescriptorSystem")
 
 
-def constructor_calls(source: str) -> list:
-    """Calls in source of make_dss or DescriptorSystem, by name or as an
+def calls_of(source: str, names) -> list:
+    """Calls in source of a function in names, by name or as an
     attribute, with the innermost def that makes each (<module> at top
     level), in line order."""
     found = []
@@ -258,7 +261,7 @@ def constructor_calls(source: str) -> list:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in CONSTRUCTORS:
+                if name in names:
                     found.append((child.lineno, f"{where} calls {name}"))
             visit(child, where)
 
@@ -276,7 +279,7 @@ def test_constructor_checker_flags_every_spelling():
         "        return dss.DescriptorSystem(sys.A, None, sys.B, sys.C, sys.D, sys.ts)\n"
         "    return g, isinstance(sys, DescriptorSystem), dss.make_dss(*sys)\n"
     )
-    assert constructor_calls(source) == [
+    assert calls_of(source, CONSTRUCTORS) == [
         "line 3: <module> calls make_dss",
         "line 6: g calls DescriptorSystem",
         "line 7: f calls make_dss",
@@ -286,7 +289,23 @@ def test_constructor_checker_flags_every_spelling():
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])
 def test_computed_realizations_skip_the_input_checks(module):
     allowed = {"_system calls DescriptorSystem"} if module == "dss.py" else set()
-    calls = constructor_calls((PACKAGE / module).read_text())
+    calls = calls_of((PACKAGE / module).read_text(), CONSTRUCTORS)
     if module in CHECKED_ENTRIES:
         calls = [c for c in calls if not c.endswith("calls make_dss")]
     assert [c for c in calls if c.split(": ", 1)[1] not in allowed] == []
+
+
+# dss draws the evaluation points; fact evaluates every factorization
+# identity on them, and the other modules only report its residuals
+POINT_SAMPLERS = ("frequency_grid", "nonpole_evaluations")
+SAMPLING_MODULES = {"dss.py", "fact.py"}
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in SAMPLING_MODULES] + ["__init__.py"])
+def test_residuals_have_one_home(module):
+    assert calls_of((PACKAGE / module).read_text(), POINT_SAMPLERS) == []
+
+
+def test_cli_evaluates_only_for_eval():
+    calls = calls_of((PACKAGE / "cli.py").read_text(), ("evaluate",))
+    assert calls and [c for c in calls if not c.endswith("_cmd_eval calls evaluate")] == []
