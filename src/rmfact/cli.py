@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("system", help="system file (JSON)")
-    common.add_argument("--tol", type=float, default=0.0, help="relative rank tolerance (0 = auto)")
+    common.add_argument("--tol", type=float, default=0.0, help="relative rank tolerance, floored at 100*k*eps (0 = the floor)")
     common.add_argument("--boundary-offset", type=float, default=0.0, help="half-width of the region boundary exclusion strip")
     common.add_argument("--grid", type=_int_at_least(1), default=None, help="number of grid points for residual and inner checks")
     common.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the random evaluation points")

@@ -19,15 +19,14 @@ import numpy as np
 from .exceptions import EvaluationError, InputError, StructureError
 from .numkernel import (
     DEFAULT_TOL,
-    EPS,
     ToleranceConfig,
     _matrix,
     controllability_staircase,
     generalized_eigenvalues,
     is_infinite,
+    is_pole_to_working_precision,
     noise_floor,
     row_scaling,
-    staircase_threshold,
     svd,
     svd_rank_abs,
     thresholded_svd,
@@ -121,12 +120,11 @@ def evaluate(sys: DescriptorSystem, lambda0: complex) -> np.ndarray:
     lam = complex(lambda0)
     if not cmath.isfinite(lam):
         raise InputError(f"evaluation point {lam} is not finite")
-    n = sys.n
-    if n == 0:
+    if sys.n == 0:
         return sys.D.astype(complex)
     P = lam * sys.e_matrix - sys.A
     s = svd(P, compute_uv=False)
-    if s[-1] <= 10 * n * EPS * max(s[0], 1.0):
+    if is_pole_to_working_precision(s):
         cond = np.inf if s[-1] == 0 else s[0] / s[-1]
         raise EvaluationError(
             f"evaluation point {lam} is a pole to working precision", condition=cond
@@ -315,13 +313,13 @@ def system_pencil(sys: DescriptorSystem):
     return M, N
 
 
-def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig | None = None, rng=None) -> int:
+def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL, rng=None) -> int:
     """Rank of G(lambda) over the rational functions, computed as
     rank S(lambda0) - n at random non-eigenvalue points, cross-checked
-    at a second point. The points are drawn on the pencil's scale
+    at a second point, ranked like every reduction by rank_threshold of
+    sigma_max(S(lambda0)). The points are drawn on the pencil's scale
     ||A||/||E|| (at least 1): drawn on that of a spurious huge eigenvalue,
     an infinite Jordan block's 1/|lambda0| falls under the threshold."""
-    tol = tol or DEFAULT_TOL
     rng = np.random.default_rng(0) if rng is None else rng
     M, N = system_pencil(sys)
     norm_e = np.linalg.norm(sys.e_matrix, "fro")
@@ -333,7 +331,7 @@ def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig | None = None, rng=N
         for z in pts:
             S = M - z * N
             s = svd(S, compute_uv=False)
-            thresh = tol.resolve(s[0] if s.size else 0.0, S.shape)
+            thresh = tol.rank_threshold(s[0] if s.size else 0.0, max(S.shape))
             ranks.append(int(np.count_nonzero(s > thresh)) - sys.n)
         if ranks[0] == ranks[1]:
             return max(ranks[0], 0)
@@ -356,7 +354,7 @@ def controllable_bases(A, E, B, tol: ToleranceConfig):
     d = np.ones((n, 1)) if E is None else row_scaling(np.hstack([A, E, B]))[:, None]
     A, B, E = d * A, d * B, None if E is None else d * E
     scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(np.eye(n) if E is None else E, "fro"), np.linalg.norm(B, "fro"))
-    thresh = staircase_threshold(tol, scale, (n, n))
+    thresh = tol.rank_threshold(scale, n)
     Q, Z, k = controllability_staircase(A, E, B, thresh)
     Q, Z = Q[:, :k], Z[:, :k]
     if E is not None and k:
@@ -390,14 +388,14 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
         return sys
     # ranked on the pencil's scale, an E of roundoff has rank 0
     scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(Emat, "fro"))
-    U, _, V, q = thresholded_svd(Emat, staircase_threshold(tol, scale, (n, n)))
+    U, _, V, q = thresholded_svd(Emat, tol.rank_threshold(scale, n))
     if q == n:
         return sys
     U2, V2 = U[:, q:], V[:, q:]
     A22 = U2.T @ A @ V2
     # the eliminable part of A22 must be solidly nonzero on the
     # scale of A itself; entries at roundoff level are kept as
-    # dynamic structure rather than divided by
+    # dynamic structure rather than divided by (a division guard)
     U3, _, V3, q2 = thresholded_svd(A22, noise_floor(max(np.linalg.norm(A, "fro"), 1.0), n))
     if q2 == 0:
         return sys
@@ -417,7 +415,7 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
     )
 
 
-def irreducible_realization(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> DescriptorSystem:
+def irreducible_realization(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> DescriptorSystem:
     """Controllable, observable realization of the same transfer
     function, with non-dynamic modes removed, in one pass: the
     controllable part, then its observable part, then the elimination
@@ -426,7 +424,6 @@ def irreducible_realization(sys: DescriptorSystem, tol: ToleranceConfig | None =
     realization stays controllable, and eliminating non-dynamic states
     through an invertible constant block keeps both properties. A
     second pass would only rank the roundoff the first one left."""
-    tol = tol or DEFAULT_TOL
     return _remove_nondynamic(_observable_part(_controllable_part(sys, tol), tol), tol)
 
 
@@ -455,26 +452,23 @@ def _irreducible_poles(red: DescriptorSystem, tol: ToleranceConfig) -> Eigenvalu
     return _eigen_list_from_pencil(red.A, red.E, tol)
 
 
-def poles(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> EigenvalueList:
+def poles(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> EigenvalueList:
     """Pole structure of G: finite eigenvalues of A - lambda*E of an
     irreducible realization, plus infinite eigenvalue multiplicities
     decremented by one (_irreducible_poles)."""
-    tol = tol or DEFAULT_TOL
     return _irreducible_poles(irreducible_realization(sys, tol), tol)
 
 
-def zeros(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> EigenvalueList:
+def zeros(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> EigenvalueList:
     """Zero structure of G from the regular part of the Kronecker-like
     form of the system matrix pencil of an irreducible realization."""
-    tol = tol or DEFAULT_TOL
     return _eigen_list_from_pencil(*system_pencil(irreducible_realization(sys, tol)), tol)
 
 
-def mcmillan_degree(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> int:
+def mcmillan_degree(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Total pole count, finite plus infinite: the order of an
     irreducible realization with E None, whose poles are all finite,
     else the count of _irreducible_poles."""
-    tol = tol or DEFAULT_TOL
     red = irreducible_realization(sys, tol)
     return red.n if red.E is None else _irreducible_poles(red, tol).total
 
@@ -490,11 +484,10 @@ class Structure:
     mcmillan_degree: int
 
 
-def structure(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> Structure:
+def structure(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Structure:
     """normal_rank, poles, zeros and mcmillan_degree of G in one pass,
     all from a single irreducible realization, which carries no
     uncontrollable or unobservable eigenvalue to disturb the rank probe."""
-    tol = tol or DEFAULT_TOL
     red = irreducible_realization(sys, tol)
     pol = _irreducible_poles(red, tol)
     return Structure(normal_rank(red, tol), pol, _eigen_list_from_pencil(*system_pencil(red), tol), pol.total)

@@ -98,13 +98,12 @@ def penrose_residuals(sys, gp, count=RESIDUAL_GRID, rng=None, grid=FREQ_GRID) ->
     return {"G_Gp_G": w1, "Gp_G_Gp": w2, "hermitian_G_Gp": w3, "hermitian_Gp_G": w4}
 
 
-def certify(sys, left, right, tol=None, rng=None, count=RESIDUAL_GRID) -> dict:
+def certify(sys, left, right, tol=DEFAULT_TOL, rng=None, count=RESIDUAL_GRID) -> dict:
     """Certificates of G = left @ right: the factored rank, residual
     statistics over count random points (product_residuals), and the
     Structure records of both factors under left_structure and
     right_structure. Each fact appears once: the factor poles and
     zeros are in the records, the orders are left.n and right.n."""
-    tol = tol or DEFAULT_TOL
     residuals = product_residuals(sys, left, right, count, rng)
     return {
         "rank": left.m,
@@ -138,11 +137,10 @@ def full_rank_factorize(
     sys: DescriptorSystem,
     region: RegionPartition | None = None,
     gains: str = "none",
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> FactorizationResult:
     """G = R X with R a column basis of the range of G and X its
     cofactor sharing the dynamics of G."""
-    tol = tol or DEFAULT_TOL
     rr = range_basis(sys, region, gains, tol)
     X = cofactor(sys, rr)
     return FactorizationResult(left=rr.R, right=X, kind="full-rank", system=sys, tol=tol)
@@ -152,18 +150,17 @@ def dual_full_rank_factorize(
     sys: DescriptorSystem,
     region: RegionPartition | None = None,
     gains: str = "none",
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> FactorizationResult:
     """G = X~ R~ with R~ a row basis of the left range space, obtained
     by factoring the transposed matrix."""
-    tol = tol or DEFAULT_TOL
     primal = full_rank_factorize(transpose(sys), region, gains, tol)
     return FactorizationResult(
         left=transpose(primal.right), right=transpose(primal.left), kind="dual", system=sys, tol=tol
     )
 
 
-def nrcf(sys: DescriptorSystem, tol: ToleranceConfig | None = None):
+def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL):
     """Normalized right coprime factorization G = N M^{-1}.
 
     [N; M] is the minimal inner range basis of [G; I]; stability is the
@@ -171,9 +168,8 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig | None = None):
     boundary are rejected: the factors would have to absorb a marginal
     mode and the normalization degrades.
     """
-    tol = tol or DEFAULT_TOL
     for lam in poles(sys, tol).finite:
-        if on_stability_boundary(lam, sys.ts, tol):
+        if on_stability_boundary(lam, sys.ts):
             raise FactorizationError(
                 f"coprime factorization rejected: pole on the stability boundary (at {lam:.6g})"
             )
@@ -201,14 +197,13 @@ def _inverse_realization(sys: DescriptorSystem) -> DescriptorSystem:
     return _system(A_i, E_i, B_i, C_i, np.zeros((m, m)), sys.ts)
 
 
-def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig | None = None) -> DescriptorSystem:
+def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> DescriptorSystem:
     """Moore-Penrose pseudo-inverse of a rational matrix.
 
     Built from two nested zero-free inner range compressions,
     G = U G1 and G1' = V' G2', giving G# = V~ G2^{-1} U~, returned as
     an irreducible realization.
     """
-    tol = tol or DEFAULT_TOL
     r = normal_rank(sys, tol)
     m, p, ts = sys.m, sys.p, sys.ts
     if r == 0:
@@ -227,13 +222,12 @@ def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig | None = None) ->
     return irreducible_realization(composed, tol)
 
 
-def inner_outer(sys: DescriptorSystem, tol: ToleranceConfig | None = None):
+def inner_outer(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL):
     """Factorization G = Gi Go with Gi inner (Gi~ Gi = I, stable) and
     Go a quasi-outer cofactor of full row rank whose zeros avoid the
     open instability region. Zeros of G on the region boundary make
     the inner basis unattainable.
     """
-    tol = tol or DEFAULT_TOL
     try:
         rr = range_basis(sys, None, "inner", tol)
     except BoundaryError as exc:

@@ -22,6 +22,7 @@ from .dss import system_pencil
 from .exceptions import BoundaryError, InputError, StructureError
 from .numkernel import (
     DEFAULT_TOL,
+    EIG_ATOL,
     ToleranceConfig,
     _matrix,
     _ordered_schur,
@@ -30,7 +31,6 @@ from .numkernel import (
     is_infinite,
     null_basis,
     row_compress,
-    staircase_threshold,
     svd,
     svd_rank_abs,
 )
@@ -98,21 +98,19 @@ def stability_gap(lam, ts: str) -> float:
     return lam.real if ts == "continuous" else abs(lam) - 1.0
 
 
-def on_stability_boundary(lam, ts: str, tol: ToleranceConfig | None = None) -> bool:
-    """True when lam lies on the stability boundary of ts to within
-    eig_atol: |stability_gap(lam, ts)| <= eig_atol * max(1, |lam|)."""
-    tol = tol or DEFAULT_TOL
-    return abs(stability_gap(lam, ts)) <= tol.eig_atol * max(1.0, abs(lam))
+def on_stability_boundary(lam, ts: str) -> bool:
+    """True when lam lies on the stability boundary of ts to within the
+    fixed EIG_ATOL: |stability_gap(lam, ts)| <= EIG_ATOL * max(1, |lam|)."""
+    return abs(stability_gap(lam, ts)) <= EIG_ATOL * max(1.0, abs(lam))
 
 
-def classify_eigenvalue(alpha, beta, region: RegionPartition, tol: ToleranceConfig | None = None) -> str:
+def classify_eigenvalue(alpha, beta, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL) -> str:
     """Classify a generalized eigenvalue given as an (alpha, beta) pair
     into 'good', 'bad', or 'boundary'. A finite eigenvalue closer to
     the region boundary than the configured offset is 'boundary'; with
     the default zero offset no eigenvalue is, and points on the
     stability boundary (on_stability_boundary) classify as good (the
     good region is closed)."""
-    tol = tol or DEFAULT_TOL
     alpha = complex(np.asarray(alpha).item())
     beta = float(np.asarray(beta).item())
     if is_infinite(alpha, beta):
@@ -127,7 +125,7 @@ def classify_eigenvalue(alpha, beta, region: RegionPartition, tol: ToleranceConf
     d = stability_gap(lam, region.ts)
     if abs(d) < tol.boundary_offset:
         return "boundary"
-    if d <= 0 or on_stability_boundary(lam, region.ts, tol):
+    if d <= 0 or on_stability_boundary(lam, region.ts):
         return "good"
     return "bad"
 
@@ -314,11 +312,12 @@ def _left_minimal_indices(res: KlfResult, thresh) -> tuple:
 
 
 def _pencil_threshold(M, N, tol: ToleranceConfig):
+    """The one rank threshold of a reduction of M - lambda*N."""
     scale = svd(np.hstack([M, N]), compute_uv=False)[0] if M.size else 0.0
-    return staircase_threshold(tol, scale, M.shape)
+    return tol.rank_threshold(scale, max(M.shape))
 
 
-def kronecker_like_form(A, E, tol: ToleranceConfig | None = None) -> KlfResult:
+def kronecker_like_form(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KlfResult:
     """Orthogonal reduction of the pencil A - lambda*E (any shape) to
     block upper triangular Kronecker-like form, returning the
     transformed pencil, the transformations, and the right minimal
@@ -326,7 +325,6 @@ def kronecker_like_form(A, E, tol: ToleranceConfig | None = None) -> KlfResult:
     and left minimal indices. _klf_core computes all but the left
     minimal indices, which this function peels from the trailing block.
     A and E are checked by _matrix: of one shape, with finite entries."""
-    tol = tol or DEFAULT_TOL
     A = _matrix(A, "A")
     E = _matrix(E, "E", *A.shape)
     thresh = _pencil_threshold(A, E, tol)
@@ -416,14 +414,12 @@ def _check_bad_stabilizable(sys, region, tol, thresh):
     """Refuse a realization that special_klf cannot split for region:
     [E B] of row rank below n (not stabilizable at infinity), a finite
     eigenvalue of A - lambda*E within the boundary offset, or a bad one
-    at which [A - lambda*E, B] loses rank. The last two need the QZ
-    eigenvalues of (A, E), which a REGION_NONE partition skips: there
-    no finite eigenvalue classifies as bad or boundary."""
-    n = sys.n
+    at which [A - lambda*E, B] loses rank. The identity E (E None) is
+    never rank-decided. The last two need the QZ eigenvalues of (A, E),
+    which a REGION_NONE partition skips: there no finite eigenvalue
+    classifies as bad or boundary."""
     Emat = sys.e_matrix
-    EB = np.hstack([Emat, sys.B])
-    _, rk = row_compress(EB, thresh)
-    if rk < n:
+    if sys.E is not None and row_compress(np.hstack([Emat, sys.B]), thresh)[1] < sys.n:
         raise StructureError(
             "realization is not stabilizable at infinity: [E B] is row rank deficient"
         )
@@ -446,13 +442,12 @@ def _check_bad_stabilizable(sys, region, tol, thresh):
             )
 
 
-def special_klf(sys, region: RegionPartition, tol: ToleranceConfig | None = None) -> SpecialKlf:
+def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL) -> SpecialKlf:
     """Reduce the system matrix pencil of sys to the range/coimage
     splitting form for the given region. Requires the realization to
     be stabilizable with respect to the bad region (including at
     infinity); eigenvalues within the boundary offset of the region
     boundary raise BoundaryError."""
-    tol = tol or DEFAULT_TOL
     n, m, p = sys.n, sys.m, sys.p
     Ms, Ns = system_pencil(sys)
     thresh = _pencil_threshold(Ms, Ns, tol)
@@ -465,8 +460,9 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig | None = None
 
     # isolate an invertible constant block in the trailing columns:
     # rows in the left kernel of E carry no lambda part anywhere, and
-    # stabilizability at infinity makes their constant part full rank
-    U_E, r_e = row_compress(sys.e_matrix, thresh)
+    # stabilizability at infinity makes their constant part full rank;
+    # the identity E has none
+    U_E, r_e = (None, n) if sys.E is None else row_compress(sys.E, thresh)
     m_n = n - r_e
     c_dyn = n + m - m_n
     if m_n:

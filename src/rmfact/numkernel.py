@@ -95,35 +95,44 @@ def _lapack(names, dtype, module=_flapack):
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Tolerance policy shared by all reductions.
+    """The tolerance policy: one rule for what counts as zero.
 
-    rank_rtol: relative tolerance of every rank decision; 0 means
-        automatic, which resolves to max(rows, cols) * machine_epsilon
-        * sigma_max of the matrix being ranked.
-    eig_atol: width of the stability boundary relative to max(1, |lam|)
-        (klf.on_stability_boundary): eigenvalues on it classify as good,
-        and nrcf and inner bases reject them as poles or zeros.
+    rank_rtol: relative tolerance of every rank decision, floored at the
+        noise floor (0 = the floor).
     boundary_offset: half-width of the exclusion strip around the
         good/bad region boundary; eigenvalues inside it are 'boundary'.
 
-    Fixed rules: is_infinite decides infinite eigenvalues, noise_floor
-    the roundoff level of data from a chain of orthogonal updates.
+    Rank decisions use rank_threshold(scale, k): klf._pencil_threshold,
+    for every decision of a Kronecker-like or splitting form reduction
+    (sigma_max([M N]), k = max(M.shape)); dss.controllable_bases (the
+    largest Frobenius norm of the row-scaled A, E, B, k = n); the rank
+    of E in dss._remove_nondynamic (max(||A||_F, ||E||_F), k = n); and
+    dss.normal_rank (sigma_max(S(z)), k = max(S.shape)).
+
+    Division guards use noise_floor(scale, k) and ignore rank_rtol: the
+    A22 pivot block of dss._remove_nondynamic, the Gramian of
+    rangebasis._inv_sqrt_sym, the feedthrough D whose D^T D
+    rangebasis.inner_enforcing_gains inverts, and probe_pencil_regular.
+    A block above roundoff inverts safely whatever rank a caller counts,
+    and a Gramian's eigenvalues are squared singular values, which a
+    tolerance meant for singular values would refuse far too early.
+
+    Fixed rules: is_infinite decides infinite eigenvalues, EIG_ATOL the
+    width of the stability boundary (klf.on_stability_boundary), and
+    is_pole_to_working_precision the points dss.evaluate refuses.
     """
 
     rank_rtol: float = 0.0
-    eig_atol: float = 1e-9
     boundary_offset: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v >= 0 for v in (self.rank_rtol, self.eig_atol, self.boundary_offset)):
+        if not all(math.isfinite(v) and v >= 0 for v in (self.rank_rtol, self.boundary_offset)):
             raise InputError("tolerance fields must be finite and nonnegative")
 
-    def resolve(self, sigma_max: float, shape) -> float:
-        """Absolute rank threshold for a matrix of the given shape whose
-        largest singular value is sigma_max."""
-        if self.rank_rtol > 0:
-            return self.rank_rtol * sigma_max
-        return max(shape) * EPS * sigma_max
+    def rank_threshold(self, scale: float, k: int) -> float:
+        """Absolute threshold of a rank decision on dimension-k data of
+        norm scale: rank_rtol * scale, floored at the noise floor."""
+        return max(self.rank_rtol * scale, noise_floor(scale, k))
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -135,16 +144,21 @@ def noise_floor(scale: float, k: int) -> float:
     return 100 * k * EPS * scale
 
 
-def staircase_threshold(tol: ToleranceConfig, scale: float, shape) -> float:
-    """Absolute threshold of every rank decision in one staircase
-    reduction: the resolved rank tolerance, floored at the noise floor."""
-    return max(tol.resolve(scale, shape), noise_floor(scale, max(shape)))
+# width of the stability boundary relative to max(1, |lam|): eigenvalues on
+# it classify as good, and nrcf and inner bases reject them as poles or zeros
+EIG_ATOL = 1e-9
 
 
 def is_infinite(alpha, beta) -> bool:
     """True when the generalized eigenvalue (alpha, beta), beta of either
     sign, is infinite: |beta| <= 1e4 * eps * (|alpha| + |beta|)."""
     return abs(beta) <= 1e4 * EPS * (abs(alpha) + abs(beta))
+
+
+def is_pole_to_working_precision(s) -> bool:
+    """True when lambda0*E - A of order n, singular values s descending,
+    is singular to working precision: s[-1] <= 10 n eps max(s[0], 1)."""
+    return s[-1] <= 10 * s.size * EPS * max(s[0], 1.0)
 
 
 def _matrix(value, name, rows=None, cols=None, square=False):
@@ -533,8 +547,8 @@ def _eigenvalue_pairs(alpha, beta):
 # -- internal compression helpers -------------------------------------------
 #
 # These are the workhorses of the staircase reductions. They operate with an
-# absolute threshold (already resolved against the relevant global scale) so
-# that one tolerance governs a whole pencil reduction.
+# absolute threshold (ToleranceConfig.rank_threshold at the relevant global
+# scale) so that one tolerance governs a whole pencil reduction.
 
 
 def thresholded_svd(M, thresh: float):

@@ -54,7 +54,7 @@ def range_basis(
     sys: DescriptorSystem,
     region: RegionPartition | None = None,
     gains: str = "none",
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> RangeResult:
     """Compute a full-column-rank basis R of the range space of sys.
 
@@ -68,7 +68,6 @@ def range_basis(
     """
     if gains not in ("none", "stable", "inner"):
         raise InputError(f"gains must be one of 'none', 'stable', 'inner', got {gains!r}")
-    tol = tol or DEFAULT_TOL
     sk = special_klf(sys, region or stability_region(sys.ts), tol)
     A_bl, E_bl, B_bl, C_bl, D_bl = (np.array(M) for M in (sk.A_bl, sk.E_bl, sk.B_bl, sk.C_bl, sk.D_bl))
     r, n_bl = sk.r, sk.n_bl
@@ -106,6 +105,7 @@ def cofactor(sys: DescriptorSystem, rr: RangeResult) -> DescriptorSystem:
 
 
 def _inv_sqrt_sym(H):
+    # a division guard (ToleranceConfig): w holds squared singular values
     w, V = np.linalg.eigh(0.5 * (H + H.T))
     if H.shape[0] and w[0] <= noise_floor(max(w[-1], 1.0), H.shape[0]):
         raise FactorizationError(
@@ -126,14 +126,13 @@ def _explicit_pair(A_bl, E_bl, B_bl, tol):
     return AB[:, :k], AB[:, k:], Z
 
 
-def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig | None = None):
+def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig = DEFAULT_TOL):
     """Feedback F and weighting W making the basis inner (R~ R = I and
     all poles stable). The zeros of the basis are the splitting form's
     record blocks.bad_eigenvalues; one on the stability boundary
     rejects the basis. Solves the Riccati equation of the explicit
     pair obtained with the invertible E_bl, on the controllable part
     only, and pads the feedback with zeros on uncontrollable states."""
-    tol = tol or DEFAULT_TOL
     ts = blocks.ts
     r, n_bl = blocks.r, blocks.n_bl
     D = np.array(blocks.D_bl)
@@ -142,7 +141,7 @@ def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig | None = None
     if ts == "continuous":
         # a continuous inner basis needs full column rank at infinity;
         # in discrete time a singular feedthrough is fine as long as
-        # the Riccati feedthrough term stays invertible
+        # the Riccati feedthrough term stays invertible (a division guard)
         sD = svd(D, compute_uv=False) if D.size else np.zeros(1)
         if D.shape[0] < r or sD[-1] <= noise_floor(max(sD[0], 1.0), max(D.shape)):
             raise FactorizationError(
@@ -157,7 +156,7 @@ def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig | None = None
     # fails at a boundary zero
     for a, b in blocks.bad_eigenvalues:
         lam = a / b
-        if on_stability_boundary(lam, ts, tol):
+        if on_stability_boundary(lam, ts):
             raise FactorizationError(
                 "inner basis does not exist: a zero of the basis lies on the "
                 f"stability boundary (at {lam:.6g})"

@@ -278,7 +278,7 @@ def test_acceptance_8_kernel_suite():
         rows = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 9))
         M = rng.standard_normal((rows, cols))
-        U, s, V, rank = thresholded_svd(M, DEFAULT_TOL.resolve(np.linalg.norm(M, 2), M.shape))
+        U, s, V, rank = thresholded_svd(M, DEFAULT_TOL.rank_threshold(np.linalg.norm(M, 2), max(M.shape)))
         assert np.linalg.norm(U.T @ U - np.eye(rows)) < 1e-13
         assert np.linalg.norm(V.T @ V - np.eye(cols)) < 1e-13
         S = np.zeros((rows, cols))

@@ -9,6 +9,7 @@ from rmfact import (
     RmfactError,
     Structure,
     StructureError,
+    ToleranceConfig,
     conjugate,
     dual_full_rank_factorize,
     evaluate,
@@ -26,6 +27,7 @@ from rmfact import (
     pseudo_inverse,
     random_nonpole_points,
     range_basis,
+    region_none,
     stable_rank2_continuous,
     structure,
     write_system_file,
@@ -437,3 +439,51 @@ def test_cli_reports_a_nan_made_inside_a_reduction_as_exit_3(monkeypatch, tmp_pa
     code, _, err = run_cli(["info", path, "--json"])
     assert code == 3, err
     assert "computed realization has non-finite entries in A" in err
+
+
+@pytest.mark.parametrize("d", [1e-13, 1e-14, 1e-15])
+def test_rank_decisions_agree(d):
+    # diag(1, d) as a constant, and with its first entry behind a state:
+    # the rank probe and every reduction rank d against one threshold
+    G = const_sys(np.diag([1.0, d]))
+    H = make_dss([[-1.0]], None, [[1.0, 0.0]], [[1.0], [0.0]], np.diag([0.0, d]), "continuous")
+    for g in (G, H):
+        ranks = {
+            normal_rank(g),
+            structure(g).normal_rank,
+            range_basis(g, region_none()).sklf.r,
+            full_rank_factorize(g, region_none()).certificates["rank"],
+        }
+        assert len(ranks) == 1, (d, ranks)
+
+
+def test_coarse_tolerance_never_rank_decides_an_identity_e():
+    # ||A||_F ~ 19.5 puts the pencil threshold at 1.5, above sigma = 1 of
+    # the identity E, yet a standard realization is stabilizable at
+    # infinity; the refusal names the lambda part of the trailing block
+    rng = np.random.default_rng(1)
+    A = 8 * rng.standard_normal((4, 4))
+    B = rng.standard_normal((4, 2))
+    C = rng.standard_normal((2, 4))
+    D = rng.standard_normal((2, 2))
+    g = make_dss(A, None, B, C, D, "continuous")
+    with pytest.raises(StructureError) as exc:
+        full_rank_factorize(g, region_none(), tol=ToleranceConfig(rank_rtol=0.1))
+    assert "at infinity" not in str(exc.value)
+
+
+def test_rank_tolerance_leaves_the_gramian_guard_alone():
+    # an inner-basis Gramian of each has an eigenvalue (a squared
+    # singular value) under 1e-3 of max(largest, 1); only the noise
+    # floor may refuse to invert it, whatever rank_rtol says
+    rng = np.random.default_rng(2024)
+    suite = [random_system(rng, n_max=8) for _ in range(49)]
+    tol = ToleranceConfig(rank_rtol=1e-3)
+    # accepted; at this tolerance its last irreducible realization drops
+    # states that carry part of G#, so no Penrose bound is asserted
+    pseudo_inverse(suite[15], tol)
+    g = suite[48]
+    Gi, Go = inner_outer(g, tol)
+    pts = random_nonpole_points([g, Gi, Go], 16, np.random.default_rng(0))
+    assert product_residual(g, Gi, Go, pts) <= 1e-8
+    assert inner_defect(Gi, g.ts) <= 1e-8

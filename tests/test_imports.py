@@ -9,7 +9,9 @@ dss._system the DescriptorSystem constructor, so computed realizations
 skip the input checks. Only dss and fact draw evaluation points
 (frequency_grid, nonpole_evaluations), so every residual of a
 factorization identity is computed in fact, and cli evaluates a system
-only for its eval command. numkernel loads scipy's compiled LAPACK module
+only for its eval command. Only numkernel names the machine epsilon
+(EPS, finfo, spacing), so every threshold comes from its tolerance
+policy. numkernel loads scipy's compiled LAPACK module
 without the scipy.linalg package, which a cold CLI process would
 otherwise spend about half its time importing."""
 
@@ -309,3 +311,44 @@ def test_residuals_have_one_home(module):
 def test_cli_evaluates_only_for_eval():
     calls = calls_of((PACKAGE / "cli.py").read_text(), ("evaluate",))
     assert calls and [c for c in calls if not c.endswith("_cmd_eval calls evaluate")] == []
+
+
+# machine precision has one home, numkernel: the other modules take
+# every threshold from ToleranceConfig and the fixed rules beside it
+PRECISION_NAMES = {"EPS", "finfo", "spacing"}
+
+
+def precision_references(source: str) -> list:
+    """Names in PRECISION_NAMES anywhere in source, read as a name or an
+    attribute or bound by an import, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in PRECISION_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in PRECISION_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[-1] in PRECISION_NAMES]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_precision_checker_flags_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "from numpy import finfo as fi\n"
+        "from .numkernel import EPS, noise_floor\n"
+        "x = np.finfo(float).eps + EPS\n"
+        "y = np.spacing(1.0), fi(float), noise_floor(1.0, 2), np.linalg.norm(x)\n"
+    )
+    assert precision_references(source) == [
+        "line 2: finfo",
+        "line 3: EPS",
+        "line 4: EPS",
+        "line 4: finfo",
+        "line 5: spacing",
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != KERNEL_HOME] + ["__init__.py"])
+def test_only_numkernel_names_machine_precision(module):
+    assert precision_references((PACKAGE / module).read_text()) == []

@@ -27,7 +27,7 @@ from rmfact import (
     zeros,
 )
 from rmfact.klf import _klf_core, _pencil_threshold, on_stability_boundary
-from rmfact.numkernel import DEFAULT_TOL
+from rmfact.numkernel import DEFAULT_TOL, EIG_ATOL
 from rmfact.rangebasis import inner_enforcing_gains, range_basis
 
 from support import assert_multiset_close, random_system
@@ -82,16 +82,16 @@ def test_classify_boundary_offset():
 @pytest.mark.parametrize("ts", ["continuous", "discrete"])
 def test_stability_boundary_decisions_agree(ts):
     # one boundary decision serves classification, the nrcf pole check
-    # and the inner-basis zero check: within eig_atol of the boundary an
+    # and the inner-basis zero check: within EIG_ATOL of the boundary an
     # eigenvalue classifies as good while nrcf and the inner gains
     # reject it; farther out, on the unstable side, all three accept it
     tol = ToleranceConfig()
     edge = 0.0 if ts == "continuous" else 1.0
     stable = -0.5 if ts == "continuous" else 0.5
     for gap in (-0.5, 0.5, 2.0):
-        lam = edge + gap * tol.eig_atol
+        lam = edge + gap * EIG_ATOL
         on_edge = abs(gap) < 1.0
-        assert on_stability_boundary(lam, ts, tol) == on_edge
+        assert on_stability_boundary(lam, ts) == on_edge
         assert classify_eigenvalue(lam, 1.0, stability_region(ts), tol) == ("good" if on_edge else "bad")
         pole_at_lam = make_dss([[lam]], None, [[1.0]], [[1.0]], [[0.0]], ts)
         # (lambda - lam) / (lambda - stable), every zero kept in the basis

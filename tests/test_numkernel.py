@@ -302,7 +302,7 @@ def test_failed_qz_iteration_warns_like_scipy(monkeypatch):
 
 def default_threshold(M):
     """The absolute rank threshold of the default tolerance for M."""
-    return numkernel.DEFAULT_TOL.resolve(np.linalg.norm(M, 2), M.shape)
+    return numkernel.DEFAULT_TOL.rank_threshold(np.linalg.norm(M, 2), max(M.shape))
 
 
 def test_svd_identity():
@@ -328,7 +328,7 @@ def test_svd_zero_matrix():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"rank_rtol": -1.0}, {"rank_rtol": np.inf}, {"rank_rtol": np.nan}, {"eig_atol": np.inf}, {"boundary_offset": np.nan}],
+    [{"rank_rtol": -1.0}, {"rank_rtol": np.inf}, {"rank_rtol": np.nan}, {"boundary_offset": np.nan}],
 )
 def test_tolerance_fields_must_be_finite_and_nonnegative(kwargs):
     with pytest.raises(InputError, match="finite and nonnegative"):
@@ -371,9 +371,10 @@ def test_is_infinite_is_relative_and_sign_blind():
 
 def assert_staircase_form(A, E, B, Q, Z, k):
     """Q, Z orthogonal, Q.T B zero below row k, and Q.T (A - lambda E) Z
-    zero below row k in its leading k columns, to the noise floor."""
+    zero below row k in its leading k columns, to the default rank
+    threshold, the noise floor."""
     n = A.shape[0]
-    floor = numkernel.noise_floor(max(np.linalg.norm(A), np.linalg.norm(E), np.linalg.norm(B)), n)
+    floor = numkernel.DEFAULT_TOL.rank_threshold(max(np.linalg.norm(A), np.linalg.norm(E), np.linalg.norm(B)), n)
     for M in (Q, Z):
         assert np.linalg.norm(M.T @ M - np.eye(n)) < 1e-13 * n
     assert np.linalg.norm((Q.T @ B)[k:]) <= floor
