@@ -328,7 +328,7 @@ def test_svd_zero_matrix():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"rank_rtol": -1.0}, {"rank_rtol": np.inf}, {"rank_rtol": np.nan}, {"boundary_offset": np.nan}],
+    [{"rank_rtol": -1.0}, {"rank_rtol": np.inf}, {"rank_rtol": np.nan}, {"boundary_offset": np.nan}, {"boundary_offset": -1.0}],
 )
 def test_tolerance_fields_must_be_finite_and_nonnegative(kwargs):
     with pytest.raises(InputError, match="finite and nonnegative"):
