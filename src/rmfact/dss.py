@@ -6,13 +6,16 @@ E may be singular, which lets the same data structure carry improper
 (polynomial) matrices. The frequency variable is the Laplace variable
 for continuous-time systems and the Z-transform variable for
 discrete-time systems.
+
+Realizations are immutable (read-only arrays; changing them in place is
+unsupported), so each keeps its irreducible realization per tolerance.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +42,9 @@ DISCRETE = "discrete"
 @dataclass(frozen=True)
 class DescriptorSystem:
     """Immutable descriptor realization (A - lambda*E, B, C, D) with a
-    time-domain tag. E stored as None denotes the identity."""
+    time-domain tag. E stored as None denotes the identity; the arrays
+    are read-only. _irreducible keeps irreducible_realization's result
+    per ToleranceConfig, outside __init__, repr and ==."""
 
     A: np.ndarray
     E: np.ndarray | None
@@ -47,6 +52,7 @@ class DescriptorSystem:
     C: np.ndarray
     D: np.ndarray
     ts: str
+    _irreducible: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -351,9 +357,10 @@ def controllable_bases(A, E, B, tol: ToleranceConfig):
     so one badly scaled row does not set the rank threshold of all; L
     carries the scaling."""
     n = A.shape[0]
-    d = np.ones((n, 1)) if E is None else row_scaling(np.hstack([A, E, B]))[:, None]
-    A, B, E = d * A, d * B, None if E is None else d * E
-    scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(np.eye(n) if E is None else E, "fro"), np.linalg.norm(B, "fro"))
+    if E is not None:
+        d = row_scaling(np.hstack([A, E, B]))[:, None]
+        A, B, E = d * A, d * B, d * E
+    scale = max(np.linalg.norm(A, "fro"), np.sqrt(n) if E is None else np.linalg.norm(E, "fro"), np.linalg.norm(B, "fro"))
     thresh = tol.rank_threshold(scale, n)
     Q, Z, k = controllability_staircase(A, E, B, thresh)
     Q, Z = Q[:, :k], Z[:, :k]
@@ -362,7 +369,7 @@ def controllable_bases(A, E, B, tol: ToleranceConfig):
         if svd_rank_abs(np.hstack([E_c, B_c]), thresh) < k:
             Q2, Z2, k = controllability_staircase(E_c, Q.T @ A @ Z, B_c, thresh)
             Q, Z = Q @ Q2[:, :k], Z @ Z2[:, :k]
-    return d * Q, Z
+    return (Q if E is None else d * Q), Z
 
 
 def _controllable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorSystem:
@@ -423,8 +430,13 @@ def irreducible_realization(sys: DescriptorSystem, tol: ToleranceConfig = DEFAUL
     exact arithmetic: the observable part of a controllable
     realization stays controllable, and eliminating non-dynamic states
     through an invertible constant block keeps both properties. A
-    second pass would only rank the roundoff the first one left."""
-    return _remove_nondynamic(_observable_part(_controllable_part(sys, tol), tol), tol)
+    second pass would only rank the roundoff the first one left.
+
+    Kept on sys per tolerance, as it depends only on the read-only
+    arrays, ts and tol: a later call returns the same object."""
+    if tol not in sys._irreducible:
+        sys._irreducible[tol] = _remove_nondynamic(_observable_part(_controllable_part(sys, tol), tol), tol)
+    return sys._irreducible[tol]
 
 
 # -- poles, zeros, McMillan degree -------------------------------------------

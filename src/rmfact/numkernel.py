@@ -14,7 +14,8 @@ linear systems with numpy.linalg.solve. Apart from
 `generalized_eigenvalues`, each kernel makes the LAPACK calls of its
 scipy.linalg counterpart and returns its results bit for bit: on the
 small matrices here, scipy's argument handling costs more than the
-LAPACK work.
+LAPACK work. A routine's optimal workspace is queried once per
+argument shapes and then reused (_gesdd, _workspace).
 
 Inputs are checked where they enter: make_dss and the raw-array entry
 points kronecker_like_form and ordered_generalized_schur by `_matrix`,
@@ -237,7 +238,7 @@ def rq(M):
     """Full RQ factorization (R, Q) of a float64 or complex128 matrix
     by LAPACK gerqf and orgrq/ungrq: M = R @ Q with Q square orthogonal
     and R upper trapezoidal. Bit-identical to scipy.linalg.rq(M): the
-    same routines, workspace queries and empty-input result."""
+    same routines, workspace sizes and empty-input result."""
     _require_finite(M)
     m, n = M.shape
     if M.size == 0:
@@ -261,11 +262,22 @@ def _upper_trapezoid(m: int, n: int):
     return np.broadcast_to(np.arange(n) >= np.arange(m)[:, None] + (n - m), (m, n))
 
 
+_WORKSPACE = {}
+
+
+def _workspace(f, *args, **kwargs):
+    """Optimal lwork of f(*args, **kwargs), queried once per routine and
+    argument shapes, on which alone LAPACK's answer depends."""
+    key = (f, *(np.shape(a) for a in args))
+    if key not in _WORKSPACE:
+        _WORKSPACE[key] = f(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
+    return _WORKSPACE[key]
+
+
 def _lapack_call(f, name, *args, **kwargs):
-    """f(*args, **kwargs) at the optimal workspace from a workspace query,
-    without the trailing (work, info) results; info < 0 raises."""
-    work = f(*args, lwork=-1, **kwargs)[-2]
-    out = f(*args, lwork=work[0].real.astype(np.int_), **kwargs)
+    """f(*args, **kwargs) at the optimal workspace (_workspace), without
+    the trailing (work, info) results; info < 0 raises."""
+    out = f(*args, lwork=_workspace(f, *args, **kwargs), **kwargs)
     if out[-1] < 0:
         raise ValueError(f"illegal value in argument {-out[-1]} of {name}")
     return out[:-2]
@@ -347,7 +359,7 @@ def _ordered_qz(A, B, select):
     gges, tgsen = _lapack(("gges", "tgsen"), A.dtype)
     n = A.shape[0]
     # sort_t=0: gges never calls the selector
-    lwork = gges(lambda *_: None, A, B, lwork=-1)[-2][0].real.astype(int)
+    lwork = _workspace(gges, lambda *_: None, A, B)
     S, T, _, alphar, alphai, beta, Q, Z, _, info = gges(lambda *_: None, A, B, lwork=lwork, sort_t=0)
     if info < 0:
         raise ValueError(f"Illegal value in argument {-info} of gges")

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import rmfact.dss
 import rmfact.klf
 from rmfact import (
     EvaluationError,
@@ -514,3 +517,73 @@ def test_cli_info_at_a_coarse_tolerance_keeps_the_poles(tmp_path):
     res = run_cli_json(["info", path, "--tol", "0.1"])["results"]
     assert res["mcmillan_degree"] == 4
     assert len(res["poles"]["finite"]) == 4 and res["poles"]["infinite"] == []
+
+
+# -- one irreducible realization per realization and tolerance -----------------
+
+
+def weakly_controllable_system():
+    # the mode at -3 is reached through 1e-5 of B: rank_rtol=1e-3 cuts it
+    B = np.array([[1.0], [1.0], [1e-5]])
+    return make_dss(np.diag([-1.0, -2.0, -3.0]), None, B, np.ones((1, 3)), np.zeros((1, 1)), "continuous")
+
+
+def assert_same_realization(got, want):
+    assert got.ts == want.ts and (got.E is None) == (want.E is None)
+    for name in "AEBCD":
+        a, b = getattr(got, name), getattr(want, name)
+        assert a is None or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+def test_irreducible_realization_is_kept_per_tolerance():
+    g = weakly_controllable_system()
+    coarse = ToleranceConfig(rank_rtol=1e-3)
+    red = irreducible_realization(g)
+    assert irreducible_realization(g) is red
+    assert irreducible_realization(g, ToleranceConfig()) is red
+    cut = irreducible_realization(g, coarse)
+    assert (red.n, cut.n) == (3, 2)
+    assert irreducible_realization(g, coarse) is cut
+    assert irreducible_realization(g) is red
+    # each kept result is the one a fresh realization computes at its tolerance
+    for tol, kept in ((DEFAULT_TOL, red), (coarse, cut)):
+        fresh = make_dss(g.A, g.E, g.B, g.C, g.D, g.ts)
+        assert_same_realization(kept, irreducible_realization(fresh, tol))
+
+
+def test_a_copy_starts_without_the_kept_realization():
+    g = weakly_controllable_system()
+    irreducible_realization(g, ToleranceConfig(rank_rtol=1e-3))
+    copy = make_dss(g.A, g.E, g.B, g.C, g.D, g.ts)
+    assert copy._irreducible == {}
+    assert irreducible_realization(copy).n == 3
+
+
+def test_the_kept_realization_is_not_part_of_repr_or_equality():
+    g = weakly_controllable_system()
+    before = repr(g)
+    irreducible_realization(g)
+    assert repr(g) == before and "_irreducible" not in before
+    compared = [f.name for f in dataclasses.fields(g) if f.compare]
+    assert compared == ["A", "E", "B", "C", "D", "ts"]
+
+
+@pytest.mark.parametrize("standard", [True, False], ids=["E-none", "E-singular"])
+def test_structure_queries_share_one_reduction(monkeypatch, standard):
+    # a realization of the seeded suite (rng 2024, n_max 8) of each kind
+    rng = np.random.default_rng(2024)
+    g = next(s for s in (random_system(rng, n_max=8) for _ in range(20)) if (s.E is None) == standard)
+    calls = []
+    staircase = rmfact.dss.controllability_staircase
+
+    def counting(*args):
+        calls.append(args)
+        return staircase(*args)
+
+    monkeypatch.setattr(rmfact.dss, "controllability_staircase", counting)
+    irreducible_realization(make_dss(g.A, g.E, g.B, g.C, g.D, g.ts))
+    once = len(calls)
+    assert once >= 2
+    del calls[:]
+    normal_rank(g), mcmillan_degree(g), poles(g), zeros(g)
+    assert len(calls) == once

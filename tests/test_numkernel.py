@@ -53,6 +53,26 @@ def test_rq_kernel_matches_scipy(shape, dtype):
     assert_arrays_equal(numkernel.rq(M), scipy.linalg.rq(M))
 
 
+# the kernels query a workspace size once per routine and argument
+# shapes; one call per shape would miss a size kept for the wrong shape
+# or routine, so these interleave them from an empty cache
+def test_workspace_is_kept_per_routine_and_shape(monkeypatch):
+    monkeypatch.setattr(numkernel, "_WORKSPACE", {})
+    gerqf, geqrf = numkernel._lapack(("gerqf", "geqrf"), float)
+    zgerqf, = numkernel._lapack(("gerqf",), complex)
+    M = kernel_matrix((6, 2), float)
+    # dgerqf asks 3 times dgeqrf's workspace on a 6 x 2 matrix
+    for f, a in [(gerqf, M), (geqrf, M), (gerqf, M.T), (zgerqf, M + 0j), (geqrf, M.T), (gerqf, M)]:
+        assert numkernel._workspace(f, a) == f(a, lwork=-1)[-2][0].real
+
+
+def test_rq_kernel_matches_scipy_across_interleaved_shapes(monkeypatch):
+    monkeypatch.setattr(numkernel, "_WORKSPACE", {})
+    for shape, dtype in [((3, 5), float), ((5, 3), float), ((3, 5), float), ((4, 4), complex), ((5, 3), float)]:
+        M = kernel_matrix(shape, dtype)
+        assert_arrays_equal(numkernel.rq(M), scipy.linalg.rq(M))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("name, kwargs", [("svd", {}), ("svd", {"compute_uv": False}), ("rq", {})])
 def test_kernels_reject_nonfinite_like_scipy(name, kwargs, bad):
@@ -105,6 +125,12 @@ def assert_riccati_like_scipy(A, B, Q, R, S, ts):
 @pytest.mark.parametrize("ts", ["continuous", "discrete"])
 def test_riccati_kernel_matches_scipy(ts, k, with_s, spread):
     assert assert_riccati_like_scipy(*riccati_data(ts, k, with_s, spread), ts) is None
+
+
+def test_riccati_kernel_matches_scipy_across_interleaved_shapes(monkeypatch):
+    monkeypatch.setattr(numkernel, "_WORKSPACE", {})
+    for ts, k in [("continuous", 2), ("discrete", 5), ("continuous", 5), ("discrete", 2), ("continuous", 2)]:
+        assert assert_riccati_like_scipy(*riccati_data(ts, k, True, False), ts) is None
 
 
 def riccati_failure_data(ts, case):
