@@ -68,7 +68,9 @@ def test_workspace_is_kept_per_routine_and_shape(monkeypatch):
 
 def test_rq_kernel_matches_scipy_across_interleaved_shapes(monkeypatch):
     monkeypatch.setattr(numkernel, "_WORKSPACE", {})
-    for shape, dtype in [((3, 5), float), ((5, 3), float), ((3, 5), float), ((4, 4), complex), ((5, 3), float)]:
+    # a size kept for 1 x 2 (32) is below the 40 gerqf needs at 40 x 3
+    shapes = [(1, 2), (3, 5), (5, 3), (40, 3), (3, 5), (4, 4), (5, 3)]
+    for shape, dtype in zip(shapes, [float] * 5 + [complex, float]):
         M = kernel_matrix(shape, dtype)
         assert_arrays_equal(numkernel.rq(M), scipy.linalg.rq(M))
 
@@ -129,7 +131,8 @@ def test_riccati_kernel_matches_scipy(ts, k, with_s, spread):
 
 def test_riccati_kernel_matches_scipy_across_interleaved_shapes(monkeypatch):
     monkeypatch.setattr(numkernel, "_WORKSPACE", {})
-    for ts, k in [("continuous", 2), ("discrete", 5), ("continuous", 5), ("discrete", 2), ("continuous", 2)]:
+    # a gges size kept for order 1 is below the minimum at order 8
+    for ts, k in [("continuous", 1), ("discrete", 8), ("continuous", 8), ("discrete", 1), ("continuous", 1)]:
         assert assert_riccati_like_scipy(*riccati_data(ts, k, True, False), ts) is None
 
 
