@@ -122,13 +122,18 @@ class EigenvalueList:
 
 
 def evaluate(sys: DescriptorSystem, lambda0: complex) -> np.ndarray:
-    """G(lambda0) = C (lambda0*E - A)^{-1} B + D at a finite point."""
+    """G(lambda0) = C (lambda0*E - A)^{-1} B + D at a finite point.
+    A point that is not finite, or at which lambda0*E - A overflows,
+    raises InputError; a pole to working precision EvaluationError."""
     lam = complex(lambda0)
     if not cmath.isfinite(lam):
         raise InputError(f"evaluation point {lam} is not finite")
     if sys.n == 0:
         return sys.D.astype(complex)
-    P = lam * sys.e_matrix - sys.A
+    with np.errstate(over="ignore"):
+        P = lam * sys.e_matrix - sys.A
+    if not np.isfinite(P).all():
+        raise InputError(f"evaluation point {lam} overflows the pencil lambda*E - A")
     s = svd(P, compute_uv=False)
     if is_pole_to_working_precision(s):
         cond = np.inf if s[-1] == 0 else s[0] / s[-1]

@@ -178,7 +178,7 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL):
         rr = range_basis(stacked, None, "inner", tol)
     except BoundaryError as exc:
         raise FactorizationError(str(exc)) from None
-    Ri = irreducible_realization(rr.R, tol)
+    Ri = irreducible_realization(rr.R, DEFAULT_TOL)
     p = sys.p
     N = _system(Ri.A, Ri.E, Ri.B, Ri.C[:p, :], Ri.D[:p, :], sys.ts)
     M = _system(Ri.A, Ri.E, Ri.B, Ri.C[p:, :], Ri.D[p:, :], sys.ts)
@@ -202,7 +202,9 @@ def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) ->
 
     Built from two nested zero-free inner range compressions,
     G = U G1 and G1' = V' G2', giving G# = V~ G2^{-1} U~, returned as
-    an irreducible realization.
+    an irreducible realization. The realizations composed here are
+    reduced at the noise floor (see ToleranceConfig), so a coarse tol
+    may leave G# non-minimal, never wrong.
     """
     r = normal_rank(sys, tol)
     m, p, ts = sys.m, sys.p, sys.ts
@@ -214,12 +216,12 @@ def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) ->
     # the cofactor realization inherits the input's order and can be
     # reducible in ways that block the second compression (for example
     # rank [E B] < n); a minimal realization never is
-    G1t = irreducible_realization(transpose(G1), tol)
+    G1t = irreducible_realization(transpose(G1), DEFAULT_TOL)
     rr2 = range_basis(G1t, region_none(), "inner", tol)
     V = transpose(rr2.R)
     G2 = transpose(cofactor(G1t, rr2))
     composed = series(series(conjugate(V), _inverse_realization(G2)), conjugate(U))
-    return irreducible_realization(composed, tol)
+    return irreducible_realization(composed, DEFAULT_TOL)
 
 
 def inner_outer(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL):

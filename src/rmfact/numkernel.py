@@ -6,24 +6,25 @@ decomposition and the stabilizing Riccati solver.
 Every reduction in this package funnels its rank decisions through the
 helpers here so that a single tolerance policy governs the whole
 computation. `svd` (gesdd), `rq` (gerqf, orgrq),
-`generalized_eigenvalues` (gges), `ordered_generalized_schur` (gges,
-tgsen) and `stabilizing_riccati` (gebal, geqrf, orgqr, gges, tgsen,
-getrf, trtrs) call LAPACK directly, and no other module calls an SVD,
-RQ, QZ or Riccati routine; `dss` and `rangebasis` solve their small
-linear systems with numpy.linalg.solve. Apart from
-`generalized_eigenvalues`, each kernel makes the LAPACK calls of its
-scipy.linalg counterpart and returns its results bit for bit: on the
-small matrices here, scipy's argument handling costs more than the
-LAPACK work. A routine's optimal workspace is queried once per
-argument shapes and then reused (_gesdd, _workspace).
+`generalized_eigenvalues` (gges), `_ordered_schur` (gges, tgsen) and
+`stabilizing_riccati` (gebal, geqrf, orgqr, gges, tgsen, getrf, trtrs)
+call LAPACK directly, and no other module calls an SVD, RQ, QZ or
+Riccati routine; `dss` and `rangebasis` solve their small linear
+systems with numpy.linalg.solve. A routine's optimal workspace is
+queried once per argument shapes and then reused (_gesdd, _workspace).
 
-Inputs are checked where they enter: make_dss and the raw-array entry
-points kronecker_like_form and ordered_generalized_schur by `_matrix`,
-the one cast-and-check helper; io and the CLI as they parse; `svd`, `rq`
-and `stabilizing_riccati` reject non-finite data as scipy does.
-Internal calls pass checked float64 matrices and are not checked again:
-the rank funnels call gesdd unscanned, and dss._system checks each
-computed realization once for a non-finite entry.
+The kernels take checked, finite float64 (complex128 for svd and rq)
+data and do not check it again. Outside data is checked where it
+enters: by `_matrix`, the one cast-and-check helper, in make_dss and
+kronecker_like_form, the only raw-array entry points; by io and the
+CLI as they parse. dss._system scans each computed realization once,
+and dss.evaluate refuses a point at which the pencil overflows. A
+kernel raises LinAlgError when a numerical step fails, ValueError for a
+singular continuous-time Riccati R. Apart from
+`generalized_eigenvalues`, each kernel makes the LAPACK calls of its
+scipy.linalg counterpart and so, on valid data, returns its results
+bit for bit; the tests use scipy as that oracle, not as the contract
+for argument checks, warnings or messages.
 
 The routines are the function objects of scipy's compiled wrapper
 module `scipy.linalg._flapack` (and `_flapack_64` in an ILP64 build),
@@ -31,9 +32,7 @@ the ones scipy.linalg.lapack.get_lapack_funcs hands out. The module is
 loaded from its file, because importing the scipy.linalg package that
 holds it would load all of scipy.linalg and take about half of a cold
 `rmfact` command's time; where the file cannot be loaded, the module
-comes from scipy.linalg.lapack instead. Only this module imports scipy;
-apart from that fallback, its one import of scipy.linalg is where a
-failed QZ iteration needs scipy's LinAlgWarning.
+comes from scipy.linalg.lapack instead. Only this module imports scipy.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ import importlib.util
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +116,13 @@ class ToleranceConfig:
     and a Gramian's eigenvalues are squared singular values, which a
     tolerance meant for singular values would refuse far too early.
 
+    Minimal realizations of realizations the package composed itself
+    use DEFAULT_TOL, whatever rank_rtol is: of the range basis in
+    fact.nrcf, and of the transposed cofactor and the final product in
+    fact.pseudo_inverse. Their cancellations are exact in exact
+    arithmetic, so a coarse threshold would only cut states G needs; at
+    a coarse tolerance G# and [N; M] may be non-minimal, never wrong.
+
     Fixed rules: is_infinite decides infinite eigenvalues, EIG_ATOL the
     width of the stability boundary (klf.on_stability_boundary), and
     is_pole_to_working_precision the points dss.evaluate refuses.
@@ -182,33 +187,10 @@ def _matrix(value, name, rows=None, cols=None, square=False):
     return M
 
 
-def _require_finite(M):
-    if not np.isfinite(M).all():
-        raise ValueError("array must not contain infs or NaNs")
-
-
-def _finite_array(M):
-    M = np.asarray(M)
-    _require_finite(M)
-    return M
-
-
 def svd(M, compute_uv: bool = True):
-    """Full SVD of a float64 or complex128 matrix by LAPACK gesdd:
-    (U, s, Vh) with M = U @ diag(s) @ Vh, or s alone.
-
-    Bit-identical to scipy.linalg.svd(M, compute_uv=compute_uv): the
-    same routine, arguments and workspace size, and identity U, Vh for
-    an empty M. Non-finite entries raise ValueError, and a failure to
-    converge LinAlgError.
-    """
-    _require_finite(M)
-    return _svd(M, compute_uv)
-
-
-def _svd(M, compute_uv: bool):
-    """svd without the finiteness scan, for the rank funnels, which get
-    checked data through orthogonal updates that keep it finite."""
+    """Full SVD of a finite float64 or complex128 matrix by LAPACK
+    gesdd: (U, s, Vh) with M = U @ diag(s) @ Vh, or s alone; identity
+    U, Vh for an empty M. A failure to converge raises LinAlgError."""
     if M.size == 0:
         s = np.zeros(0)
         if not compute_uv:
@@ -235,11 +217,9 @@ def _gesdd(dtype, shape, compute_uv: bool):
 
 
 def rq(M):
-    """Full RQ factorization (R, Q) of a float64 or complex128 matrix
-    by LAPACK gerqf and orgrq/ungrq: M = R @ Q with Q square orthogonal
-    and R upper trapezoidal. Bit-identical to scipy.linalg.rq(M): the
-    same routines, workspace sizes and empty-input result."""
-    _require_finite(M)
+    """Full RQ factorization (R, Q) of a finite float64 or complex128
+    matrix by LAPACK gerqf and orgrq/ungrq: M = R @ Q with Q square
+    orthogonal and R upper trapezoidal."""
     m, n = M.shape
     if M.size == 0:
         return np.empty_like(M), np.eye(n, dtype=M.dtype)
@@ -320,20 +300,13 @@ def probe_pencil_regular(A, E):
     return False
 
 
-def ordered_generalized_schur(A, E, select) -> OrderedSchurResult:
-    """Ordered real generalized Schur decomposition of a regular pencil.
-
-    select(alpha, beta) marks the eigenvalues that must occupy the
-    leading diagonal block; it is called once per eigenvalue with a
-    complex alpha and a real beta and returns a truth value. A and E
-    are checked by _matrix: square, of one shape, with finite entries.
-    """
-    A = _matrix(A, "A", square=True)
-    return _ordered_schur(A, _matrix(E, "E", *A.shape), select)
-
-
 def _ordered_schur(A, E, select) -> OrderedSchurResult:
-    """ordered_generalized_schur of checked square float64 A and E."""
+    """Ordered real generalized Schur decomposition of the regular
+    pencil A - lambda*E, A and E square float64. select(alpha, beta)
+    marks the eigenvalues that must occupy the leading diagonal block;
+    it is called once per eigenvalue with a complex alpha and a real
+    beta and returns a truth value. A pencil singular at every probe
+    shift raises StructureError."""
     n = A.shape[0]
     if n == 0:
         I = np.eye(0)
@@ -354,32 +327,22 @@ def _ordered_schur(A, E, select) -> OrderedSchurResult:
 def _ordered_qz(A, B, select):
     """Real generalized Schur form (S, T, alpha, beta, Q, Z) of the pencil
     A - lambda*B by gges, reordered by tgsen so that the eigenvalues for
-    which the boolean array select(alpha, beta) is true lead. The calls,
-    warning and errors of scipy's ordered QZ with sort=select."""
+    which the boolean array select(alpha, beta) is true lead: the calls
+    of scipy's ordered QZ with sort=select. A failed QZ iteration or
+    reordering raises LinAlgError."""
     gges, tgsen = _lapack(("gges", "tgsen"), A.dtype)
     n = A.shape[0]
     # sort_t=0: gges never calls the selector
     lwork = _workspace(gges, lambda *_: None, A, B)
     S, T, _, alphar, alphai, beta, Q, Z, _, info = gges(lambda *_: None, A, B, lwork=lwork, sort_t=0)
-    if info < 0:
-        raise ValueError(f"Illegal value in argument {-info} of gges")
-    if 0 < info <= n:
-        from scipy.linalg import LinAlgWarning
-
-        warnings.warn(
-            "The QZ iteration failed. (a,b) are not in Schur form, but ALPHAR(j), ALPHAI(j), "
-            f"and BETA(j) should be correct for J={info - 1},...,N",
-            LinAlgWarning,
-            stacklevel=3,
-        )
-    elif info == n + 1:
-        raise np.linalg.LinAlgError("Something other than QZ iteration failed")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"QZ iteration failed: gges info {info}")
     keep = select(alphar + alphai * 1j, beta)
     S, T, alphar, alphai, beta, Q, Z, _, _, _, _, info = tgsen(
         keep, S, T, Q, Z, ijob=0, lwork=4 * n + 16, liwork=1
     )
     if info != 0:
-        raise ValueError(
+        raise np.linalg.LinAlgError(
             "Reordering of (A, B) failed because the transformed matrix pair (A, B) would be too "
             "far from generalized Schur form; the problem is very ill-conditioned."
         )
@@ -404,75 +367,54 @@ def _inside_unit_circle(alpha, beta):
 
 def stabilizing_riccati(A, B, Q, R, S, ts: str):
     """Stabilizing solution X of the algebraic Riccati equation of the
-    real pair (A, B) with weights [Q S; S.T R], S None for zero:
-    A.T X + X A - (X B + S) R^-1 (B.T X + S.T) + Q = 0 for
+    real pair (A, B) with symmetric weights [Q S; S.T R], S None for
+    zero: A.T X + X A - (X B + S) R^-1 (B.T X + S.T) + Q = 0 for
     ts "continuous", A.T X A - X - (A.T X B + S) (R + B.T X B)^-1
     (B.T X A + S.T) + Q = 0 for ts "discrete".
 
-    Bit-identical to scipy's continuous and discrete ARE solvers (e
-    None, s=S, balanced) with the same checks, warning and errors, by
-    the same LAPACK calls on the extended pencil
-    H - lambda J: gebal on |H| + |J| for the symplectic balancing,
-    geqrf and orgqr to deflate the columns of R, gges and tgsen to lead
-    with the stable eigenvalues, and getrf and trtrs to solve for X
-    from the stable deflating subspace. Non-finite or mismatched data, Q
-    or R not symmetric, or in continuous time R numerically singular
-    raise ValueError; a pencil whose stable subspace cannot be
+    The LAPACK calls of scipy's continuous and discrete ARE solvers (e
+    None, s=S, balanced) on the extended pencil H - lambda J: gebal on
+    |H| + |J| for the symplectic balancing, geqrf and orgqr to deflate
+    the columns of R, gges and tgsen to lead with the stable
+    eigenvalues, and getrf and trtrs to solve for X from the stable
+    deflating subspace. In continuous time a numerically singular R
+    raises ValueError. A pencil whose stable subspace cannot be
     isolated, such as one with an eigenvalue on the stability boundary,
     raises LinAlgError.
     """
-    if ts not in ("continuous", "discrete"):
-        raise ValueError(f"ts must be 'continuous' or 'discrete', got {ts!r}")
     continuous = ts == "continuous"
-    a, b, q, r = (np.atleast_2d(_finite_array(M)) for M in (A, B, Q, R))
-    for name, M in zip("aqr", (a, q, r)):
-        if M.shape[0] != M.shape[1]:
-            raise ValueError(f"Matrix {name} should be square.")
-    m, n = b.shape
-    if m != a.shape[0]:
-        raise ValueError("Matrix a and b should have the same number of rows.")
-    if m != q.shape[0]:
-        raise ValueError("Matrix a and q should have the same shape.")
-    if n != r.shape[0]:
-        raise ValueError("Matrix b and r should have the same number of cols.")
-    for name, M in zip("qr", (q, r)):
-        if np.linalg.norm(M - M.T, 1) > np.spacing(np.linalg.norm(M, 1)) * 100:
-            raise ValueError(f"Matrix {name} should be symmetric/hermitian.")
+    m, n = B.shape
     if continuous:
-        min_sv = svd(r, compute_uv=False)[-1]
-        if min_sv == 0.0 or min_sv < np.spacing(1.0) * np.linalg.norm(r, 1):
+        min_sv = svd(R, compute_uv=False)[-1]
+        if min_sv == 0.0 or min_sv < np.spacing(1.0) * np.linalg.norm(R, 1):
             raise ValueError("Matrix r is numerically singular.")
-    s = None if S is None else np.atleast_2d(_finite_array(S))
-    if s is not None and s.shape != b.shape:
-        raise ValueError("Matrix b and s should have the same shape.")
 
     # H - lambda J, rows and columns in the blocks (m, m, n); zero S
     # leaves +0 blocks
     N = 2 * m + n
     H = np.zeros((N, N))
     J = np.zeros((N, N))
-    H[:m, :m] = a
-    H[:m, 2 * m:] = b
-    H[m:2 * m, :m] = -q
-    if s is not None:
-        H[m:2 * m, 2 * m:] = -s
-        H[2 * m:, :m] = s.T
-    H[2 * m:, 2 * m:] = r
+    H[:m, :m] = A
+    H[:m, 2 * m:] = B
+    H[m:2 * m, :m] = -Q
+    if S is not None:
+        H[m:2 * m, 2 * m:] = -S
+        H[2 * m:, :m] = S.T
+    H[2 * m:, 2 * m:] = R
     if continuous:
-        H[m:2 * m, m:2 * m] = -a.T
-        H[2 * m:, m:2 * m] = b.T
+        H[m:2 * m, m:2 * m] = -A.T
+        H[2 * m:, m:2 * m] = B.T
         J[:2 * m, :2 * m] = np.eye(2 * m)
     else:
         H[m:2 * m, m:2 * m] = np.eye(m)
         J[:m, :m] = np.eye(m)
-        J[m:2 * m, m:2 * m] = a.T
-        J[2 * m:, m:2 * m] = -b.T
+        J[m:2 * m, m:2 * m] = A.T
+        J[2 * m:, m:2 * m] = -B.T
 
     # balance |H| + |J| off its diagonal, then impose diag(D, D^-1, .)
     # with D the power-of-2 geometric mean of the two halves (Benner)
     W = np.abs(H) + np.abs(J)
     np.fill_diagonal(W, 0.0)
-    _require_finite(W)
     gebal, geqrf, orgqr, getrf, trtrs = _lapack(("gebal", "geqrf", "orgqr", "getrf", "trtrs"), H.dtype)
     _, lo, hi, ps, _ = gebal(W, scale=1, permute=0)
     sca = np.ones_like(ps)
@@ -488,7 +430,6 @@ def stabilizing_riccati(A, B, Q, R, S, ts: str):
 
     # deflate the n columns of R: the trailing N - n columns of the full
     # orthogonal factor of H[:, -n:] span their left null space
-    _require_finite(H[:, -n:])
     qr, tau = _lapack_call(geqrf, "geqrf", H[:, -n:], overwrite_a=False)
     full = np.empty((N, N))
     full[:, :n] = qr
@@ -503,7 +444,6 @@ def stabilizing_riccati(A, B, Q, R, S, ts: str):
     u = _ordered_qz(H, J, stable)[5]
     u00 = u[:m, :m]
     u10 = u[m:, :m]
-    _require_finite(u00)
     lu, piv, _ = getrf(u00)
     sv = svd(np.triu(lu), compute_uv=False)
     if sv[-1] == 0 or 1 / (sv[0] / sv[-1]) < np.spacing(1.0):
@@ -566,12 +506,14 @@ def _eigenvalue_pairs(alpha, beta):
 def thresholded_svd(M, thresh: float):
     """(U, sigma, V, rank) with M = U @ diag(sigma) @ V.T, rank the
     count of singular values above the absolute threshold thresh."""
-    U, s, Vt = _svd(M, True)
+    U, s, Vt = svd(M)
     return U, s, Vt.T, int(np.count_nonzero(s > thresh))
 
 
 def svd_rank_abs(M, thresh: float) -> int:
-    return int(np.count_nonzero(_svd(M, False) > thresh))
+    """Count of the singular values of M above the absolute threshold
+    thresh, without singular vectors."""
+    return int(np.count_nonzero(svd(M, compute_uv=False) > thresh))
 
 
 def row_compress(M, thresh: float):

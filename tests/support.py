@@ -51,6 +51,13 @@ def random_system(rng, ts=None, n_max=6, p_max=4, m_max=4, improper_prob=0.35):
     return make_dss(A, E, B, C, D, ts)
 
 
+def overflowing_pencil_system():
+    """A 2-state system with E = diag(4, 1): at lambda = 1e308,
+    lambda*E - A overflows (1e308 * 4), though lambda is finite."""
+    A, E = np.diag([-1.0, -2.0]), np.diag([4.0, 1.0])
+    return make_dss(A, E, np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)), "continuous")
+
+
 def rank_deficient_system(rng, ts=None, inner_dim=1, p=3, m=3, n_each=2):
     """Series product of a p x k and a k x m factor, so the normal rank
     is k < min(p, m) while the cascade realization stays minimal."""

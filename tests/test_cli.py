@@ -21,7 +21,7 @@ from rmfact import (
 )
 from rmfact.cli import run_command
 
-from support import assert_multiset_close, run_cli, run_cli_json, write_examples
+from support import assert_multiset_close, overflowing_pencil_system, run_cli, run_cli_json, write_examples
 
 
 @pytest.fixture()
@@ -119,6 +119,15 @@ def test_eval_at_nonfinite_point_is_exit_2(examples, point):
     assert code == 2
     assert out == ""
     assert "is not finite" in err
+
+
+def test_eval_where_the_pencil_overflows_is_exit_2(tmp_path):
+    path = tmp_path / "wide.json"
+    write_system_file(overflowing_pencil_system(), str(path))
+    code, out, err = run_cli(["eval", path, "--point", "1e308"])
+    assert code == 2
+    assert out == ""
+    assert "evaluation point (1e+308+0j) overflows" in err
 
 
 @pytest.mark.parametrize(

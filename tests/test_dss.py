@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,14 @@ from rmfact.dss import (
 )
 from rmfact.numkernel import DEFAULT_TOL
 
-from support import RELAXED, assert_multiset_close, random_system, rank_deficient_system, run_cli_json
+from support import (
+    RELAXED,
+    assert_multiset_close,
+    overflowing_pencil_system,
+    random_system,
+    rank_deficient_system,
+    run_cli_json,
+)
 
 
 def test_example_one_structure():
@@ -96,6 +104,13 @@ def test_evaluate_at_nonfinite_point_is_input_error(point):
     for g in (stable_rank2_continuous(), static):
         with pytest.raises(InputError, match="not finite"):
             evaluate(g, point)
+
+
+def test_evaluate_where_the_pencil_overflows_is_input_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"evaluation point \(1e\+308\+0j\) overflows"):
+            evaluate(overflowing_pencil_system(), 1e308)
 
 
 def test_conjugate_continuous():

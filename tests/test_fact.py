@@ -22,8 +22,10 @@ from rmfact import (
     mcmillan_degree,
     normal_rank,
     nrcf,
+    penrose_residuals,
     poles,
     polynomial_rank2_discrete,
+    product_residuals,
     pseudo_inverse,
     random_nonpole_points,
     range_basis,
@@ -479,11 +481,80 @@ def test_rank_tolerance_leaves_the_gramian_guard_alone():
     rng = np.random.default_rng(2024)
     suite = [random_system(rng, n_max=8) for _ in range(49)]
     tol = ToleranceConfig(rank_rtol=1e-3)
-    # accepted; at this tolerance its last irreducible realization drops
-    # states that carry part of G#, so no Penrose bound is asserted
+    # accepted; test_coarse_tolerance_refuses_or_meets_its_bound bounds
+    # its Penrose defects
     pseudo_inverse(suite[15], tol)
     g = suite[48]
     Gi, Go = inner_outer(g, tol)
     pts = random_nonpole_points([g, Gi, Go], 16, np.random.default_rng(0))
     assert product_residual(g, Gi, Go, pts) <= 1e-8
     assert inner_defect(Gi, g.ts) <= 1e-8
+
+
+# suite-small (acceptance 7's systems) and suite-large (perfbench's, A
+# scaled by 1/sqrt(n)) systems whose pinv or nrcf came back wrong, and
+# unrefused, at a coarse tolerance while the minimal realizations of the
+# realizations fact composes ranked at rank_rtol
+COARSE_SMALL = [3, 7, 8, 15, 18, 26, 37, 53, 63, 66, 69, 72, 77, 84, 92]
+COARSE_LARGE = [4, 5, 6, 10, 11, 14]
+# the tier-1 bound of each operation's check at the default tolerance
+TIER1_BOUND = {"structure": 1e-7, "frf": 1e-7, "dual": 1e-7, "iofac": 1e-7, "nrcf": 1e-7, "pinv": 1e-6}
+
+
+def coarse_suites():
+    rng = np.random.default_rng(2024)
+    small = [random_system(rng, n_max=8) for _ in range(100)]
+    rng = np.random.default_rng(2024)
+    large = []
+    for _ in range(max(COARSE_LARGE) + 1):
+        g = random_system(rng, n_max=40, p_max=6, m_max=6)
+        large.append(make_dss(g.A / np.sqrt(g.n), g.E, g.B, g.C, g.D, g.ts))
+    return [(f"small {i}", small[i]) for i in COARSE_SMALL], [(f"large {i}", large[i]) for i in COARSE_LARGE]
+
+
+def operation_defect(op, g, tol):
+    """The check of one operation on g, by fact's residual routines: the
+    product residual of G = L R (structure: of G against the irreducible
+    realization it reads, whose McMillan degree must count its poles),
+    and the Gram residual of an inner or normalized factor."""
+    rng = np.random.default_rng(0)
+    if op == "structure":
+        s, red = structure(g, tol), irreducible_realization(g, tol)
+        assert s.mcmillan_degree == s.poles.total <= g.n
+        return max(product_residuals(g, red, identity_system(g.m, g.ts), 8, rng))
+    if op in ("frf", "dual"):
+        fr = (full_rank_factorize if op == "frf" else dual_full_rank_factorize)(g, tol=tol)
+        return max(product_residuals(g, fr.left, fr.right, 8, rng))
+    if op == "iofac":
+        Gi, Go = inner_outer(g, tol)
+        return max(max(product_residuals(g, Gi, Go, 8, rng)), gram_residual([Gi], 16))
+    if op == "nrcf":
+        return gram_residual(list(nrcf(g, tol)), 16)
+    return max(penrose_residuals(g, pseudo_inverse(g, tol), 8, rng, 16).values())
+
+
+@pytest.mark.parametrize("rank_rtol", [0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3])
+def test_coarse_tolerance_refuses_or_meets_its_bound(rank_rtol):
+    """Each operation either refuses with a named RmfactError or meets
+    max(tier-1 bound, 1e3 * rank_rtol). A reduction that discards
+    singular values up to rank_rtol times its data's scale moves G by
+    about that much; the factor 1e3 leaves room for the chain of
+    reductions and for data whose scale exceeds ||G||. Only rank
+    decisions about G coarsen: the minimal realizations of the
+    realizations fact composes itself rank at the noise floor, since
+    cutting one of their states at rank_rtol drops part of G# or
+    [N; M]."""
+    tol = ToleranceConfig(rank_rtol=rank_rtol)
+    small, large = coarse_suites()
+    cases = [(name, g, op) for name, g in small for op in TIER1_BOUND]
+    if rank_rtol >= 1e-4:
+        cases += [(name, g, op) for name, g in large for op in ("pinv", "nrcf")]
+    wrong = []
+    for name, g, op in cases:
+        try:
+            d = operation_defect(op, g, tol)
+        except RmfactError:
+            continue
+        if d > max(TIER1_BOUND[op], 1e3 * rank_rtol):
+            wrong.append(f"{op} of {name}: {d:.2e}")
+    assert wrong == []

@@ -1,7 +1,8 @@
 """Import hygiene of the package, checked with the stdlib ast module:
 every module uses each name it imports (a stand-in for a linter's
 unused-import check), every function reads each of its parameters,
-only numkernel imports scipy, and only numkernel may bind the LAPACK
+only numkernel imports scipy (scipy.linalg.lapack only as the loader
+fallback), and only numkernel may bind the LAPACK
 SVD, RQ and QZ routines, scipy's lu_factor, lu_solve and solve or its
 Riccati solvers, or take a matrix 2-norm (an SVD), so every call goes
 through its kernels. Only io and gallery call make_dss, and only
@@ -240,6 +241,11 @@ def test_scipy_import_checker_flags_every_spelling():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != KERNEL_HOME] + ["__init__.py"])
 def test_only_numkernel_imports_scipy(module):
     assert scipy_imports((PACKAGE / module).read_text()) == []
+
+
+def test_numkernel_imports_scipy_only_for_its_lapack_bindings():
+    imports = scipy_imports((PACKAGE / KERNEL_HOME).read_text())
+    assert [line.split(": ", 1)[1] for line in imports] == ["scipy", "scipy.linalg.lapack"]
 
 
 # outside data enters through io and gallery, which check it with

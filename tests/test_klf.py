@@ -18,7 +18,6 @@ from rmfact import (
     make_dss,
     normal_rank,
     nrcf,
-    ordered_generalized_schur,
     polynomial_rank2_discrete,
     region_none,
     special_klf,
@@ -128,11 +127,8 @@ def test_klf_regular_diagonal():
     assert np.allclose(eigs, [1.0, 2.0], atol=1e-12)
 
 
-# the raw-array entry points check their matrices as make_dss does
-RAW_ENTRY_POINTS = {
-    "kronecker_like_form": kronecker_like_form,
-    "ordered_generalized_schur": lambda A, E: ordered_generalized_schur(A, E, lambda a, b: b > 0),
-}
+# the raw-array entry point checks its matrices as make_dss does
+RAW_ENTRY_POINTS = {"kronecker_like_form": kronecker_like_form}
 
 
 @pytest.mark.parametrize("entry", list(RAW_ENTRY_POINTS))
@@ -149,11 +145,6 @@ RAW_ENTRY_POINTS = {
 def test_raw_array_entry_points_name_the_matrix(entry, A, E, message):
     with pytest.raises(InputError, match=message):
         RAW_ENTRY_POINTS[entry](A, E)
-
-
-def test_ordered_schur_needs_a_square_pencil():
-    with pytest.raises(InputError, match=r"A must be square, got shape \(1, 2\)"):
-        ordered_generalized_schur(np.ones((1, 2)), np.ones((1, 2)), lambda a, b: b > 0)
 
 
 def test_klf_rank_one_rectangular():
