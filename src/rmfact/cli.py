@@ -14,7 +14,8 @@ human-readable lines of range, frf, dual-frf, nrcf, pinv and iofac.
 
 Exit codes: 0 success, 2 input or parse error, 3 structural or
 factorization error (boundary eigenvalues, non-stabilizable
-realizations, evaluation at a pole), 4 verification failure.
+realizations, evaluation at a pole, a failed LAPACK iteration), 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -27,15 +28,7 @@ import sys
 import numpy as np
 
 from .dss import DescriptorSystem, Structure, evaluate, structure, system_pencil
-from .exceptions import (
-    BoundaryError,
-    EvaluationError,
-    FactorizationError,
-    InputError,
-    ParseError,
-    StructureError,
-    VerificationError,
-)
+from .exceptions import InputError, RmfactError, VerificationError
 from .fact import (
     FREQ_GRID,
     RESIDUAL_GRID,
@@ -449,7 +442,9 @@ _DISPATCH = {
 
 
 def run_command(argv) -> int:
-    """Parse argv, dispatch, and map library errors to exit codes."""
+    """Parse argv, dispatch, and map library errors to exit codes by the
+    roots of the taxonomy: VerificationError 4, InputError 2, any other
+    RmfactError 3."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -457,10 +452,10 @@ def run_command(argv) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ParseError, InputError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StructureError, BoundaryError, FactorizationError, EvaluationError) as exc:
+    except RmfactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -162,8 +162,6 @@ def conjugate(sys: DescriptorSystem) -> DescriptorSystem:
         E = None if sys.E is None else sys.E.T
         return _system(-sys.A.T, E, sys.C.T, -sys.B.T, sys.D.T, sys.ts)
     n, m, p = sys.n, sys.m, sys.p
-    if n == 0:
-        return _system(sys.A.T, None if sys.E is None else sys.E.T, sys.C.T, sys.B.T, sys.D.T, sys.ts)
     Emat = sys.e_matrix
     At = _diag_blocks(Emat.T, np.eye(n))
     Et = _block([[sys.A.T, np.zeros((n, n))], [np.eye(n), np.zeros((n, n))]])

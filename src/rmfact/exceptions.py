@@ -1,8 +1,8 @@
 """Error taxonomy shared by the whole package.
 
-The CLI maps these onto process exit codes: input/parse problems exit
-with 2, structural and factorization failures with 3, verification
-failures with 4.
+The CLI maps these onto process exit codes by the roots of the
+taxonomy: input/parse problems exit with 2, verification failures with
+4, and every other error (structural, factorization, evaluation) with 3.
 """
 
 

@@ -25,7 +25,7 @@ from .numkernel import (
     EIG_ATOL,
     ToleranceConfig,
     _matrix,
-    _ordered_schur,
+    _ordered_qz,
     col_compress,
     generalized_eigenvalues,
     is_infinite,
@@ -128,6 +128,14 @@ def classify_eigenvalue(alpha, beta, region: RegionPartition, tol: ToleranceConf
     if d <= 0 or on_stability_boundary(lam, region.ts):
         return "good"
     return "bad"
+
+
+def region_selector(region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL) -> Callable:
+    """select(alpha, beta) of numkernel._ordered_qz for region: the boolean
+    array of the eigenvalues (alpha[i], beta[i]) not classified 'bad'."""
+    return lambda alpha, beta: np.array(
+        [classify_eigenvalue(a, b, region, tol) != "bad" for a, b in zip(alpha, beta)], dtype=bool
+    )
 
 
 # -- general Kronecker-like form ---------------------------------------------
@@ -419,7 +427,7 @@ def _check_bad_stabilizable(sys, region, tol, thresh):
     which a REGION_NONE partition skips: there no finite eigenvalue
     classifies as bad or boundary."""
     Emat = sys.e_matrix
-    if sys.E is not None and row_compress(np.hstack([Emat, sys.B]), thresh)[1] < sys.n:
+    if sys.E is not None and svd_rank_abs(np.hstack([Emat, sys.B]), thresh) < sys.n:
         raise StructureError(
             "realization is not stabilizable at infinity: [E B] is row rank deficient"
         )
@@ -515,16 +523,15 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
     if 0 < n_good < nreg:
         # move the good part of the whole regular block (finite and
         # infinite together) into the leading positions
-        sel = lambda a, b: classify_eigenvalue(a, b, region, tol) != "bad"
         win_r = slice(iR, iR + nreg)
         win_c = slice(jR, jR + nreg)
-        sch = _ordered_schur(M_Pt[win_r, win_c], N_Pt[win_r, win_c], sel)
-        M_Pt[win_r, jR:] = sch.Q.T @ M_Pt[win_r, jR:]
-        N_Pt[win_r, jR:] = sch.Q.T @ N_Pt[win_r, jR:]
-        M_Pt[:, win_c] = M_Pt[:, win_c] @ sch.Z
-        N_Pt[:, win_c] = N_Pt[:, win_c] @ sch.Z
-        Q_P[:, win_r] = Q_P[:, win_r] @ sch.Q
-        Z_P[:, win_c] = Z_P[:, win_c] @ sch.Z
+        Q, Z = _ordered_qz(M_Pt[win_r, win_c], N_Pt[win_r, win_c], region_selector(region, tol))[4:]
+        M_Pt[win_r, jR:] = Q.T @ M_Pt[win_r, jR:]
+        N_Pt[win_r, jR:] = Q.T @ N_Pt[win_r, jR:]
+        M_Pt[:, win_c] = M_Pt[:, win_c] @ Z
+        N_Pt[:, win_c] = N_Pt[:, win_c] @ Z
+        Q_P[:, win_r] = Q_P[:, win_r] @ Q
+        Z_P[:, win_c] = Z_P[:, win_c] @ Z
 
     n_rg = iR + n_good
     c1 = jR + n_good

@@ -6,7 +6,7 @@ decomposition and the stabilizing Riccati solver.
 Every reduction in this package funnels its rank decisions through the
 helpers here so that a single tolerance policy governs the whole
 computation. `svd` (gesdd), `rq` (gerqf, orgrq),
-`generalized_eigenvalues` (gges), `_ordered_schur` (gges, tgsen) and
+`generalized_eigenvalues` (gges), `_ordered_qz` (gges, tgsen) and
 `stabilizing_riccati` (gebal, geqrf, orgqr, gges, tgsen, getrf, trtrs)
 call LAPACK directly, and no other module calls an SVD, RQ, QZ or
 Riccati routine; `dss` and `rangebasis` solve their small linear
@@ -19,8 +19,10 @@ enters: by `_matrix`, the one cast-and-check helper, in make_dss and
 kronecker_like_form, the only raw-array entry points; by io and the
 CLI as they parse. dss._system scans each computed realization once,
 and dss.evaluate refuses a point at which the pencil overflows. A
-kernel raises LinAlgError when a numerical step fails, ValueError for a
-singular continuous-time Riccati R. Apart from
+failed SVD or QZ iteration, or a failed QZ reordering, raises
+KernelError, both a StructureError and a LinAlgError; the Riccati
+solver raises LinAlgError when no stabilizing solution is found and
+ValueError for a singular continuous-time R. Apart from
 `generalized_eigenvalues`, each kernel makes the LAPACK calls of its
 scipy.linalg counterpart and so, on valid data, returns its results
 bit for bit; the tests use scipy as that oracle, not as the contract
@@ -51,6 +53,11 @@ import scipy
 from .exceptions import InputError, StructureError
 
 EPS = float(np.finfo(float).eps)
+
+
+class KernelError(StructureError, np.linalg.LinAlgError):
+    """A failed SVD or QZ iteration or QZ reordering; a LinAlgError too,
+    for callers that catch numpy's."""
 
 
 def _compiled(name: str):
@@ -110,11 +117,11 @@ class ToleranceConfig:
 
     Division guards use noise_floor(scale, k) and ignore rank_rtol: the
     A22 pivot block of dss._remove_nondynamic, the Gramian of
-    rangebasis._inv_sqrt_sym, the feedthrough D whose D^T D
-    rangebasis.inner_enforcing_gains inverts, and probe_pencil_regular.
-    A block above roundoff inverts safely whatever rank a caller counts,
-    and a Gramian's eigenvalues are squared singular values, which a
-    tolerance meant for singular values would refuse far too early.
+    rangebasis._inv_sqrt_sym, and the feedthrough D whose D^T D
+    rangebasis.inner_enforcing_gains inverts. A block above roundoff
+    inverts safely whatever rank a caller counts, and a Gramian's
+    eigenvalues are squared singular values, which a tolerance meant for
+    singular values would refuse far too early.
 
     Minimal realizations of realizations the package composed itself
     use DEFAULT_TOL, whatever rank_rtol is: of the range basis in
@@ -190,7 +197,7 @@ def _matrix(value, name, rows=None, cols=None, square=False):
 def svd(M, compute_uv: bool = True):
     """Full SVD of a finite float64 or complex128 matrix by LAPACK
     gesdd: (U, s, Vh) with M = U @ diag(s) @ Vh, or s alone; identity
-    U, Vh for an empty M. A failure to converge raises LinAlgError."""
+    U, Vh for an empty M. A failure to converge raises KernelError."""
     if M.size == 0:
         s = np.zeros(0)
         if not compute_uv:
@@ -199,7 +206,7 @@ def svd(M, compute_uv: bool = True):
     gesdd, lwork = _gesdd(M.dtype, M.shape, compute_uv)
     U, s, Vh, info = gesdd(M, compute_uv=compute_uv, lwork=lwork, full_matrices=True, overwrite_a=False)
     if info > 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise KernelError("SVD did not converge")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gesdd")
     return (U, s, Vh) if compute_uv else s
@@ -263,86 +270,34 @@ def _lapack_call(f, name, *args, **kwargs):
     return out[:-2]
 
 
-@dataclass(frozen=True)
-class OrderedSchurResult:
-    """Result of the ordered generalized Schur decomposition.
-
-    S is quasi-upper-triangular, T upper-triangular, and the orthogonal
-    Q, Z satisfy Q.T @ A @ Z = S, Q.T @ E @ Z = T. eigenvalues holds
-    (alpha, beta) pairs with beta >= 0; is_infinite picks out the
-    infinite eigenvalues.
-    """
-
-    S: np.ndarray
-    T: np.ndarray
-    Q: np.ndarray
-    Z: np.ndarray
-    eigenvalues: tuple
-
-
-def probe_pencil_regular(A, E):
-    """Return True when A - lambda*E is numerically regular.
-
-    The pencil is probed at eight pseudo-random shifts; it is declared
-    singular only when every probe is rank-deficient.
-    """
-    n = A.shape[0]
-    if n == 0:
-        return True
-    scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(E, "fro"), 1.0)
-    rng = np.random.default_rng(12345)
-    for _ in range(8):
-        lam = rng.standard_normal() + 1j * rng.standard_normal()
-        lam *= 1.0 + rng.random()
-        smin = svd(A - lam * E, compute_uv=False)[-1]
-        if smin > noise_floor(scale, n):
-            return True
-    return False
-
-
-def _ordered_schur(A, E, select) -> OrderedSchurResult:
-    """Ordered real generalized Schur decomposition of the regular
-    pencil A - lambda*E, A and E square float64. select(alpha, beta)
-    marks the eigenvalues that must occupy the leading diagonal block;
-    it is called once per eigenvalue with a complex alpha and a real
-    beta and returns a truth value. A pencil singular at every probe
-    shift raises StructureError."""
-    n = A.shape[0]
-    if n == 0:
-        I = np.eye(0)
-        return OrderedSchurResult(I, I, I, I, ())
-    if not probe_pencil_regular(A, E):
-        raise StructureError(
-            "pencil A - lambda*E is numerically singular at every probe shift; "
-            "use the Kronecker-like form to separate its singular structure"
-        )
-
-    def sort_fn(alpha, beta):
-        return np.array([bool(select(a, b)) for a, b in zip(alpha, beta)], dtype=bool)
-
-    S, T, alpha, beta, Q, Z = _ordered_qz(A, E, sort_fn)
-    return OrderedSchurResult(S, T, Q, Z, tuple(_eigenvalue_pairs(alpha, beta)))
-
-
 def _ordered_qz(A, B, select):
-    """Real generalized Schur form (S, T, alpha, beta, Q, Z) of the pencil
-    A - lambda*B by gges, reordered by tgsen so that the eigenvalues for
-    which the boolean array select(alpha, beta) is true lead: the calls
-    of scipy's ordered QZ with sort=select. A failed QZ iteration or
-    reordering raises LinAlgError."""
+    """Real generalized Schur form (S, T, alpha, beta, Q, Z) of the square
+    pencil A - lambda*B by gges, Q.T A Z = S and Q.T B Z = T, reordered by
+    tgsen so that the eigenvalues for which the boolean array
+    select(alpha, beta) is true lead: the calls of scipy's ordered QZ with
+    sort=select. A failed QZ iteration or reordering raises KernelError.
+
+    Regularity is not checked. special_klf passes the regular window of
+    _klf_core: its finite block is square (_klf_core refuses one that is
+    not) and nonsingular (a singular one shows a (0, 0) pair, which
+    is_infinite counts as infinite and _klf_core refuses), and its
+    infinite block is square (checked) with every peel stage square, so
+    its lambda-free part is nonsingular. _stabilizing_gains passes
+    (A_c, I); stabilizing_riccati, as scipy's solvers do, checks the
+    solution instead."""
     gges, tgsen = _lapack(("gges", "tgsen"), A.dtype)
     n = A.shape[0]
     # sort_t=0: gges never calls the selector
     lwork = _workspace(gges, lambda *_: None, A, B)
     S, T, _, alphar, alphai, beta, Q, Z, _, info = gges(lambda *_: None, A, B, lwork=lwork, sort_t=0)
     if info != 0:
-        raise np.linalg.LinAlgError(f"QZ iteration failed: gges info {info}")
+        raise KernelError(f"QZ iteration failed: gges info {info}")
     keep = select(alphar + alphai * 1j, beta)
     S, T, alphar, alphai, beta, Q, Z, _, _, _, _, info = tgsen(
         keep, S, T, Q, Z, ijob=0, lwork=4 * n + 16, liwork=1
     )
     if info != 0:
-        raise np.linalg.LinAlgError(
+        raise KernelError(
             "Reordering of (A, B) failed because the transformed matrix pair (A, B) would be too "
             "far from generalized Schur form; the problem is very ill-conditioned."
         )
@@ -476,7 +431,7 @@ def stabilizing_riccati(A, B, Q, R, S, ts: str):
 def generalized_eigenvalues(A, E):
     """(alpha, beta) pairs of a square pencil by LAPACK gges without
     Schur vectors, with beta normalized nonnegative. A failure of the QZ
-    iteration raises LinAlgError."""
+    iteration raises KernelError."""
     if A.shape[0] == 0:
         return []
     gges, = _lapack(("gges",), A.dtype)
@@ -484,7 +439,7 @@ def generalized_eigenvalues(A, E):
         lambda *_: 0, A, E, jobvsl=0, jobvsr=0, sort_t=0, overwrite_a=False, overwrite_b=False
     )
     if info != 0:
-        raise np.linalg.LinAlgError(f"QZ iteration failed: gges info {info}")
+        raise KernelError(f"QZ iteration failed: gges info {info}")
     return _eigenvalue_pairs(alphar + 1j * alphai, beta)
 
 

@@ -25,13 +25,14 @@ from .klf import (
     SpecialKlf,
     classify_eigenvalue,
     on_stability_boundary,
+    region_selector,
     special_klf,
     stability_region,
 )
 from .numkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
-    _ordered_schur,
+    _ordered_qz,
     noise_floor,
     stabilizing_riccati,
     svd,
@@ -197,16 +198,14 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
     if k == 0:
         return np.zeros((r, n_bl))
     stab = stability_region(ts)
-    sel = lambda a, b: classify_eigenvalue(a, b, stab, tol) != "bad"
-    sch = _ordered_schur(A_c, np.eye(k), sel)
-    kg = sum(1 for a, b in sch.eigenvalues if classify_eigenvalue(a, b, stab, tol) != "bad")
+    sel = region_selector(stab, tol)
+    S, T, alpha, beta, Q, _ = _ordered_qz(A_c, np.eye(k), sel)
+    kg = int(sel(alpha, beta).sum())
     kb = k - kg
     if kb == 0:
         return np.zeros((r, n_bl))
-    S22 = sch.S[kg:, kg:]
-    T22 = sch.T[kg:, kg:]
-    A22 = S22 @ np.linalg.inv(T22)
-    B2 = (sch.Q.T @ B_c)[kg:, :]
+    A22 = S[kg:, kg:] @ np.linalg.inv(T[kg:, kg:])
+    B2 = (Q.T @ B_c)[kg:, :]
     try:
         X22 = stabilizing_riccati(A22, B2, np.zeros((kb, kb)), np.eye(r), None, ts)
         if ts == "continuous":
@@ -215,7 +214,7 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
             F2 = -np.linalg.solve(B2.T @ X22 @ B2 + np.eye(r), B2.T @ X22 @ A22)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise FactorizationError(f"pole relocation failed: {exc}") from None
-    F_c = np.hstack([np.zeros((r, kg)), F2]) @ sch.Q.T
+    F_c = np.hstack([np.zeros((r, kg)), F2]) @ Q.T
     closed = np.linalg.eigvals(A_c + B_c @ F_c)
     for z in closed:
         if classify_eigenvalue(z, 1.0, stab, tol) == "bad":

@@ -188,3 +188,20 @@ def write_examples(dirpath):
     write_system_file(stable_rank2_continuous(), str(p1))
     write_system_file(polynomial_rank2_discrete(), str(p2))
     return p1, p2
+
+
+def failing_gges(get):
+    """numkernel's LAPACK binder get, with each gges it hands out
+    reporting a failed QZ iteration (info 1) after a real run."""
+
+    def fail(gges):
+        def call(*args, **kwargs):
+            out = gges(*args, **kwargs)
+            return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
+
+        return call
+
+    def patched(names, *args):
+        return [fail(f) if name == "gges" else f for name, f in zip(names, get(names, *args))]
+
+    return patched

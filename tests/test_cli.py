@@ -21,7 +21,14 @@ from rmfact import (
 )
 from rmfact.cli import run_command
 
-from support import assert_multiset_close, overflowing_pencil_system, run_cli, run_cli_json, write_examples
+from support import (
+    assert_multiset_close,
+    failing_gges,
+    overflowing_pencil_system,
+    run_cli,
+    run_cli_json,
+    write_examples,
+)
 
 
 @pytest.fixture()
@@ -234,6 +241,13 @@ def test_inner_check_at_a_grid_pole_is_exit_3(grid_pole):
     code, out, err = run_cli(["verify", g, g, ident, "--inner", "--grid", "4"])
     assert code == 3 and out == ""
     assert "is a pole to working precision" in err
+
+
+def test_failed_qz_iteration_is_exit_3(examples, monkeypatch, capsys):
+    ex1, _ = examples
+    monkeypatch.setattr(rmfact.numkernel, "_lapack", failing_gges(rmfact.numkernel._lapack))
+    assert run_command(["info", str(ex1)]) == 3
+    assert "QZ iteration failed" in capsys.readouterr().err
 
 
 def test_nonstabilizable_realization_is_exit_3(tmp_path):

@@ -9,6 +9,7 @@ from rmfact import (
     BoundaryError,
     FactorizationError,
     InputError,
+    RmfactError,
     StructureError,
     ToleranceConfig,
     all_finite_region,
@@ -23,6 +24,7 @@ from rmfact import (
     special_klf,
     stability_region,
     stable_rank2_continuous,
+    transpose,
     zeros,
 )
 from rmfact.klf import _klf_core, _pencil_threshold, on_stability_boundary
@@ -441,3 +443,29 @@ def test_region_none_splitting_skips_the_eigenvalue_checks(monkeypatch):
     assert outside == []
     special_klf(stable_rank2_continuous(), stability_region("continuous"))
     assert len(outside) == 1
+
+
+def test_sklf_reorders_only_regular_windows(monkeypatch):
+    # _ordered_qz does not check that a pencil is regular: the window of
+    # _klf_core that special_klf reorders is regular by construction
+    windows = []
+    ordered_qz = rmfact.klf._ordered_qz
+
+    def recording(A, B, select):
+        windows.append((A.copy(), B.copy()))
+        return ordered_qz(A, B, select)
+
+    monkeypatch.setattr(rmfact.klf, "_ordered_qz", recording)
+    rng = np.random.default_rng(2024)
+    for g in [random_system(rng, n_max=8) for _ in range(100)]:
+        for h in (g, transpose(g)):
+            for region in (stability_region(h.ts), all_finite_region(), region_none(True)):
+                for rank_rtol in (0.0, 1e-3):
+                    try:
+                        special_klf(h, region, ToleranceConfig(rank_rtol=rank_rtol))
+                    except RmfactError:
+                        pass
+    assert windows
+    for A, B in windows:
+        res = kronecker_like_form(A, B)
+        assert res.right_minimal_indices == () and res.left_minimal_indices == ()

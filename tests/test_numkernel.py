@@ -9,17 +9,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rmfact import FactorizationError, inner_enforcing_gains, numkernel, range_basis, stable_rank2_continuous
+import rmfact
+from rmfact import FactorizationError, RmfactError, inner_enforcing_gains, numkernel, range_basis, stable_rank2_continuous
 from rmfact.exceptions import InputError, StructureError
 from rmfact.numkernel import (
     ToleranceConfig,
-    _ordered_schur,
+    _ordered_qz,
     generalized_eigenvalues,
     controllability_staircase,
     is_infinite,
-    probe_pencil_regular,
     thresholded_svd,
 )
+
+from support import failing_gges
 
 def kernel_matrix(shape, dtype, seed=0):
     rng = np.random.default_rng(seed)
@@ -281,23 +283,6 @@ def test_bindings_are_scipys_function_objects(order):
     assert report["linalg_loaded"] == (order != "rmfact-first")
 
 
-def failing_gges(get):
-    """numkernel's LAPACK binder get, with each gges it hands out
-    reporting a failed QZ iteration (info 1) after a real run."""
-
-    def fail(gges):
-        def call(*args, **kwargs):
-            out = gges(*args, **kwargs)
-            return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
-
-        return call
-
-    def patched(names, *args):
-        return [fail(f) if name == "gges" else f for name, f in zip(names, get(names, *args))]
-
-    return patched
-
-
 # a pair whose QZ iteration failed is not in Schur form: reordering it
 # would go on from garbage, so the ordered QZ raises as the unordered does
 def test_failed_qz_iteration_is_an_error(monkeypatch):
@@ -306,6 +291,33 @@ def test_failed_qz_iteration_is_an_error(monkeypatch):
     for qz in (lambda: numkernel._ordered_qz(A, B, numkernel._left_half_plane), lambda: generalized_eigenvalues(A, B)):
         with pytest.raises(np.linalg.LinAlgError, match="QZ iteration failed: gges info 1"):
             qz()
+
+
+# every entry point whose work reaches a QZ iteration
+QZ_ENTRY_POINTS = {
+    "range_basis-none": lambda g: range_basis(g),
+    "range_basis-stable": lambda g: range_basis(g, gains="stable"),
+    "poles": rmfact.poles,
+    "zeros": rmfact.zeros,
+    "structure": rmfact.structure,
+    "normal_rank": rmfact.normal_rank,
+    "kronecker_like_form": lambda g: rmfact.kronecker_like_form(g.A, g.e_matrix),
+    "frf": rmfact.full_rank_factorize,
+    "nrcf": rmfact.nrcf,
+    "pinv": rmfact.pseudo_inverse,
+    "iofac": rmfact.inner_outer,
+}
+
+
+# a failed LAPACK iteration reaches the caller as a package error (a
+# StructureError), not as numpy's bare LinAlgError
+@pytest.mark.parametrize("entry", list(QZ_ENTRY_POINTS))
+def test_failed_qz_iteration_is_a_package_error(entry, monkeypatch):
+    g = stable_rank2_continuous()
+    monkeypatch.setattr(numkernel, "_lapack", failing_gges(numkernel._lapack))
+    with pytest.raises(RmfactError, match="QZ iteration failed") as caught:
+        QZ_ENTRY_POINTS[entry](g)
+    assert isinstance(caught.value, StructureError)
 
 
 def test_failed_qz_iteration_fails_the_inner_gains(monkeypatch):
@@ -350,22 +362,21 @@ def test_tolerance_fields_must_be_finite_and_nonnegative(kwargs):
         ToleranceConfig(**kwargs)
 
 
-def test_ordered_schur_select_leading():
+def test_ordered_qz_select_leading():
     A = np.diag([1.0, 2.0])
     E = np.eye(2)
-    res = _ordered_schur(A, E, lambda a, b: np.abs(a / b) < 1.5)
-    lead = res.eigenvalues[0]
-    assert abs(lead[0] / lead[1] - 1.0) < 1e-12
-    assert np.linalg.norm(res.Q.T @ A @ res.Z - res.S) < 1e-12
-    assert np.linalg.norm(res.Q.T @ E @ res.Z - res.T) < 1e-12
+    S, T, alpha, beta, Q, Z = _ordered_qz(A, E, lambda a, b: np.abs(a / b) < 1.5)
+    assert abs(alpha[0] / beta[0] - 1.0) < 1e-12
+    assert np.linalg.norm(Q.T @ A @ Z - S) < 1e-12
+    assert np.linalg.norm(Q.T @ E @ Z - T) < 1e-12
 
 
-def test_ordered_schur_infinite_eigenvalue():
+def test_ordered_qz_infinite_eigenvalue():
     A = np.eye(2)
     E = np.diag([1.0, 0.0])
-    res = _ordered_schur(A, E, lambda a, b: b > 0.5)
-    finite = [a / b for a, b in res.eigenvalues if b > 1e-12]
-    infinite = [1 for _, b in res.eigenvalues if b <= 1e-12]
+    _, _, alpha, beta, _, _ = _ordered_qz(A, E, lambda a, b: b > 0.5)
+    finite = [a / b for a, b in zip(alpha, beta) if b > 1e-12]
+    infinite = [1 for b in beta if b <= 1e-12]
     assert len(finite) == 1 and abs(finite[0] - 1.0) < 1e-12
     assert len(infinite) == 1
     # the infinity rule agrees, whatever the scale of the pencil
@@ -472,21 +483,12 @@ def test_row_scaling_moves_only_outlying_rows_by_powers_of_two():
     assert np.all((ratio > 0.5) & (ratio < 2.0))
 
 
-def test_ordered_schur_hand_eigenvalues():
+def test_ordered_qz_hand_eigenvalues():
     # companion matrix of lambda^2 + 3 lambda + 2 = (lambda+1)(lambda+2)
     A = np.array([[0.0, 1.0], [-2.0, -3.0]])
-    res = _ordered_schur(A, np.eye(2), lambda a, b: np.zeros_like(np.asarray(a), dtype=bool))
-    eigs = sorted((a / b).real for a, b in res.eigenvalues)
+    _, _, alpha, beta, _, _ = _ordered_qz(A, np.eye(2), lambda a, b: np.zeros_like(np.asarray(a), dtype=bool))
+    eigs = sorted((a / b).real for a, b in zip(alpha, beta))
     assert np.allclose(eigs, [-2.0, -1.0], atol=1e-12)
-
-
-def test_ordered_schur_singular_pencil_rejected():
-    # A and E share a common column null space, so det(A - lambda E) == 0
-    A = np.array([[1.0, 0.0], [1.0, 0.0]])
-    E = np.array([[2.0, 0.0], [3.0, 0.0]])
-    assert not probe_pencil_regular(A, E)
-    with pytest.raises(StructureError):
-        _ordered_schur(A, E, lambda a, b: b > 0)
 
 
 def test_decomposition_invariants_random():
@@ -512,8 +514,9 @@ def test_reordering_preserves_eigenvalue_multiset():
         A = rng.standard_normal((n, n))
         E = rng.standard_normal((n, n))
         base = generalized_eigenvalues(A, E)
-        res = _ordered_schur(A, E, lambda a, b: np.abs(a) < np.abs(b))
-        for pairs in (base, res.eigenvalues):
+        _, _, alpha, beta, _, _ = _ordered_qz(A, E, lambda a, b: np.abs(a) < np.abs(b))
+        reordered = list(zip(alpha, beta))
+        for pairs in (base, reordered):
             assert all(b >= 0 for _, b in pairs)
 
         def key(pairs):
@@ -525,7 +528,7 @@ def test_reordering_preserves_eigenvalue_multiset():
             return fin, ninf
 
         fin0, inf0 = key(base)
-        fin1, inf1 = key(res.eigenvalues)
+        fin1, inf1 = key(reordered)
         assert inf0 == inf1
         assert len(fin0) == len(fin1)
         for z0, z1 in zip(fin0, fin1):
