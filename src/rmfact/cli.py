@@ -210,10 +210,13 @@ def _factor_report(args, report, factors, results, lines) -> int:
     blocks = {key: _factor_block(f, st) for key, _, f, st in factors}
     report["results"] = {**blocks, **results}
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        report["outputs"] = {
-            key: write_system_file(f, os.path.join(args.out, f"{key}.json")) for key, _, f, _ in factors
-        }
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            report["outputs"] = {
+                key: write_system_file(f, os.path.join(args.out, f"{key}.json")) for key, _, f, _ in factors
+            }
+        except OSError as exc:
+            raise InputError(f"cannot write factors to the --out directory {args.out}: {exc.strerror}") from None
     human = [line for key, label, _, _ in factors for line in _factor_lines(label, blocks[key])]
     _emit(args, report, human + lines)
     return 0

@@ -39,10 +39,6 @@ class FactorizationError(RmfactError):
 class EvaluationError(RmfactError):
     """Evaluation point coincides with a pole to working precision."""
 
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
-
 
 class VerificationError(RmfactError):
     """A residual check exceeded its threshold."""

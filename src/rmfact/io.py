@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -106,13 +105,19 @@ def system_from_dict(doc: dict, source: str = "<memory>") -> DescriptorSystem:
 
 
 def parse_system_file(path: str) -> DescriptorSystem:
-    """Load and validate a system file. Malformed documents raise
-    ParseError naming the offending location; dimension mismatches
-    propagate as InputError from the constructor."""
-    if not os.path.exists(path):
-        raise InputError(f"system file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Load and validate a system file. A path that cannot be read
+    raises InputError, and malformed documents (text that is not UTF-8
+    included) ParseError, naming the path or the offending location;
+    dimension mismatches propagate as InputError from the constructor."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise InputError(f"system file not found: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read system file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

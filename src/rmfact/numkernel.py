@@ -131,8 +131,11 @@ class ToleranceConfig:
     a coarse tolerance G# and [N; M] may be non-minimal, never wrong.
 
     Fixed rules: is_infinite decides infinite eigenvalues, EIG_ATOL the
-    width of the stability boundary (klf.on_stability_boundary), and
-    is_pole_to_working_precision the points dss.evaluate refuses.
+    width of the stability boundary (klf.on_stability_boundary),
+    is_pole_to_working_precision the points dss.evaluate refuses, and
+    max(1e4 * threshold, 1e-10 * max(||M||_F, ||N||_F, 1)) the sum of
+    the blocks klf.special_klf may discard from its system pencil
+    M - lambda*N.
     """
 
     rank_rtol: float = 0.0

@@ -88,6 +88,35 @@ def test_missing_file_is_input_error(tmp_path):
     assert "not found" in err
 
 
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"ts": "contínuous"}'.encode("latin-1"))
+    return ["info", path], "not UTF-8 text"
+
+
+def _system_is_a_directory(tmp_path):
+    return ["info", tmp_path], f"cannot read system file {tmp_path}"
+
+
+def _factor_is_a_directory(tmp_path):
+    ex1, _ = write_examples(tmp_path)
+    return ["verify", ex1, ex1, tmp_path], f"cannot read system file {tmp_path}"
+
+
+def _out_is_a_file(tmp_path):
+    ex1, _ = write_examples(tmp_path)
+    return ["frf", ex1, "--out", ex1], f"--out directory {ex1}"
+
+
+@pytest.mark.parametrize("case", [_not_utf8, _system_is_a_directory, _factor_is_a_directory, _out_is_a_file])
+def test_unreadable_input_is_exit_2(tmp_path, case):
+    argv, message = case(tmp_path)
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_malformed_json_is_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"ts": "continuous", "A": [[1,')

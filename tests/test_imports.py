@@ -14,7 +14,10 @@ only for its eval command. Only numkernel names the machine epsilon
 (EPS, finfo, spacing), so every threshold comes from its tolerance
 policy. numkernel loads scipy's compiled LAPACK module
 without the scipy.linalg package, which a cold CLI process would
-otherwise spend about half its time importing."""
+otherwise spend about half its time importing. klf.special_klf sets
+no block to a constant or a copy itself: each goes through
+klf._set_block, which returns the norm of the change for the backward
+error check."""
 
 import ast
 import pathlib
@@ -358,3 +361,95 @@ def test_precision_checker_flags_every_spelling():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != KERNEL_HOME] + ["__init__.py"])
 def test_only_numkernel_names_machine_precision(module):
     assert precision_references((PACKAGE / module).read_text()) == []
+
+
+# special_klf checks its backward error by summing what each block it
+# sets changed, so every block it sets goes through klf._set_block
+PLAIN_CALLS = {"copy", "array", "asarray", "zeros", "zeros_like", "ones", "ones_like", "full", "full_like", "empty"}
+
+
+def _plain(value) -> bool:
+    """A constant, an array or a block of one, or a copy or a constant
+    array made by a call in PLAIN_CALLS, signed or not."""
+    if isinstance(value, ast.UnaryOp):
+        return _plain(value.operand)
+    if isinstance(value, ast.Call):
+        func = value.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in PLAIN_CALLS
+    return isinstance(value, (ast.Constant, ast.Name, ast.Subscript))
+
+
+def _plain_subscripts(target, value):
+    """Subscript targets that target = value sets to a plain value."""
+    if isinstance(target, ast.Subscript):
+        return [target] if _plain(value) else []
+    if isinstance(target, (ast.Tuple, ast.List)):
+        paired = isinstance(value, (ast.Tuple, ast.List)) and len(value.elts) == len(target.elts)
+        values = value.elts if paired else [value] * len(target.elts)
+        return [t for elt, v in zip(target.elts, values) for t in _plain_subscripts(elt, v)]
+    return []
+
+
+def block_sets(source: str, function: str) -> list:
+    """Blocks that the def named function in source sets to a constant or
+    a plain copy: by assignment (chained, augmented, annotated or to a
+    tuple), ndarray.fill or numpy.copyto, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name == function):
+            continue
+        for stmt in ast.walk(node):
+            targets = []
+            if isinstance(stmt, ast.Assign):
+                targets = [t for target in stmt.targets for t in _plain_subscripts(target, stmt.value)]
+            elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)) and stmt.value is not None:
+                targets = _plain_subscripts(stmt.target, stmt.value)
+            elif isinstance(stmt, ast.Call) and isinstance(stmt.func, ast.Attribute) and stmt.func.attr == "fill":
+                targets = [stmt.func.value]
+            elif isinstance(stmt, ast.Call) and getattr(stmt.func, "attr", getattr(stmt.func, "id", None)) == "copyto":
+                targets = stmt.args[:1]
+            found += [(t.lineno, ast.unparse(t)) for t in targets]
+    return [f"line {line}: {block}" for line, block in sorted(found)]
+
+
+def test_block_set_checker_flags_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "def special_klf(M, N, B):\n"
+        "    M[0, :] = 0.0\n"
+        "    N[1:, 0] = -0\n"
+        "    M[:2, :2] = B[:2, :2]\n"
+        "    N[0] = B\n"
+        "    M[1], N[1] = B[0].copy(), 0.0\n"
+        "    M[2] = N[2] = np.zeros(3)\n"
+        "    M[3] *= 0\n"
+        "    M[4].fill(0.0)\n"
+        "    np.copyto(N[4], B[4])\n"
+        "    M[5]: float = 1.0\n"
+        "    M[:, :] = M @ B\n"
+        "    changes = {}\n"
+        "    changes['row 6'] = _set_block(N, np.s_[6, :])\n"
+        "    return M, changes\n"
+        "def other(M):\n"
+        "    M[0] = 0.0\n"
+    )
+    assert block_sets(source, "special_klf") == [
+        "line 3: M[0, :]",
+        "line 4: N[1:, 0]",
+        "line 5: M[:2, :2]",
+        "line 6: N[0]",
+        "line 7: M[1]",
+        "line 7: N[1]",
+        "line 8: M[2]",
+        "line 8: N[2]",
+        "line 9: M[3]",
+        "line 10: M[4]",
+        "line 11: N[4]",
+        "line 12: M[5]",
+    ]
+
+
+def test_special_klf_sets_blocks_only_through_the_helper():
+    source = (PACKAGE / "klf.py").read_text()
+    assert block_sets(source, "special_klf") == []
+    assert [c for c in calls_of(source, ("_set_block",)) if c.endswith("special_klf calls _set_block")]

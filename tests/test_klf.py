@@ -469,3 +469,88 @@ def test_sklf_reorders_only_regular_windows(monkeypatch):
     for A, B in windows:
         res = kronecker_like_form(A, B)
         assert res.right_minimal_indices == () and res.left_minimal_indices == ()
+
+
+# -- the discards special_klf accounts for ------------------------------------
+
+
+def near_deficient(g, rng, eps=1e-6):
+    """g with the zero singular values of E raised to eps times its
+    largest and, for p >= 2, the last row of [C D] within eps of the
+    first: data whose rank a coarse tolerance cuts."""
+    E = g.E
+    if E is not None:
+        U, s, Vt = np.linalg.svd(E)
+        E = U @ np.diag(np.where(s < 1e-12 * s[0], eps * s[0], s)) @ Vt
+    CD = np.hstack([g.C, g.D])
+    if g.p >= 2:
+        CD[-1] = CD[0] + eps * rng.standard_normal(CD.shape[1])
+    return make_dss(g.A, E, g.B, CD[:, : g.n], CD[:, g.n:], g.ts)
+
+
+def test_sklf_discards_bound_the_reconstruction_error(monkeypatch):
+    # every block special_klf sets is counted: at the two points an
+    # earlier after-the-fact check probed (|lambda| < 1), the
+    # reconstruction error of the form stays within the sum of the
+    # changes plus roundoff. The near-deficient copies make a coarse
+    # tolerance discard well above roundoff in E's left-kernel rows, the
+    # leading columns and the output rows, so an uncounted block shows
+    changes = []
+    set_block = rmfact.klf._set_block
+
+    def recording(X, index, value=0.0):
+        changes.append(set_block(X, index, value))
+        return changes[-1]
+
+    monkeypatch.setattr(rmfact.klf, "_set_block", recording)
+    points = np.random.default_rng(99).standard_normal(2) * 2.0
+    assert np.all(np.abs(points) < 1.0)
+    rng = np.random.default_rng(2024)
+    systems = [random_system(rng, n_max=8) for _ in range(100)]
+    rng = np.random.default_rng(5)
+    systems += [near_deficient(g, rng) for g in systems]
+    checked = 0
+    for g in systems:
+        for h in (g, transpose(g)):
+            M, N = system_pencil(h)
+            scale = max(np.linalg.norm(M), np.linalg.norm(N), 1.0)
+            for region in (stability_region(h.ts), all_finite_region()):
+                for rank_rtol in (0.0, 1e-3):
+                    del changes[:]
+                    try:
+                        sk = special_klf(h, region, ToleranceConfig(rank_rtol=rank_rtol))
+                    except StructureError:
+                        continue
+                    T = scipy.linalg.block_diag(sk.U, np.eye(h.p))
+                    for lam in points:
+                        err = np.linalg.norm(T @ (M - lam * N) @ sk.Z - (sk.M - lam * sk.N))
+                        assert err <= sum(changes) + 1e-14 * scale
+                    checked += 1
+    assert checked > 1500
+
+
+def test_sklf_refuses_an_off_by_one_rank(monkeypatch):
+    # a column compression that reports one rank too few zeroes a
+    # direction that carries data; the form special_klf then builds is
+    # either refused, naming the block where the lost direction shows,
+    # or still orthogonally equivalent to the system pencil
+    compress = rmfact.klf.col_compress
+
+    def off_by_one(M, thresh):
+        Z, rank = compress(M, thresh)
+        # the weakest kept direction joins the kernel columns
+        return (np.roll(Z, 1, axis=1), rank - 1) if rank else (Z, 0)
+
+    monkeypatch.setattr(rmfact.klf, "col_compress", off_by_one)
+    rng = np.random.default_rng(2024)
+    named = 0
+    for g in [random_system(rng, n_max=8) for _ in range(100)]:
+        try:
+            sk = special_klf(g, stability_region(g.ts))
+        except StructureError as exc:
+            named += "leading columns" in str(exc)
+            continue
+        scale = max(1.0, np.linalg.norm(np.block([[g.A, g.B], [g.C, g.D]])))
+        errM, errN = sklf_blocks_and_errors(g, sk)
+        assert errM < 1e-10 * scale and errN < 1e-10 * scale
+    assert named > 0
