@@ -8,7 +8,12 @@ for continuous-time systems and the Z-transform variable for
 discrete-time systems.
 
 Realizations are immutable (read-only arrays; changing them in place is
-unsupported), so each keeps its irreducible realization per tolerance.
+unsupported), so each keeps what is computed from it alone: its
+irreducible realization per tolerance, under ("irreducible", tol), and
+its splitting form (klf.special_klf) per bad region and tolerance,
+under ("splitting", region kind, infinite_is_bad, region ts, tol), its
+arrays read-only too. A refusal is not kept, nor is the splitting form
+of a custom region, whose predicate may change from call to call.
 """
 
 from __future__ import annotations
@@ -43,8 +48,10 @@ DISCRETE = "discrete"
 class DescriptorSystem:
     """Immutable descriptor realization (A - lambda*E, B, C, D) with a
     time-domain tag. E stored as None denotes the identity; the arrays
-    are read-only. _irreducible keeps irreducible_realization's result
-    per ToleranceConfig, outside __init__, repr and ==."""
+    are read-only. _kept holds what is computed from the realization
+    alone, outside __init__, repr and ==: irreducible_realization's
+    result under ("irreducible", tol) and special_klf's form under
+    ("splitting", region kind, infinite_is_bad, region ts, tol)."""
 
     A: np.ndarray
     E: np.ndarray | None
@@ -52,7 +59,7 @@ class DescriptorSystem:
     C: np.ndarray
     D: np.ndarray
     ts: str
-    _irreducible: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -432,11 +439,12 @@ def irreducible_realization(sys: DescriptorSystem, tol: ToleranceConfig = DEFAUL
     through an invertible constant block keeps both properties. A
     second pass would only rank the roundoff the first one left.
 
-    Kept on sys per tolerance, as it depends only on the read-only
-    arrays, ts and tol: a later call returns the same object."""
-    if tol not in sys._irreducible:
-        sys._irreducible[tol] = _remove_nondynamic(_observable_part(_controllable_part(sys, tol), tol), tol)
-    return sys._irreducible[tol]
+    Kept on sys under ("irreducible", tol), as it depends only on the
+    read-only arrays, ts and tol: a later call returns the same object."""
+    key = ("irreducible", tol)
+    if key not in sys._kept:
+        sys._kept[key] = _remove_nondynamic(_observable_part(_controllable_part(sys, tol), tol), tol)
+    return sys._kept[key]
 
 
 # -- poles, zeros, McMillan degree -------------------------------------------

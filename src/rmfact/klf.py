@@ -424,7 +424,12 @@ def _check_bad_stabilizable(sys, region, tol, thresh):
     at which [A - lambda*E, B] loses rank. The identity E (E None) is
     never rank-decided. The last two need the QZ eigenvalues of (A, E),
     which a REGION_NONE partition skips: there no finite eigenvalue
-    classifies as bad or boundary."""
+    classifies as bad or boundary.
+
+    [A - conj(lambda) E, B] is the conjugate of [A - lambda E, B] and
+    has the same rank, so a conjugate pair (or a repeated value) is
+    tested once, at the first of its values gges lists, the one with
+    positive imaginary part; at a real lambda the matrix is real."""
     Emat = sys.e_matrix
     if sys.E is not None and svd_rank_abs(np.hstack([Emat, sys.B]), thresh) < sys.n:
         raise StructureError(
@@ -432,6 +437,7 @@ def _check_bad_stabilizable(sys, region, tol, thresh):
         )
     if region.kind == REGION_NONE:
         return
+    tested = set()
     for a, b in generalized_eigenvalues(sys.A, Emat):
         cls = classify_eigenvalue(a, b, region, tol)
         if cls == "boundary":
@@ -442,7 +448,12 @@ def _check_bad_stabilizable(sys, region, tol, thresh):
         if cls != "bad" or is_infinite(a, b):
             continue
         lam = a / b
-        if svd_rank_abs(np.hstack([sys.A - lam * Emat, sys.B]).astype(complex), thresh) < sys.n:
+        pair = complex(lam.real, abs(lam.imag))
+        if pair in tested:
+            continue
+        tested.add(pair)
+        shifted = sys.A - (lam if lam.imag else lam.real) * Emat
+        if svd_rank_abs(np.hstack([shifted, sys.B]), thresh) < sys.n:
             raise StructureError(
                 f"realization is not stabilizable: [A - lambda E, B] loses rank at "
                 f"the bad eigenvalue {lam}"
@@ -464,7 +475,18 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
     boundary raise BoundaryError. Every block the reduction sets goes
     through _set_block: up to roundoff the form is orthogonally
     equivalent to a pencil within the sum of the changes (Van Dooren
-    1979), and a sum above the bound ToleranceConfig names is refused."""
+    1979), and a sum above the bound ToleranceConfig names is refused.
+
+    The form depends only on the read-only realization, the region and
+    tol, so it is kept on sys under ("splitting", region.kind,
+    region.infinite_is_bad, region.ts, tol), with M, N, U and Z made
+    read-only: a later call returns the same object. A refusal is not
+    kept (the next call raises it again), nor is the form of a custom
+    region, whose predicate may answer differently from call to call."""
+    kept = {} if region.kind == REGION_CUSTOM else sys._kept
+    key = ("splitting", region.kind, region.infinite_is_bad, region.ts, tol)
+    if key in kept:
+        return kept[key]
     n, m, p = sys.n, sys.m, sys.p
     Ms, Ns = system_pencil(sys)
     thresh = _pencil_threshold(Ms, Ns, tol)
@@ -590,7 +612,9 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
             f"norm {discarded[worst]:.3g} against the rank threshold {thresh:.3g}; adjust the tolerance"
         )
 
-    return SpecialKlf(
+    for X in (Ms, Ns, Q_tot, Z_tot):
+        X.setflags(write=False)
+    kept[key] = SpecialKlf(
         M=Ms,
         N=Ns,
         U=Q_tot.T,
@@ -605,3 +629,4 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
         ts=sys.ts,
         bad_eigenvalues=bad,
     )
+    return kept[key]

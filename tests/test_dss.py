@@ -569,16 +569,20 @@ def test_irreducible_realization_is_kept_per_tolerance():
 def test_a_copy_starts_without_the_kept_realization():
     g = weakly_controllable_system()
     irreducible_realization(g, ToleranceConfig(rank_rtol=1e-3))
+    sk = rmfact.klf.special_klf(g, rmfact.klf.stability_region(g.ts))
+    assert len(g._kept) == 2
     copy = make_dss(g.A, g.E, g.B, g.C, g.D, g.ts)
-    assert copy._irreducible == {}
+    assert copy._kept == {}
     assert irreducible_realization(copy).n == 3
+    assert rmfact.klf.special_klf(copy, rmfact.klf.stability_region(g.ts)) is not sk
 
 
 def test_the_kept_realization_is_not_part_of_repr_or_equality():
     g = weakly_controllable_system()
     before = repr(g)
     irreducible_realization(g)
-    assert repr(g) == before and "_irreducible" not in before
+    rmfact.klf.special_klf(g, rmfact.klf.region_none())
+    assert repr(g) == before and "_kept" not in before
     compared = [f.name for f in dataclasses.fields(g) if f.compare]
     assert compared == ["A", "E", "B", "C", "D", "ts"]
 

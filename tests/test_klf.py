@@ -1,3 +1,4 @@
+import inspect
 import time
 
 import numpy as np
@@ -15,11 +16,15 @@ from rmfact import (
     all_finite_region,
     classify_eigenvalue,
     custom_region,
+    full_rank_factorize,
+    inner_outer,
+    irreducible_realization,
     kronecker_like_form,
     make_dss,
     normal_rank,
     nrcf,
     polynomial_rank2_discrete,
+    pseudo_inverse,
     region_none,
     special_klf,
     stability_region,
@@ -412,6 +417,141 @@ def test_sklf_rejects_uncontrollable_bad_eigenvalue():
     # the same realization is fine when every finite point is good
     sk = special_klf(g, region_none())
     assert sk.r == 1
+
+
+def uncontrollable_unstable_pair(b3=1.0):
+    # the unstable pair 1 +- 2j is unreachable from B = e3 when b3 is
+    # its only entry
+    A = np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+    B = np.array([[0.0], [1.0 - b3], [b3]])
+    return make_dss(A, None, B, np.ones((1, 3)), np.zeros((1, 1)), "continuous")
+
+
+def test_sklf_rejects_uncontrollable_complex_bad_pair():
+    g = uncontrollable_unstable_pair()
+    with pytest.raises(StructureError, match=r"loses rank at the bad eigenvalue \(1\+2j\)"):
+        special_klf(g, stability_region("continuous"))
+    with pytest.raises(StructureError, match=r"loses rank at the bad eigenvalue \(1\+2j\)"):
+        range_basis(g)
+    # its irreducible realization drops the pair and is accepted
+    red = irreducible_realization(g)
+    assert (range_basis(red).sklf.r, red.n) == (1, 1)
+
+
+def test_pbh_check_tests_each_conjugate_pair_once(monkeypatch):
+    # one rank test per conjugate pair or repeated value, on a real
+    # matrix at a real value
+    tested = []
+    rank = rmfact.klf.svd_rank_abs
+
+    def recording(M, thresh):
+        tested.append(M)
+        return rank(M, thresh)
+
+    monkeypatch.setattr(rmfact.klf, "svd_rank_abs", recording)
+    rmfact.klf._check_bad_stabilizable(
+        uncontrollable_unstable_pair(0.5), stability_region("continuous"), DEFAULT_TOL, 1e-12
+    )
+    assert [M.dtype for M in tested] == [np.complex128]
+    del tested[:]
+    unstable_real = make_dss(np.diag([2.0, 2.0, 3.0]), None, np.eye(3), np.eye(3), np.zeros((3, 3)), "continuous")
+    rmfact.klf._check_bad_stabilizable(unstable_real, stability_region("continuous"), DEFAULT_TOL, 1e-12)
+    assert [M.dtype for M in tested] == [np.float64, np.float64]
+
+
+def assert_same_form(got, want):
+    for name in ("n", "m", "p", "n_rg", "n_bl", "r", "m_n", "ts", "bad_eigenvalues"):
+        assert getattr(got, name) == getattr(want, name)
+    for name in "MNUZ":
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_the_splitting_form_is_kept_per_region_and_tolerance():
+    g = stable_rank2_continuous()
+    coarse = ToleranceConfig(rank_rtol=1e-3)
+    cases = [(lambda: stability_region(g.ts), DEFAULT_TOL), (region_none, DEFAULT_TOL), (lambda: stability_region(g.ts), coarse)]
+    forms = [special_klf(g, region(), tol) for region, tol in cases]
+    assert len({id(sk) for sk in forms}) == 3
+    for (region, tol), sk in zip(cases, forms):
+        # a new but equal region finds the kept form
+        assert special_klf(g, region(), tol) is sk
+        assert_same_form(sk, special_klf(make_dss(g.A, g.E, g.B, g.C, g.D, g.ts), region(), tol))
+        for X in (sk.M, sk.N, sk.U, sk.Z, sk.A_bl, sk.B_n):
+            assert not X.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sk.M[0, 0] = 1.0
+
+
+def test_a_refused_splitting_form_is_not_kept():
+    g = uncontrollable_unstable_pair()
+    for _ in range(2):
+        with pytest.raises(StructureError, match="loses rank"):
+            special_klf(g, stability_region("continuous"))
+    assert g._kept == {}
+
+
+class UnhashableRightHalfPlane:
+    """A custom bad-region predicate with __eq__ and so no __hash__;
+    moving its edge changes the region it answers for."""
+
+    def __init__(self, edge):
+        self.edge = edge
+
+    def __call__(self, z):
+        return z.real > self.edge
+
+    def __eq__(self, other):
+        return isinstance(other, UnhashableRightHalfPlane)
+
+
+def test_custom_region_forms_are_never_kept():
+    g = stable_rank2_continuous()
+    predicate = UnhashableRightHalfPlane(0.0)
+    region = custom_region(predicate)
+    kept = special_klf(g, stability_region(g.ts))
+    sk = special_klf(g, region)
+    assert sk is not kept and special_klf(g, region) is not sk
+    assert_same_form(sk, kept)
+    # the same predicate object now answers for a smaller bad region,
+    # which leaves the zero at 1 out of the basis
+    predicate.edge = 1.5
+    moved = special_klf(g, region)
+    fresh = make_dss(g.A, g.E, g.B, g.C, g.D, g.ts)
+    assert_same_form(moved, special_klf(fresh, custom_region(lambda z: z.real > 1.5)))
+    assert (len(sk.bad_eigenvalues), len(moved.bad_eigenvalues)) == (2, 1)
+    assert len(g._kept) == 1
+
+
+def splitting_reductions(monkeypatch):
+    """The realizations special_klf reduces, one entry per _klf_core call it makes."""
+    reduced = []
+    core = rmfact.klf._klf_core
+
+    def counting(*args):
+        caller = inspect.currentframe().f_back
+        if caller.f_code.co_name == "special_klf":
+            reduced.append(caller.f_locals["sys"])
+        return core(*args)
+
+    monkeypatch.setattr(rmfact.klf, "_klf_core", counting)
+    return reduced
+
+
+def test_frf_and_iofac_share_one_splitting_reduction(monkeypatch):
+    # a realization of the seeded suite (rng 2024, n_max 8)
+    g = random_system(np.random.default_rng(2024), n_max=8)
+    reduced = splitting_reductions(monkeypatch)
+    full_rank_factorize(g)
+    inner_outer(g)
+    assert len(reduced) == 1 and reduced[0] is g
+    del reduced[:]
+    pseudo_inverse(g)
+    first = len(reduced)
+    assert sum(s is g for s in reduced) == 1
+    del reduced[:]
+    pseudo_inverse(g)
+    assert len(reduced) == first - 1 and all(s is not g for s in reduced)
 
 
 def test_region_none_splitting_skips_the_eigenvalue_checks(monkeypatch):
