@@ -11,9 +11,8 @@ Realizations are immutable (read-only arrays; changing them in place is
 unsupported), so each keeps what is computed from it alone: its
 irreducible realization per tolerance, under ("irreducible", tol), and
 its splitting form (klf.special_klf) per bad region and tolerance,
-under ("splitting", region kind, infinite_is_bad, region ts, tol), its
-arrays read-only too. A refusal is not kept, nor is the splitting form
-of a custom region, whose predicate may change from call to call.
+under ("splitting", region, tol), its arrays read-only too. A refusal
+is not kept.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class DescriptorSystem:
     are read-only. _kept holds what is computed from the realization
     alone, outside __init__, repr and ==: irreducible_realization's
     result under ("irreducible", tol) and special_klf's form under
-    ("splitting", region kind, infinite_is_bad, region ts, tol)."""
+    ("splitting", region, tol)."""
 
     A: np.ndarray
     E: np.ndarray | None

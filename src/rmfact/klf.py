@@ -14,7 +14,6 @@ derived from the norm of the input data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .numkernel import (
 REGION_NONE = "none"
 REGION_INSTABILITY = "finite-instability"
 REGION_ALL_FINITE = "all-finite"
-REGION_CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -48,28 +46,19 @@ class RegionPartition:
     """Disjoint partition of the closed complex plane into a good and a
     bad region, both symmetric about the real axis. kind selects the
     bad set: 'none' (empty), 'finite-instability' (the open instability
-    region of the time domain ts), 'all-finite' (every finite point),
-    or 'custom' (membership predicate). infinite_is_bad places the
-    point at infinity."""
+    region of the time domain ts) or 'all-finite' (every finite point).
+    infinite_is_bad places the point at infinity. A partition is frozen
+    and hashable: special_klf keys the forms it keeps by it."""
 
     kind: str
     infinite_is_bad: bool
     ts: str | None = None
-    predicate: Callable | None = None
 
     def __post_init__(self):
-        if self.kind not in (REGION_NONE, REGION_INSTABILITY, REGION_ALL_FINITE, REGION_CUSTOM):
+        if self.kind not in (REGION_NONE, REGION_INSTABILITY, REGION_ALL_FINITE):
             raise InputError(f"unknown region kind {self.kind!r}")
         if self.kind == REGION_INSTABILITY and self.ts not in ("continuous", "discrete"):
             raise InputError("finite-instability region needs ts 'continuous' or 'discrete'")
-        if self.kind == REGION_CUSTOM:
-            if self.predicate is None:
-                raise InputError("custom region needs a membership predicate")
-            rng = np.random.default_rng(5)
-            for _ in range(8):
-                z = complex(rng.standard_normal(), rng.standard_normal()) * 3.0
-                if bool(self.predicate(z)) != bool(self.predicate(z.conjugate())):
-                    raise InputError("custom region is not symmetric about the real axis")
 
 
 def region_none(infinite_is_bad: bool = False) -> RegionPartition:
@@ -85,10 +74,6 @@ def stability_region(ts: str) -> RegionPartition:
 
 def all_finite_region() -> RegionPartition:
     return RegionPartition(REGION_ALL_FINITE, infinite_is_bad=True)
-
-
-def custom_region(predicate: Callable, infinite_is_bad: bool = False) -> RegionPartition:
-    return RegionPartition(REGION_CUSTOM, infinite_is_bad, predicate=predicate)
 
 
 def stability_gap(lam, ts: str) -> float:
@@ -115,13 +100,9 @@ def classify_eigenvalue(alpha, beta, region: RegionPartition, tol: ToleranceConf
     beta = float(np.asarray(beta).item())
     if is_infinite(alpha, beta):
         return "bad" if region.infinite_is_bad else "good"
+    if region.kind != REGION_INSTABILITY:
+        return "bad" if region.kind == REGION_ALL_FINITE else "good"
     lam = alpha / beta
-    if region.kind == REGION_NONE:
-        return "good"
-    if region.kind == REGION_ALL_FINITE:
-        return "bad"
-    if region.kind == REGION_CUSTOM:
-        return "bad" if region.predicate(lam) else "good"
     d = stability_gap(lam, region.ts)
     if abs(d) < tol.boundary_offset:
         return "boundary"
@@ -130,7 +111,7 @@ def classify_eigenvalue(alpha, beta, region: RegionPartition, tol: ToleranceConf
     return "bad"
 
 
-def region_selector(region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL) -> Callable:
+def region_selector(region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL):
     """select(alpha, beta) of numkernel._ordered_qz for region: the boolean
     array of the eigenvalues (alpha[i], beta[i]) not classified 'bad'."""
     return lambda alpha, beta: np.array(
@@ -347,13 +328,13 @@ class SpecialKlf:
     """System matrix pencil of (A - lambda E, B, C, D) reduced by
     diag(U, I_p) S(lambda) Z to the block form
 
-        [ A_rg - lambda E_rg      *                *         *  ]
+        [ M_11 - lambda N_11      *                *         *  ]
         [        0           A_bl - lambda E_bl   B_bl       *  ]
         [        0                0                0        B_n ]
         [        0               C_bl             D_bl       *  ]
 
     with row blocks of sizes [n_rg, n_bl, m_n, p] and column blocks of
-    sizes [c1, n_bl, r, m_n], c1 = n_rg + m - r. E_rg has full row
+    sizes [c1, n_bl, r, m_n], c1 = n_rg + m - r. N_11 has full row
     rank, E_bl and B_n are invertible, and the eigenvalues of the
     trailing system pencil built on the bl blocks lie in the bad
     region (plus any singular or infinite structure not movable into
@@ -382,14 +363,6 @@ class SpecialKlf:
     @property
     def c1(self) -> int:
         return self.n_rg + self.m - self.r
-
-    @property
-    def A_rg(self):
-        return self.M[: self.n_rg, : self.c1]
-
-    @property
-    def E_rg(self):
-        return self.N[: self.n_rg, : self.c1]
 
     @property
     def A_bl(self):
@@ -478,15 +451,12 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
     1979), and a sum above the bound ToleranceConfig names is refused.
 
     The form depends only on the read-only realization, the region and
-    tol, so it is kept on sys under ("splitting", region.kind,
-    region.infinite_is_bad, region.ts, tol), with M, N, U and Z made
-    read-only: a later call returns the same object. A refusal is not
-    kept (the next call raises it again), nor is the form of a custom
-    region, whose predicate may answer differently from call to call."""
-    kept = {} if region.kind == REGION_CUSTOM else sys._kept
-    key = ("splitting", region.kind, region.infinite_is_bad, region.ts, tol)
-    if key in kept:
-        return kept[key]
+    tol, so it is kept on sys under ("splitting", region, tol), with M,
+    N, U and Z made read-only: a later call returns the same object. A
+    refusal is not kept (the next call raises it again)."""
+    key = ("splitting", region, tol)
+    if key in sys._kept:
+        return sys._kept[key]
     n, m, p = sys.n, sys.m, sys.p
     Ms, Ns = system_pencil(sys)
     thresh = _pencil_threshold(Ms, Ns, tol)
@@ -538,12 +508,9 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
     nreg = nF + iI
 
     classes = [classify_eigenvalue(a, b, region, tol) for a, b in res.finite_eigenvalues]
-    for (a, b), cls in zip(res.finite_eigenvalues, classes):
-        if cls == "boundary":
-            raise BoundaryError(
-                f"eigenvalue {a / b} lies within the boundary offset of the "
-                "region boundary"
-            )
+    if "boundary" in classes:
+        a, b = res.finite_eigenvalues[classes.index("boundary")]
+        raise BoundaryError(f"eigenvalue {a / b} lies within the boundary offset of the region boundary")
     bad = tuple(ab for ab, cls in zip(res.finite_eigenvalues, classes) if cls == "bad")
     n_fg = classes.count("good")
     n_good = n_fg + (0 if region.infinite_is_bad else iI)
@@ -614,7 +581,7 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
 
     for X in (Ms, Ns, Q_tot, Z_tot):
         X.setflags(write=False)
-    kept[key] = SpecialKlf(
+    sys._kept[key] = SpecialKlf(
         M=Ms,
         N=Ns,
         U=Q_tot.T,
@@ -629,4 +596,4 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
         ts=sys.ts,
         bad_eigenvalues=bad,
     )
-    return kept[key]
+    return sys._kept[key]

@@ -1,4 +1,5 @@
 import inspect
+import re
 import time
 
 import numpy as np
@@ -10,12 +11,12 @@ from rmfact import (
     BoundaryError,
     FactorizationError,
     InputError,
+    RegionPartition,
     RmfactError,
     StructureError,
     ToleranceConfig,
     all_finite_region,
     classify_eigenvalue,
-    custom_region,
     full_rank_factorize,
     inner_outer,
     irreducible_realization,
@@ -85,6 +86,12 @@ def test_classify_boundary_offset():
     assert classify_eigenvalue(-5e-2, 1.0, reg, tol) == "good"
 
 
+@pytest.mark.parametrize("kind", ["custom", "stable", "instability"])
+def test_unknown_region_kind_is_refused(kind):
+    with pytest.raises(InputError, match=re.escape(f"unknown region kind {kind!r}")):
+        RegionPartition(kind, False)
+
+
 @pytest.mark.parametrize("ts", ["continuous", "discrete"])
 def test_stability_boundary_decisions_agree(ts):
     # one boundary decision serves classification, the nrcf pole check
@@ -111,14 +118,6 @@ def test_stability_boundary_decisions_agree(ts):
         else:
             nrcf(pole_at_lam, tol)
             inner_enforcing_gains(sk, tol)
-
-
-def test_classify_custom_region():
-    reg = custom_region(lambda z: abs(z) > 2.0)
-    assert classify_eigenvalue(1.0, 1.0, reg) == "good"
-    assert classify_eigenvalue(3.0, 1.0, reg) == "bad"
-    with pytest.raises(InputError):
-        custom_region(lambda z: z.imag > 0.1)
 
 
 # -- general staircase reduction ----------------------------------------------
@@ -489,38 +488,6 @@ def test_a_refused_splitting_form_is_not_kept():
         with pytest.raises(StructureError, match="loses rank"):
             special_klf(g, stability_region("continuous"))
     assert g._kept == {}
-
-
-class UnhashableRightHalfPlane:
-    """A custom bad-region predicate with __eq__ and so no __hash__;
-    moving its edge changes the region it answers for."""
-
-    def __init__(self, edge):
-        self.edge = edge
-
-    def __call__(self, z):
-        return z.real > self.edge
-
-    def __eq__(self, other):
-        return isinstance(other, UnhashableRightHalfPlane)
-
-
-def test_custom_region_forms_are_never_kept():
-    g = stable_rank2_continuous()
-    predicate = UnhashableRightHalfPlane(0.0)
-    region = custom_region(predicate)
-    kept = special_klf(g, stability_region(g.ts))
-    sk = special_klf(g, region)
-    assert sk is not kept and special_klf(g, region) is not sk
-    assert_same_form(sk, kept)
-    # the same predicate object now answers for a smaller bad region,
-    # which leaves the zero at 1 out of the basis
-    predicate.edge = 1.5
-    moved = special_klf(g, region)
-    fresh = make_dss(g.A, g.E, g.B, g.C, g.D, g.ts)
-    assert_same_form(moved, special_klf(fresh, custom_region(lambda z: z.real > 1.5)))
-    assert (len(sk.bad_eigenvalues), len(moved.bad_eigenvalues)) == (2, 1)
-    assert len(g._kept) == 1
 
 
 def splitting_reductions(monkeypatch):

@@ -7,7 +7,6 @@ from rmfact import (
     StructureError,
     all_finite_region,
     cofactor,
-    custom_region,
     evaluate,
     frequency_grid,
     irreducible_realization,
@@ -236,12 +235,14 @@ def test_inner_pinned_infinite_zero_rejected():
     assert inner_defect(rr.R, "continuous") <= 1e-8
 
 
-def test_custom_region_splits_zeros():
-    g = stable_rank2_continuous()
-    reg = custom_region(lambda z: abs(z) > 1.5)
-    rr = range_basis(g, region=reg)
+def test_stability_region_splits_zeros():
+    # (s - 2)(s + 1) / ((s + 3)(s + 4)): the basis keeps the unstable zero
+    # and leaves the stable one out, a split of the regular block
+    g = make_dss([[0.0, 1.0], [-12.0, -7.0]], None, [[0.0], [1.0]], [[-14.0, -8.0]], [[1.0]], "continuous")
+    rr = range_basis(g, region=stability_region(g.ts))
     assert_multiset_close(zeros(rr.R).finite, [2.0], tol=1e-6)
-    assert mcmillan_degree(rr.R) == 2
+    assert mcmillan_degree(rr.R) == 1
+    assert rr.sklf.n_rg == rr.sklf.n_bl == 1
 
 
 def test_options_validation():
