@@ -439,10 +439,13 @@ def irreducible_realization(sys: DescriptorSystem, tol: ToleranceConfig = DEFAUL
     second pass would only rank the roundoff the first one left.
 
     Kept on sys under ("irreducible", tol), as it depends only on the
-    read-only arrays, ts and tol: a later call returns the same object."""
+    read-only arrays, ts and tol: a later call returns the same object,
+    and so does a call on that object, which keeps itself."""
     key = ("irreducible", tol)
     if key not in sys._kept:
-        sys._kept[key] = _remove_nondynamic(_observable_part(_controllable_part(sys, tol), tol), tol)
+        red = _remove_nondynamic(_observable_part(_controllable_part(sys, tol), tol), tol)
+        red._kept.setdefault(key, red)
+        sys._kept[key] = red
     return sys._kept[key]
 
 

@@ -200,27 +200,35 @@ def _inverse_realization(sys: DescriptorSystem) -> DescriptorSystem:
 def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> DescriptorSystem:
     """Moore-Penrose pseudo-inverse of a rational matrix.
 
-    Built from two nested zero-free inner range compressions,
-    G = U G1 and G1' = V' G2', giving G# = V~ G2^{-1} U~, returned as
-    an irreducible realization. The realizations composed here are
-    reduced at the noise floor (see ToleranceConfig), so a coarse tol
-    may leave G# non-minimal, never wrong.
+    Built from zero-free inner range compressions G = U G1 and
+    G1' = V' G2', giving G# = V~ G2^{-1} U~, returned as an irreducible
+    realization. A square zero-free inner factor has no poles, so it is
+    a constant orthogonal matrix: the first compression runs only when
+    r < p (else U = I, G1 = G), the second only when r < m (else V = I,
+    G2 = G1). The realizations composed here are reduced at the noise
+    floor (see ToleranceConfig), so a coarse tol may leave G#
+    non-minimal, never wrong.
     """
     r = normal_rank(sys, tol)
     m, p, ts = sys.m, sys.p, sys.ts
     if r == 0:
         return _system(np.zeros((0, 0)), None, np.zeros((0, p)), np.zeros((m, 0)), np.zeros((m, p)), ts)
-    rr1 = range_basis(sys, region_none(), "inner", tol)
-    U = rr1.R
-    G1 = cofactor(sys, rr1)
-    # the cofactor realization inherits the input's order and can be
-    # reducible in ways that block the second compression (for example
-    # rank [E B] < n); a minimal realization never is
-    G1t = irreducible_realization(transpose(G1), DEFAULT_TOL)
-    rr2 = range_basis(G1t, region_none(), "inner", tol)
-    V = transpose(rr2.R)
-    G2 = transpose(cofactor(G1t, rr2))
-    composed = series(series(conjugate(V), _inverse_realization(G2)), conjugate(U))
+    G2 = G1 = sys
+    if r < p:
+        rr1 = range_basis(sys, region_none(), "inner", tol)
+        G2 = G1 = cofactor(sys, rr1)
+    if r < m:
+        # the cofactor realization inherits the input's order and can be
+        # reducible in ways that block the second compression (for example
+        # rank [E B] < n); a minimal realization never is
+        G1t = irreducible_realization(transpose(G1), DEFAULT_TOL)
+        rr2 = range_basis(G1t, region_none(), "inner", tol)
+        G2 = transpose(cofactor(G1t, rr2))
+    composed = _inverse_realization(G2)
+    if r < m:
+        composed = series(conjugate(transpose(rr2.R)), composed)
+    if r < p:
+        composed = series(composed, conjugate(rr1.R))
     return irreducible_realization(composed, DEFAULT_TOL)
 
 

@@ -1,12 +1,15 @@
-"""Shared test helpers: seeded system generators, eigenvalue multiset
-assertions, and a capture wrapper around the command line entry point."""
+"""Shared test helpers: seeded system generators, a counter of the
+splitting-form reductions, eigenvalue multiset assertions, and a
+capture wrapper around the command line entry point."""
 
 import contextlib
+import inspect
 import io
 import json
 
 import numpy as np
 
+import rmfact.klf
 from rmfact import (
     EvaluationError,
     ToleranceConfig,
@@ -76,6 +79,21 @@ def rank_deficient_system(rng, ts=None, inner_dim=1, p=3, m=3, n_each=2):
         )
 
     return series(factor(p, k), factor(k, m))
+
+
+def splitting_reductions(monkeypatch):
+    """The realizations special_klf reduces, one entry per _klf_core call it makes."""
+    reduced = []
+    core = rmfact.klf._klf_core
+
+    def counting(*args):
+        caller = inspect.currentframe().f_back
+        if caller.f_code.co_name == "special_klf":
+            reduced.append(caller.f_locals["sys"])
+        return core(*args)
+
+    monkeypatch.setattr(rmfact.klf, "_klf_core", counting)
+    return reduced
 
 
 def assert_multiset_close(actual, expected, tol=1e-6):

@@ -176,7 +176,7 @@ def test_acceptance_7_property_suite():
     start = time.monotonic()
     systems, rng = _property_suite()
     worst_frf = worst_nrcf = worst_prod = worst_herm = 0.0
-    nrcf_runs = pinv_runs = 0
+    nrcf_runs = pinv_runs = pinv_order = 0
     for g in systems:
         fr = full_rank_factorize(g)
         pts = random_nonpole_points([g, fr.left, fr.right], 16, rng)
@@ -202,6 +202,7 @@ def test_acceptance_7_property_suite():
             gp = None
         if gp is not None:
             pinv_runs += 1
+            pinv_order += gp.n
             prod, herm = moore_penrose_defects(g, gp, rng)
             worst_prod = max(worst_prod, prod)
             worst_herm = max(worst_herm, herm)
@@ -210,6 +211,9 @@ def test_acceptance_7_property_suite():
     assert worst_nrcf <= 1e-7
     assert worst_prod <= 1e-6 and worst_herm <= 1e-6
     assert nrcf_runs >= 80 and pinv_runs >= 80
+    # the summed order of the minimal G# realizations: a larger sum is a
+    # non-minimal pseudo-inverse
+    assert pinv_order == 748
     assert elapsed < 60.0
     print(
         f"ACCEPTANCE 7: PASS - 100 systems: frf {worst_frf:.1e}, rank compat 100/100, "

@@ -560,6 +560,9 @@ def test_irreducible_realization_is_kept_per_tolerance():
     assert (red.n, cut.n) == (3, 2)
     assert irreducible_realization(g, coarse) is cut
     assert irreducible_realization(g) is red
+    # a result is its own irreducible realization at its tolerance
+    assert irreducible_realization(red) is red
+    assert irreducible_realization(cut, coarse) is cut
     # each kept result is the one a fresh realization computes at its tolerance
     for tol, kept in ((DEFAULT_TOL, red), (coarse, cut)):
         fresh = make_dss(g.A, g.E, g.B, g.C, g.D, g.ts)

@@ -43,7 +43,9 @@ from support import (
     moore_penrose_defects,
     product_residual,
     random_system,
+    rank_deficient_system,
     run_cli,
+    splitting_reductions,
     zero_pole_balance,
 )
 
@@ -251,6 +253,25 @@ def test_pinv_identities_badly_scaled_composition():
     g = random_system(rng, n_max=8)
     gp = pseudo_inverse(g)
     prod, herm = moore_penrose_defects(g, gp, np.random.default_rng(33))
+    assert prod <= 1e-6
+    assert herm <= 1e-6
+
+
+@pytest.mark.parametrize("ts", ["continuous", "discrete"])
+@pytest.mark.parametrize(
+    "r, p, m, reductions",
+    [(2, 2, 3, 1), (2, 3, 2, 1), (2, 2, 2, 0), (1, 3, 3, 2)],
+    ids=["r=p<m", "r=m<p", "r=p=m", "r<min(p,m)"],
+)
+def test_pinv_compresses_only_a_rank_deficient_side(monkeypatch, ts, r, p, m, reductions):
+    # a square zero-free inner factor is constant, so pinv runs the
+    # first compression only when r < p and the second only when r < m
+    g = rank_deficient_system(np.random.default_rng(41), ts, inner_dim=r, p=p, m=m)
+    assert normal_rank(g) == r
+    reduced = splitting_reductions(monkeypatch)
+    gp = pseudo_inverse(g)
+    assert len(reduced) == reductions
+    prod, herm = moore_penrose_defects(g, gp, np.random.default_rng(34))
     assert prod <= 1e-6
     assert herm <= 1e-6
 

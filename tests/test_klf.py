@@ -1,4 +1,3 @@
-import inspect
 import re
 import time
 
@@ -37,7 +36,7 @@ from rmfact.klf import _klf_core, _pencil_threshold, on_stability_boundary
 from rmfact.numkernel import DEFAULT_TOL, EIG_ATOL
 from rmfact.rangebasis import inner_enforcing_gains, range_basis
 
-from support import assert_multiset_close, random_system
+from support import assert_multiset_close, random_system, rank_deficient_system, splitting_reductions
 
 
 def system_pencil(g):
@@ -490,21 +489,6 @@ def test_a_refused_splitting_form_is_not_kept():
     assert g._kept == {}
 
 
-def splitting_reductions(monkeypatch):
-    """The realizations special_klf reduces, one entry per _klf_core call it makes."""
-    reduced = []
-    core = rmfact.klf._klf_core
-
-    def counting(*args):
-        caller = inspect.currentframe().f_back
-        if caller.f_code.co_name == "special_klf":
-            reduced.append(caller.f_locals["sys"])
-        return core(*args)
-
-    monkeypatch.setattr(rmfact.klf, "_klf_core", counting)
-    return reduced
-
-
 def test_frf_and_iofac_share_one_splitting_reduction(monkeypatch):
     # a realization of the seeded suite (rng 2024, n_max 8)
     g = random_system(np.random.default_rng(2024), n_max=8)
@@ -512,6 +496,11 @@ def test_frf_and_iofac_share_one_splitting_reduction(monkeypatch):
     full_rank_factorize(g)
     inner_outer(g)
     assert len(reduced) == 1 and reduced[0] is g
+    # pinv compresses g itself only when r < p, and the transposed
+    # cofactor, built anew on each call, only when r < m: on a system
+    # of rank below min(p, m) the second call reuses g's form
+    g = rank_deficient_system(np.random.default_rng(2024))
+    assert normal_rank(g) < min(g.p, g.m)
     del reduced[:]
     pseudo_inverse(g)
     first = len(reduced)
