@@ -161,27 +161,28 @@ def dual_full_rank_factorize(
 
 
 def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL):
-    """Normalized right coprime factorization G = N M^{-1}.
-
-    [N; M] is the minimal inner range basis of [G; I]; stability is the
-    canonical region of the system type. Poles of G on the region
-    boundary are rejected: the factors would have to absorb a marginal
-    mode and the normalization degrades.
-    """
-    for lam in poles(sys, tol).finite:
+    """Normalized right coprime factorization G = N M^{-1}: [N; M] is
+    the inner range basis of [G; I] on the minimal realization sys keeps
+    at DEFAULT_TOL, stable in the canonical region of the system type.
+    In exact arithmetic that basis is minimal as it comes:
+    - controllable: [G; I] has no finite zero for its leading block to hide;
+    - observable: an unobservable mode would be a bad eigenvalue of [G; I];
+    - no non-dynamic mode: special_klf makes E_bl invertible.
+    Poles of G on the region boundary are rejected: the factors would
+    have to absorb a marginal mode and the normalization degrades."""
+    red = irreducible_realization(sys, DEFAULT_TOL)
+    for lam in poles(red).finite:
         if on_stability_boundary(lam, sys.ts):
             raise FactorizationError(
                 f"coprime factorization rejected: pole on the stability boundary (at {lam:.6g})"
             )
-    stacked = stack_vertical(sys, identity_system(sys.m, sys.ts))
     try:
-        rr = range_basis(stacked, None, "inner", tol)
+        R = range_basis(stack_vertical(red, identity_system(sys.m, sys.ts)), None, "inner", tol).R
     except BoundaryError as exc:
         raise FactorizationError(str(exc)) from None
-    Ri = irreducible_realization(rr.R, DEFAULT_TOL)
     p = sys.p
-    N = _system(Ri.A, Ri.E, Ri.B, Ri.C[:p, :], Ri.D[:p, :], sys.ts)
-    M = _system(Ri.A, Ri.E, Ri.B, Ri.C[p:, :], Ri.D[p:, :], sys.ts)
+    N = _system(R.A, R.E, R.B, R.C[:p, :], R.D[:p, :], sys.ts)
+    M = _system(R.A, R.E, R.B, R.C[p:, :], R.D[p:, :], sys.ts)
     return N, M
 
 

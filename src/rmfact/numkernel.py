@@ -123,12 +123,11 @@ class ToleranceConfig:
     eigenvalues are squared singular values, which a tolerance meant for
     singular values would refuse far too early.
 
-    Minimal realizations of realizations the package composed itself
-    use DEFAULT_TOL, whatever rank_rtol is: of the range basis in
-    fact.nrcf, and of the transposed cofactor and the final product in
-    fact.pseudo_inverse. Their cancellations are exact in exact
-    arithmetic, so a coarse threshold would only cut states G needs; at
-    a coarse tolerance G# and [N; M] may be non-minimal, never wrong.
+    Minimal realizations use DEFAULT_TOL, whatever rank_rtol is: of G in
+    fact.nrcf (the one structure() keeps), and of the transposed cofactor
+    and the final product in fact.pseudo_inverse, whose cancellations are
+    exact. A coarse threshold would only cut states G needs; at a coarse
+    tolerance G# may be non-minimal, never wrong.
 
     Fixed rules: is_infinite decides infinite eigenvalues, EIG_ATOL the
     width of the stability boundary (klf.on_stability_boundary),

@@ -1,6 +1,7 @@
-"""Shared test helpers: seeded system generators, a counter of the
-splitting-form reductions, eigenvalue multiset assertions, and a
-capture wrapper around the command line entry point."""
+"""Shared test helpers: seeded system generators, one-state padding,
+counters of the splitting-form and irreducible reductions, eigenvalue
+multiset assertions, and a capture wrapper around the command line
+entry point."""
 
 import contextlib
 import inspect
@@ -9,6 +10,7 @@ import json
 
 import numpy as np
 
+import rmfact.dss
 import rmfact.klf
 from rmfact import (
     EvaluationError,
@@ -79,6 +81,46 @@ def rank_deficient_system(rng, ts=None, inner_dim=1, p=3, m=3, n_each=2):
         )
 
     return series(factor(p, k), factor(k, m))
+
+
+def pad_state(g, a, e, side, rng):
+    """g with one extra state, with A entry a and E entry e, that the
+    input does not reach (side "uncontrollable") or the output does not
+    see ("unobservable"), coupled randomly to the other states on the
+    side that keeps it a decoupling mode, under a random orthogonal
+    state similarity. G is unchanged."""
+    n = g.n
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n], A[n, n] = g.A, a
+    E = np.zeros((n + 1, n + 1))
+    E[:n, :n], E[n, n] = g.e_matrix, e
+    B = np.vstack([g.B, rng.standard_normal((1, g.m))])
+    C = np.hstack([g.C, rng.standard_normal((g.p, 1))])
+    if side == "uncontrollable":
+        B[n] = 0.0
+        A[:n, n] = rng.standard_normal(n)
+    else:
+        C[:, n] = 0.0
+        A[n, :n] = rng.standard_normal(n)
+    Q = np.linalg.qr(rng.standard_normal((n + 1, n + 1)))[0]
+    E = None if g.E is None and e == 1.0 else Q @ E @ Q.T
+    return make_dss(Q @ A @ Q.T, E, Q @ B, C @ Q.T, g.D, g.ts)
+
+
+def irreducible_reductions(monkeypatch):
+    """The realizations irreducible_realization reduces, one entry per
+    reduction it computes; a kept result adds none."""
+    reduced = []
+    remove = rmfact.dss._remove_nondynamic
+
+    def counting(*args):
+        caller = inspect.currentframe().f_back
+        if caller.f_code.co_name == "irreducible_realization":
+            reduced.append(caller.f_locals["sys"])
+        return remove(*args)
+
+    monkeypatch.setattr(rmfact.dss, "_remove_nondynamic", counting)
+    return reduced
 
 
 def splitting_reductions(monkeypatch):

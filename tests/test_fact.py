@@ -40,7 +40,9 @@ from rmfact.fact import RESIDUAL_GRID
 
 from support import (
     assert_multiset_close,
+    irreducible_reductions,
     moore_penrose_defects,
+    pad_state,
     product_residual,
     random_system,
     rank_deficient_system,
@@ -182,6 +184,43 @@ def test_nrcf_boundary_pole_rejected():
         nrcf(scalar_sys(0.0, 1.0, 1.0, 0.0))
     with pytest.raises(FactorizationError):
         nrcf(scalar_sys(1.0, 1.0, 1.0, 0.0, ts="discrete"))
+
+
+# (A entry, E entry) of one padded state by system type, and the side
+# on which it decouples; the finite ones are unstable or stable
+NRCF_PADDINGS = {
+    "unstable unobservable": ({"continuous": 0.7, "discrete": 1.6}, 1.0, "unobservable"),
+    "unstable uncontrollable": ({"continuous": 0.7, "discrete": 1.6}, 1.0, "uncontrollable"),
+    "stable uncontrollable": ({"continuous": -0.7, "discrete": 0.4}, 1.0, "uncontrollable"),
+    "stable unobservable": ({"continuous": -0.7, "discrete": 0.4}, 1.0, "unobservable"),
+    "non-dynamic uncontrollable": ({"continuous": 1.0, "discrete": 1.0}, 0.0, "uncontrollable"),
+    "non-dynamic unobservable": ({"continuous": 1.0, "discrete": 1.0}, 0.0, "unobservable"),
+}
+
+
+@pytest.mark.parametrize("padding", list(NRCF_PADDINGS))
+def test_nrcf_ignores_decoupling_padding(padding):
+    # a padded decoupling mode is no pole or zero of G, so it must
+    # neither refuse the factorization nor reach N and M
+    a, e, side = NRCF_PADDINGS[padding]
+    rng, pad_rng = np.random.default_rng(2024), np.random.default_rng(23)
+    for _ in range(20):
+        g = random_system(rng, n_max=8)
+        N, M = nrcf(pad_state(g, a[g.ts], e, side, pad_rng))
+        assert N.n == M.n == nrcf(g)[0].n
+        assert gram_residual([N, M], 16) <= 1e-7
+
+
+@pytest.mark.parametrize("rank_rtol", [0.0, 1e-3])
+def test_nrcf_reduces_only_g_once(monkeypatch, rank_rtol):
+    # nrcf factors the minimal realization g keeps at the default
+    # tolerance, and a later structure query reads it
+    g = random_system(np.random.default_rng(2024), n_max=8)
+    reduced = irreducible_reductions(monkeypatch)
+    nrcf(g, ToleranceConfig(rank_rtol=rank_rtol))
+    assert len(reduced) == 1 and reduced[0] is g
+    structure(g)
+    assert len(reduced) == 1
 
 
 # -- Moore-Penrose pseudo-inverse -------------------------------------------------
@@ -560,11 +599,10 @@ def test_coarse_tolerance_refuses_or_meets_its_bound(rank_rtol):
     max(tier-1 bound, 1e3 * rank_rtol). A reduction that discards
     singular values up to rank_rtol times its data's scale moves G by
     about that much; the factor 1e3 leaves room for the chain of
-    reductions and for data whose scale exceeds ||G||. Only rank
-    decisions about G coarsen: the minimal realizations of the
-    realizations fact composes itself rank at the noise floor, since
-    cutting one of their states at rank_rtol drops part of G# or
-    [N; M]."""
+    reductions and for data whose scale exceeds ||G||. The minimal
+    realizations fact takes rank at the noise floor instead: that of G
+    in nrcf, and those of the realizations pinv composes itself, since
+    cutting one of their states at rank_rtol drops part of G or G#."""
     tol = ToleranceConfig(rank_rtol=rank_rtol)
     small, large = coarse_suites()
     cases = [(name, g, op) for name, g in small for op in TIER1_BOUND]
