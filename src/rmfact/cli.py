@@ -12,10 +12,12 @@ identity check; this module only formats them. One report builder,
 _factor_report, writes the factor blocks, results, --out files and
 human-readable lines of range, frf, dual-frf, nrcf, pinv and iofac.
 
+Each subcommand takes only the flags its handler reads.
+
 Exit codes: 0 success, 2 input or parse error, 3 structural or
-factorization error (boundary eigenvalues, non-stabilizable
-realizations, evaluation at a pole, a failed LAPACK iteration), 4
-verification failure.
+factorization error (non-stabilizable realizations, poles of G on the
+stability boundary in nrcf, zeros on it in the inner basis, evaluation
+at a pole, a failed LAPACK iteration), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -80,52 +82,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("system", help="system file (JSON)")
-    common.add_argument("--tol", type=float, default=0.0, help="relative rank tolerance, floored at 100*k*eps (0 = the floor)")
-    common.add_argument("--boundary-offset", type=float, default=0.0, help="half-width of the region boundary exclusion strip")
-    common.add_argument("--grid", type=_int_at_least(1), default=None, help="number of grid points for residual and inner checks")
-    common.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the random evaluation points")
-    common.add_argument("--json", action="store_true", help="emit the report as JSON on stdout")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("system", help="system file (JSON)")
+    source.add_argument("--json", action="store_true", help="emit the report as JSON on stdout")
 
-    shaping = argparse.ArgumentParser(add_help=False)
-    shaping.add_argument("--zeros", choices=["none", "bad", "all"], default="bad", help="which zeros of G the range basis keeps")
-    shaping.add_argument("--stabilize", action="store_true", help="move the basis poles into the good region")
-    shaping.add_argument("--inner", action="store_true", help="make the basis inner (implies --stabilize)")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=0.0, help="relative rank tolerance, floored at 100*k*eps (0 = the floor)")
+
+    zeros = argparse.ArgumentParser(add_help=False)
+    zeros.add_argument("--zeros", choices=["none", "bad", "all"], default="bad", help="which zeros of G the range basis keeps")
+
+    gains = argparse.ArgumentParser(add_help=False)
+    gains.add_argument("--stabilize", action="store_true", help="move the basis poles into the good region")
+    gains.add_argument("--inner", action="store_true", help="make the basis inner (implies --stabilize)")
+
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=_int_at_least(1), default=None, help="number of grid points for residual and inner checks")
+
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the random evaluation points")
 
     outdir = argparse.ArgumentParser(add_help=False)
     outdir.add_argument("--out", default=None, help="directory for factor realization files")
 
-    sub.add_parser("info", parents=[common], help="poles, zeros, normal rank, McMillan degree")
-    sub.add_parser("klf", parents=[common], help="Kronecker structure of the system matrix pencil")
-    sub.add_parser("sklf", parents=[common, shaping], help="block splitting form of the system matrix pencil")
-    sub.add_parser("range", parents=[common, shaping, outdir], help="range basis R")
-    sub.add_parser("frf", parents=[common, shaping, outdir], help="full-rank factorization G = R X")
-    sub.add_parser("dual-frf", parents=[common, shaping, outdir], help="dual full-rank factorization G = X R")
-    sub.add_parser("nrcf", parents=[common, outdir], help="normalized right coprime factorization G = N M^{-1}")
-    sub.add_parser("pinv", parents=[common, outdir], help="Moore-Penrose pseudo-inverse")
-    sub.add_parser("iofac", parents=[common, outdir], help="inner - quasi-outer factorization")
+    sub.add_parser("info", parents=[source, tol], help="poles, zeros, normal rank, McMillan degree")
+    sub.add_parser("klf", parents=[source, tol], help="Kronecker structure of the system matrix pencil")
+    sub.add_parser("sklf", parents=[source, tol, zeros], help="block splitting form of the system matrix pencil")
+    sub.add_parser("range", parents=[source, tol, zeros, gains, grid, outdir], help="range basis R")
+    sub.add_parser("frf", parents=[source, tol, zeros, gains, grid, seed, outdir], help="full-rank factorization G = R X")
+    sub.add_parser("dual-frf", parents=[source, tol, zeros, gains, grid, seed, outdir], help="dual full-rank factorization G = X R")
+    sub.add_parser("nrcf", parents=[source, tol, grid, outdir], help="normalized right coprime factorization G = N M^{-1}")
+    sub.add_parser("pinv", parents=[source, tol, grid, seed, outdir], help="Moore-Penrose pseudo-inverse")
+    sub.add_parser("iofac", parents=[source, tol, grid, seed, outdir], help="inner - quasi-outer factorization")
 
-    ev = sub.add_parser("eval", parents=[common], help="evaluate G at a point")
+    ev = sub.add_parser("eval", parents=[source], help="evaluate G at a point")
     ev.add_argument("--point", required=True, help="evaluation point, e.g. 0, 2.5, 1+2j")
 
-    ver = sub.add_parser("verify", help="grid check of a factorization G = L R")
-    ver.add_argument("system", help="system file of G")
+    ver = sub.add_parser("verify", parents=[source, grid, seed], help="grid check of a factorization G = L R")
     ver.add_argument("left", help="system file of the left factor")
     ver.add_argument("right", help="system file of the right factor")
-    ver.add_argument("--grid", type=_int_at_least(1), default=None, help="number of grid points")
-    ver.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the random evaluation points")
     ver.add_argument("--inner", action="store_true", help="also require the left factor to be inner")
     ver.add_argument("--threshold", type=_finite_nonnegative, default=VERIFY_THRESHOLD, help="acceptance threshold for all residuals")
-    ver.add_argument("--json", action="store_true", help="emit the report as JSON on stdout")
     return top
 
 
 def _tolerance(args) -> ToleranceConfig:
-    return ToleranceConfig(
-        rank_rtol=getattr(args, "tol", 0.0),
-        boundary_offset=getattr(args, "boundary_offset", 0.0),
-    )
+    return ToleranceConfig(rank_rtol=getattr(args, "tol", 0.0))
 
 
 # the bad region of the splitting form for each --zeros value: the zeros

@@ -25,12 +25,6 @@ class StructureError(RmfactError):
     violation (the message names the offending eigenvalue)."""
 
 
-class BoundaryError(StructureError):
-    """An eigenvalue fell inside the exclusion strip around the
-    good/bad region boundary; the caller must adjust the region or the
-    boundary offset."""
-
-
 class FactorizationError(RmfactError):
     """A requested factorization does not exist or could not be
     computed (boundary zeros/poles, Riccati solver failure)."""

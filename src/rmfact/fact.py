@@ -41,7 +41,7 @@ from .dss import (
     system_pencil,
     transpose,
 )
-from .exceptions import BoundaryError, EvaluationError, FactorizationError, InputError
+from .exceptions import EvaluationError, FactorizationError, InputError
 from .klf import RegionPartition, on_stability_boundary, region_none
 from .numkernel import DEFAULT_TOL, ToleranceConfig
 from .rangebasis import cofactor, range_basis
@@ -176,10 +176,7 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL):
             raise FactorizationError(
                 f"coprime factorization rejected: pole on the stability boundary (at {lam:.6g})"
             )
-    try:
-        R = range_basis(stack_vertical(red, identity_system(sys.m, sys.ts)), None, "inner", tol).R
-    except BoundaryError as exc:
-        raise FactorizationError(str(exc)) from None
+    R = range_basis(stack_vertical(red, identity_system(sys.m, sys.ts)), None, "inner", tol).R
     p = sys.p
     N = _system(R.A, R.E, R.B, R.C[:p, :], R.D[:p, :], sys.ts)
     M = _system(R.A, R.E, R.B, R.C[p:, :], R.D[p:, :], sys.ts)
@@ -239,8 +236,5 @@ def inner_outer(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL):
     open instability region. Zeros of G on the region boundary make
     the inner basis unattainable.
     """
-    try:
-        rr = range_basis(sys, None, "inner", tol)
-    except BoundaryError as exc:
-        raise FactorizationError(str(exc)) from None
+    rr = range_basis(sys, None, "inner", tol)
     return rr.R, cofactor(sys, rr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dss import system_pencil
-from .exceptions import BoundaryError, InputError, StructureError
+from .exceptions import InputError, StructureError
 from .numkernel import (
     DEFAULT_TOL,
     EIG_ATOL,
@@ -46,34 +46,45 @@ class RegionPartition:
     """Disjoint partition of the closed complex plane into a good and a
     bad region, both symmetric about the real axis. kind selects the
     bad set: 'none' (empty), 'finite-instability' (the open instability
-    region of the time domain ts) or 'all-finite' (every finite point).
-    infinite_is_bad places the point at infinity. A partition is frozen
-    and hashable: special_klf keys the forms it keeps by it."""
+    region of the time domain ts, which only this kind reads) or
+    'all-finite' (every finite point). The kind and ts also place the
+    point at infinity (infinite_is_bad), so each partition has one
+    spelling. A partition is frozen and hashable: special_klf keys the
+    forms it keeps by it."""
 
     kind: str
-    infinite_is_bad: bool
     ts: str | None = None
 
     def __post_init__(self):
         if self.kind not in (REGION_NONE, REGION_INSTABILITY, REGION_ALL_FINITE):
             raise InputError(f"unknown region kind {self.kind!r}")
-        if self.kind == REGION_INSTABILITY and self.ts not in ("continuous", "discrete"):
-            raise InputError("finite-instability region needs ts 'continuous' or 'discrete'")
+        if self.kind == REGION_INSTABILITY:
+            if self.ts not in ("continuous", "discrete"):
+                raise InputError("finite-instability region needs ts 'continuous' or 'discrete'")
+        elif self.ts is not None:
+            raise InputError(f"region kind {self.kind!r} takes no ts")
+
+    @property
+    def infinite_is_bad(self) -> bool:
+        """Infinity is good for 'none', bad for 'all-finite', and for
+        'finite-instability' bad in discrete time (the closed unit disc
+        is good) and good in continuous time."""
+        if self.kind == REGION_INSTABILITY:
+            return self.ts == "discrete"
+        return self.kind == REGION_ALL_FINITE
 
 
-def region_none(infinite_is_bad: bool = False) -> RegionPartition:
-    return RegionPartition(REGION_NONE, infinite_is_bad)
+def region_none() -> RegionPartition:
+    return RegionPartition(REGION_NONE)
 
 
 def stability_region(ts: str) -> RegionPartition:
-    """Bad set = open instability region of the time domain; the point
-    at infinity is bad in discrete time (closed unit disc is good) and
-    good in continuous time."""
-    return RegionPartition(REGION_INSTABILITY, infinite_is_bad=(ts == "discrete"), ts=ts)
+    """Bad set = open instability region of the time domain ts."""
+    return RegionPartition(REGION_INSTABILITY, ts)
 
 
 def all_finite_region() -> RegionPartition:
-    return RegionPartition(REGION_ALL_FINITE, infinite_is_bad=True)
+    return RegionPartition(REGION_ALL_FINITE)
 
 
 def stability_gap(lam, ts: str) -> float:
@@ -89,13 +100,11 @@ def on_stability_boundary(lam, ts: str) -> bool:
     return abs(stability_gap(lam, ts)) <= EIG_ATOL * max(1.0, abs(lam))
 
 
-def classify_eigenvalue(alpha, beta, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL) -> str:
+def classify_eigenvalue(alpha, beta, region: RegionPartition) -> str:
     """Classify a generalized eigenvalue given as an (alpha, beta) pair
-    into 'good', 'bad', or 'boundary'. A finite eigenvalue closer to
-    the region boundary than the configured offset is 'boundary'; with
-    the default zero offset no eigenvalue is, and points on the
-    stability boundary (on_stability_boundary) classify as good (the
-    good region is closed)."""
+    as 'good' or 'bad'. Points on the stability boundary
+    (on_stability_boundary) classify as good: the good region is
+    closed."""
     alpha = complex(np.asarray(alpha).item())
     beta = float(np.asarray(beta).item())
     if is_infinite(alpha, beta):
@@ -103,19 +112,16 @@ def classify_eigenvalue(alpha, beta, region: RegionPartition, tol: ToleranceConf
     if region.kind != REGION_INSTABILITY:
         return "bad" if region.kind == REGION_ALL_FINITE else "good"
     lam = alpha / beta
-    d = stability_gap(lam, region.ts)
-    if abs(d) < tol.boundary_offset:
-        return "boundary"
-    if d <= 0 or on_stability_boundary(lam, region.ts):
+    if stability_gap(lam, region.ts) <= 0 or on_stability_boundary(lam, region.ts):
         return "good"
     return "bad"
 
 
-def region_selector(region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL):
+def region_selector(region: RegionPartition):
     """select(alpha, beta) of numkernel._ordered_qz for region: the boolean
-    array of the eigenvalues (alpha[i], beta[i]) not classified 'bad'."""
+    array of the eigenvalues (alpha[i], beta[i]) classified 'good'."""
     return lambda alpha, beta: np.array(
-        [classify_eigenvalue(a, b, region, tol) != "bad" for a, b in zip(alpha, beta)], dtype=bool
+        [classify_eigenvalue(a, b, region) == "good" for a, b in zip(alpha, beta)], dtype=bool
     )
 
 
@@ -390,14 +396,13 @@ class SpecialKlf:
         return self.M[rows, self.c1 + self.n_bl + self.r:]
 
 
-def _check_bad_stabilizable(sys, region, tol, thresh):
+def _check_bad_stabilizable(sys, region, thresh):
     """Refuse a realization that special_klf cannot split for region:
-    [E B] of row rank below n (not stabilizable at infinity), a finite
-    eigenvalue of A - lambda*E within the boundary offset, or a bad one
-    at which [A - lambda*E, B] loses rank. The identity E (E None) is
-    never rank-decided. The last two need the QZ eigenvalues of (A, E),
-    which a REGION_NONE partition skips: there no finite eigenvalue
-    classifies as bad or boundary.
+    [E B] of row rank below n (not stabilizable at infinity), or a bad
+    finite eigenvalue of A - lambda*E at which [A - lambda*E, B] loses
+    rank. The identity E (E None) is never rank-decided. The second
+    needs the QZ eigenvalues of (A, E), which a REGION_NONE partition
+    skips: there no finite eigenvalue classifies as bad.
 
     [A - conj(lambda) E, B] is the conjugate of [A - lambda E, B] and
     has the same rank, so a conjugate pair (or a repeated value) is
@@ -412,13 +417,7 @@ def _check_bad_stabilizable(sys, region, tol, thresh):
         return
     tested = set()
     for a, b in generalized_eigenvalues(sys.A, Emat):
-        cls = classify_eigenvalue(a, b, region, tol)
-        if cls == "boundary":
-            raise BoundaryError(
-                f"eigenvalue {a / b} lies within the boundary offset "
-                "of the region boundary"
-            )
-        if cls != "bad" or is_infinite(a, b):
+        if is_infinite(a, b) or classify_eigenvalue(a, b, region) == "good":
             continue
         lam = a / b
         pair = complex(lam.real, abs(lam.imag))
@@ -444,11 +443,10 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
     """Reduce the system matrix pencil of sys to the range/coimage
     splitting form for the given region. Requires the realization to
     be stabilizable with respect to the bad region (including at
-    infinity); eigenvalues within the boundary offset of the region
-    boundary raise BoundaryError. Every block the reduction sets goes
-    through _set_block: up to roundoff the form is orthogonally
-    equivalent to a pencil within the sum of the changes (Van Dooren
-    1979), and a sum above the bound ToleranceConfig names is refused.
+    infinity). Every block the reduction sets goes through _set_block:
+    up to roundoff the form is orthogonally equivalent to a pencil
+    within the sum of the changes (Van Dooren 1979), and a sum above
+    the bound ToleranceConfig names is refused.
 
     The form depends only on the read-only realization, the region and
     tol, so it is kept on sys under ("splitting", region, tol), with M,
@@ -461,7 +459,7 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
     Ms, Ns = system_pencil(sys)
     thresh = _pencil_threshold(Ms, Ns, tol)
     bound = max(1e4 * thresh, 1e-10 * max(np.linalg.norm(Ms), np.linalg.norm(Ns), 1.0))
-    _check_bad_stabilizable(sys, region, tol, thresh)
+    _check_bad_stabilizable(sys, region, thresh)
 
     discarded = {}
     Q_tot = np.eye(n)
@@ -507,10 +505,7 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
         )
     nreg = nF + iI
 
-    classes = [classify_eigenvalue(a, b, region, tol) for a, b in res.finite_eigenvalues]
-    if "boundary" in classes:
-        a, b = res.finite_eigenvalues[classes.index("boundary")]
-        raise BoundaryError(f"eigenvalue {a / b} lies within the boundary offset of the region boundary")
+    classes = [classify_eigenvalue(a, b, region) for a, b in res.finite_eigenvalues]
     bad = tuple(ab for ab, cls in zip(res.finite_eigenvalues, classes) if cls == "bad")
     n_fg = classes.count("good")
     n_good = n_fg + (0 if region.infinite_is_bad else iI)
@@ -519,7 +514,7 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
         # infinite together) into the leading positions
         win_r = slice(iR, iR + nreg)
         win_c = slice(jR, jR + nreg)
-        Q, Z = _ordered_qz(M_Pt[win_r, win_c], N_Pt[win_r, win_c], region_selector(region, tol))[4:]
+        Q, Z = _ordered_qz(M_Pt[win_r, win_c], N_Pt[win_r, win_c], region_selector(region))[4:]
         M_Pt[win_r, jR:] = Q.T @ M_Pt[win_r, jR:]
         N_Pt[win_r, jR:] = Q.T @ N_Pt[win_r, jR:]
         M_Pt[:, win_c] = M_Pt[:, win_c] @ Z

@@ -105,8 +105,6 @@ class ToleranceConfig:
 
     rank_rtol: relative tolerance of every rank decision, floored at the
         noise floor (0 = the floor).
-    boundary_offset: half-width of the exclusion strip around the
-        good/bad region boundary; eigenvalues inside it are 'boundary'.
 
     Rank decisions use rank_threshold(scale, k): klf._pencil_threshold,
     for every decision of a Kronecker-like or splitting form reduction
@@ -138,11 +136,10 @@ class ToleranceConfig:
     """
 
     rank_rtol: float = 0.0
-    boundary_offset: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v >= 0 for v in (self.rank_rtol, self.boundary_offset)):
-            raise InputError("tolerance fields must be finite and nonnegative")
+        if not (math.isfinite(self.rank_rtol) and self.rank_rtol >= 0):
+            raise InputError(f"rank_rtol must be finite and nonnegative, got {self.rank_rtol}")
 
     def rank_threshold(self, scale: float, k: int) -> float:
         """Absolute threshold of a rank decision on dimension-k data of

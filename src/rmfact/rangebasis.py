@@ -201,7 +201,7 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
     if k == 0:
         return np.zeros((r, n_bl))
     stab = stability_region(ts)
-    sel = region_selector(stab, tol)
+    sel = region_selector(stab)
     S, T, alpha, beta, Q, _ = _ordered_qz(A_c, np.eye(k), sel)
     kg = int(sel(alpha, beta).sum())
     kb = k - kg
@@ -220,7 +220,7 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
     F_c = np.hstack([np.zeros((r, kg)), F2]) @ Q.T
     closed = np.linalg.eigvals(A_c + B_c @ F_c)
     for z in closed:
-        if classify_eigenvalue(z, 1.0, stab, tol) == "bad":
+        if classify_eigenvalue(z, 1.0, stab) == "bad":
             raise FactorizationError(
                 f"stabilizing feedback left the pole {z} outside the target region"
             )

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -10,6 +13,7 @@ import pytest
 import rmfact
 from rmfact import (
     EvaluationError,
+    VerificationError,
     evaluate,
     frequency_grid,
     full_rank_factorize,
@@ -19,7 +23,7 @@ from rmfact import (
     stable_rank2_continuous,
     write_system_file,
 )
-from rmfact.cli import run_command
+from rmfact.cli import _DISPATCH, build_parser, run_command
 
 from support import (
     assert_multiset_close,
@@ -465,7 +469,7 @@ def test_tol_flag_is_accepted(examples):
     assert rep["results"]["R"]["normal_rank"] == 2
 
 
-@pytest.mark.parametrize("argv", [["--tol", "inf"], ["--tol", "nan"], ["--tol=-1e-12"], ["--boundary-offset", "nan"]])
+@pytest.mark.parametrize("argv", [["--tol", "inf"], ["--tol", "nan"], ["--tol=-1e-12"]])
 def test_nonfinite_or_negative_tolerance_is_exit_2(examples, argv):
     ex1, _ = examples
     code, out, err = run_cli(["info", ex1, "--json"] + argv)
@@ -555,3 +559,63 @@ def test_json_report_matches_golden(name, monkeypatch, tmp_path):
     code, out, err = run_cli(argv + ["--json"])
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+# flags that a subcommand once took and its handler never read
+IGNORED_FLAGS = (
+    [("sklf", ["--stabilize"]), ("sklf", ["--inner"])]
+    + [(command, flag) for command in ("info", "klf", "sklf", "eval") for flag in (["--grid", "5"], ["--seed", "0"])]
+    + [("eval", ["--tol", "0"]), ("range", ["--seed", "0"]), ("nrcf", ["--seed", "0"])]
+)
+
+
+@pytest.mark.parametrize("command, flag", IGNORED_FLAGS, ids=[f"{c}{f[0]}" for c, f in IGNORED_FLAGS])
+def test_a_flag_the_handler_ignores_is_exit_2(examples, command, flag, capsys):
+    ex1, _ = examples
+    point = ["--point", "0.5"] if command == "eval" else []
+    with pytest.raises(SystemExit) as done:
+        run_command([command, str(ex1), *point, *flag, "--json"])
+    assert done.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+class ReadRecorder(argparse.Namespace):
+    """Parsed arguments that record the name of every attribute read."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_subcommand_reads_every_flag_it_defines(tmp_path, monkeypatch):
+    # each handler, run on both examples with the default flags and with
+    # each switch set in turn, reads every dest its subparser defines: a
+    # flag it never reads is dead
+    monkeypatch.chdir(REPO)
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(subparsers) == sorted(_DISPATCH)
+    for command, subparser in subparsers.items():
+        switches = [a.option_strings[0] for a in subparser._actions if isinstance(a, argparse._StoreTrueAction)]
+        reads = set()
+        for ex in (EX1, EX2):
+            extra = {"eval": ["--point", "0.5+0.5j"]}.get(command, [])
+            if command == "verify":
+                fr = full_rank_factorize(parse_system_file(ex))
+                extra = [write_system_file(f, str(tmp_path / f"{side}.json")) for side, f in (("L", fr.left), ("R", fr.right))]
+            for switch in [[]] + [[s] for s in switches]:
+                args = parser.parse_args([command, ex, *extra, *switch], namespace=ReadRecorder())
+                args._reads.clear()
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        assert _DISPATCH[command](args) == 0
+                except VerificationError:
+                    assert switch == ["--inner"]  # the full-rank left factor is not inner
+                reads |= args._reads
+        dests = {action.dest for action in subparser._actions if action.dest != "help"}
+        assert dests - reads == set(), command

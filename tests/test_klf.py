@@ -7,7 +7,6 @@ import scipy.linalg
 
 import rmfact.klf
 from rmfact import (
-    BoundaryError,
     FactorizationError,
     InputError,
     RegionPartition,
@@ -33,7 +32,7 @@ from rmfact import (
     zeros,
 )
 from rmfact.klf import _klf_core, _pencil_threshold, on_stability_boundary
-from rmfact.numkernel import DEFAULT_TOL, EIG_ATOL
+from rmfact.numkernel import DEFAULT_TOL, EIG_ATOL, is_infinite
 from rmfact.rangebasis import inner_enforcing_gains, range_basis
 
 from support import assert_multiset_close, random_system, rank_deficient_system, splitting_reductions
@@ -61,10 +60,27 @@ def test_classify_continuous_halfplane():
 
 
 def test_classify_infinite_eigenvalue():
-    assert classify_eigenvalue(1.0, 0.0, region_none(infinite_is_bad=False)) == "good"
-    assert classify_eigenvalue(1.0, 0.0, region_none(infinite_is_bad=True)) == "bad"
-    assert classify_eigenvalue(1.0, 0.0, stability_region("discrete")) == "bad"
-    assert classify_eigenvalue(1.0, 0.0, stability_region("continuous")) == "good"
+    # the kind and ts of a region alone place the point at infinity
+    for region, bad in (
+        (region_none(), False),
+        (stability_region("continuous"), False),
+        (stability_region("discrete"), True),
+        (all_finite_region(), True),
+    ):
+        assert region.infinite_is_bad is bad
+        assert classify_eigenvalue(1.0, 0.0, region) == ("bad" if bad else "good")
+
+
+def test_a_partition_has_one_spelling():
+    # a kind that does not read ts refuses one, so one partition is one
+    # key of the kept splitting forms
+    for kind, region in (("none", region_none()), ("all-finite", all_finite_region())):
+        assert RegionPartition(kind) == region
+        for ts in ("continuous", "discrete"):
+            with pytest.raises(InputError, match=re.escape(f"region kind {kind!r} takes no ts")):
+                RegionPartition(kind, ts)
+    for ts in ("continuous", "discrete"):
+        assert RegionPartition("finite-instability", ts) == stability_region(ts)
 
 
 def test_classify_discrete_circle():
@@ -77,18 +93,10 @@ def test_classify_discrete_circle():
     assert classify_eigenvalue(1.0 + 1e-6, 1.0, reg) == "bad"
 
 
-def test_classify_boundary_offset():
-    tol = ToleranceConfig(boundary_offset=1e-2)
-    reg = stability_region("continuous")
-    assert classify_eigenvalue(5e-3, 1.0, reg, tol) == "boundary"
-    assert classify_eigenvalue(-5e-3, 1.0, reg, tol) == "boundary"
-    assert classify_eigenvalue(-5e-2, 1.0, reg, tol) == "good"
-
-
 @pytest.mark.parametrize("kind", ["custom", "stable", "instability"])
 def test_unknown_region_kind_is_refused(kind):
     with pytest.raises(InputError, match=re.escape(f"unknown region kind {kind!r}")):
-        RegionPartition(kind, False)
+        RegionPartition(kind)
 
 
 @pytest.mark.parametrize("ts", ["continuous", "discrete"])
@@ -104,7 +112,7 @@ def test_stability_boundary_decisions_agree(ts):
         lam = edge + gap * EIG_ATOL
         on_edge = abs(gap) < 1.0
         assert on_stability_boundary(lam, ts) == on_edge
-        assert classify_eigenvalue(lam, 1.0, stability_region(ts), tol) == ("good" if on_edge else "bad")
+        assert classify_eigenvalue(lam, 1.0, stability_region(ts)) == ("good" if on_edge else "bad")
         pole_at_lam = make_dss([[lam]], None, [[1.0]], [[1.0]], [[0.0]], ts)
         # (lambda - lam) / (lambda - stable), every zero kept in the basis
         zero_at_lam = make_dss([[stable]], None, [[1.0]], [[stable - lam]], [[1.0]], ts)
@@ -364,7 +372,7 @@ def test_sklf_records_bad_eigenvalues_as_trailing_zeros():
         for region in (region_none(), stability_region(g.ts), all_finite_region()):
             try:
                 sk = special_klf(g, region)
-            except (StructureError, BoundaryError):
+            except StructureError:
                 continue  # a refused realization has no splitting form
             blocks = make_dss(
                 sk.A_bl, sk.E_bl if sk.n_bl else None, sk.B_bl, sk.C_bl, sk.D_bl, g.ts
@@ -375,19 +383,6 @@ def test_sklf_records_bad_eigenvalues_as_trailing_zeros():
                 assert bad == []
             recorded += len(bad)
     assert recorded > 0
-
-
-def test_sklf_boundary_offset_error():
-    # transfer function (s - 0.1)/(s + 1): zero inside the offset strip
-    g = make_dss(
-        np.array([[-1.0]]), None, np.array([[1.0]]),
-        np.array([[-1.1]]), np.array([[1.0]]), "continuous",
-    )
-    tol = ToleranceConfig(boundary_offset=0.5)
-    with pytest.raises(BoundaryError):
-        special_klf(g, stability_region("continuous"), tol)
-    sk = special_klf(g, stability_region("continuous"))
-    assert sk.r == 1
 
 
 def test_sklf_rejects_nonstabilizable_at_infinity():
@@ -448,12 +443,12 @@ def test_pbh_check_tests_each_conjugate_pair_once(monkeypatch):
 
     monkeypatch.setattr(rmfact.klf, "svd_rank_abs", recording)
     rmfact.klf._check_bad_stabilizable(
-        uncontrollable_unstable_pair(0.5), stability_region("continuous"), DEFAULT_TOL, 1e-12
+        uncontrollable_unstable_pair(0.5), stability_region("continuous"), 1e-12
     )
     assert [M.dtype for M in tested] == [np.complex128]
     del tested[:]
     unstable_real = make_dss(np.diag([2.0, 2.0, 3.0]), None, np.eye(3), np.eye(3), np.zeros((3, 3)), "continuous")
-    rmfact.klf._check_bad_stabilizable(unstable_real, stability_region("continuous"), DEFAULT_TOL, 1e-12)
+    rmfact.klf._check_bad_stabilizable(unstable_real, stability_region("continuous"), 1e-12)
     assert [M.dtype for M in tested] == [np.float64, np.float64]
 
 
@@ -511,9 +506,8 @@ def test_frf_and_iofac_share_one_splitting_reduction(monkeypatch):
 
 
 def test_region_none_splitting_skips_the_eigenvalue_checks(monkeypatch):
-    # no finite eigenvalue is bad or boundary for region_none, so the
-    # QZ of (A, E) is left out; the KLF of the restricted pencil keeps
-    # its own QZ call
+    # no finite eigenvalue is bad for region_none, so the QZ of (A, E)
+    # is left out; the KLF of the restricted pencil keeps its own QZ call
     outside = []
     depth = [0]
     qz, core = rmfact.klf.generalized_eigenvalues, rmfact.klf._klf_core
@@ -548,21 +542,30 @@ def test_sklf_reorders_only_regular_windows(monkeypatch):
     ordered_qz = rmfact.klf._ordered_qz
 
     def recording(A, B, select):
-        windows.append((A.copy(), B.copy()))
-        return ordered_qz(A, B, select)
+        window = (A.copy(), B.copy())
+        out = ordered_qz(A, B, select)
+        good = select(out[2], out[3])
+        infinite = np.array([is_infinite(a, b) for a, b in zip(out[2], out[3])], dtype=bool)
+        windows.append(window + (bool((good & ~infinite).any() and (~good & infinite).any()),))
+        return out
 
     monkeypatch.setattr(rmfact.klf, "_ordered_qz", recording)
     rng = np.random.default_rng(2024)
-    for g in [random_system(rng, n_max=8) for _ in range(100)]:
+    # example one read as a discrete system with A scaled by 1/4: its
+    # window holds the good zero 0.5, the bad zero 2.5 and a bad
+    # infinite zero, a mix the seeded suite does not reach
+    g1 = stable_rank2_continuous()
+    mixed = make_dss(g1.A / 4, g1.E, g1.B, g1.C, g1.D, "discrete")
+    for g in [random_system(rng, n_max=8) for _ in range(100)] + [mixed]:
         for h in (g, transpose(g)):
-            for region in (stability_region(h.ts), all_finite_region(), region_none(True)):
+            for region in (stability_region(h.ts), all_finite_region()):
                 for rank_rtol in (0.0, 1e-3):
                     try:
                         special_klf(h, region, ToleranceConfig(rank_rtol=rank_rtol))
                     except RmfactError:
                         pass
-    assert windows
-    for A, B in windows:
+    assert any(is_mixed for _, _, is_mixed in windows)
+    for A, B, _ in windows:
         res = kronecker_like_form(A, B)
         assert res.right_minimal_indices == () and res.left_minimal_indices == ()
 
