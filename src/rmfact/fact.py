@@ -42,9 +42,16 @@ from .dss import (
     transpose,
 )
 from .exceptions import EvaluationError, FactorizationError, InputError
-from .klf import RegionPartition, on_stability_boundary, region_none
+from .klf import (
+    RegionPartition,
+    _minimal_graph_form,
+    on_stability_boundary,
+    region_none,
+    special_klf,
+    stability_region,
+)
 from .numkernel import DEFAULT_TOL, ToleranceConfig
-from .rangebasis import cofactor, range_basis
+from .rangebasis import _basis_realization, cofactor, inner_enforcing_gains, range_basis
 
 # random points of a product identity, which holds everywhere, and
 # frequency-axis points of the inner and Hermitian identities
@@ -167,7 +174,26 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL):
     In exact arithmetic that basis is minimal as it comes:
     - controllable: [G; I] has no finite zero for its leading block to hide;
     - observable: an unobservable mode would be a bad eigenvalue of [G; I];
-    - no non-dynamic mode: special_klf makes E_bl invertible.
+    - no non-dynamic mode: the splitting form makes E_bl invertible.
+
+    When the minimal realization has E None or of full rank (G proper),
+    the system pencil of [G; I] already is its splitting form, with
+    identity U and Z, n_rg = 0, n_bl = n, r = m and m_n = 0
+    (klf._minimal_graph_form), and no reduction runs. In exact
+    arithmetic:
+    - the leading block is empty: [G; I] has no finite zero, which would
+      need an unobservable mode, and the [0 I] rows give its pencil full
+      column rank, so no right singular part;
+    - the trailing block is valid: E_bl = E is invertible, the input
+      columns carry no lambda part, and with no infinite constant block
+      m_n = 0;
+    - the factors are those of special_klf's form, whose U and Z differ
+      from the identity only by an orthogonal state change, under which
+      the inner gains are covariant.
+    E's rank and the stabilizability check are still decided at the
+    threshold special_klf would use. A singular E (G improper) keeps
+    special_klf: only it isolates the constant block.
+
     Poles of G on the region boundary are rejected: the factors would
     have to absorb a marginal mode and the normalization degrades."""
     red = irreducible_realization(sys, DEFAULT_TOL)
@@ -176,7 +202,9 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL):
             raise FactorizationError(
                 f"coprime factorization rejected: pole on the stability boundary (at {lam:.6g})"
             )
-    R = range_basis(stack_vertical(red, identity_system(sys.m, sys.ts)), None, "inner", tol).R
+    graph = stack_vertical(red, identity_system(sys.m, sys.ts))
+    sk = _minimal_graph_form(graph, tol) or special_klf(graph, stability_region(sys.ts), tol)
+    R = _basis_realization(sk, *inner_enforcing_gains(sk, tol))
     p = sys.p
     N = _system(R.A, R.E, R.B, R.C[:p, :], R.D[:p, :], sys.ts)
     M = _system(R.A, R.E, R.B, R.C[p:, :], R.D[p:, :], sys.ts)

@@ -24,9 +24,10 @@ KernelError, both a StructureError and a LinAlgError; the Riccati
 solver raises LinAlgError when no stabilizing solution is found and
 ValueError for a singular continuous-time R. Apart from
 `generalized_eigenvalues`, each kernel makes the LAPACK calls of its
-scipy.linalg counterpart and so, on valid data, returns its results
-bit for bit; the tests use scipy as that oracle, not as the contract
-for argument checks, warnings or messages.
+scipy.linalg counterpart (`stabilizing_riccati` leaves out the left
+Schur vectors it does not read) and so, on valid data, returns its
+results bit for bit; the tests use scipy as that oracle, not as the
+contract for argument checks, warnings or messages.
 
 The routines are the function objects of scipy's compiled wrapper
 module `scipy.linalg._flapack` (and `_flapack_64` in an ILP64 build),
@@ -125,7 +126,10 @@ class ToleranceConfig:
     fact.nrcf (the one structure() keeps), and of the transposed cofactor
     and the final product in fact.pseudo_inverse, whose cancellations are
     exact. A coarse threshold would only cut states G needs; at a coarse
-    tolerance G# may be non-minimal, never wrong.
+    tolerance G# may be non-minimal, never wrong. So in fact.nrcf tol
+    decides only the rank of that realization's E, the stabilizability
+    check of [G; I] and the controllable part the inner gains solve on,
+    and for a singular E (an improper G) the whole splitting form.
 
     Fixed rules: is_infinite decides infinite eigenvalues, EIG_ATOL the
     width of the stability boundary (klf.on_stability_boundary),
@@ -252,9 +256,10 @@ _WORKSPACE = {}
 
 
 def _workspace(f, *args, **kwargs):
-    """Optimal lwork of f(*args, **kwargs), queried once per routine and
-    argument shapes, on which alone LAPACK's answer depends."""
-    key = (f, *(np.shape(a) for a in args))
+    """Optimal lwork of f(*args, **kwargs), queried once per routine,
+    argument shapes and keyword options (gges asks for less without
+    left Schur vectors), on which alone LAPACK's answer depends."""
+    key = (f, *(np.shape(a) for a in args), *sorted(kwargs.items()))
     if key not in _WORKSPACE:
         _WORKSPACE[key] = f(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
     return _WORKSPACE[key]
@@ -269,12 +274,15 @@ def _lapack_call(f, name, *args, **kwargs):
     return out[:-2]
 
 
-def _ordered_qz(A, B, select):
+def _ordered_qz(A, B, select, left=True):
     """Real generalized Schur form (S, T, alpha, beta, Q, Z) of the square
     pencil A - lambda*B by gges, Q.T A Z = S and Q.T B Z = T, reordered by
     tgsen so that the eigenvalues for which the boolean array
     select(alpha, beta) is true lead: the calls of scipy's ordered QZ with
-    sort=select. A failed QZ iteration or reordering raises KernelError.
+    sort=select. With left False, Q is neither accumulated nor returned
+    (None): gges and tgsen update S, T and Z as they would with it, so
+    those stay bit for bit the same. A failed QZ iteration or reordering
+    raises KernelError.
 
     Regularity is not checked. special_klf passes the regular window of
     _klf_core: its finite block is square (_klf_core refuses one that is
@@ -283,24 +291,27 @@ def _ordered_qz(A, B, select):
     infinite block is square (checked) with every peel stage square, so
     its lambda-free part is nonsingular. _stabilizing_gains passes
     (A_c, I); stabilizing_riccati, as scipy's solvers do, checks the
-    solution instead."""
+    solution instead, and reads only Z."""
     gges, tgsen = _lapack(("gges", "tgsen"), A.dtype)
     n = A.shape[0]
     # sort_t=0: gges never calls the selector
-    lwork = _workspace(gges, lambda *_: None, A, B)
-    S, T, _, alphar, alphai, beta, Q, Z, _, info = gges(lambda *_: None, A, B, lwork=lwork, sort_t=0)
+    lwork = _workspace(gges, lambda *_: None, A, B, jobvsl=int(left))
+    S, T, _, alphar, alphai, beta, Q, Z, _, info = gges(
+        lambda *_: None, A, B, jobvsl=int(left), lwork=lwork, sort_t=0
+    )
     if info != 0:
         raise KernelError(f"QZ iteration failed: gges info {info}")
     keep = select(alphar + alphai * 1j, beta)
+    # tgsen wants an n x n q even when it leaves it unread (wantq=0)
     S, T, alphar, alphai, beta, Q, Z, _, _, _, _, info = tgsen(
-        keep, S, T, Q, Z, ijob=0, lwork=4 * n + 16, liwork=1
+        keep, S, T, Q if left else Z, Z, ijob=0, wantq=int(left), lwork=4 * n + 16, liwork=1
     )
     if info != 0:
         raise KernelError(
             "Reordering of (A, B) failed because the transformed matrix pair (A, B) would be too "
             "far from generalized Schur form; the problem is very ill-conditioned."
         )
-    return S, T, alphar + alphai * 1j, beta, Q, Z
+    return S, T, alphar + alphai * 1j, beta, Q if left else None, Z
 
 
 def _left_half_plane(alpha, beta):
@@ -330,8 +341,9 @@ def stabilizing_riccati(A, B, Q, R, S, ts: str):
     None, s=S, balanced) on the extended pencil H - lambda J: gebal on
     |H| + |J| for the symplectic balancing, geqrf and orgqr to deflate
     the columns of R, gges and tgsen to lead with the stable
-    eigenvalues, and getrf and trtrs to solve for X from the stable
-    deflating subspace. In continuous time a numerically singular R
+    eigenvalues (without the left Schur vectors scipy also forms: X
+    reads only Z, and S, T and Z come out the same), and getrf and
+    trtrs to solve for X from the stable deflating subspace. In continuous time a numerically singular R
     raises ValueError. A pencil whose stable subspace cannot be
     isolated, such as one with an eigenvalue on the stability boundary,
     raises LinAlgError.
@@ -395,7 +407,7 @@ def stabilizing_riccati(A, B, Q, R, S, ts: str):
         J = U[:, n:].T.dot(J[:, :2 * m])
 
     stable = _left_half_plane if continuous else _inside_unit_circle
-    u = _ordered_qz(H, J, stable)[5]
+    u = _ordered_qz(H, J, stable, left=False)[5]
     u00 = u[:m, :m]
     u10 = u[m:, :m]
     lu, piv, _ = getrf(u00)

@@ -73,18 +73,23 @@ def range_basis(
     if gains not in ("none", "stable", "inner"):
         raise InputError(f"gains must be one of 'none', 'stable', 'inner', got {gains!r}")
     sk = special_klf(sys, region or stability_region(sys.ts), tol)
-    A_bl, E_bl, B_bl, C_bl, D_bl = (np.array(M) for M in (sk.A_bl, sk.E_bl, sk.B_bl, sk.C_bl, sk.D_bl))
-    r, n_bl = sk.r, sk.n_bl
     if gains == "inner":
         F, W = inner_enforcing_gains(sk, tol)
     elif gains == "stable":
-        F = _stabilizing_gains(A_bl, E_bl, B_bl, sys.ts, tol)
-        W = np.eye(r)
+        F = _stabilizing_gains(*(np.array(M) for M in (sk.A_bl, sk.E_bl, sk.B_bl)), sys.ts, tol)
+        W = np.eye(sk.r)
     else:
-        F = np.zeros((r, n_bl))
-        W = np.eye(r)
-    R = _system(A_bl + B_bl @ F, E_bl if n_bl else None, B_bl @ W, C_bl + D_bl @ F, D_bl @ W, sys.ts)
-    return RangeResult(R=R, F=F, W=W, sklf=sk)
+        F = np.zeros((sk.r, sk.n_bl))
+        W = np.eye(sk.r)
+    return RangeResult(R=_basis_realization(sk, F, W), F=F, W=W, sklf=sk)
+
+
+def _basis_realization(sk: SpecialKlf, F, W) -> DescriptorSystem:
+    """The range basis of the splitting form sk under the feedback F and
+    the weighting W: (A_bl + B_bl F - lambda E_bl, B_bl W, C_bl + D_bl F,
+    D_bl W), with E None when the trailing block is empty."""
+    A_bl, E_bl, B_bl, C_bl, D_bl = (np.array(M) for M in (sk.A_bl, sk.E_bl, sk.B_bl, sk.C_bl, sk.D_bl))
+    return _system(A_bl + B_bl @ F, E_bl if sk.n_bl else None, B_bl @ W, C_bl + D_bl @ F, D_bl @ W, sk.ts)
 
 
 def cofactor(sys: DescriptorSystem, rr: RangeResult) -> DescriptorSystem:

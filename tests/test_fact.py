@@ -223,6 +223,36 @@ def test_nrcf_reduces_only_g_once(monkeypatch, rank_rtol):
     assert len(reduced) == 1
 
 
+def test_nrcf_reduces_only_an_improper_graph(monkeypatch):
+    # the graph [G; I] on a minimal realization of G whose E is None or
+    # of full rank is its own splitting form; only a singular E (ex2, an
+    # improper G) is reduced
+    rng = np.random.default_rng(2024)
+    suite = [random_system(rng, n_max=8) for _ in range(3)]
+    assert irreducible_realization(suite[2]).E is None
+    assert irreducible_realization(suite[1]).E is not None
+    reduced = splitting_reductions(monkeypatch)
+    for g, reductions in [
+        (stable_rank2_continuous(), 0),
+        (suite[2], 0),
+        (suite[1], 0),
+        (polynomial_rank2_discrete(), 1),
+    ]:
+        before = len(reduced)
+        N, M = nrcf(g)
+        assert len(reduced) - before == reductions
+        assert gram_residual([N, M], 16) <= 1e-8
+
+
+def test_nrcf_keeps_the_stabilizability_check_of_a_proper_graph():
+    # at this tolerance the PBH check ranks [A - lambda E, B] deficient at
+    # an unstable eigenvalue of G's minimal realization; without the
+    # check nrcf would return an unstable N
+    g = dict(coarse_suites()[1])["large 6"]
+    with pytest.raises(StructureError, match="not stabilizable"):
+        nrcf(g, ToleranceConfig(rank_rtol=1e-2))
+
+
 # -- Moore-Penrose pseudo-inverse -------------------------------------------------
 
 
