@@ -8,10 +8,9 @@ The range basis machinery turns directly into matrix factorizations:
   dual_full_rank_factorize  G = X R, transposed construction
   nrcf                      G = N M^{-1} with [N; M] inner
 
-Each result can certify itself: reading .certificates computes, on
-first access, residual statistics over a random evaluation grid and
-the pole/zero lists of both factors (rmfact.certify does the same for
-any G = L R).
+Each returns the pair (left, right), which unpacks like a tuple.
+rmfact.product_residuals checks any G = L R on random points, and
+rmfact.structure gives the poles and zeros of either factor.
 """
 
 import numpy as np
@@ -24,14 +23,14 @@ fr = rm.full_rank_factorize(g)
 print("full-rank factorization")
 print("left factor :", f"{fr.left.p}x{fr.left.m}", "degree", rm.mcmillan_degree(fr.left))
 print("right factor:", f"{fr.right.p}x{fr.right.m}", "degree", rm.mcmillan_degree(fr.right))
-print("max relative residual:", f"{fr.certificates['max_relative_residual']:.2e}")
+print("max relative residual:", f"{max(rm.product_residuals(g, fr.left, fr.right)):.2e}")
 
 du = rm.dual_full_rank_factorize(g)
 print()
 print("dual factorization G = X R")
 print("left factor :", f"{du.left.p}x{du.left.m}")
 print("right factor:", f"{du.right.p}x{du.right.m}")
-print("max relative residual:", f"{du.certificates['max_relative_residual']:.2e}")
+print("max relative residual:", f"{max(rm.product_residuals(g, du.left, du.right)):.2e}")
 
 # a scalar normalized right coprime factorization, worked out for
 # G(s) = 1/(s-1): both factors are stable, M carries the unstable

@@ -4,11 +4,10 @@ Every p x m rational matrix G of normal rank r factors as G = R X
 with R a p x r range basis and X an r x m full-row-rank cofactor.
 Specializing the basis yields dual factorizations, normalized right
 coprime factorizations, inner-quasi-outer factorizations, and the
-Moore-Penrose pseudo-inverse.
-
-A factorization is certified on demand: certify checks G = L R on
-random points and reports the structure of both factors, and
-FactorizationResult.certificates calls it the first time it is read.
+Moore-Penrose pseudo-inverse. frf is range_basis and cofactor;
+dual-frf, iofac and the two inner compressions of pinv call frf, and
+nrcf takes the inner basis of [G; I]. frf, dual-frf, nrcf and iofac
+return one FactorizationResult, the pair (left, right).
 
 Every residual of a factorization identity is computed here and
 nowhere else in the package: product_residuals for G = L R,
@@ -19,8 +18,7 @@ conditions. The command-line reports and the demos call them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +35,6 @@ from .dss import (
     poles,
     series,
     stack_vertical,
-    structure,
     system_pencil,
     transpose,
 )
@@ -105,39 +102,11 @@ def penrose_residuals(sys, gp, count=RESIDUAL_GRID, rng=None, grid=FREQ_GRID) ->
     return {"G_Gp_G": w1, "Gp_G_Gp": w2, "hermitian_G_Gp": w3, "hermitian_Gp_G": w4}
 
 
-def certify(sys, left, right, tol=DEFAULT_TOL, rng=None, count=RESIDUAL_GRID) -> dict:
-    """Certificates of G = left @ right: the factored rank, residual
-    statistics over count random points (product_residuals), and the
-    Structure records of both factors under left_structure and
-    right_structure. Each fact appears once: the factor poles and
-    zeros are in the records, the orders are left.n and right.n."""
-    residuals = product_residuals(sys, left, right, count, rng)
-    return {
-        "rank": left.m,
-        "grid_points": count,
-        "max_relative_residual": float(max(residuals)) if residuals else 0.0,
-        "mean_relative_residual": float(np.mean(residuals)) if residuals else 0.0,
-        "left_structure": structure(left, tol),
-        "right_structure": structure(right, tol),
-    }
-
-
-@dataclass(frozen=True)
-class FactorizationResult:
-    """A two-factor decomposition left @ right of the rational matrix
-    system. Its certificates (see certify: the factored rank, residual
-    statistics over a random evaluation grid, and the Structure records
-    of both factors) are computed the first time they are read."""
+class FactorizationResult(NamedTuple):
+    """The two factors of G = left @ right."""
 
     left: DescriptorSystem
     right: DescriptorSystem
-    kind: str
-    system: DescriptorSystem = field(repr=False)
-    tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False)
-
-    @cached_property
-    def certificates(self) -> dict:
-        return certify(self.system, self.left, self.right, self.tol)
 
 
 def full_rank_factorize(
@@ -149,8 +118,7 @@ def full_rank_factorize(
     """G = R X with R a column basis of the range of G and X its
     cofactor sharing the dynamics of G."""
     rr = range_basis(sys, region, gains, tol)
-    X = cofactor(sys, rr)
-    return FactorizationResult(left=rr.R, right=X, kind="full-rank", system=sys, tol=tol)
+    return FactorizationResult(rr.R, cofactor(sys, rr))
 
 
 def dual_full_rank_factorize(
@@ -161,13 +129,11 @@ def dual_full_rank_factorize(
 ) -> FactorizationResult:
     """G = X~ R~ with R~ a row basis of the left range space, obtained
     by factoring the transposed matrix."""
-    primal = full_rank_factorize(transpose(sys), region, gains, tol)
-    return FactorizationResult(
-        left=transpose(primal.right), right=transpose(primal.left), kind="dual", system=sys, tol=tol
-    )
+    R, X = full_rank_factorize(transpose(sys), region, gains, tol)
+    return FactorizationResult(transpose(X), transpose(R))
 
 
-def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL):
+def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> FactorizationResult:
     """Normalized right coprime factorization G = N M^{-1}: [N; M] is
     the inner range basis of [G; I] on the minimal realization sys keeps
     at DEFAULT_TOL, stable in the canonical region of the system type.
@@ -208,7 +174,7 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL):
     p = sys.p
     N = _system(R.A, R.E, R.B, R.C[:p, :], R.D[:p, :], sys.ts)
     M = _system(R.A, R.E, R.B, R.C[p:, :], R.D[p:, :], sys.ts)
-    return N, M
+    return FactorizationResult(N, M)
 
 
 def _inverse_realization(sys: DescriptorSystem) -> DescriptorSystem:
@@ -239,30 +205,29 @@ def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) ->
     m, p, ts = sys.m, sys.p, sys.ts
     if r == 0:
         return _system(np.zeros((0, 0)), None, np.zeros((0, p)), np.zeros((m, 0)), np.zeros((m, p)), ts)
-    G2 = G1 = sys
+    G1 = sys
     if r < p:
-        rr1 = range_basis(sys, region_none(), "inner", tol)
-        G2 = G1 = cofactor(sys, rr1)
+        U, G1 = full_rank_factorize(sys, region_none(), "inner", tol)
+    G2 = G1
     if r < m:
         # the cofactor realization inherits the input's order and can be
         # reducible in ways that block the second compression (for example
         # rank [E B] < n); a minimal realization never is
         G1t = irreducible_realization(transpose(G1), DEFAULT_TOL)
-        rr2 = range_basis(G1t, region_none(), "inner", tol)
-        G2 = transpose(cofactor(G1t, rr2))
+        V, G2t = full_rank_factorize(G1t, region_none(), "inner", tol)
+        G2 = transpose(G2t)
     composed = _inverse_realization(G2)
     if r < m:
-        composed = series(conjugate(transpose(rr2.R)), composed)
+        composed = series(conjugate(transpose(V)), composed)
     if r < p:
-        composed = series(composed, conjugate(rr1.R))
+        composed = series(composed, conjugate(U))
     return irreducible_realization(composed, DEFAULT_TOL)
 
 
-def inner_outer(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL):
+def inner_outer(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> FactorizationResult:
     """Factorization G = Gi Go with Gi inner (Gi~ Gi = I, stable) and
     Go a quasi-outer cofactor of full row rank whose zeros avoid the
     open instability region. Zeros of G on the region boundary make
     the inner basis unattainable.
     """
-    rr = range_basis(sys, None, "inner", tol)
-    return rr.R, cofactor(sys, rr)
+    return full_rank_factorize(sys, None, "inner", tol)

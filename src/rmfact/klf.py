@@ -399,24 +399,19 @@ class SpecialKlf:
 
 
 def _check_bad_stabilizable(sys, region, thresh):
-    """Refuse a realization that special_klf cannot split for region:
-    [E B] of row rank below n (not stabilizable at infinity), or a bad
-    finite eigenvalue of A - lambda*E at which [A - lambda*E, B] loses
-    rank. The identity E (E None) is never rank-decided. The second
-    needs the QZ eigenvalues of (A, E), which a REGION_NONE partition
-    skips: there no finite eigenvalue classifies as bad.
+    """Refuse a realization that is not stabilizable at a bad finite
+    eigenvalue of A - lambda*E: one at which [A - lambda*E, B] loses
+    rank (the PBH test). It needs the QZ eigenvalues of (A, E), which a
+    REGION_NONE partition skips: there no finite eigenvalue classifies
+    as bad.
 
     [A - conj(lambda) E, B] is the conjugate of [A - lambda E, B] and
     has the same rank, so a conjugate pair (or a repeated value) is
     tested once, at the first of its values gges lists, the one with
     positive imaginary part; at a real lambda the matrix is real."""
-    Emat = sys.e_matrix
-    if sys.E is not None and svd_rank_abs(np.hstack([Emat, sys.B]), thresh) < sys.n:
-        raise StructureError(
-            "realization is not stabilizable at infinity: [E B] is row rank deficient"
-        )
     if region.kind == REGION_NONE:
         return
+    Emat = sys.e_matrix
     tested = set()
     for a, b in generalized_eigenvalues(sys.A, Emat):
         if is_infinite(a, b) or classify_eigenvalue(a, b, region) == "good":
@@ -461,6 +456,9 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
     Ms, Ns = system_pencil(sys)
     thresh = _pencil_threshold(Ms, Ns, tol)
     bound = max(1e4 * thresh, 1e-10 * max(np.linalg.norm(Ms), np.linalg.norm(Ns), 1.0))
+    # stabilizable at infinity; the identity E (E None) is never rank-decided
+    if sys.E is not None and svd_rank_abs(np.hstack([sys.E, sys.B]), thresh) < n:
+        raise StructureError("realization is not stabilizable at infinity: [E B] is row rank deficient")
     _check_bad_stabilizable(sys, region, thresh)
 
     discarded = {}
@@ -603,8 +601,9 @@ def _minimal_graph_form(graph, tol: ToleranceConfig) -> SpecialKlf | None:
     None or of full rank: identity U and Z, n_rg = 0, n_bl = n, r = m,
     m_n = 0 and no bad eigenvalue (fact.nrcf gives the argument). E's
     rank is decided, and _check_bad_stabilizable run, at the threshold
-    special_klf would use. A rank-deficient E returns None: G may then
-    be improper, and only special_klf isolates its constant block."""
+    special_klf would use; E of full rank there makes [E B] so too.
+    A rank-deficient E returns None: G may then be improper, and only
+    special_klf isolates its constant block."""
     M, N = system_pencil(graph)
     thresh = _pencil_threshold(M, N, tol)
     n, m = graph.n, graph.m

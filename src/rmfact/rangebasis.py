@@ -27,6 +27,7 @@ from .klf import (
     on_stability_boundary,
     region_selector,
     special_klf,
+    stability_gap,
     stability_region,
 )
 from .numkernel import (
@@ -188,7 +189,19 @@ def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig = DEFAULT_TOL
             W = _inv_sqrt_sym(H)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise FactorizationError(f"inner gain computation failed: {exc}") from None
+    _check_closed_loop(A_c, B_c, F_c, ts)
     return F_c @ Z_c.T, W
+
+
+def _check_closed_loop(A_c, B_c, F_c, ts):
+    """Refuse a feedback F_c that leaves a pole of the explicit closed
+    loop A_c + B_c F_c in the instability region of ts: a Riccati
+    solution computed from ill-conditioned data can miss its target."""
+    closed = np.linalg.eigvals(A_c + B_c @ F_c)
+    # only a pole with a positive stability gap can classify bad
+    for z in closed[stability_gap(closed, ts) > 0]:
+        if classify_eigenvalue(z, 1.0, stability_region(ts)) == "bad":
+            raise FactorizationError(f"feedback left the closed-loop pole {z} in the instability region")
 
 
 def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
@@ -205,8 +218,7 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
     k = Z_c.shape[1]
     if k == 0:
         return np.zeros((r, n_bl))
-    stab = stability_region(ts)
-    sel = region_selector(stab)
+    sel = region_selector(stability_region(ts))
     S, T, alpha, beta, Q, _ = _ordered_qz(A_c, np.eye(k), sel)
     kg = int(sel(alpha, beta).sum())
     kb = k - kg
@@ -223,10 +235,5 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise FactorizationError(f"pole relocation failed: {exc}") from None
     F_c = np.hstack([np.zeros((r, kg)), F2]) @ Q.T
-    closed = np.linalg.eigvals(A_c + B_c @ F_c)
-    for z in closed:
-        if classify_eigenvalue(z, 1.0, stab) == "bad":
-            raise FactorizationError(
-                f"stabilizing feedback left the pole {z} outside the target region"
-            )
+    _check_closed_loop(A_c, B_c, F_c, ts)
     return F_c @ Z_c.T

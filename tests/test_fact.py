@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rmfact.dss
+import rmfact.klf
 from rmfact import (
     FactorizationError,
     FactorizationResult,
@@ -10,6 +11,7 @@ from rmfact import (
     Structure,
     StructureError,
     ToleranceConfig,
+    classify_eigenvalue,
     conjugate,
     dual_full_rank_factorize,
     evaluate,
@@ -30,6 +32,7 @@ from rmfact import (
     random_nonpole_points,
     range_basis,
     region_none,
+    stability_region,
     stable_rank2_continuous,
     structure,
     write_system_file,
@@ -37,6 +40,7 @@ from rmfact import (
 )
 from rmfact.dss import identity_system
 from rmfact.fact import RESIDUAL_GRID
+from rmfact.io import eigenvalues_to_json
 
 from support import (
     assert_multiset_close,
@@ -47,7 +51,9 @@ from support import (
     random_system,
     rank_deficient_system,
     run_cli,
+    run_cli_json,
     splitting_reductions,
+    write_examples,
     zero_pole_balance,
 )
 
@@ -84,8 +90,7 @@ def test_gram_residual_matches_the_inner_defect_oracle():
 def test_frf_constant_rank_one():
     G = np.array([[3.0, 4.0], [6.0, 8.0]])
     fr = full_rank_factorize(const_sys(G))
-    assert fr.kind == "full-rank"
-    assert fr.certificates["rank"] == 1
+    assert structure(fr.left).normal_rank == 1
     assert fr.left.m == 1 and fr.right.p == 1
     assert np.linalg.norm(evaluate(fr.left, 0.3) @ evaluate(fr.right, 0.3) - G) < 1e-12
     # the factored column space agrees with the dominant singular vector
@@ -97,7 +102,7 @@ def test_frf_constant_rank_one():
 
 def test_frf_zero_matrix():
     fr = full_rank_factorize(const_sys(np.zeros((2, 3))))
-    assert fr.certificates["rank"] == 0
+    assert structure(fr.left).normal_rank == 0
     assert fr.left.m == 0 and fr.right.p == 0
     assert np.allclose(evaluate(fr.left, 1.0) @ evaluate(fr.right, 1.0), np.zeros((2, 3)))
 
@@ -105,10 +110,10 @@ def test_frf_zero_matrix():
 def test_frf_example_one():
     g = stable_rank2_continuous()
     fr = full_rank_factorize(g)
-    assert fr.certificates["rank"] == 2
+    assert structure(fr.left).normal_rank == 2
     assert mcmillan_degree(fr.left) == 3
     assert_multiset_close(zeros(fr.left).finite, [1, 2])
-    assert fr.certificates["max_relative_residual"] <= 1e-8
+    assert max(product_residuals(g, fr.left, fr.right)) <= 1e-8
     pts = random_nonpole_points([g, fr.left, fr.right], 12, np.random.default_rng(5))
     assert product_residual(g, fr.left, fr.right, pts) <= 1e-9
 
@@ -116,11 +121,10 @@ def test_frf_example_one():
 def test_dual_factorization():
     g = stable_rank2_continuous()
     fr = dual_full_rank_factorize(g)
-    assert fr.kind == "dual"
     # the right factor is a two-row basis of the row space
     assert fr.right.p == 2
     assert normal_rank(fr.right) == 2
-    assert fr.certificates["max_relative_residual"] <= 1e-8
+    assert max(product_residuals(g, fr.left, fr.right)) <= 1e-8
     # dual of the transpose matches the primal of the original
     ft = full_rank_factorize(g)
     assert_multiset_close(
@@ -251,6 +255,46 @@ def test_nrcf_keeps_the_stabilizability_check_of_a_proper_graph():
     g = dict(coarse_suites()[1])["large 6"]
     with pytest.raises(StructureError, match="not stabilizable"):
         nrcf(g, ToleranceConfig(rank_rtol=1e-2))
+
+
+def test_nrcf_ranks_no_e_b_of_a_proper_graph(monkeypatch):
+    # E ranked full at the pencil threshold makes [E B] so too
+    # (sigma_i([E B]) >= sigma_i(E)): only special_klf, which must
+    # isolate a singular E, tests stabilizability at infinity
+    rng = np.random.default_rng(2024)
+    g = [random_system(rng, n_max=8) for _ in range(2)][1]
+    red = irreducible_realization(g)
+    assert red.E is not None
+    ranked = []
+    rank = rmfact.klf.svd_rank_abs
+
+    def recording(M, thresh):
+        ranked.append(np.array(M))
+        return rank(M, thresh)
+
+    monkeypatch.setattr(rmfact.klf, "svd_rank_abs", recording)
+    nrcf(g)
+    EB = np.hstack([red.E, red.B])
+    assert any(M.shape == red.E.shape and np.array_equal(M, red.E) for M in ranked)
+    assert not any(M.shape == EB.shape and np.array_equal(M, EB) for M in ranked)
+
+
+def test_nrcf_never_returns_an_unstable_n():
+    # with B and D scaled by 1e-8 the Riccati solve of the inner gains
+    # is ill-conditioned and can miss its target; the closed-loop check
+    # refuses a feedback that leaves N a pole in the instability region
+    rng = np.random.default_rng(2024)
+    accepted = 0
+    for g in [random_system(rng, n_max=8) for _ in range(100)]:
+        h = make_dss(g.A, g.E, 1e-8 * g.B, g.C, 1e-8 * g.D, g.ts)
+        try:
+            N, _ = nrcf(h)
+        except RmfactError:
+            continue
+        accepted += 1
+        bad = stability_region(h.ts)
+        assert [lam for lam in poles(N).finite if classify_eigenvalue(lam, 1.0, bad) == "bad"] == []
+    assert accepted
 
 
 # -- Moore-Penrose pseudo-inverse -------------------------------------------------
@@ -392,50 +436,36 @@ def test_inner_outer_zero_pole_balance():
     zero_pole_balance(g2, *inner_outer(g2))
 
 
-def test_certificates_fields():
-    fr = full_rank_factorize(stable_rank2_continuous())
-    cert = fr.certificates
-    # each fact once: the factor orders are left.n and right.n, the
-    # poles and zeros live in the Structure records
-    assert set(cert) == {
-        "rank",
-        "grid_points",
-        "max_relative_residual",
-        "mean_relative_residual",
-        "left_structure",
-        "right_structure",
-    }
-    assert len(cert["left_structure"].zeros.finite) == 2
-
-
-def test_certificates_are_computed_on_first_read(monkeypatch):
+def test_two_factor_operations_return_one_pair_type():
     g = stable_rank2_continuous()
-    calls = []
-    reduce = rmfact.dss.irreducible_realization
-
-    def counting(sys, tol=None):
-        calls.append(sys.n)
-        return reduce(sys, tol)
-
-    monkeypatch.setattr(rmfact.dss, "irreducible_realization", counting)
-    for factorize in (full_rank_factorize, dual_full_rank_factorize):
-        calls.clear()
-        fr = factorize(g)
-        assert calls == []
-        cert = fr.certificates
-        assert len(calls) == 2
-        assert fr.certificates is cert and len(calls) == 2
-        # the residual over the default grid and the factor structures, computed independently
-        pts = random_nonpole_points([g, fr.left, fr.right], RESIDUAL_GRID, np.random.default_rng(0))
-        assert cert["max_relative_residual"] == product_residual(g, fr.left, fr.right, pts)
-        assert cert["rank"] == fr.left.m
-        assert cert["grid_points"] == RESIDUAL_GRID
-        for side, sys in (("left", fr.left), ("right", fr.right)):
-            assert cert[f"{side}_structure"].poles == poles(sys)
-            assert cert[f"{side}_structure"].zeros == zeros(sys)
+    for result in (full_rank_factorize(g), dual_full_rank_factorize(g), nrcf(g), inner_outer(g)):
+        assert type(result) is FactorizationResult
+        assert result._fields == ("left", "right")
+        left, right = result
+        assert left is result.left and right is result.right
 
 
-def test_certify_redraws_points_that_do_not_evaluate():
+def test_frf_report_reads_the_residual_routine_and_the_structure_query(tmp_path):
+    # the CLI report of G = L R, computed independently: the worst
+    # product residual over the default grid drawn with --seed, and the
+    # structure of each factor
+    ex1, _ = write_examples(tmp_path)
+    report = run_cli_json(["frf", ex1, "--seed", "0"])["results"]
+    g = stable_rank2_continuous()
+    L, R = full_rank_factorize(g)
+    residuals = product_residuals(g, L, R, RESIDUAL_GRID, np.random.default_rng(0))
+    assert report["max_relative_residual"] == max(residuals)
+    assert report["grid_points"] == RESIDUAL_GRID
+    for key, sys in (("R", L), ("X", R)):
+        st = structure(sys)
+        block = report[key]
+        assert (block["rows"], block["cols"], block["order"]) == (sys.p, sys.m, sys.n)
+        assert (block["normal_rank"], block["mcmillan_degree"]) == (st.normal_rank, st.mcmillan_degree)
+        assert block["poles"] == eigenvalues_to_json(st.poles)
+        assert block["zeros"] == eigenvalues_to_json(st.zeros)
+
+
+def test_product_residuals_redraw_points_that_do_not_evaluate():
     # a badly scaled state similarity of a discrete improper system:
     # evaluate rejects some sampled points that clear the sampler margin
     rng = np.random.default_rng(7)
@@ -445,7 +475,7 @@ def test_certify_redraws_points_that_do_not_evaluate():
     T, Ti = np.diag(d), np.diag(1.0 / d)
     h = make_dss(Ti @ g.A @ T, Ti @ g.e_matrix @ T, Ti @ g.B, g.C @ T, g.D, g.ts)
     fr = full_rank_factorize(h)
-    assert fr.certificates["max_relative_residual"] <= 1e-7
+    assert max(product_residuals(h, fr.left, fr.right)) <= 1e-7
 
 
 def padded_example(g):
@@ -478,8 +508,6 @@ def nan_in_l(controllable_bases):
 
 
 def realizations(result):
-    if isinstance(result, FactorizationResult):
-        return [result.left, result.right]
     if isinstance(result, tuple):
         return list(result)
     if isinstance(result, Structure):
@@ -544,7 +572,7 @@ def test_rank_decisions_agree(d):
             normal_rank(g),
             structure(g).normal_rank,
             range_basis(g, region_none()).sklf.r,
-            full_rank_factorize(g, region_none()).certificates["rank"],
+            full_rank_factorize(g, region_none()).left.m,
         }
         assert len(ranks) == 1, (d, ranks)
 
