@@ -387,7 +387,15 @@ def _controllable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
 
 
 def _observable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorSystem:
-    return transpose(_controllable_part(transpose(sys), tol))
+    dual = transpose(sys)
+    part = _controllable_part(dual, tol)
+    return sys if part is dual else transpose(part)
+
+
+def _controllable_observable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorSystem:
+    """The observable part of the controllable part of sys, sys itself
+    when neither cuts a state. Its non-dynamic modes are left in."""
+    return _observable_part(_controllable_part(sys, tol), tol)
 
 
 def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorSystem:
@@ -443,7 +451,7 @@ def irreducible_realization(sys: DescriptorSystem, tol: ToleranceConfig = DEFAUL
     and so does a call on that object, which keeps itself."""
     key = ("irreducible", tol)
     if key not in sys._kept:
-        red = _remove_nondynamic(_observable_part(_controllable_part(sys, tol), tol), tol)
+        red = _remove_nondynamic(_controllable_observable_part(sys, tol), tol)
         red._kept.setdefault(key, red)
         sys._kept[key] = red
     return sys._kept[key]

@@ -24,6 +24,8 @@ import numpy as np
 
 from .dss import (
     DescriptorSystem,
+    _controllable_observable_part,
+    _remove_nondynamic,
     _system,
     conjugate,
     evaluate,
@@ -197,31 +199,44 @@ def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) ->
     realization. A square zero-free inner factor has no poles, so it is
     a constant orthogonal matrix: the first compression runs only when
     r < p (else U = I, G1 = G), the second only when r < m (else V = I,
-    G2 = G1). The realizations composed here are reduced at the noise
-    floor (see ToleranceConfig), so a coarse tol may leave G#
-    non-minimal, never wrong.
+    G2 = G1).
+
+    G# is composed from the controllable and observable part of sys,
+    taken at DEFAULT_TOL, with its non-dynamic modes left in:
+    eliminating them can inflate the pencil, whose scale sets the rank
+    threshold of the compressions. Only non-dynamic modes then remain
+    in the composition, and their elimination alone returns it
+    irreducible. The argument, in exact arithmetic:
+    - the inverse system pencil of a realization controllable and
+      observable at every finite lambda is again so: the -I blocks of
+      its B and C add m to the ranks of [A - lambda E, B] and
+      [A - lambda E; C], which are n;
+    - G1 shares (A, E, B) with that part and G2 shares (A, E, C) with
+      G1, so each compression keeps one of the two properties as it
+      comes; that it keeps the other is observed on every tested
+      input, not derived;
+    - U~ and V~, adjoints of zero-free bases, have no finite zero, so
+      U~ blocks no mode of G2^{-1} at its input and V~ hides none at
+      its output. A mode could cancel across a connection only where a
+      pole of G2 is the mirror image of a pole of U or V.
     """
     r = normal_rank(sys, tol)
     m, p, ts = sys.m, sys.p, sys.ts
     if r == 0:
         return _system(np.zeros((0, 0)), None, np.zeros((0, p)), np.zeros((m, 0)), np.zeros((m, p)), ts)
-    G1 = sys
+    G1 = _controllable_observable_part(sys, DEFAULT_TOL)
     if r < p:
-        U, G1 = full_rank_factorize(sys, region_none(), "inner", tol)
+        U, G1 = full_rank_factorize(G1, region_none(), "inner", tol)
     G2 = G1
     if r < m:
-        # the cofactor realization inherits the input's order and can be
-        # reducible in ways that block the second compression (for example
-        # rank [E B] < n); a minimal realization never is
-        G1t = irreducible_realization(transpose(G1), DEFAULT_TOL)
-        V, G2t = full_rank_factorize(G1t, region_none(), "inner", tol)
+        V, G2t = full_rank_factorize(transpose(G1), region_none(), "inner", tol)
         G2 = transpose(G2t)
     composed = _inverse_realization(G2)
     if r < m:
         composed = series(conjugate(transpose(V)), composed)
     if r < p:
         composed = series(composed, conjugate(U))
-    return irreducible_realization(composed, DEFAULT_TOL)
+    return _remove_nondynamic(composed, DEFAULT_TOL)
 
 
 def inner_outer(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> FactorizationResult:

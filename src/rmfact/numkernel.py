@@ -123,10 +123,10 @@ class ToleranceConfig:
     singular values would refuse far too early.
 
     Minimal realizations use DEFAULT_TOL, whatever rank_rtol is: of G in
-    fact.nrcf (the one structure() keeps), and of the transposed cofactor
-    and the final product in fact.pseudo_inverse, whose cancellations are
-    exact. A coarse threshold would only cut states G needs; at a coarse
-    tolerance G# may be non-minimal, never wrong. So in fact.nrcf tol
+    fact.nrcf (the one structure() keeps), and in fact.pseudo_inverse
+    the controllable and observable part of G and the non-dynamic
+    elimination of the final product, whose cancellations are exact. A
+    coarse threshold would only cut states G needs. So in fact.nrcf tol
     decides only the rank of that realization's E, the stabilizability
     check of [G; I] and the controllable part the inner gains solve on,
     and for a singular E (an improper G) the whole splitting form.

@@ -192,7 +192,7 @@ def test_nrcf_boundary_pole_rejected():
 
 # (A entry, E entry) of one padded state by system type, and the side
 # on which it decouples; the finite ones are unstable or stable
-NRCF_PADDINGS = {
+PADDINGS = {
     "unstable unobservable": ({"continuous": 0.7, "discrete": 1.6}, 1.0, "unobservable"),
     "unstable uncontrollable": ({"continuous": 0.7, "discrete": 1.6}, 1.0, "uncontrollable"),
     "stable uncontrollable": ({"continuous": -0.7, "discrete": 0.4}, 1.0, "uncontrollable"),
@@ -202,11 +202,11 @@ NRCF_PADDINGS = {
 }
 
 
-@pytest.mark.parametrize("padding", list(NRCF_PADDINGS))
+@pytest.mark.parametrize("padding", list(PADDINGS))
 def test_nrcf_ignores_decoupling_padding(padding):
     # a padded decoupling mode is no pole or zero of G, so it must
     # neither refuse the factorization nor reach N and M
-    a, e, side = NRCF_PADDINGS[padding]
+    a, e, side = PADDINGS[padding]
     rng, pad_rng = np.random.default_rng(2024), np.random.default_rng(23)
     for _ in range(20):
         g = random_system(rng, n_max=8)
@@ -387,6 +387,25 @@ def test_pinv_compresses_only_a_rank_deficient_side(monkeypatch, ts, r, p, m, re
     prod, herm = moore_penrose_defects(g, gp, np.random.default_rng(34))
     assert prod <= 1e-6
     assert herm <= 1e-6
+
+
+def test_pinv_of_padded_and_rank_deficient_input_is_irreducible():
+    # pinv composes from the controllable and observable part of G and
+    # ends with the non-dynamic elimination only: a decoupling mode of
+    # the input reaches neither the order of G# nor its reducibility
+    rng = np.random.default_rng(2024)
+    suite = [random_system(rng, n_max=8) for _ in range(20)]
+    cases = []
+    for a, e, side in PADDINGS.values():
+        pad_rng = np.random.default_rng(23)
+        cases += [(pad_state(g, a[g.ts], e, side, pad_rng), pseudo_inverse(g).n) for g in suite]
+    rng = np.random.default_rng(5)
+    cases += [(rank_deficient_system(rng), None) for _ in range(20)]
+    for g, order in cases:
+        gp = pseudo_inverse(g)
+        assert order is None or gp.n == order
+        assert irreducible_realization(gp).n == gp.n
+        assert max(penrose_residuals(g, gp, 8, np.random.default_rng(0), 16).values()) <= 1e-6
 
 
 # -- inner-quasi-outer factorization ----------------------------------------------
@@ -659,8 +678,9 @@ def test_coarse_tolerance_refuses_or_meets_its_bound(rank_rtol):
     about that much; the factor 1e3 leaves room for the chain of
     reductions and for data whose scale exceeds ||G||. The minimal
     realizations fact takes rank at the noise floor instead: that of G
-    in nrcf, and those of the realizations pinv composes itself, since
-    cutting one of their states at rank_rtol drops part of G or G#."""
+    in nrcf, and in pinv the controllable and observable part of G and
+    the non-dynamic elimination of G#, since cutting one of their
+    states at rank_rtol drops part of G or G#."""
     tol = ToleranceConfig(rank_rtol=rank_rtol)
     small, large = coarse_suites()
     cases = [(name, g, op) for name, g in small for op in TIER1_BOUND]
