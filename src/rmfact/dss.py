@@ -336,9 +336,9 @@ def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL, rng=N
     M, N = system_pencil(sys)
     norm_e = np.linalg.norm(sys.e_matrix, "fro")
     radius = max(1.0, np.linalg.norm(sys.A, "fro") / norm_e) if norm_e else 1.0
-    # five attempts of two points each
-    points = list(itertools.islice(_nonpole_candidates(sys, 2 * 5, rng, radius), 2 * 5))
-    for pts in zip(points[0::2], points[1::2]):
+    # five attempts of two points each, drawn as they are needed
+    points = itertools.islice(_nonpole_candidates(sys, 2 * 5, rng, radius), 2 * 5)
+    for pts in zip(points, points):
         ranks = []
         for z in pts:
             S = M - z * N

@@ -50,7 +50,7 @@ from .klf import (
     stability_region,
 )
 from .numkernel import DEFAULT_TOL, ToleranceConfig
-from .rangebasis import _basis_realization, cofactor, inner_enforcing_gains, range_basis
+from .rangebasis import _basis_realization, _finite_pair, _inner_gains, cofactor, range_basis
 
 # random points of a product identity, which holds everywhere, and
 # frequency-axis points of the inner and Hermitian identities
@@ -159,20 +159,40 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
       from the identity only by an orthogonal state change, under which
       the inner gains are covariant.
     E's rank and the stabilizability check are still decided at the
-    threshold special_klf would use. A singular E (G improper) keeps
-    special_klf: only it isolates the constant block.
+    threshold special_klf would use; the check reads the finite poles
+    of G that the boundary check computed, from the one QZ of the
+    minimal realization's (A, E), which [G; I] shares. A singular E (G
+    improper) keeps special_klf: only it isolates the constant block.
+
+    The inner gains (rangebasis._inner_gains) are solved on the whole
+    trailing block, whose explicit pair is (A_bl, B_bl) for E None and
+    E_bl^-1 [A_bl B_bl] otherwise. Unlike
+    rangebasis.inner_enforcing_gains, nrcf takes no controllable part:
+    an uncontrollable mode of that block would be one of the realization
+    [G; I], which shares (A, E, B) with the minimal realization. Neither
+    existence check of inner_enforcing_gains can refuse [G; I]:
+    - its feedthrough D_bl is [N; M](infinity) up to an invertible
+      weighting, of full column rank as [N; M] is inner; for a proper G
+      it is [D; I], whose sigma_min is at least 1;
+    - the zeros of the basis the boundary check reads are finite zeros
+      of [G; I], which has none.
 
     Poles of G on the region boundary are rejected: the factors would
     have to absorb a marginal mode and the normalization degrades."""
     red = irreducible_realization(sys, DEFAULT_TOL)
-    for lam in poles(red).finite:
+    finite_poles = poles(red).finite
+    for lam in finite_poles:
         if on_stability_boundary(lam, sys.ts):
             raise FactorizationError(
                 f"coprime factorization rejected: pole on the stability boundary (at {lam:.6g})"
             )
     graph = stack_vertical(red, identity_system(sys.m, sys.ts))
-    sk = _minimal_graph_form(graph, tol) or special_klf(graph, stability_region(sys.ts), tol)
-    R = _basis_realization(sk, *inner_enforcing_gains(sk, tol))
+    sk = _minimal_graph_form(graph, finite_poles, tol) or special_klf(graph, stability_region(sys.ts), tol)
+    AB = np.hstack([sk.A_bl, sk.B_bl])
+    if red.E is not None:
+        AB = np.linalg.solve(sk.E_bl, AB)
+    F, W = _inner_gains(*_finite_pair(AB, sk.n_bl), sk.C_bl, sk.D_bl, sys.ts)
+    R = _basis_realization(sk, F, W)
     p = sys.p
     N = _system(R.A, R.E, R.B, R.C[:p, :], R.D[:p, :], sys.ts)
     M = _system(R.A, R.E, R.B, R.C[p:, :], R.D[p:, :], sys.ts)

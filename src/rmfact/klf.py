@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dss import system_pencil
+from .dss import _finite_eigen_points, system_pencil
 from .exceptions import InputError, StructureError
 from .numkernel import (
     DEFAULT_TOL,
@@ -398,25 +398,21 @@ class SpecialKlf:
         return self.M[rows, self.c1 + self.n_bl + self.r:]
 
 
-def _check_bad_stabilizable(sys, region, thresh):
+def _check_bad_stabilizable(sys, region, thresh, eigenvalues):
     """Refuse a realization that is not stabilizable at a bad finite
     eigenvalue of A - lambda*E: one at which [A - lambda*E, B] loses
-    rank (the PBH test). It needs the QZ eigenvalues of (A, E), which a
-    REGION_NONE partition skips: there no finite eigenvalue classifies
-    as bad.
+    rank (the PBH test). eigenvalues are the finite eigenvalues of
+    (A, E), as the caller has them from a QZ of that pencil.
 
     [A - conj(lambda) E, B] is the conjugate of [A - lambda E, B] and
     has the same rank, so a conjugate pair (or a repeated value) is
-    tested once, at the first of its values gges lists, the one with
+    tested once, at the first of its values the QZ lists, the one with
     positive imaginary part; at a real lambda the matrix is real."""
-    if region.kind == REGION_NONE:
-        return
     Emat = sys.e_matrix
     tested = set()
-    for a, b in generalized_eigenvalues(sys.A, Emat):
-        if is_infinite(a, b) or classify_eigenvalue(a, b, region) == "good":
+    for lam in eigenvalues:
+        if classify_eigenvalue(lam, 1.0, region) == "good":
             continue
-        lam = a / b
         pair = complex(lam.real, abs(lam.imag))
         if pair in tested:
             continue
@@ -459,7 +455,9 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
     # stabilizable at infinity; the identity E (E None) is never rank-decided
     if sys.E is not None and svd_rank_abs(np.hstack([sys.E, sys.B]), thresh) < n:
         raise StructureError("realization is not stabilizable at infinity: [E B] is row rank deficient")
-    _check_bad_stabilizable(sys, region, thresh)
+    # no finite eigenvalue classifies as bad for REGION_NONE: no QZ
+    if region.kind != REGION_NONE:
+        _check_bad_stabilizable(sys, region, thresh, _finite_eigen_points(sys))
 
     discarded = {}
     Q_tot = np.eye(n)
@@ -594,7 +592,7 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
     return sys._kept[key]
 
 
-def _minimal_graph_form(graph, tol: ToleranceConfig) -> SpecialKlf | None:
+def _minimal_graph_form(graph, finite_poles, tol: ToleranceConfig) -> SpecialKlf | None:
     """special_klf's form of graph under stability_region(graph.ts),
     read off the system pencil of graph itself, for graph the realization
     [G; I] of stack_vertical on a minimal realization of G whose E is
@@ -602,14 +600,17 @@ def _minimal_graph_form(graph, tol: ToleranceConfig) -> SpecialKlf | None:
     m_n = 0 and no bad eigenvalue (fact.nrcf gives the argument). E's
     rank is decided, and _check_bad_stabilizable run, at the threshold
     special_klf would use; E of full rank there makes [E B] so too.
-    A rank-deficient E returns None: G may then be improper, and only
-    special_klf isolates its constant block."""
+    graph shares (A, E) with that realization, so the PBH test reads
+    finite_poles, the finite eigenvalues of its (A, E) the caller has
+    computed, and runs no QZ of its own. A rank-deficient E returns
+    None: G may then be improper, and only special_klf isolates its
+    constant block."""
     M, N = system_pencil(graph)
     thresh = _pencil_threshold(M, N, tol)
     n, m = graph.n, graph.m
     if graph.E is not None and svd_rank_abs(graph.E, thresh) < n:
         return None
-    _check_bad_stabilizable(graph, stability_region(graph.ts), thresh)
+    _check_bad_stabilizable(graph, stability_region(graph.ts), thresh, finite_poles)
     return SpecialKlf(
         M=M,
         N=N,

@@ -127,9 +127,10 @@ class ToleranceConfig:
     the controllable and observable part of G and the non-dynamic
     elimination of the final product, whose cancellations are exact. A
     coarse threshold would only cut states G needs. So in fact.nrcf tol
-    decides only the rank of that realization's E, the stabilizability
-    check of [G; I] and the controllable part the inner gains solve on,
-    and for a singular E (an improper G) the whole splitting form.
+    decides only the rank of that realization's E and the
+    stabilizability check of [G; I], and for a singular E (an improper
+    G) the whole splitting form; the inner gains solve on the whole
+    trailing block, with no controllable part to decide.
 
     Fixed rules: is_infinite decides infinite eigenvalues, EIG_ATOL the
     width of the stability boundary (klf.on_stability_boundary),

@@ -124,25 +124,33 @@ def _inv_sqrt_sym(H):
     return V @ np.diag(1.0 / np.sqrt(w)) @ V.T if H.shape[0] else np.eye(0)
 
 
+def _finite_pair(AB, k):
+    """The explicit pair (A, B) held in AB = [A B] with k states. A
+    non-finite entry means a reduction broke down: FactorizationError."""
+    if not np.isfinite(AB).all():
+        raise FactorizationError("the explicit pair of the trailing blocks has non-finite entries")
+    return AB[:, :k], AB[:, k:]
+
+
 def _explicit_pair(A_bl, E_bl, B_bl, tol):
     """Explicit pair (E_c^-1 A_c, E_c^-1 B_c) of the controllable part
     (A_c - lambda E_c, B_c) of the trailing blocks and the orthonormal
     Z_c with x = Z_c x_c for its state."""
     L, Z = controllable_bases(A_bl, E_bl, B_bl, tol)
-    k = Z.shape[1]
     AB = np.linalg.solve(L.T @ E_bl @ Z, L.T @ np.hstack([A_bl @ Z, B_bl]))
-    if not np.isfinite(AB).all():
-        raise FactorizationError("the explicit pair of the trailing blocks has non-finite entries")
-    return AB[:, :k], AB[:, k:], Z
+    return (*_finite_pair(AB, Z.shape[1]), Z)
 
 
 def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig = DEFAULT_TOL):
     """Feedback F and weighting W making the basis inner (R~ R = I and
     all poles stable). The zeros of the basis are the splitting form's
     record blocks.bad_eigenvalues; one on the stability boundary
-    rejects the basis. Solves the Riccati equation of the explicit
-    pair obtained with the invertible E_bl, on the controllable part
-    only, and pads the feedback with zeros on uncontrollable states."""
+    rejects the basis. The splitting form may come from any
+    realization, whose trailing blocks can carry uncontrollable modes,
+    so the Riccati equation is solved (_inner_gains) on the explicit
+    pair of their controllable part only, obtained with the invertible
+    E_bl at tol, and the feedback is padded with zeros on the
+    uncontrollable states."""
     ts = blocks.ts
     r, n_bl = blocks.r, blocks.n_bl
     D = np.array(blocks.D_bl)
@@ -172,25 +180,34 @@ def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig = DEFAULT_TOL
                 f"stability boundary (at {lam:.6g})"
             )
     A_c, B_c, Z_c = _explicit_pair(A_bl, E_bl, B_bl, tol)
-    if Z_c.shape[1] == 0:
-        return np.zeros((r, n_bl)), _inv_sqrt_sym(D.T @ D)
-    C1 = C_bl @ Z_c
-    Qc = C1.T @ C1
-    Rc = D.T @ D
-    Sc = C1.T @ D
+    F_c, W = _inner_gains(A_c, B_c, C_bl @ Z_c, D, ts)
+    return F_c @ Z_c.T, W
+
+
+def _inner_gains(A, B, C, D, ts):
+    """Feedback F and weighting W making the basis (A + B F, B W,
+    C + D F, D W) of the explicit realization (A, B, C, D) inner, from
+    the stabilizing solution of its Riccati equation; the closed loop
+    A + B F is checked (_check_closed_loop). With no state F is empty
+    and W normalizes D."""
+    if A.shape[0] == 0:
+        return np.zeros((B.shape[1], 0)), _inv_sqrt_sym(D.T @ D)
+    Q = C.T @ C
+    R = D.T @ D
+    S = C.T @ D
     try:
-        X = stabilizing_riccati(A_c, B_c, Qc, Rc, Sc, ts)
+        X = stabilizing_riccati(A, B, Q, R, S, ts)
         if ts == "continuous":
-            F_c = -np.linalg.solve(Rc, B_c.T @ X + Sc.T)
-            W = _inv_sqrt_sym(Rc)
+            F = -np.linalg.solve(R, B.T @ X + S.T)
+            W = _inv_sqrt_sym(R)
         else:
-            H = B_c.T @ X @ B_c + Rc
-            F_c = -np.linalg.solve(H, B_c.T @ X @ A_c + Sc.T)
+            H = B.T @ X @ B + R
+            F = -np.linalg.solve(H, B.T @ X @ A + S.T)
             W = _inv_sqrt_sym(H)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise FactorizationError(f"inner gain computation failed: {exc}") from None
-    _check_closed_loop(A_c, B_c, F_c, ts)
-    return F_c @ Z_c.T, W
+    _check_closed_loop(A, B, F, ts)
+    return F, W
 
 
 def _check_closed_loop(A_c, B_c, F_c, ts):

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import rmfact.dss
 import rmfact.klf
+import rmfact.numkernel
+import rmfact.rangebasis
 from rmfact import (
     FactorizationError,
     FactorizationResult,
@@ -246,6 +250,42 @@ def test_nrcf_reduces_only_an_improper_graph(monkeypatch):
         N, M = nrcf(g)
         assert len(reduced) - before == reductions
         assert gram_residual([N, M], 16) <= 1e-8
+
+
+def test_nrcf_does_no_repeated_work(monkeypatch):
+    # on a realization whose minimal realization red is kept, nrcf runs
+    # no controllability staircase: red is controllable, and so is the
+    # graph [red; I], which shares its (A, E, B). For a proper G the PBH
+    # check of the graph reads the one QZ of red's pencil that poles ran
+    rng = np.random.default_rng(2024)
+    suite = [random_system(rng, n_max=8) for _ in range(3)]
+    calls = {"controllable_bases": 0, "generalized_eigenvalues": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    staircase, qz = rmfact.dss.controllable_bases, rmfact.numkernel.generalized_eigenvalues
+    for module in (rmfact.dss, rmfact.rangebasis):
+        monkeypatch.setattr(module, "controllable_bases", counting("controllable_bases", staircase))
+    for module in (rmfact.dss, rmfact.klf):
+        monkeypatch.setattr(module, "generalized_eigenvalues", counting("generalized_eigenvalues", qz))
+    for g, proper in [
+        (stable_rank2_continuous(), True),
+        (suite[1], True),
+        (suite[2], True),
+        (polynomial_rank2_discrete(), False),
+    ]:
+        g = make_dss(g.A, g.E, g.B, g.C, g.D, g.ts)
+        irreducible_realization(g)
+        calls.update(controllable_bases=0, generalized_eigenvalues=0)
+        nrcf(g)
+        assert calls["controllable_bases"] == 0
+        if proper:
+            assert calls["generalized_eigenvalues"] == 1
 
 
 def test_nrcf_keeps_the_stabilizability_check_of_a_proper_graph():
@@ -551,8 +591,9 @@ OPERATIONS = {
     [
         # the irreducible realization, which structure, nrcf and pinv build
         ("rmfact.dss", {"structure", "irreducible_realization", "nrcf", "pinv"}),
-        # the explicit pair behind the stabilizing and inner gains
-        ("rmfact.rangebasis", {"frf_stable", "nrcf", "pinv", "iofac"}),
+        # the explicit pair behind the stabilizing and inner gains of a
+        # splitting form; nrcf's graph block needs no controllable part
+        ("rmfact.rangebasis", {"frf_stable", "pinv", "iofac"}),
     ],
 )
 def test_nan_made_inside_a_reduction_is_never_returned(monkeypatch, module, refused):
@@ -569,6 +610,33 @@ def test_nan_made_inside_a_reduction_is_never_returned(monkeypatch, module, refu
             assert name not in refused, name
             for sys in realizations(result):
                 assert all(np.isfinite(M).all() for M in (sys.A, sys.e_matrix, sys.B, sys.C, sys.D)), name
+
+
+def nan_in_a_bl(form):
+    """A splitting form builder whose form has a NaN in the first entry
+    of its trailing block A_bl (None passes through)."""
+
+    def patched(*args):
+        sk = form(*args)
+        if sk is None:
+            return None
+        M = np.array(sk.M)
+        M[sk.n_rg, sk.c1] = np.nan
+        return dataclasses.replace(sk, M=M)
+
+    return patched
+
+
+def test_nan_in_the_explicit_pair_of_nrcf_is_refused(monkeypatch):
+    # nrcf solves its inner gains on the explicit pair of the whole
+    # trailing block, read off the graph's system pencil (ex1) or its
+    # splitting form (ex2, through E_bl^-1); a NaN there is refused
+    # before the Riccati solve reads it
+    monkeypatch.setattr("rmfact.fact._minimal_graph_form", nan_in_a_bl(rmfact.klf._minimal_graph_form))
+    monkeypatch.setattr("rmfact.fact.special_klf", nan_in_a_bl(rmfact.klf.special_klf))
+    for g in (padded_example(stable_rank2_continuous()), padded_example(polynomial_rank2_discrete())):
+        with pytest.raises((StructureError, FactorizationError), match="explicit pair of the trailing blocks"):
+            nrcf(g)
 
 
 def test_cli_reports_a_nan_made_inside_a_reduction_as_exit_3(monkeypatch, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import rmfact.dss
 import rmfact.klf
 from rmfact import (
     FactorizationError,
@@ -31,6 +32,7 @@ from rmfact import (
     transpose,
     zeros,
 )
+from rmfact.dss import _finite_eigen_points
 from rmfact.klf import _klf_core, _pencil_threshold, on_stability_boundary
 from rmfact.numkernel import DEFAULT_TOL, EIG_ATOL, is_infinite
 from rmfact.rangebasis import inner_enforcing_gains, range_basis
@@ -442,13 +444,16 @@ def test_pbh_check_tests_each_conjugate_pair_once(monkeypatch):
         return rank(M, thresh)
 
     monkeypatch.setattr(rmfact.klf, "svd_rank_abs", recording)
+    pair = uncontrollable_unstable_pair(0.5)
     rmfact.klf._check_bad_stabilizable(
-        uncontrollable_unstable_pair(0.5), stability_region("continuous"), 1e-12
+        pair, stability_region("continuous"), 1e-12, _finite_eigen_points(pair)
     )
     assert [M.dtype for M in tested] == [np.complex128]
     del tested[:]
     unstable_real = make_dss(np.diag([2.0, 2.0, 3.0]), None, np.eye(3), np.eye(3), np.zeros((3, 3)), "continuous")
-    rmfact.klf._check_bad_stabilizable(unstable_real, stability_region("continuous"), 1e-12)
+    rmfact.klf._check_bad_stabilizable(
+        unstable_real, stability_region("continuous"), 1e-12, _finite_eigen_points(unstable_real)
+    )
     assert [M.dtype for M in tested] == [np.float64, np.float64]
 
 
@@ -507,7 +512,8 @@ def test_frf_and_iofac_share_one_splitting_reduction(monkeypatch):
 
 def test_region_none_splitting_skips_the_eigenvalue_checks(monkeypatch):
     # no finite eigenvalue is bad for region_none, so the QZ of (A, E)
-    # is left out; the KLF of the restricted pencil keeps its own QZ call
+    # (dss._finite_eigen_points) is left out; the KLF of the restricted
+    # pencil keeps its own QZ call
     outside = []
     depth = [0]
     qz, core = rmfact.klf.generalized_eigenvalues, rmfact.klf._klf_core
@@ -525,6 +531,7 @@ def test_region_none_splitting_skips_the_eigenvalue_checks(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(rmfact.klf, "generalized_eigenvalues", counting_qz)
+    monkeypatch.setattr(rmfact.dss, "generalized_eigenvalues", counting_qz)
     monkeypatch.setattr(rmfact.klf, "_klf_core", nested_core)
     rng = np.random.default_rng(406)
     systems = [stable_rank2_continuous(), polynomial_rank2_discrete()] + [random_system(rng) for _ in range(10)]
