@@ -264,15 +264,13 @@ def _finite_eigen_points(sys: DescriptorSystem):
     return [a / b for a, b in pairs if not is_infinite(a, b)]
 
 
-def _nonpole_candidates(systems, count: int, rng, radius=None):
-    """Random complex points of the given radius, by default the spectral
-    radius (at least 1), farther than 1e-3 times it from the finite
-    eigenvalues of A - lambda*E of every given system, drawn until the
-    attempt budget for count points is spent."""
-    if isinstance(systems, DescriptorSystem):
-        systems = [systems]
+def _nonpole_candidates(systems, count: int, rng):
+    """Random complex points scaled by one radius, the largest modulus of
+    a finite eigenvalue of A - lambda*E of the given systems (at least
+    1), and farther than 1e-3 times it from every such eigenvalue, drawn
+    until the attempt budget for count points is spent."""
     eigs = [z for sys in systems for z in _finite_eigen_points(sys)]
-    radius = max([1.0] + [abs(z) for z in eigs]) if radius is None else radius
+    radius = max([1.0] + [abs(z) for z in eigs])
     margin = 1e-3 * radius
     for _ in range(100 * count + 100):
         z = complex(rng.standard_normal(), rng.standard_normal()) * radius
@@ -325,29 +323,39 @@ def system_pencil(sys: DescriptorSystem):
     return M, N
 
 
-def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL, rng=None) -> int:
+def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Rank of G(lambda) over the rational functions, computed as
-    rank S(lambda0) - n at random non-eigenvalue points, cross-checked
-    at a second point, ranked like every reduction by rank_threshold of
-    sigma_max(S(lambda0)). The points are drawn on the pencil's scale
-    ||A||/||E|| (at least 1): drawn on that of a spurious huge eigenvalue,
-    an infinite Jordan block's 1/|lambda0| falls under the threshold."""
-    rng = np.random.default_rng(0) if rng is None else rng
+    rank S(lambda0) - n at a random point, cross-checked at a second
+    point, ranked like every reduction by rank_threshold of
+    sigma_max(S(lambda0)).
+
+    S(lambda) = [A - lambda E, B; C, D] is polynomial, so a pole of G
+    cannot move its rank: rank S(lambda0) falls below n + r only at a
+    finite zero of S, an invariant zero or a decoupling mode of the
+    realization, and no point steers around the eigenvalues of
+    A - lambda*E. A point drawn close enough to such a zero to rank low
+    disagrees with the other point of its pair, and the pair is drawn
+    again. Only two points of one pair that both fall that close, and
+    rank low by the same count, pass the cross-check.
+
+    The points are drawn on the pencil's scale ||A||/||E|| (at least 1):
+    drawn on that of a spurious huge eigenvalue, an infinite Jordan
+    block's 1/|lambda0| falls under the threshold."""
+    rng = np.random.default_rng(0)
     M, N = system_pencil(sys)
     norm_e = np.linalg.norm(sys.e_matrix, "fro")
     radius = max(1.0, np.linalg.norm(sys.A, "fro") / norm_e) if norm_e else 1.0
-    # five attempts of two points each, drawn as they are needed
-    points = itertools.islice(_nonpole_candidates(sys, 2 * 5, rng, radius), 2 * 5)
-    for pts in zip(points, points):
+    for _ in range(5):
         ranks = []
-        for z in pts:
+        for _ in range(2):
+            z = complex(rng.standard_normal(), rng.standard_normal()) * radius
             S = M - z * N
             s = svd(S, compute_uv=False)
             thresh = tol.rank_threshold(s[0] if s.size else 0.0, max(S.shape))
             ranks.append(int(np.count_nonzero(s > thresh)) - sys.n)
         if ranks[0] == ranks[1]:
             return max(ranks[0], 0)
-    raise StructureError("normal rank probe points kept disagreeing or ran out after 5 attempts")
+    raise StructureError("normal rank probe points kept disagreeing after 5 attempts")
 
 
 # -- irreducible (minimal) realizations --------------------------------------

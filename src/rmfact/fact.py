@@ -43,13 +43,14 @@ from .dss import (
 from .exceptions import EvaluationError, FactorizationError, InputError
 from .klf import (
     RegionPartition,
-    _minimal_graph_form,
+    _check_bad_stabilizable,
+    _pencil_threshold,
     on_stability_boundary,
     region_none,
     special_klf,
     stability_region,
 )
-from .numkernel import DEFAULT_TOL, ToleranceConfig
+from .numkernel import DEFAULT_TOL, ToleranceConfig, svd_rank_abs
 from .rangebasis import _basis_realization, _finite_pair, _inner_gains, cofactor, range_basis
 
 # random points of a product identity, which holds everywhere, and
@@ -145,24 +146,26 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
     - no non-dynamic mode: the splitting form makes E_bl invertible.
 
     When the minimal realization has E None or of full rank (G proper),
-    the system pencil of [G; I] already is its splitting form, with
-    identity U and Z, n_rg = 0, n_bl = n, r = m and m_n = 0
-    (klf._minimal_graph_form), and no reduction runs. In exact
-    arithmetic:
+    the system pencil M - lambda*N of [G; I] already is its splitting
+    form and no reduction runs: nrcf reads the trailing blocks straight
+    off it, A_bl = A, E_bl = E, B_bl = B, C_bl = [C; 0] and D_bl = [D; I],
+    the blocks M[:n, :n], N[:n, :n], M[:n, n:], M[n:, :n] and M[n:, n:].
+    In exact arithmetic:
     - the leading block is empty: [G; I] has no finite zero, which would
       need an unobservable mode, and the [0 I] rows give its pencil full
       column rank, so no right singular part;
-    - the trailing block is valid: E_bl = E is invertible, the input
-      columns carry no lambda part, and with no infinite constant block
-      m_n = 0;
-    - the factors are those of special_klf's form, whose U and Z differ
-      from the identity only by an orthogonal state change, under which
-      the inner gains are covariant.
-    E's rank and the stabilizability check are still decided at the
-    threshold special_klf would use; the check reads the finite poles
-    of G that the boundary check computed, from the one QZ of the
-    minimal realization's (A, E), which [G; I] shares. A singular E (G
-    improper) keeps special_klf: only it isolates the constant block.
+    - the trailing block is valid: E is invertible, the input columns
+      carry no lambda part, and with no infinite constant block none
+      needs isolating;
+    - special_klf's form differs from these blocks only by an orthogonal
+      state change, under which the inner gains are covariant.
+    E's rank and the stabilizability check are decided at the threshold
+    special_klf would use, that of the graph's pencil; E of full rank
+    there makes [E B] so too. The check runs on the minimal realization,
+    which shares (A, E, B) with [G; I], and reads the finite poles of G
+    that the boundary check computed, from the one QZ of its (A, E). A
+    singular E (G improper) keeps special_klf: only it isolates the
+    constant block.
 
     The inner gains (rangebasis._inner_gains) are solved on the whole
     trailing block, whose explicit pair is (A_bl, B_bl) for E None and
@@ -187,16 +190,27 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
                 f"coprime factorization rejected: pole on the stability boundary (at {lam:.6g})"
             )
     graph = stack_vertical(red, identity_system(sys.m, sys.ts))
-    sk = _minimal_graph_form(graph, finite_poles, tol) or special_klf(graph, stability_region(sys.ts), tol)
-    AB = np.hstack([sk.A_bl, sk.B_bl])
+    M, N = system_pencil(graph)
+    thresh = _pencil_threshold(M, N, tol)
+    n = red.n
+    if red.E is None or svd_rank_abs(red.E, thresh) == n:
+        _check_bad_stabilizable(red, stability_region(sys.ts), thresh, finite_poles)
+        A_bl, E_bl, B_bl, C_bl, D_bl = M[:n, :n], N[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
+    else:
+        sk = special_klf(graph, stability_region(sys.ts), tol)
+        A_bl, E_bl, B_bl, C_bl, D_bl = sk.A_bl, sk.E_bl, sk.B_bl, sk.C_bl, sk.D_bl
+    AB = np.hstack([A_bl, B_bl])
     if red.E is not None:
-        AB = np.linalg.solve(sk.E_bl, AB)
-    F, W = _inner_gains(*_finite_pair(AB, sk.n_bl), sk.C_bl, sk.D_bl, sys.ts)
-    R = _basis_realization(sk, F, W)
+        AB = np.linalg.solve(E_bl, AB)
+    F, W = _inner_gains(*_finite_pair(AB, A_bl.shape[0]), C_bl, D_bl, sys.ts)
+    # [N; M] is formed whole and split by rows: a one-row product rounds
+    # differently from the same row of a taller one
+    R = _basis_realization(A_bl, E_bl, B_bl, C_bl, D_bl, F, W, sys.ts)
     p = sys.p
-    N = _system(R.A, R.E, R.B, R.C[:p, :], R.D[:p, :], sys.ts)
-    M = _system(R.A, R.E, R.B, R.C[p:, :], R.D[p:, :], sys.ts)
-    return FactorizationResult(N, M)
+    return FactorizationResult(
+        _system(R.A, R.E, R.B, R.C[:p, :], R.D[:p, :], sys.ts),
+        _system(R.A, R.E, R.B, R.C[p:, :], R.D[p:, :], sys.ts),
+    )
 
 
 def _inverse_realization(sys: DescriptorSystem) -> DescriptorSystem:

@@ -5,9 +5,7 @@ pencil M - lambda*N to a block upper triangular form exposing its
 right singular part, finite and infinite regular parts, and left
 singular part. special_klf brings the system matrix pencil of a
 descriptor realization to a form that isolates a basis of the range
-space with eigenvalues confined to a chosen region. For the graph
-[G; I] of a minimal proper G, the system pencil already is that form,
-and _minimal_graph_form returns it without a reduction.
+space with eigenvalues confined to a chosen region.
 
 All rank decisions inside one call share a single absolute threshold
 derived from the norm of the input data.
@@ -591,38 +589,3 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
     )
     return sys._kept[key]
 
-
-def _minimal_graph_form(graph, finite_poles, tol: ToleranceConfig) -> SpecialKlf | None:
-    """special_klf's form of graph under stability_region(graph.ts),
-    read off the system pencil of graph itself, for graph the realization
-    [G; I] of stack_vertical on a minimal realization of G whose E is
-    None or of full rank: identity U and Z, n_rg = 0, n_bl = n, r = m,
-    m_n = 0 and no bad eigenvalue (fact.nrcf gives the argument). E's
-    rank is decided, and _check_bad_stabilizable run, at the threshold
-    special_klf would use; E of full rank there makes [E B] so too.
-    graph shares (A, E) with that realization, so the PBH test reads
-    finite_poles, the finite eigenvalues of its (A, E) the caller has
-    computed, and runs no QZ of its own. A rank-deficient E returns
-    None: G may then be improper, and only special_klf isolates its
-    constant block."""
-    M, N = system_pencil(graph)
-    thresh = _pencil_threshold(M, N, tol)
-    n, m = graph.n, graph.m
-    if graph.E is not None and svd_rank_abs(graph.E, thresh) < n:
-        return None
-    _check_bad_stabilizable(graph, stability_region(graph.ts), thresh, finite_poles)
-    return SpecialKlf(
-        M=M,
-        N=N,
-        U=np.eye(n),
-        Z=np.eye(n + m),
-        n=n,
-        m=m,
-        p=graph.p,
-        n_rg=0,
-        n_bl=n,
-        r=m,
-        m_n=0,
-        ts=graph.ts,
-        bad_eigenvalues=(),
-    )

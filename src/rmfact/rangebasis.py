@@ -82,15 +82,17 @@ def range_basis(
     else:
         F = np.zeros((sk.r, sk.n_bl))
         W = np.eye(sk.r)
-    return RangeResult(R=_basis_realization(sk, F, W), F=F, W=W, sklf=sk)
+    R = _basis_realization(sk.A_bl, sk.E_bl, sk.B_bl, sk.C_bl, sk.D_bl, F, W, sys.ts)
+    return RangeResult(R=R, F=F, W=W, sklf=sk)
 
 
-def _basis_realization(sk: SpecialKlf, F, W) -> DescriptorSystem:
-    """The range basis of the splitting form sk under the feedback F and
-    the weighting W: (A_bl + B_bl F - lambda E_bl, B_bl W, C_bl + D_bl F,
-    D_bl W), with E None when the trailing block is empty."""
-    A_bl, E_bl, B_bl, C_bl, D_bl = (np.array(M) for M in (sk.A_bl, sk.E_bl, sk.B_bl, sk.C_bl, sk.D_bl))
-    return _system(A_bl + B_bl @ F, E_bl if sk.n_bl else None, B_bl @ W, C_bl + D_bl @ F, D_bl @ W, sk.ts)
+def _basis_realization(A_bl, E_bl, B_bl, C_bl, D_bl, F, W, ts) -> DescriptorSystem:
+    """The range basis built on the trailing blocks of a splitting form
+    under the feedback F and the weighting W: (A_bl + B_bl F - lambda
+    E_bl, B_bl W, C_bl + D_bl F, D_bl W), with E None when the blocks
+    hold no state."""
+    A_bl, E_bl, B_bl, C_bl, D_bl = (np.array(M) for M in (A_bl, E_bl, B_bl, C_bl, D_bl))
+    return _system(A_bl + B_bl @ F, E_bl if A_bl.shape[0] else None, B_bl @ W, C_bl + D_bl @ F, D_bl @ W, ts)
 
 
 def cofactor(sys: DescriptorSystem, rr: RangeResult) -> DescriptorSystem:

@@ -224,6 +224,8 @@ PADDINGS = {
     "uncontrollable infinite Jordan block": (np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), False, True),
     "unobservable infinite Jordan block": (np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), True, False),
     "uncontrollable non-dynamic state": (np.eye(1), np.zeros((1, 1)), False, True),
+    "uncontrollable finite mode": (0.7 * np.eye(1), np.eye(1), False, True),
+    "unobservable finite mode": (0.7 * np.eye(1), np.eye(1), True, False),
 }
 
 
@@ -258,6 +260,25 @@ def test_padding_leaves_realization_order_and_structure(padding):
         for w, x in ((want.poles, got.poles), (want.zeros, got.zeros)):
             assert x.infinite_multiplicities == w.infinite_multiplicities
             assert_multiset_close(x.finite, w.finite, tol=1e-6)
+
+
+def test_normal_rank_computes_no_eigenvalues(monkeypatch):
+    # S(lambda) is polynomial, so the poles of G cannot move its rank:
+    # the probe points need not avoid the eigenvalues of A - lambda*E
+    rng = np.random.default_rng(2024)
+    systems = [stable_rank2_continuous(), polynomial_rank2_discrete()]
+    systems += [random_system(rng, n_max=8) for _ in range(20)]
+    calls = []
+    qz = rmfact.dss.generalized_eigenvalues
+
+    def counting(*args):
+        calls.append(args)
+        return qz(*args)
+
+    monkeypatch.setattr(rmfact.dss, "generalized_eigenvalues", counting)
+    ranks = [normal_rank(g) for g in systems]
+    assert calls == []
+    assert ranks == [2, 2] + [min(g.p, g.m) for g in systems[2:]]
 
 
 def test_normal_rank_of_fast_pole():

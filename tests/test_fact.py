@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rmfact.dss
+import rmfact.fact
 import rmfact.klf
 import rmfact.numkernel
 import rmfact.rangebasis
@@ -306,12 +307,14 @@ def test_nrcf_ranks_no_e_b_of_a_proper_graph(monkeypatch):
     red = irreducible_realization(g)
     assert red.E is not None
     ranked = []
-    rank = rmfact.klf.svd_rank_abs
+    rank = rmfact.numkernel.svd_rank_abs
 
     def recording(M, thresh):
         ranked.append(np.array(M))
         return rank(M, thresh)
 
+    # nrcf ranks E, and klf's PBH check ranks [A - lambda E, B]
+    monkeypatch.setattr(rmfact.fact, "svd_rank_abs", recording)
     monkeypatch.setattr(rmfact.klf, "svd_rank_abs", recording)
     nrcf(g)
     EB = np.hstack([red.E, red.B])
@@ -614,15 +617,26 @@ def test_nan_made_inside_a_reduction_is_never_returned(monkeypatch, module, refu
 
 def nan_in_a_bl(form):
     """A splitting form builder whose form has a NaN in the first entry
-    of its trailing block A_bl (None passes through)."""
+    of its trailing block A_bl."""
 
     def patched(*args):
         sk = form(*args)
-        if sk is None:
-            return None
         M = np.array(sk.M)
         M[sk.n_rg, sk.c1] = np.nan
         return dataclasses.replace(sk, M=M)
+
+    return patched
+
+
+def nan_in_the_pencil(threshold):
+    """A pencil threshold that puts a NaN in the first entry of the
+    pencil M after ranking it: a NaN before the threshold SVD would stop
+    that SVD instead."""
+
+    def patched(M, N, tol):
+        thresh = threshold(M, N, tol)
+        M[0, 0] = np.nan
+        return thresh
 
     return patched
 
@@ -632,7 +646,7 @@ def test_nan_in_the_explicit_pair_of_nrcf_is_refused(monkeypatch):
     # trailing block, read off the graph's system pencil (ex1) or its
     # splitting form (ex2, through E_bl^-1); a NaN there is refused
     # before the Riccati solve reads it
-    monkeypatch.setattr("rmfact.fact._minimal_graph_form", nan_in_a_bl(rmfact.klf._minimal_graph_form))
+    monkeypatch.setattr("rmfact.fact._pencil_threshold", nan_in_the_pencil(rmfact.klf._pencil_threshold))
     monkeypatch.setattr("rmfact.fact.special_klf", nan_in_a_bl(rmfact.klf.special_klf))
     for g in (padded_example(stable_rank2_continuous()), padded_example(polynomial_rank2_discrete())):
         with pytest.raises((StructureError, FactorizationError), match="explicit pair of the trailing blocks"):

@@ -17,7 +17,7 @@ without the scipy.linalg package, which a cold CLI process would
 otherwise spend about half its time importing. klf.special_klf sets
 no block to a constant or a copy itself: each goes through
 klf._set_block, which returns the norm of the change for the backward
-error check."""
+error check, and only klf.special_klf builds a SpecialKlf."""
 
 import ast
 import pathlib
@@ -453,3 +453,12 @@ def test_special_klf_sets_blocks_only_through_the_helper():
     source = (PACKAGE / "klf.py").read_text()
     assert block_sets(source, "special_klf") == []
     assert [c for c in calls_of(source, ("_set_block",)) if c.endswith("special_klf calls _set_block")]
+
+
+# every splitting form comes out of special_klf's reduction, checked
+# and kept under its key; no other code assembles one
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_only_special_klf_builds_a_splitting_form(module):
+    allowed = {"special_klf calls SpecialKlf"} if module == "klf.py" else set()
+    calls = calls_of((PACKAGE / module).read_text(), ("SpecialKlf",))
+    assert [c for c in calls if c.split(": ", 1)[1] not in allowed] == []

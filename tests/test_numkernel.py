@@ -300,7 +300,6 @@ QZ_ENTRY_POINTS = {
     "poles": rmfact.poles,
     "zeros": rmfact.zeros,
     "structure": rmfact.structure,
-    "normal_rank": rmfact.normal_rank,
     "kronecker_like_form": lambda g: rmfact.kronecker_like_form(g.A, g.e_matrix),
     "frf": rmfact.full_rank_factorize,
     "nrcf": rmfact.nrcf,
