@@ -8,11 +8,12 @@ for continuous-time systems and the Z-transform variable for
 discrete-time systems.
 
 Realizations are immutable (read-only arrays; changing them in place is
-unsupported), so each keeps what is computed from it alone: its
-irreducible realization per tolerance, under ("irreducible", tol), and
-its splitting form (klf.special_klf) per bad region and tolerance,
-under ("splitting", region, tol), its arrays read-only too. A refusal
-is not kept.
+unsupported), so each keeps what is computed from it alone, per
+tolerance: its controllable and observable part under ("part", tol),
+the one decoupling reduction; its irreducible realization under
+("irreducible", tol), the non-dynamic elimination of that part; and its
+splitting form (klf.special_klf) per bad region under ("splitting",
+region, tol), its arrays read-only too. A refusal is not kept.
 """
 
 from __future__ import annotations
@@ -47,10 +48,9 @@ DISCRETE = "discrete"
 class DescriptorSystem:
     """Immutable descriptor realization (A - lambda*E, B, C, D) with a
     time-domain tag. E stored as None denotes the identity; the arrays
-    are read-only. _kept holds what is computed from the realization
-    alone, outside __init__, repr and ==: irreducible_realization's
-    result under ("irreducible", tol) and special_klf's form under
-    ("splitting", region, tol)."""
+    are read-only. _kept, outside __init__, repr and ==, holds what is
+    computed from the realization alone, under the keys the module
+    docstring lists."""
 
     A: np.ndarray
     E: np.ndarray | None
@@ -402,8 +402,14 @@ def _observable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorS
 
 def _controllable_observable_part(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorSystem:
     """The observable part of the controllable part of sys, sys itself
-    when neither cuts a state. Its non-dynamic modes are left in."""
-    return _observable_part(_controllable_part(sys, tol), tol)
+    when neither cuts a state; its non-dynamic modes are left in. Kept
+    on sys and on itself under ("part", tol)."""
+    key = ("part", tol)
+    if key not in sys._kept:
+        part = _observable_part(_controllable_part(sys, tol), tol)
+        part._kept.setdefault(key, part)
+        sys._kept[key] = part
+    return sys._kept[key]
 
 
 def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> DescriptorSystem:
@@ -446,13 +452,13 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
 
 def irreducible_realization(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> DescriptorSystem:
     """Controllable, observable realization of the same transfer
-    function, with non-dynamic modes removed, in one pass: the
-    controllable part, then its observable part, then the elimination
-    of the non-dynamic states. One pass reaches the fixed point in
-    exact arithmetic: the observable part of a controllable
-    realization stays controllable, and eliminating non-dynamic states
-    through an invertible constant block keeps both properties. A
-    second pass would only rank the roundoff the first one left.
+    function, with non-dynamic modes removed: the elimination of the
+    non-dynamic states of the kept controllable and observable part.
+    One pass reaches the fixed point in exact arithmetic: the
+    observable part of a controllable realization stays controllable,
+    and eliminating non-dynamic states through an invertible constant
+    block keeps both properties. A second pass would only rank the
+    roundoff the first one left.
 
     Kept on sys under ("irreducible", tol), as it depends only on the
     read-only arrays, ts and tol: a later call returns the same object,

@@ -4,10 +4,13 @@ Every p x m rational matrix G of normal rank r factors as G = R X
 with R a p x r range basis and X an r x m full-row-rank cofactor.
 Specializing the basis yields dual factorizations, normalized right
 coprime factorizations, inner-quasi-outer factorizations, and the
-Moore-Penrose pseudo-inverse. frf is range_basis and cofactor;
-dual-frf, iofac and the two inner compressions of pinv call frf, and
-nrcf takes the inner basis of [G; I]. frf, dual-frf, nrcf and iofac
-return one FactorizationResult, the pair (left, right).
+Moore-Penrose pseudo-inverse. All start from the controllable and
+observable part of G that dss keeps at DEFAULT_TOL, so a factor depends
+on G, not on how G is realized: frf and iofac factor the part by
+range_basis and cofactor, dual-frf its transpose, pinv composes two
+compressions by that core, and nrcf takes [G; I] on the part's minimal
+realization. frf, dual-frf, nrcf and iofac return one
+FactorizationResult, the pair (left, right).
 
 Every residual of a factorization identity is computed here and
 nowhere else in the package: product_residuals for G = L R,
@@ -119,9 +122,14 @@ def full_rank_factorize(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> FactorizationResult:
     """G = R X with R a column basis of the range of G and X its
-    cofactor sharing the dynamics of G."""
-    rr = range_basis(sys, region, gains, tol)
-    return FactorizationResult(rr.R, cofactor(sys, rr))
+    cofactor sharing the dynamics of the part of G that sys keeps."""
+    return _factorize(_controllable_observable_part(sys, DEFAULT_TOL), region, gains, tol)
+
+
+def _factorize(part: DescriptorSystem, region, gains, tol) -> FactorizationResult:
+    """range_basis and cofactor of a realization that is its own part."""
+    rr = range_basis(part, region, gains, tol)
+    return FactorizationResult(rr.R, cofactor(part, rr))
 
 
 def dual_full_rank_factorize(
@@ -131,8 +139,8 @@ def dual_full_rank_factorize(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> FactorizationResult:
     """G = X~ R~ with R~ a row basis of the left range space, obtained
-    by factoring the transposed matrix."""
-    R, X = full_rank_factorize(transpose(sys), region, gains, tol)
+    by factoring the transpose of the part of G that sys keeps."""
+    R, X = _factorize(transpose(_controllable_observable_part(sys, DEFAULT_TOL)), region, gains, tol)
     return FactorizationResult(transpose(X), transpose(R))
 
 
@@ -159,13 +167,13 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
       needs isolating;
     - special_klf's form differs from these blocks only by an orthogonal
       state change, under which the inner gains are covariant.
-    E's rank and the stabilizability check are decided at the threshold
-    special_klf would use, that of the graph's pencil; E of full rank
-    there makes [E B] so too. The check runs on the minimal realization,
-    which shares (A, E, B) with [G; I], and reads the finite poles of G
-    that the boundary check computed, from the one QZ of its (A, E). A
-    singular E (G improper) keeps special_klf: only it isolates the
-    constant block.
+    E's rank and the stabilizability check are decided at tol, by the
+    threshold special_klf would use, that of the graph's pencil; E of
+    full rank there makes [E B] so too. The check runs on the minimal
+    realization, which shares (A, E, B) with [G; I], and reads the
+    finite poles of G that the boundary check computed, from the one QZ
+    of its (A, E). A singular E (G improper) keeps special_klf, at tol:
+    only it isolates the constant block.
 
     The inner gains (rangebasis._inner_gains) are solved on the whole
     trailing block, whose explicit pair is (A_bl, B_bl) for E None and
@@ -235,12 +243,9 @@ def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) ->
     r < p (else U = I, G1 = G), the second only when r < m (else V = I,
     G2 = G1).
 
-    G# is composed from the controllable and observable part of sys,
-    taken at DEFAULT_TOL, with its non-dynamic modes left in:
-    eliminating them can inflate the pencil, whose scale sets the rank
-    threshold of the compressions. Only non-dynamic modes then remain
-    in the composition, and their elimination alone returns it
-    irreducible. The argument, in exact arithmetic:
+    G# is composed from the part of G that sys keeps, so only
+    non-dynamic modes remain in the composition, and their elimination
+    alone returns it irreducible. The argument, in exact arithmetic:
     - the inverse system pencil of a realization controllable and
       observable at every finite lambda is again so: the -I blocks of
       its B and C add m to the ranks of [A - lambda E, B] and
@@ -260,10 +265,10 @@ def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) ->
         return _system(np.zeros((0, 0)), None, np.zeros((0, p)), np.zeros((m, 0)), np.zeros((m, p)), ts)
     G1 = _controllable_observable_part(sys, DEFAULT_TOL)
     if r < p:
-        U, G1 = full_rank_factorize(G1, region_none(), "inner", tol)
+        U, G1 = _factorize(G1, region_none(), "inner", tol)
     G2 = G1
     if r < m:
-        V, G2t = full_rank_factorize(transpose(G1), region_none(), "inner", tol)
+        V, G2t = _factorize(transpose(G1), region_none(), "inner", tol)
         G2 = transpose(G2t)
     composed = _inverse_realization(G2)
     if r < m:

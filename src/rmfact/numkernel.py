@@ -122,15 +122,14 @@ class ToleranceConfig:
     eigenvalues are squared singular values, which a tolerance meant for
     singular values would refuse far too early.
 
-    Minimal realizations use DEFAULT_TOL, whatever rank_rtol is: of G in
-    fact.nrcf (the one structure() keeps), and in fact.pseudo_inverse
-    the controllable and observable part of G and the non-dynamic
-    elimination of the final product, whose cancellations are exact. A
-    coarse threshold would only cut states G needs. So in fact.nrcf tol
-    decides only the rank of that realization's E and the
-    stabilizability check of [G; I], and for a singular E (an improper
-    G) the whole splitting form; the inner gains solve on the whole
-    trailing block, with no controllable part to decide.
+    Every factorization starts from G's controllable and observable
+    part at DEFAULT_TOL, whatever rank_rtol is, and pinv ends with the
+    non-dynamic elimination of G# at DEFAULT_TOL, whose cancellations
+    are exact: a coarse threshold would only cut states G needs. The
+    part keeps its non-dynamic modes, whose elimination can inflate the
+    pencil that scales the later thresholds. tol decides the splitting
+    forms built on the part; the fact.nrcf docstring says what it
+    decides there.
 
     Fixed rules: is_infinite decides infinite eigenvalues, EIG_ATOL the
     width of the stability boundary (klf.on_stability_boundary),

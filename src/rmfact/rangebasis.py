@@ -66,10 +66,10 @@ def range_basis(
     controllable pole into the stability region, and "inner" also
     makes R~ R = I. A realization that is not stabilizable for the bad
     region is refused (StructureError), even when the modes that break
-    stabilizability cancel in G; its dss.irreducible_realization drops
-    them and is accepted. The splitting form is special_klf's, kept on
-    sys per region and tol, so every basis of sys for one region and
-    tol shares one reduction.
+    stabilizability cancel in G; the factorizations of fact start from
+    G's controllable and observable part, which drops them. The
+    splitting form is special_klf's, kept on sys per region and tol, so
+    every basis of sys for one region and tol shares one reduction.
     """
     if gains not in ("none", "stable", "inner"):
         raise InputError(f"gains must be one of 'none', 'stable', 'inner', got {gains!r}")

@@ -1,7 +1,7 @@
 """Shared test helpers: seeded system generators, one-state padding,
-counters of the splitting-form and irreducible reductions, eigenvalue
-multiset assertions, and a capture wrapper around the command line
-entry point."""
+counters of the decoupling, splitting-form and irreducible reductions,
+eigenvalue multiset assertions, and a capture wrapper around the
+command line entry point."""
 
 import contextlib
 import inspect
@@ -120,6 +120,21 @@ def irreducible_reductions(monkeypatch):
         return remove(*args)
 
     monkeypatch.setattr(rmfact.dss, "_remove_nondynamic", counting)
+    return reduced
+
+
+def decoupling_reductions(monkeypatch):
+    """The realizations _controllable_part reduces, one entry per call:
+    a controllable and observable part computes two, one on the
+    realization and one on the transpose of its controllable part."""
+    reduced = []
+    part = rmfact.dss._controllable_part
+
+    def counting(sys, tol):
+        reduced.append(sys)
+        return part(sys, tol)
+
+    monkeypatch.setattr(rmfact.dss, "_controllable_part", counting)
     return reduced
 
 

@@ -594,7 +594,9 @@ def test_a_copy_starts_without_the_kept_realization():
     g = weakly_controllable_system()
     irreducible_realization(g, ToleranceConfig(rank_rtol=1e-3))
     sk = rmfact.klf.special_klf(g, rmfact.klf.stability_region(g.ts))
-    assert len(g._kept) == 2
+    # the controllable and observable part, the irreducible realization
+    # reduced from it, and the splitting form
+    assert sorted(key[0] for key in g._kept) == ["irreducible", "part", "splitting"]
     copy = make_dss(g.A, g.E, g.B, g.C, g.D, g.ts)
     assert copy._kept == {}
     assert irreducible_realization(copy).n == 3

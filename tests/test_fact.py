@@ -46,9 +46,11 @@ from rmfact import (
 from rmfact.dss import identity_system
 from rmfact.fact import RESIDUAL_GRID
 from rmfact.io import eigenvalues_to_json
+from rmfact.numkernel import DEFAULT_TOL
 
 from support import (
     assert_multiset_close,
+    decoupling_reductions,
     irreducible_reductions,
     moore_penrose_defects,
     pad_state,
@@ -218,6 +220,63 @@ def test_nrcf_ignores_decoupling_padding(padding):
         N, M = nrcf(pad_state(g, a[g.ts], e, side, pad_rng))
         assert N.n == M.n == nrcf(g)[0].n
         assert gram_residual([N, M], 16) <= 1e-7
+
+
+FACTORIZATIONS = {"frf": full_rank_factorize, "dual-frf": dual_full_rank_factorize, "iofac": inner_outer}
+# suite-small system 38 keeps an unobservable padded state on about half
+# of the draws, by a roundoff decision of its observability staircase
+# (ROADMAP item 25). On this draw dual-frf refuses the unstable one, and
+# frf and iofac return factors one state larger
+SYSTEM_38_ROUNDOFF = pytest.mark.xfail(
+    strict=True, reason="system 38's observability staircase keeps a padded state by roundoff (ROADMAP item 25)"
+)
+
+
+def factor_padding_cases():
+    for padding in PADDINGS:
+        for op in FACTORIZATIONS:
+            yield pytest.param(padding, op, range(20), id=f"{padding}-{op}-systems 0-19")
+            marks = SYSTEM_38_ROUNDOFF if padding == "unstable unobservable" else ()
+            yield pytest.param(padding, op, [38], marks=marks, id=f"{padding}-{op}-system 38")
+
+
+@pytest.mark.parametrize("padding, op, systems", list(factor_padding_cases()))
+def test_factorizations_ignore_decoupling_padding(padding, op, systems):
+    # frf, dual-frf and iofac factor G's controllable and observable
+    # part: a padded decoupling mode neither refuses them nor reaches
+    # the factors
+    a, e, side = PADDINGS[padding]
+    factorize = FACTORIZATIONS[op]
+    rng = np.random.default_rng(2024)
+    suite = [random_system(rng, n_max=8) for _ in range(max(systems) + 1)]
+    for i in systems:
+        g = suite[i]
+        h = pad_state(g, a[g.ts], e, side, np.random.default_rng(i))
+        left, right = factorize(h)
+        unpadded = factorize(g)
+        assert [mcmillan_degree(f) for f in (left, right)] == [mcmillan_degree(f) for f in unpadded]
+        assert max(product_residuals(h, left, right)) <= 1e-7
+        if op == "iofac":
+            assert gram_residual([left]) <= 1e-7
+
+
+@pytest.mark.parametrize("rank_rtol", [0.0, 1e-8])
+def test_one_decoupling_reduction_per_tolerance(monkeypatch, rank_rtol):
+    # the six operations on a fresh realization share the controllable
+    # and observable part it keeps per tolerance: structure at tol, and
+    # the factorizations at DEFAULT_TOL
+    rng = np.random.default_rng(2024)
+    suite = [random_system(rng, n_max=8) for _ in range(5)]
+    tol = ToleranceConfig(rank_rtol=rank_rtol)
+    reduced = decoupling_reductions(monkeypatch)
+    for g in suite + [stable_rank2_continuous(), polynomial_rank2_discrete()]:
+        g = make_dss(g.A, g.E, g.B, g.C, g.D, g.ts)
+        before = len(reduced)
+        structure(g, tol)
+        for op in (full_rank_factorize, dual_full_rank_factorize, nrcf, pseudo_inverse, inner_outer):
+            op(g, tol=tol)
+        assert len(reduced) - before == 2 * len({tol, DEFAULT_TOL})
+        assert reduced[before] is g
 
 
 @pytest.mark.parametrize("rank_rtol", [0.0, 1e-3])
@@ -752,28 +811,56 @@ def operation_defect(op, g, tol):
     return max(penrose_residuals(g, pseudo_inverse(g, tol), 8, rng, 16).values())
 
 
-@pytest.mark.parametrize("rank_rtol", [0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3])
-def test_coarse_tolerance_refuses_or_meets_its_bound(rank_rtol):
-    """Each operation either refuses with a named RmfactError or meets
-    max(tier-1 bound, 1e3 * rank_rtol). A reduction that discards
-    singular values up to rank_rtol times its data's scale moves G by
-    about that much; the factor 1e3 leaves room for the chain of
-    reductions and for data whose scale exceeds ||G||. The minimal
-    realizations fact takes rank at the noise floor instead: that of G
-    in nrcf, and in pinv the controllable and observable part of G and
-    the non-dynamic elimination of G#, since cutting one of their
-    states at rank_rtol drops part of G or G#."""
-    tol = ToleranceConfig(rank_rtol=rank_rtol)
-    small, large = coarse_suites()
-    cases = [(name, g, op) for name, g in small for op in TIER1_BOUND]
-    if rank_rtol >= 1e-4:
-        cases += [(name, g, op) for name, g in large for op in ("pinv", "nrcf")]
+def wrong_results(cases, tol):
+    """The cases (name, g, op) whose operation neither refuses nor meets
+    max(tier-1 bound, 1e3 * rank_rtol)."""
     wrong = []
     for name, g, op in cases:
         try:
             d = operation_defect(op, g, tol)
         except RmfactError:
             continue
-        if d > max(TIER1_BOUND[op], 1e3 * rank_rtol):
+        if d > max(TIER1_BOUND[op], 1e3 * tol.rank_rtol):
             wrong.append(f"{op} of {name}: {d:.2e}")
-    assert wrong == []
+    return wrong
+
+
+COARSE_RTOLS = [0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3]
+# suite-large system 10's iofac has a product residual of 1.5e-4 at
+# the finest tolerances; its nrcf, pinv and iofac fail perfbench's check
+LARGE_10_IOFAC = ("large 10", "iofac")
+
+
+@pytest.mark.parametrize("rank_rtol", COARSE_RTOLS)
+def test_coarse_tolerance_refuses_or_meets_its_bound(rank_rtol):
+    """Each operation either refuses with a named RmfactError or meets
+    max(tier-1 bound, 1e3 * rank_rtol). A reduction that discards
+    singular values up to rank_rtol times its data's scale moves G by
+    about that much; the factor 1e3 leaves room for the chain of
+    reductions and for data whose scale exceeds ||G||. The reductions
+    fact takes of G and G# rank at the noise floor instead: the
+    controllable and observable part of G that every factorization
+    starts from, and in pinv the non-dynamic elimination of G#, since
+    cutting one of their states at rank_rtol drops part of G or G#."""
+    tol = ToleranceConfig(rank_rtol=rank_rtol)
+    small, large = coarse_suites()
+    cases = [(name, g, op) for name, g in small for op in TIER1_BOUND]
+    cases += [(name, g, op) for name, g in large for op in ("frf", "dual", "iofac") if (name, op) != LARGE_10_IOFAC]
+    if rank_rtol >= 1e-4:
+        cases += [(name, g, op) for name, g in large for op in ("pinv", "nrcf")]
+    assert wrong_results(cases, tol) == []
+
+
+@pytest.mark.parametrize(
+    "rank_rtol",
+    [
+        pytest.param(r, marks=pytest.mark.xfail(strict=True, reason="large 10's iofac misses its bound (ROADMAP item 5)"))
+        if r <= 1e-8
+        else r
+        for r in COARSE_RTOLS
+    ],
+)
+def test_coarse_tolerance_iofac_of_large_10(rank_rtol):
+    name, op = LARGE_10_IOFAC
+    g = dict(coarse_suites()[1])[name]
+    assert wrong_results([(name, g, op)], ToleranceConfig(rank_rtol=rank_rtol)) == []

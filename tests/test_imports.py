@@ -17,7 +17,10 @@ without the scipy.linalg package, which a cold CLI process would
 otherwise spend about half its time importing. klf.special_klf sets
 no block to a constant or a copy itself: each goes through
 klf._set_block, which returns the norm of the change for the backward
-error check, and only klf.special_klf builds a SpecialKlf."""
+error check, and only klf.special_klf builds a SpecialKlf. Only the kept
+accessor dss._controllable_observable_part runs the decoupling
+staircases (_controllable_part, _observable_part), so fact reaches a
+decoupling reduction only through it or irreducible_realization."""
 
 import ast
 import pathlib
@@ -462,3 +465,60 @@ def test_only_special_klf_builds_a_splitting_form(module):
     allowed = {"special_klf calls SpecialKlf"} if module == "klf.py" else set()
     calls = calls_of((PACKAGE / module).read_text(), ("SpecialKlf",))
     assert [c for c in calls if c.split(": ", 1)[1] not in allowed] == []
+
+
+# one decoupling reduction per realization and tolerance: the staircases
+# run only inside dss's kept accessor, and every other module reaches the
+# controllable and observable part through it or irreducible_realization
+DECOUPLING_STEPS = ("_controllable_part", "_observable_part")
+KEPT_ACCESSOR = {
+    "_observable_part names _controllable_part",
+    "_controllable_observable_part names _controllable_part",
+    "_controllable_observable_part names _observable_part",
+}
+
+
+def references_of(source: str, names) -> list:
+    """References in source to a name in names, read as a name or an
+    attribute or bound by an import, with the innermost def that makes
+    each (<module> at top level), in line order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id in names:
+                found.append((child.lineno, f"{where} names {child.id}"))
+            elif isinstance(child, ast.Attribute) and child.attr in names:
+                found.append((child.lineno, f"{where} names {child.attr}"))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.extend((child.lineno, f"{where} names {a.name}") for a in child.names if a.name in names)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return [f"line {line}: {ref}" for line, ref in sorted(found)]
+
+
+def test_reference_checker_flags_every_spelling():
+    source = (
+        "from . import dss\n"
+        "from .dss import _observable_part as observable\n"
+        "def part(sys, tol):\n"
+        "    step = dss._controllable_part\n"
+        "    return observable(step(sys, tol), tol)\n"
+        "def _controllable_part(sys):\n"
+        "    return sys\n"
+    )
+    assert references_of(source, DECOUPLING_STEPS) == [
+        "line 2: <module> names _observable_part",
+        "line 4: part names _controllable_part",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_only_the_kept_accessor_reduces(module):
+    allowed = KEPT_ACCESSOR if module == "dss.py" else set()
+    refs = references_of((PACKAGE / module).read_text(), DECOUPLING_STEPS)
+    assert [r for r in refs if r.split(": ", 1)[1] not in allowed] == []
