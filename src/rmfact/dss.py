@@ -31,7 +31,6 @@ from .numkernel import (
     _matrix,
     controllability_staircase,
     generalized_eigenvalues,
-    is_infinite,
     is_pole_to_working_precision,
     noise_floor,
     row_scaling,
@@ -259,55 +258,48 @@ def frequency_grid(ts: str, count: int = 32):
     return [complex(np.cos(t), np.sin(t)) for t in theta]
 
 
-def _finite_eigen_points(sys: DescriptorSystem):
-    pairs = generalized_eigenvalues(sys.A, sys.e_matrix)
-    return [a / b for a, b in pairs if not is_infinite(a, b)]
+def _pencil_points(sys: DescriptorSystem, rng):
+    """Endless random complex points on the pencil scale of sys,
+    ||A||_F/||E||_F (at least 1), the package's one random-point rule.
+    No eigenvalue sets the scale: the QZ of an improper realization
+    lists spurious finite eigenvalues of modulus about 1e8."""
+    norm_e = np.linalg.norm(sys.e_matrix, "fro")
+    radius = max(1.0, np.linalg.norm(sys.A, "fro") / norm_e) if norm_e else 1.0
+    while True:
+        yield complex(rng.standard_normal(), rng.standard_normal()) * radius
 
 
-def _nonpole_candidates(systems, count: int, rng):
-    """Random complex points scaled by one radius, the largest modulus of
-    a finite eigenvalue of A - lambda*E of the given systems (at least
-    1), and farther than 1e-3 times it from every such eigenvalue, drawn
-    until the attempt budget for count points is spent."""
-    eigs = [z for sys in systems for z in _finite_eigen_points(sys)]
-    radius = max([1.0] + [abs(z) for z in eigs])
-    margin = 1e-3 * radius
-    for _ in range(100 * count + 100):
-        z = complex(rng.standard_normal(), rng.standard_normal()) * radius
-        if all(abs(z - w) > margin for w in eigs):
-            yield z
+def _nonpole_samples(systems, count: int, rng) -> list:
+    """count pairs (z, (G1(z), G2(z), ...)) at points on the pencil scale
+    of the first system, G. A point at which one of the systems does not
+    evaluate to working precision is replaced by a fresh draw; only an
+    exhausted budget of 100*count + 100 draws raises EvaluationError."""
+    points = _pencil_points(systems[0], np.random.default_rng(0) if rng is None else rng)
+    draws, samples = itertools.islice(points, 100 * count + 100), []
+    while len(samples) < count:
+        z = next(draws, None)
+        if z is None:
+            raise EvaluationError(f"sampling exhausted its attempt budget: only {len(samples)} of {count} points evaluate")
+        try:
+            samples.append((z, tuple(evaluate(sys, z) for sys in systems)))
+        except EvaluationError:
+            continue
+    return samples
 
 
 def random_nonpole_points(systems, count: int, rng=None):
-    """Random complex evaluation points rejection-sampled away from the
-    finite eigenvalues of A - lambda*E of every given system."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    points = list(itertools.islice(_nonpole_candidates(systems, count, rng), count))
-    if len(points) < count:
-        raise StructureError("could not sample evaluation points away from the spectrum")
-    return points
+    """count random complex points, drawn on the pencil scale of the
+    first system, G, at which every given system evaluates to working
+    precision (_nonpole_samples). The other systems do not move the
+    points: a factor of G on its own larger scale would be evaluated
+    where only its D term is seen."""
+    return [z for z, _ in _nonpole_samples(systems, count, rng)]
 
 
 def nonpole_evaluations(systems, count: int, rng=None) -> list:
-    """Values (G1(z), G2(z), ...) of the given systems at count random
-    points clear of their spectra. A point at which one of them does
-    not evaluate to working precision is replaced by a fresh draw; only
-    an exhausted attempt budget raises."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    candidates = _nonpole_candidates(systems, count, rng)
-    values = []
-    while len(values) < count:
-        z = next(candidates, None)
-        if z is None:
-            raise EvaluationError(
-                f"sampling exhausted its attempt budget: only {len(values)} of {count} "
-                "points clear of the spectra evaluate to working precision"
-            )
-        try:
-            values.append(tuple(evaluate(sys, z) for sys in systems))
-        except EvaluationError:
-            continue
-    return values
+    """Values (G1(z), G2(z), ...) of the given systems at the count
+    points random_nonpole_points draws, from the same evaluations."""
+    return [values for _, values in _nonpole_samples(systems, count, rng)]
 
 
 # -- structural queries ------------------------------------------------------
@@ -338,17 +330,16 @@ def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> in
     again. Only two points of one pair that both fall that close, and
     rank low by the same count, pass the cross-check.
 
-    The points are drawn on the pencil's scale ||A||/||E|| (at least 1):
-    drawn on that of a spurious huge eigenvalue, an infinite Jordan
-    block's 1/|lambda0| falls under the threshold."""
-    rng = np.random.default_rng(0)
+    The points come from default_rng(0) under the package's one
+    random-point rule (_pencil_points), on the pencil's scale
+    ||A||/||E|| (at least 1): drawn on that of a spurious huge
+    eigenvalue, an infinite Jordan block's 1/|lambda0| falls under the
+    threshold."""
+    points = _pencil_points(sys, np.random.default_rng(0))
     M, N = system_pencil(sys)
-    norm_e = np.linalg.norm(sys.e_matrix, "fro")
-    radius = max(1.0, np.linalg.norm(sys.A, "fro") / norm_e) if norm_e else 1.0
     for _ in range(5):
         ranks = []
-        for _ in range(2):
-            z = complex(rng.standard_normal(), rng.standard_normal()) * radius
+        for z in itertools.islice(points, 2):
             S = M - z * N
             s = svd(S, compute_uv=False)
             thresh = tol.rank_threshold(s[0] if s.size else 0.0, max(S.shape))

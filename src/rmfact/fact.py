@@ -63,8 +63,9 @@ FREQ_GRID = 32
 
 
 def product_residuals(sys, left, right, count=RESIDUAL_GRID, rng=None) -> list:
-    """||G(z) - L(z) R(z)||_F / (1 + ||G(z)||_F) at the count random
-    points of nonpole_evaluations."""
+    """||G(z) - L(z) R(z)||_F / (1 + ||G(z)||_F) at count random points
+    on G's pencil scale at which G, L and R evaluate (nonpole_evaluations;
+    no eigenvalue is computed)."""
     return [
         np.linalg.norm(Gz - Lz @ Rz, "fro") / (1.0 + np.linalg.norm(Gz, "fro"))
         for Gz, Lz, Rz in nonpole_evaluations([sys, left, right], count, rng)
@@ -86,7 +87,8 @@ def gram_residual(factors, count=FREQ_GRID) -> float:
 def penrose_residuals(sys, gp, count=RESIDUAL_GRID, rng=None, grid=FREQ_GRID) -> dict:
     """The Moore-Penrose defects of gp as the pseudo-inverse of G,
     each divided by 1 + ||G(z)||_F and maximized: G G# G - G and
-    G# G G# - G# at the count random points of nonpole_evaluations,
+    G# G G# - G# at count random points on G's pencil scale at which G
+    and G# evaluate (nonpole_evaluations; no eigenvalue is computed),
     and the Hermitian defects of G G# and G# G on frequency_grid(grid),
     the axis where those identities hold. A grid point at which G or
     G# does not evaluate is skipped."""

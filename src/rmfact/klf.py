@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dss import _finite_eigen_points, system_pencil
+from .dss import system_pencil
 from .exceptions import InputError, StructureError
 from .numkernel import (
     DEFAULT_TOL,
@@ -394,6 +394,12 @@ class SpecialKlf:
     def B_n(self):
         rows = slice(self.n_rg + self.n_bl, self.n_rg + self.n_bl + self.m_n)
         return self.M[rows, self.c1 + self.n_bl + self.r:]
+
+
+def _finite_eigen_points(sys):
+    """The finite eigenvalues of A - lambda*E, from one QZ."""
+    pairs = generalized_eigenvalues(sys.A, sys.e_matrix)
+    return [a / b for a, b in pairs if not is_infinite(a, b)]
 
 
 def _check_bad_stabilizable(sys, region, thresh, eigenvalues):

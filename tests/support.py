@@ -9,6 +9,7 @@ import io
 import json
 
 import numpy as np
+import scipy.linalg
 
 import rmfact.dss
 import rmfact.klf
@@ -54,6 +55,24 @@ def random_system(rng, ts=None, n_max=6, p_max=4, m_max=4, improper_prob=0.35):
         sv = np.concatenate([rng.uniform(0.5, 2.0, n - drop), np.zeros(drop)])
         E = q1 @ np.diag(sv) @ q2.T
     return make_dss(A, E, B, C, D, ts)
+
+
+def improper_system(rng):
+    """G = G_p + P: G_p from random_system(rng, n_max=6) and the
+    polynomial part P = -lambda * sum_j c_j b_j.T of one or two random
+    rank-one terms, each realized by the 2-state nilpotent block
+    A = I, E = [[0, 1], [0, 0]], B = [0; b_j.T], C = [c_j, 0]. G has
+    infinite poles however G_p is realized."""
+    g = random_system(rng, n_max=6)
+    p, m = g.p, g.m
+    A, E, B, C = [g.A], [g.e_matrix], [g.B], [g.C]
+    for _ in range(int(rng.integers(1, 3))):
+        b, c = rng.standard_normal((1, m)), rng.standard_normal((p, 1))
+        A.append(np.eye(2))
+        E.append(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        B.append(np.vstack([np.zeros((1, m)), b]))
+        C.append(np.hstack([c, np.zeros((p, 1))]))
+    return make_dss(scipy.linalg.block_diag(*A), scipy.linalg.block_diag(*E), np.vstack(B), np.hstack(C), g.D, g.ts)
 
 
 def overflowing_pencil_system():

@@ -328,6 +328,41 @@ def test_nonpole_evaluations_raise_only_on_an_exhausted_budget():
     g = make_dss(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)), "continuous")
     with pytest.raises(EvaluationError, match="attempt budget"):
         nonpole_evaluations([g], 4, np.random.default_rng(0))
+    with pytest.raises(EvaluationError, match="attempt budget"):
+        random_nonpole_points([g], 4, np.random.default_rng(0))
+
+
+def test_random_points_redraw_where_a_listed_system_does_not_evaluate(monkeypatch):
+    # the points are G's draws in order, less those at which another
+    # listed system does not evaluate
+    g = stable_rank2_continuous()
+    h = transpose(g)
+    draws = random_nonpole_points([g], 40, np.random.default_rng(1))
+    evaluate = rmfact.dss.evaluate
+
+    def refusing(sys, z):
+        if sys is h and z.real < 0:
+            raise EvaluationError(f"evaluation point {z} is a pole to working precision")
+        return evaluate(sys, z)
+
+    monkeypatch.setattr(rmfact.dss, "evaluate", refusing)
+    kept = [z for z in draws if z.real >= 0][:8]
+    assert len(kept) == 8 and kept != draws[:8]
+    assert random_nonpole_points([g, h], 8, np.random.default_rng(1)) == kept
+
+
+def test_random_points_follow_the_first_system_alone():
+    # h realizes G under the state scaling diag(1e-3, ..., 1e3): its
+    # ||A||/||E|| is far from G's, yet it evaluates at every point drawn
+    # on G's scale, so listing it moves no point
+    g = random_system(np.random.default_rng(3), ts="continuous", n_max=6, improper_prob=0.0)
+    assert g.n > 2
+    d = np.logspace(-3.0, 3.0, g.n)
+    h = make_dss(g.A * d[None, :] / d[:, None], None, g.B / d[:, None], g.C * d[None, :], g.D, g.ts)
+    assert np.linalg.norm(h.A, "fro") > 1e3 * np.linalg.norm(g.A, "fro")
+    listed = random_nonpole_points([g, h], 12, np.random.default_rng(2))
+    assert listed == random_nonpole_points([g], 12, np.random.default_rng(2))
+    assert listed != random_nonpole_points([h], 12, np.random.default_rng(2))
 
 
 def test_frequency_grid_layout():

@@ -51,6 +51,7 @@ from rmfact.numkernel import DEFAULT_TOL
 from support import (
     assert_multiset_close,
     decoupling_reductions,
+    improper_system,
     irreducible_reductions,
     moore_penrose_defects,
     pad_state,
@@ -587,8 +588,9 @@ def test_frf_report_reads_the_residual_routine_and_the_structure_query(tmp_path)
 
 
 def test_product_residuals_redraw_points_that_do_not_evaluate():
-    # a badly scaled state similarity of a discrete improper system:
-    # evaluate rejects some sampled points that clear the sampler margin
+    # a badly scaled state similarity of a discrete improper system
+    # certifies at points on its own pencil scale (the redraw itself:
+    # test_dss::test_random_points_redraw_where_a_listed_system_does_not_evaluate)
     rng = np.random.default_rng(7)
     g = [random_system(rng, n_max=8) for _ in range(39)][38]
     assert (g.n, g.ts, g.E is not None) == (7, "discrete", True)
@@ -864,3 +866,43 @@ def test_coarse_tolerance_iofac_of_large_10(rank_rtol):
     name, op = LARGE_10_IOFAC
     g = dict(coarse_suites()[1])[name]
     assert wrong_results([(name, g, op)], ToleranceConfig(rank_rtol=rank_rtol)) == []
+
+
+def test_residual_checks_compute_no_eigenvalues(monkeypatch):
+    # the residual points come from G's pencil scale, not from a QZ
+    g = polynomial_rank2_discrete()
+    fr, gp = full_rank_factorize(g), pseudo_inverse(g)
+    calls = []
+    qz = rmfact.numkernel.generalized_eigenvalues
+
+    def counting(*args):
+        calls.append(args)
+        return qz(*args)
+
+    for module in (rmfact.numkernel, rmfact.dss, rmfact.klf):
+        monkeypatch.setattr(module, "generalized_eigenvalues", counting)
+    product_residuals(g, fr.left, fr.right)
+    penrose_residuals(g, gp)
+    random_nonpole_points([g, fr.left, fr.right], 8)
+    assert calls == []
+
+
+def test_improper_suite_is_accepted_and_meets_its_bounds():
+    # 60 improper G (support.improper_system, rng 77): every operation is
+    # accepted and meets its tier-1 bound through fact's residual routines,
+    # whose points stay on G's pencil scale, clear of the spurious QZ
+    # eigenvalues (modulus about 1e8) of its infinite poles
+    rng = np.random.default_rng(77)
+    wrong = []
+    for i in range(60):
+        g = improper_system(rng)
+        assert structure(g).poles.infinite_count > 0
+        for op in ("frf", "dual", "nrcf", "pinv", "iofac"):
+            try:
+                d = operation_defect(op, g, DEFAULT_TOL)
+            except RmfactError as exc:
+                wrong.append(f"{op} of {i}: {type(exc).__name__}: {exc}")
+                continue
+            if d > TIER1_BOUND[op]:
+                wrong.append(f"{op} of {i}: {d:.2e}")
+    assert wrong == []

@@ -10,9 +10,10 @@ dss._system the DescriptorSystem constructor, so computed realizations
 skip the input checks. Only dss and fact draw evaluation points
 (frequency_grid, nonpole_evaluations), so every residual of a
 factorization identity is computed in fact, and cli evaluates a system
-only for its eval command. Only numkernel names the machine epsilon
-(EPS, finfo, spacing), so every threshold comes from its tolerance
-policy. numkernel loads scipy's compiled LAPACK module
+only for its eval command. Only dss's point generator draws a random
+number, so every random point follows one rule. Only numkernel names
+the machine epsilon (EPS, finfo, spacing), so every threshold comes
+from its tolerance policy. numkernel loads scipy's compiled LAPACK module
 without the scipy.linalg package, which a cold CLI process would
 otherwise spend about half its time importing. klf.special_klf sets
 no block to a constant or a copy itself: each goes through
@@ -522,3 +523,36 @@ def test_only_the_kept_accessor_reduces(module):
     allowed = KEPT_ACCESSOR if module == "dss.py" else set()
     refs = references_of((PACKAGE / module).read_text(), DECOUPLING_STEPS)
     assert [r for r in refs if r.split(": ", 1)[1] not in allowed] == []
+
+
+# every random point, a rank probe's or a residual check's, is drawn by
+# dss._pencil_points on the pencil scale of one system
+RANDOM_DRAWS = ("standard_normal",)
+POINT_GENERATOR = {"_pencil_points names standard_normal"}
+
+
+def test_draw_checker_flags_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import standard_normal\n"
+        "def probe(rng):\n"
+        "    draw = rng.standard_normal\n"
+        "    return draw() + np.random.default_rng(0).standard_normal(2)\n"
+        "def _pencil_points(sys, rng):\n"
+        "    yield complex(rng.standard_normal(), rng.normal())\n"
+    )
+    assert references_of(source, RANDOM_DRAWS) == [
+        "line 2: <module> names standard_normal",
+        "line 4: probe names standard_normal",
+        "line 5: probe names standard_normal",
+        "line 7: _pencil_points names standard_normal",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_random_points_have_one_generator(module):
+    allowed = POINT_GENERATOR if module == "dss.py" else set()
+    refs = references_of((PACKAGE / module).read_text(), RANDOM_DRAWS)
+    assert [r for r in refs if r.split(": ", 1)[1] not in allowed] == []
+    if module == "dss.py":
+        assert refs

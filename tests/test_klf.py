@@ -32,8 +32,7 @@ from rmfact import (
     transpose,
     zeros,
 )
-from rmfact.dss import _finite_eigen_points
-from rmfact.klf import _klf_core, _pencil_threshold, on_stability_boundary
+from rmfact.klf import _finite_eigen_points, _klf_core, _pencil_threshold, on_stability_boundary
 from rmfact.numkernel import DEFAULT_TOL, EIG_ATOL, is_infinite
 from rmfact.rangebasis import inner_enforcing_gains, range_basis
 
@@ -512,7 +511,7 @@ def test_frf_and_iofac_share_one_splitting_reduction(monkeypatch):
 
 def test_region_none_splitting_skips_the_eigenvalue_checks(monkeypatch):
     # no finite eigenvalue is bad for region_none, so the QZ of (A, E)
-    # (dss._finite_eigen_points) is left out; the KLF of the restricted
+    # (klf._finite_eigen_points) is left out; the KLF of the restricted
     # pencil keeps its own QZ call
     outside = []
     depth = [0]
