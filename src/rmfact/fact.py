@@ -177,12 +177,11 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
     of its (A, E). A singular E (G improper) keeps special_klf, at tol:
     only it isolates the constant block.
 
-    The inner gains (rangebasis._inner_gains) are solved on the whole
-    trailing block, whose explicit pair is (A_bl, B_bl) for E None and
-    E_bl^-1 [A_bl B_bl] otherwise. Unlike
-    rangebasis.inner_enforcing_gains, nrcf takes no controllable part:
-    an uncontrollable mode of that block would be one of the realization
-    [G; I], which shares (A, E, B) with the minimal realization. Neither
+    The inner gains (rangebasis._inner_gains) are solved, as in
+    range_basis, on the explicit pair of the whole trailing block
+    (rangebasis._finite_pair): (A_bl, B_bl) for E None, with no solve.
+    The block is controllable: an uncontrollable mode of it would be one
+    of [G; I], which shares (A, E, B) with the minimal realization. Neither
     existence check of inner_enforcing_gains can refuse [G; I]:
     - its feedthrough D_bl is [N; M](infinity) up to an invertible
       weighting, of full column rank as [N; M] is inner; for a proper G
@@ -209,10 +208,7 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
     else:
         sk = special_klf(graph, stability_region(sys.ts), tol)
         A_bl, E_bl, B_bl, C_bl, D_bl = sk.A_bl, sk.E_bl, sk.B_bl, sk.C_bl, sk.D_bl
-    AB = np.hstack([A_bl, B_bl])
-    if red.E is not None:
-        AB = np.linalg.solve(E_bl, AB)
-    F, W = _inner_gains(*_finite_pair(AB, A_bl.shape[0]), C_bl, D_bl, sys.ts)
+    F, W = _inner_gains(*_finite_pair(A_bl, None if red.E is None else E_bl, B_bl), C_bl, D_bl, sys.ts)
     # [N; M] is formed whole and split by rows: a one-row product rounds
     # differently from the same row of a taller one
     R = _basis_realization(A_bl, E_bl, B_bl, C_bl, D_bl, F, W, sys.ts)

@@ -116,11 +116,11 @@ class ToleranceConfig:
 
     Division guards use noise_floor(scale, k) and ignore rank_rtol: the
     A22 pivot block of dss._remove_nondynamic, the Gramian of
-    rangebasis._inv_sqrt_sym, and the feedthrough D whose D^T D
-    rangebasis.inner_enforcing_gains inverts. A block above roundoff
-    inverts safely whatever rank a caller counts, and a Gramian's
-    eigenvalues are squared singular values, which a tolerance meant for
-    singular values would refuse far too early.
+    rangebasis._inv_sqrt_sym, the feedthrough D whose D^T D
+    rangebasis.inner_enforcing_gains inverts, rangebasis._check_gain_size.
+    A block above roundoff inverts safely whatever rank a caller counts,
+    and a Gramian's eigenvalues are squared singular values, which a
+    tolerance meant for singular values would refuse far too early.
 
     Every factorization starts from G's controllable and observable
     part at DEFAULT_TOL, whatever rank_rtol is, and pinv ends with the
@@ -128,8 +128,8 @@ class ToleranceConfig:
     are exact: a coarse threshold would only cut states G needs. The
     part keeps its non-dynamic modes, whose elimination can inflate the
     pencil that scales the later thresholds. tol decides the splitting
-    forms built on the part; the fact.nrcf docstring says what it
-    decides there.
+    forms built on the part (the fact.nrcf docstring says what it
+    decides there), not the gain solves on their trailing blocks.
 
     Fixed rules: is_infinite decides infinite eigenvalues, EIG_ATOL the
     width of the stability boundary (klf.on_stability_boundary),
@@ -290,7 +290,7 @@ def _ordered_qz(A, B, select, left=True):
     is_infinite counts as infinite and _klf_core refuses), and its
     infinite block is square (checked) with every peel stage square, so
     its lambda-free part is nonsingular. _stabilizing_gains passes
-    (A_c, I); stabilizing_riccati, as scipy's solvers do, checks the
+    (A, I); stabilizing_riccati, as scipy's solvers do, checks the
     solution instead, and reads only Z."""
     gges, tgsen = _lapack(("gges", "tgsen"), A.dtype)
     n = A.shape[0]

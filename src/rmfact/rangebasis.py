@@ -8,8 +8,9 @@ independent choices shape it: the bad region of the splitting form
 decides which zeros of G the basis keeps (region_none: none, the
 minimum-degree basis; stability_region: the unstable ones;
 all_finite_region: every one), and the gains choice decides what a
-state feedback F and an invertible output weighting W do to its poles
-without changing the span ("none", "stable", or "inner").
+state feedback F and an invertible output weighting W, solved on the
+whole trailing block, do to its poles without changing the span
+("none", "stable", or "inner").
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dss import DescriptorSystem, _system, controllable_bases
+from .dss import DescriptorSystem, _system
 from .exceptions import FactorizationError, InputError
 from .klf import (
     RegionPartition,
@@ -67,21 +68,22 @@ def range_basis(
     makes R~ R = I. A realization that is not stabilizable for the bad
     region is refused (StructureError), even when the modes that break
     stabilizability cancel in G; the factorizations of fact start from
-    G's controllable and observable part, which drops them. The
-    splitting form is special_klf's, kept on sys per region and tol, so
-    every basis of sys for one region and tol shares one reduction.
+    G's controllable and observable part, which drops them. Gains
+    "stable" and "inner" also need the trailing blocks stabilizable for
+    region_none, which special_klf does not check (FactorizationError);
+    they are controllable when sys is: y^T [A_bl - lambda E_bl, B_bl] = 0
+    extends through the invertible B_n. The splitting form is
+    special_klf's, kept on sys per region and tol, so every basis of sys
+    for one region and tol shares one reduction.
     """
     if gains not in ("none", "stable", "inner"):
         raise InputError(f"gains must be one of 'none', 'stable', 'inner', got {gains!r}")
     sk = special_klf(sys, region or stability_region(sys.ts), tol)
+    F, W = np.zeros((sk.r, sk.n_bl)), np.eye(sk.r)
     if gains == "inner":
-        F, W = inner_enforcing_gains(sk, tol)
+        F, W = inner_enforcing_gains(sk)
     elif gains == "stable":
-        F = _stabilizing_gains(*(np.array(M) for M in (sk.A_bl, sk.E_bl, sk.B_bl)), sys.ts, tol)
-        W = np.eye(sk.r)
-    else:
-        F = np.zeros((sk.r, sk.n_bl))
-        W = np.eye(sk.r)
+        F = _stabilizing_gains(sk.A_bl, sk.E_bl, sk.B_bl, sys.ts)
     R = _basis_realization(sk.A_bl, sk.E_bl, sk.B_bl, sk.C_bl, sk.D_bl, F, W, sys.ts)
     return RangeResult(R=R, F=F, W=W, sklf=sk)
 
@@ -115,6 +117,9 @@ def cofactor(sys: DescriptorSystem, rr: RangeResult) -> DescriptorSystem:
 
 # -- gain computations --------------------------------------------------------
 
+# a gain solve on the whole trailing block fails on a mode B_bl misses
+STABILIZABLE = " (the trailing blocks must be stabilizable)"
+
 
 def _inv_sqrt_sym(H):
     # a division guard (ToleranceConfig): w holds squared singular values
@@ -126,33 +131,25 @@ def _inv_sqrt_sym(H):
     return V @ np.diag(1.0 / np.sqrt(w)) @ V.T if H.shape[0] else np.eye(0)
 
 
-def _finite_pair(AB, k):
-    """The explicit pair (A, B) held in AB = [A B] with k states. A
-    non-finite entry means a reduction broke down: FactorizationError."""
+def _finite_pair(A_bl, E_bl, B_bl):
+    """The explicit pair (A, B) of the trailing blocks (A_bl - lambda
+    E_bl, B_bl) with E_bl invertible: E_bl^-1 [A_bl B_bl], or [A_bl B_bl]
+    for E_bl None. A non-finite entry means a reduction broke down."""
+    AB = np.hstack([A_bl, B_bl])
+    if E_bl is not None:
+        AB = np.linalg.solve(E_bl, AB)
     if not np.isfinite(AB).all():
         raise FactorizationError("the explicit pair of the trailing blocks has non-finite entries")
-    return AB[:, :k], AB[:, k:]
+    return AB[:, : A_bl.shape[0]], AB[:, A_bl.shape[0]:]
 
 
-def _explicit_pair(A_bl, E_bl, B_bl, tol):
-    """Explicit pair (E_c^-1 A_c, E_c^-1 B_c) of the controllable part
-    (A_c - lambda E_c, B_c) of the trailing blocks and the orthonormal
-    Z_c with x = Z_c x_c for its state."""
-    L, Z = controllable_bases(A_bl, E_bl, B_bl, tol)
-    AB = np.linalg.solve(L.T @ E_bl @ Z, L.T @ np.hstack([A_bl @ Z, B_bl]))
-    return (*_finite_pair(AB, Z.shape[1]), Z)
-
-
-def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig = DEFAULT_TOL):
+def inner_enforcing_gains(blocks: SpecialKlf):
     """Feedback F and weighting W making the basis inner (R~ R = I and
     all poles stable). The zeros of the basis are the splitting form's
     record blocks.bad_eigenvalues; one on the stability boundary
-    rejects the basis. The splitting form may come from any
-    realization, whose trailing blocks can carry uncontrollable modes,
-    so the Riccati equation is solved (_inner_gains) on the explicit
-    pair of their controllable part only, obtained with the invertible
-    E_bl at tol, and the feedback is padded with zeros on the
-    uncontrollable states."""
+    rejects the basis. The Riccati equation is solved (_inner_gains) on
+    the explicit pair E_bl^-1 [A_bl B_bl] of the whole trailing block
+    (_finite_pair), so the block must be stabilizable (range_basis)."""
     ts = blocks.ts
     r, n_bl = blocks.r, blocks.n_bl
     D = np.array(blocks.D_bl)
@@ -167,9 +164,6 @@ def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig = DEFAULT_TOL
             raise FactorizationError(
                 "inner basis does not exist: the candidate feedthrough is column rank deficient"
             )
-    if n_bl == 0:
-        return np.zeros((r, 0)), _inv_sqrt_sym(D.T @ D)
-    A_bl, E_bl, B_bl, C_bl = (np.array(M) for M in (blocks.A_bl, blocks.E_bl, blocks.B_bl, blocks.C_bl))
     # an inner basis exists only if the zeros carried by the trailing
     # blocks, the bad eigenvalues of the splitting form, stay off the
     # stability boundary: feedback cannot move zeros, and R~ R = I
@@ -181,9 +175,10 @@ def inner_enforcing_gains(blocks: SpecialKlf, tol: ToleranceConfig = DEFAULT_TOL
                 "inner basis does not exist: a zero of the basis lies on the "
                 f"stability boundary (at {lam:.6g})"
             )
-    A_c, B_c, Z_c = _explicit_pair(A_bl, E_bl, B_bl, tol)
-    F_c, W = _inner_gains(A_c, B_c, C_bl @ Z_c, D, ts)
-    return F_c @ Z_c.T, W
+    A, B = _finite_pair(blocks.A_bl, blocks.E_bl, blocks.B_bl)
+    F, W = _inner_gains(A, B, blocks.C_bl, D, ts)
+    _check_gain_size(A, B, F)
+    return F, W
 
 
 def _inner_gains(A, B, C, D, ts):
@@ -207,44 +202,50 @@ def _inner_gains(A, B, C, D, ts):
             F = -np.linalg.solve(H, B.T @ X @ A + S.T)
             W = _inv_sqrt_sym(H)
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise FactorizationError(f"inner gain computation failed: {exc}") from None
+        raise FactorizationError(f"inner gain computation failed: {exc}{STABILIZABLE}") from None
     _check_closed_loop(A, B, F, ts)
     return F, W
 
 
-def _check_closed_loop(A_c, B_c, F_c, ts):
-    """Refuse a feedback F_c that leaves a pole of the explicit closed
-    loop A_c + B_c F_c in the instability region of ts: a Riccati
-    solution computed from ill-conditioned data can miss its target."""
-    closed = np.linalg.eigvals(A_c + B_c @ F_c)
+def _check_closed_loop(A, B, F, ts):
+    """Refuse a feedback F that leaves a pole of the explicit closed
+    loop A + B F in the instability region of ts: a Riccati solution
+    computed from ill-conditioned data can miss its target."""
+    closed = np.linalg.eigvals(A + B @ F)
     # only a pole with a positive stability gap can classify bad
     for z in closed[stability_gap(closed, ts) > 0]:
         if classify_eigenvalue(z, 1.0, stability_region(ts)) == "bad":
-            raise FactorizationError(f"feedback left the closed-loop pole {z} in the instability region")
+            raise FactorizationError(f"feedback left the closed-loop pole {z} in the instability region{STABILIZABLE}")
 
 
-def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
-    """Feedback moving every unstable controllable eigenvalue of
-    (A_bl - lambda E_bl) to its reflection, leaving stable and
-    uncontrollable (hence cancelling) modes untouched. The zero-weight
-    Riccati solution of the anti-stable block mirrors its poles; a
-    solver failure there is a FactorizationError."""
-    r = B_bl.shape[1]
-    n_bl = A_bl.shape[0]
+def _check_gain_size(A, B, F):
+    """Refuse a feedback F on the explicit pair (A, B) so large, ||F||_F
+    noise_floor(s, n) > s with s = max(||A||_F, ||B||_F, sqrt(n)), that
+    it moves a mode B reaches only at roundoff level: a division guard."""
+    n, size = A.shape[0], np.linalg.norm(F)
+    scale = max(np.linalg.norm(A), np.linalg.norm(B), np.sqrt(n))
+    if size * noise_floor(scale, n) > scale:
+        raise FactorizationError(f"feedback of norm {size:.3g} acts through roundoff in B{STABILIZABLE}")
+
+
+def _stabilizing_gains(A_bl, E_bl, B_bl, ts):
+    """Feedback moving every unstable eigenvalue of the explicit pair
+    (_finite_pair) of the whole block to its reflection, leaving the
+    stable ones untouched. The zero-weight Riccati solution of the
+    anti-stable block mirrors its poles; a solver failure there, as at
+    an unstable mode B_bl does not reach, is a FactorizationError."""
+    n_bl, r = B_bl.shape
     if n_bl == 0 or r == 0:
         return np.zeros((r, n_bl))
-    A_c, B_c, Z_c = _explicit_pair(A_bl, E_bl, B_bl, tol)
-    k = Z_c.shape[1]
-    if k == 0:
-        return np.zeros((r, n_bl))
+    A, B = _finite_pair(A_bl, E_bl, B_bl)
     sel = region_selector(stability_region(ts))
-    S, T, alpha, beta, Q, _ = _ordered_qz(A_c, np.eye(k), sel)
+    S, T, alpha, beta, Q, _ = _ordered_qz(A, np.eye(n_bl), sel)
     kg = int(sel(alpha, beta).sum())
-    kb = k - kg
+    kb = n_bl - kg
     if kb == 0:
         return np.zeros((r, n_bl))
     A22 = S[kg:, kg:] @ np.linalg.inv(T[kg:, kg:])
-    B2 = (Q.T @ B_c)[kg:, :]
+    B2 = (Q.T @ B)[kg:, :]
     try:
         X22 = stabilizing_riccati(A22, B2, np.zeros((kb, kb)), np.eye(r), None, ts)
         if ts == "continuous":
@@ -252,7 +253,8 @@ def _stabilizing_gains(A_bl, E_bl, B_bl, ts, tol):
         else:
             F2 = -np.linalg.solve(B2.T @ X22 @ B2 + np.eye(r), B2.T @ X22 @ A22)
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise FactorizationError(f"pole relocation failed: {exc}") from None
-    F_c = np.hstack([np.zeros((r, kg)), F2]) @ Q.T
-    _check_closed_loop(A_c, B_c, F_c, ts)
-    return F_c @ Z_c.T
+        raise FactorizationError(f"pole relocation failed: {exc}{STABILIZABLE}") from None
+    F = np.hstack([np.zeros((r, kg)), F2]) @ Q.T
+    _check_closed_loop(A, B, F, ts)
+    _check_gain_size(A, B, F)
+    return F

@@ -43,7 +43,7 @@ from rmfact import (
     write_system_file,
     zeros,
 )
-from rmfact.dss import identity_system
+from rmfact.dss import _controllable_observable_part, identity_system
 from rmfact.fact import RESIDUAL_GRID
 from rmfact.io import eigenvalues_to_json
 from rmfact.numkernel import DEFAULT_TOL
@@ -313,13 +313,9 @@ def test_nrcf_reduces_only_an_improper_graph(monkeypatch):
         assert gram_residual([N, M], 16) <= 1e-8
 
 
-def test_nrcf_does_no_repeated_work(monkeypatch):
-    # on a realization whose minimal realization red is kept, nrcf runs
-    # no controllability staircase: red is controllable, and so is the
-    # graph [red; I], which shares its (A, E, B). For a proper G the PBH
-    # check of the graph reads the one QZ of red's pencil that poles ran
-    rng = np.random.default_rng(2024)
-    suite = [random_system(rng, n_max=8) for _ in range(3)]
+def counted_staircases_and_qz(monkeypatch):
+    """Call counts of the controllability staircase and the eigenvalue QZ,
+    through every binding the package calls them by."""
     calls = {"controllable_bases": 0, "generalized_eigenvalues": 0}
 
     def counting(name, fn):
@@ -330,10 +326,22 @@ def test_nrcf_does_no_repeated_work(monkeypatch):
         return wrapped
 
     staircase, qz = rmfact.dss.controllable_bases, rmfact.numkernel.generalized_eigenvalues
-    for module in (rmfact.dss, rmfact.rangebasis):
-        monkeypatch.setattr(module, "controllable_bases", counting("controllable_bases", staircase))
+    for module in (rmfact.dss, rmfact.klf, rmfact.rangebasis, rmfact.fact):
+        if hasattr(module, "controllable_bases"):
+            monkeypatch.setattr(module, "controllable_bases", counting("controllable_bases", staircase))
     for module in (rmfact.dss, rmfact.klf):
         monkeypatch.setattr(module, "generalized_eigenvalues", counting("generalized_eigenvalues", qz))
+    return calls
+
+
+def test_nrcf_does_no_repeated_work(monkeypatch):
+    # on a realization whose minimal realization red is kept, nrcf runs
+    # no controllability staircase: red is controllable, and so is the
+    # graph [red; I], which shares its (A, E, B). For a proper G the PBH
+    # check of the graph reads the one QZ of red's pencil that poles ran
+    rng = np.random.default_rng(2024)
+    suite = [random_system(rng, n_max=8) for _ in range(3)]
+    calls = counted_staircases_and_qz(monkeypatch)
     for g, proper in [
         (stable_rank2_continuous(), True),
         (suite[1], True),
@@ -347,6 +355,32 @@ def test_nrcf_does_no_repeated_work(monkeypatch):
         assert calls["controllable_bases"] == 0
         if proper:
             assert calls["generalized_eigenvalues"] == 1
+
+
+def test_gain_solvers_run_no_staircase(monkeypatch):
+    # the stabilizing and inner gains are solved on the whole trailing
+    # block of a splitting form of G's kept part, which is controllable
+    # (so are its trailing blocks): once the part is kept, frf with
+    # stable gains, pinv and iofac run no controllability staircase
+    rng = np.random.default_rng(2024)
+    suite = [random_system(rng, n_max=8) for _ in range(6)]
+    calls = counted_staircases_and_qz(monkeypatch)
+    pairs = []
+    pair = rmfact.rangebasis._finite_pair
+    monkeypatch.setattr(rmfact.rangebasis, "_finite_pair", lambda *blocks: pairs.append(1) or pair(*blocks))
+    ops = {"frf_stable": lambda h: full_rank_factorize(h, gains="stable"), "pinv": pseudo_inverse, "iofac": inner_outer}
+    solved = dict.fromkeys(ops, 0)
+    for g in [stable_rank2_continuous(), polynomial_rank2_discrete(), *suite]:
+        for name, op in ops.items():
+            h = make_dss(g.A, g.E, g.B, g.C, g.D, g.ts)
+            _controllable_observable_part(h, DEFAULT_TOL)
+            calls.update(controllable_bases=0)
+            pairs.clear()
+            op(h)
+            assert calls["controllable_bases"] == 0, name
+            solved[name] += len(pairs)
+    # every operation reached a gain solve
+    assert min(solved.values()) > 0, solved
 
 
 def test_nrcf_keeps_the_stabilizability_check_of_a_proper_graph():
@@ -650,32 +684,6 @@ OPERATIONS = {
 }
 
 
-@pytest.mark.parametrize(
-    "module, refused",
-    [
-        # the irreducible realization, which structure, nrcf and pinv build
-        ("rmfact.dss", {"structure", "irreducible_realization", "nrcf", "pinv"}),
-        # the explicit pair behind the stabilizing and inner gains of a
-        # splitting form; nrcf's graph block needs no controllable part
-        ("rmfact.rangebasis", {"frf_stable", "pinv", "iofac"}),
-    ],
-)
-def test_nan_made_inside_a_reduction_is_never_returned(monkeypatch, module, refused):
-    monkeypatch.setattr(f"{module}.controllable_bases", nan_in_l(rmfact.dss.controllable_bases))
-    for g in (padded_example(stable_rank2_continuous()), padded_example(polynomial_rank2_discrete())):
-        for name, op in OPERATIONS.items():
-            try:
-                result = op(g)
-            except RmfactError as exc:
-                # the computation broke down, not the caller's data
-                assert not isinstance(exc, InputError), (name, exc)
-                assert name not in refused or isinstance(exc, (StructureError, FactorizationError)), (name, exc)
-                continue
-            assert name not in refused, name
-            for sys in realizations(result):
-                assert all(np.isfinite(M).all() for M in (sys.A, sys.e_matrix, sys.B, sys.C, sys.D)), name
-
-
 def nan_in_a_bl(form):
     """A splitting form builder whose form has a NaN in the first entry
     of its trailing block A_bl."""
@@ -687,6 +695,43 @@ def nan_in_a_bl(form):
         return dataclasses.replace(sk, M=M)
 
     return patched
+
+
+# where each row makes its NaN: the decoupling staircase of dss, or the
+# trailing block A_bl of the splitting forms range_basis reads; the gain
+# solvers refuse the latter when they form its explicit pair
+NAN_SOURCES = {
+    "rmfact.dss": ("controllable_bases", nan_in_l(rmfact.dss.controllable_bases), ""),
+    "rmfact.rangebasis": ("special_klf", nan_in_a_bl(rmfact.klf.special_klf), "explicit pair of the trailing blocks"),
+}
+
+
+@pytest.mark.parametrize(
+    "module, refused",
+    [
+        # the irreducible realization, which structure, nrcf and pinv build
+        ("rmfact.dss", {"structure", "irreducible_realization", "nrcf", "pinv"}),
+        # the explicit pair behind the stabilizing and inner gains of a
+        # splitting form; nrcf builds its graph block without range_basis
+        ("rmfact.rangebasis", {"frf_stable", "pinv", "iofac"}),
+    ],
+)
+def test_nan_made_inside_a_reduction_is_never_returned(monkeypatch, module, refused):
+    target, patched, refusal = NAN_SOURCES[module]
+    monkeypatch.setattr(f"{module}.{target}", patched)
+    for g in (padded_example(stable_rank2_continuous()), padded_example(polynomial_rank2_discrete())):
+        for name, op in OPERATIONS.items():
+            try:
+                result = op(g)
+            except RmfactError as exc:
+                # the computation broke down, not the caller's data
+                assert not isinstance(exc, InputError), (name, exc)
+                assert name not in refused or isinstance(exc, (StructureError, FactorizationError)), (name, exc)
+                assert name not in refused or refusal in str(exc), (name, exc)
+                continue
+            assert name not in refused, name
+            for sys in realizations(result):
+                assert all(np.isfinite(M).all() for M in (sys.A, sys.e_matrix, sys.B, sys.C, sys.D)), name
 
 
 def nan_in_the_pencil(threshold):

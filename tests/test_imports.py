@@ -21,7 +21,9 @@ klf._set_block, which returns the norm of the change for the backward
 error check, and only klf.special_klf builds a SpecialKlf. Only the kept
 accessor dss._controllable_observable_part runs the decoupling
 staircases (_controllable_part, _observable_part), so fact reaches a
-decoupling reduction only through it or irreducible_realization."""
+decoupling reduction only through it or irreducible_realization, and
+only dss._controllable_part calls the controllability staircase
+controllable_bases."""
 
 import ast
 import pathlib
@@ -523,6 +525,17 @@ def test_only_the_kept_accessor_reduces(module):
     allowed = KEPT_ACCESSOR if module == "dss.py" else set()
     refs = references_of((PACKAGE / module).read_text(), DECOUPLING_STEPS)
     assert [r for r in refs if r.split(": ", 1)[1] not in allowed] == []
+
+
+# the controllability staircase has one caller, the decoupling step of the
+# kept accessor: the gain solvers work on the whole trailing block
+STAIRCASE_CALLER = ["_controllable_part names controllable_bases"]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_controllable_bases_has_one_caller(module):
+    refs = references_of((PACKAGE / module).read_text(), ("controllable_bases",))
+    assert [r.split(": ", 1)[1] for r in refs] == (STAIRCASE_CALLER if module == "dss.py" else [])
 
 
 # every random point, a rank probe's or a residual check's, is drawn by

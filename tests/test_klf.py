@@ -122,10 +122,10 @@ def test_stability_boundary_decisions_agree(ts):
             with pytest.raises(FactorizationError, match="stability boundary"):
                 nrcf(pole_at_lam, tol)
             with pytest.raises(FactorizationError, match="stability boundary"):
-                inner_enforcing_gains(sk, tol)
+                inner_enforcing_gains(sk)
         else:
             nrcf(pole_at_lam, tol)
-            inner_enforcing_gains(sk, tol)
+            inner_enforcing_gains(sk)
 
 
 # -- general staircase reduction ----------------------------------------------

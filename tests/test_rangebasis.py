@@ -24,8 +24,9 @@ from rmfact import (
     zeros,
 )
 from rmfact.dss import identity_system
+from rmfact.fact import gram_residual, product_residuals
 
-from support import RELAXED, assert_multiset_close, product_residual, random_system
+from support import RELAXED, assert_multiset_close, pad_state, product_residual, random_system
 
 
 def inner_defect(R, ts, count=32):
@@ -181,11 +182,15 @@ def assert_riccati_failure_is_a_factorization_error(monkeypatch, gains, message)
 
 
 def test_stabilizing_riccati_failure_is_a_factorization_error(monkeypatch):
-    assert_riccati_failure_is_a_factorization_error(monkeypatch, "stable", "pole relocation failed: forced")
+    assert_riccati_failure_is_a_factorization_error(
+        monkeypatch, "stable", "pole relocation failed: forced (the trailing blocks must be stabilizable)"
+    )
 
 
 def test_inner_riccati_failure_is_a_factorization_error(monkeypatch):
-    assert_riccati_failure_is_a_factorization_error(monkeypatch, "inner", "inner gain computation failed: forced")
+    assert_riccati_failure_is_a_factorization_error(
+        monkeypatch, "inner", "inner gain computation failed: forced (the trailing blocks must be stabilizable)"
+    )
 
 
 def test_inner_boundary_zero_rejected():
@@ -303,3 +308,41 @@ def test_prereduce_repairs_cancelling_mode():
     X = cofactor(red, rr)
     s = 1.3j
     assert np.linalg.norm(evaluate(g, s) - evaluate(rr.R, s) @ evaluate(X, s)) < 1e-10
+
+
+def tall_with_uncontrollable_mode(rng, unstable):
+    """A tall G (p > m) and its realization with one uncontrollable
+    padded state (support.pad_state), unstable or stable. For tall G
+    the splitting form for region_none keeps that state in its trailing
+    blocks."""
+    while True:
+        g = random_system(rng)
+        if g.p > g.m:
+            break
+    a = {("continuous", True): 0.7, ("discrete", True): 1.6, ("continuous", False): -0.7, ("discrete", False): 0.4}
+    return g, pad_state(g, a[g.ts, unstable], 1.0, "uncontrollable", rng)
+
+
+def test_gains_on_region_none_need_stabilizable_trailing_blocks():
+    # the stabilizing and inner gains are solved on the whole trailing
+    # block, so region_none is under the stabilizability assumption of
+    # every other region: an unstable mode the input does not reach is
+    # refused by name, the minimal realization of the same G is accepted,
+    # and at the stability region special_klf's PBH check refuses first
+    rng = np.random.default_rng(33)
+    for _ in range(8):
+        g, h = tall_with_uncontrollable_mode(rng, unstable=True)
+        for gains in ("inner", "stable"):
+            with pytest.raises(FactorizationError, match=r"\(the trailing blocks must be stabilizable\)"):
+                range_basis(h, region_none(), gains)
+        rr = range_basis(irreducible_realization(g), region_none(), "inner")
+        assert gram_residual([rr.R]) <= 1e-7
+        with pytest.raises(StructureError, match="not stabilizable"):
+            range_basis(h, stability_region(h.ts), "inner")
+    # a stable mode the input does not reach needs no feedback
+    for _ in range(8):
+        g, h = tall_with_uncontrollable_mode(rng, unstable=False)
+        for gains in ("inner", "stable"):
+            rr = range_basis(h, region_none(), gains)
+            assert max(product_residuals(h, rr.R, cofactor(h, rr))) <= 1e-7
+        assert gram_residual([range_basis(h, region_none(), "inner").R]) <= 1e-7
