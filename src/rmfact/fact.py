@@ -21,6 +21,7 @@ conditions. The command-line reports and the demos call them.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +44,7 @@ from .dss import (
     system_pencil,
     transpose,
 )
-from .exceptions import EvaluationError, FactorizationError, InputError
+from .exceptions import EvaluationError, FactorizationError, InputError, StructureError
 from .klf import (
     RegionPartition,
     _check_bad_stabilizable,
@@ -54,7 +55,7 @@ from .klf import (
     stability_region,
 )
 from .numkernel import DEFAULT_TOL, ToleranceConfig, svd_rank_abs
-from .rangebasis import _basis_realization, _finite_pair, _inner_gains, cofactor, range_basis
+from .rangebasis import _trailing_basis, cofactor, range_basis
 
 # random points of a product identity, which holds everywhere, and
 # frequency-axis points of the inner and Hermitian identities
@@ -159,8 +160,8 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
     the system pencil M - lambda*N of [G; I] already is its splitting
     form and no reduction runs: nrcf reads the trailing blocks straight
     off it, A_bl = A, E_bl = E, B_bl = B, C_bl = [C; 0] and D_bl = [D; I],
-    the blocks M[:n, :n], N[:n, :n], M[:n, n:], M[n:, :n] and M[n:, n:].
-    In exact arithmetic:
+    the blocks M[:n, :n], N[:n, :n] (None for E None), M[:n, n:],
+    M[n:, :n] and M[n:, n:], with no bad eigenvalue. In exact arithmetic:
     - the leading block is empty: [G; I] has no finite zero, which would
       need an unobservable mode, and the [0 I] rows give its pencil full
       column rank, so no right singular part;
@@ -177,17 +178,11 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
     of its (A, E). A singular E (G improper) keeps special_klf, at tol:
     only it isolates the constant block.
 
-    The inner gains (rangebasis._inner_gains) are solved, as in
-    range_basis, on the explicit pair of the whole trailing block
-    (rangebasis._finite_pair): (A_bl, B_bl) for E None, with no solve.
-    The block is controllable: an uncontrollable mode of it would be one
-    of [G; I], which shares (A, E, B) with the minimal realization. Neither
-    existence check of inner_enforcing_gains can refuse [G; I]:
-    - its feedthrough D_bl is [N; M](infinity) up to an invertible
-      weighting, of full column rank as [N; M] is inner; for a proper G
-      it is [D; I], whose sigma_min is at least 1;
-    - the zeros of the basis the boundary check reads are finite zeros
-      of [G; I], which has none.
+    Either way the basis is range_basis's: rangebasis._trailing_basis
+    with the gains of inner_enforcing_gains, solved on the explicit pair
+    of the whole trailing block. The block is controllable: an
+    uncontrollable mode of it would be one of [G; I], which shares
+    (A, E, B) with the minimal realization.
 
     Poles of G on the region boundary are rejected: the factors would
     have to absorb a marginal mode and the normalization degrades."""
@@ -204,14 +199,15 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
     n = red.n
     if red.E is None or svd_rank_abs(red.E, thresh) == n:
         _check_bad_stabilizable(red, stability_region(sys.ts), thresh, finite_poles)
-        A_bl, E_bl, B_bl, C_bl, D_bl = M[:n, :n], N[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
+        blocks = SimpleNamespace(
+            A_bl=M[:n, :n], E_bl=None if red.E is None else N[:n, :n], B_bl=M[:n, n:],
+            C_bl=M[n:, :n], D_bl=M[n:, n:], bad_eigenvalues=(), ts=sys.ts,
+        )
     else:
-        sk = special_klf(graph, stability_region(sys.ts), tol)
-        A_bl, E_bl, B_bl, C_bl, D_bl = sk.A_bl, sk.E_bl, sk.B_bl, sk.C_bl, sk.D_bl
-    F, W = _inner_gains(*_finite_pair(A_bl, None if red.E is None else E_bl, B_bl), C_bl, D_bl, sys.ts)
+        blocks = special_klf(graph, stability_region(sys.ts), tol)
     # [N; M] is formed whole and split by rows: a one-row product rounds
     # differently from the same row of a taller one
-    R = _basis_realization(A_bl, E_bl, B_bl, C_bl, D_bl, F, W, sys.ts)
+    R, _, _ = _trailing_basis(blocks, "inner")
     p = sys.p
     return FactorizationResult(
         _system(R.A, R.E, R.B, R.C[:p, :], R.D[:p, :], sys.ts),
@@ -268,6 +264,11 @@ def pseudo_inverse(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) ->
     if r < m:
         V, G2t = _factorize(transpose(G1), region_none(), "inner", tol)
         G2 = transpose(G2t)
+    if (G2.p, G2.m) != (r, r):
+        raise StructureError(
+            f"rank decisions disagree: normal_rank counts {r}, the range compressions keep a "
+            f"{G2.p} x {G2.m} core; adjust the tolerance"
+        )
     composed = _inverse_realization(G2)
     if r < m:
         composed = series(conjugate(transpose(V)), composed)

@@ -13,7 +13,7 @@ Riccati routine; `dss` and `rangebasis` solve their small linear
 systems with numpy.linalg.solve. A routine's optimal workspace is
 queried once per argument shapes and then reused (_gesdd, _workspace).
 
-The kernels take checked, finite float64 (complex128 for svd and rq)
+The kernels take checked, finite float64 (complex128 also for svd)
 data and do not check it again. Outside data is checked where it
 enters: by `_matrix`, the one cast-and-check helper, in make_dss and
 kronecker_like_form, the only raw-array entry points; by io and the
@@ -87,17 +87,13 @@ try:
 except (ImportError, AttributeError, KeyError):
     from scipy.linalg.lapack import _flapack, _flapack_64
 
-# scipy's names of the complex routines behind the real orthogonal ones
-_COMPLEX_ALIASES = {"orgqr": "ungqr", "orgrq": "ungrq"}
-
 
 def _lapack(names, dtype, module=_flapack):
     """The compiled LAPACK routines `names` of module for a float64 or
     complex128 dtype: the objects get_lapack_funcs(names, dtype=dtype)
-    returns."""
-    if np.dtype(dtype).kind == "c":
-        return [getattr(module, "z" + _COMPLEX_ALIASES.get(name, name)) for name in names]
-    return [getattr(module, "d" + name) for name in names]
+    returns. Only svd binds complex ones."""
+    prefix = "z" if np.dtype(dtype).kind == "c" else "d"
+    return [getattr(module, prefix + name) for name in names]
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,8 @@ class ToleranceConfig:
     Division guards use noise_floor(scale, k) and ignore rank_rtol: the
     A22 pivot block of dss._remove_nondynamic, the Gramian of
     rangebasis._inv_sqrt_sym, the feedthrough D whose D^T D
-    rangebasis.inner_enforcing_gains inverts, rangebasis._check_gain_size.
+    rangebasis.inner_enforcing_gains inverts, and the feedback size that
+    rangebasis._check_feedback bounds after every Riccati solve.
     A block above roundoff inverts safely whatever rank a caller counts,
     and a Gramian's eigenvalues are squared singular values, which a
     tolerance meant for singular values would refuse far too early.
@@ -227,9 +224,9 @@ def _gesdd(dtype, shape, compute_uv: bool):
 
 
 def rq(M):
-    """Full RQ factorization (R, Q) of a finite float64 or complex128
-    matrix by LAPACK gerqf and orgrq/ungrq: M = R @ Q with Q square
-    orthogonal and R upper trapezoidal."""
+    """Full RQ factorization (R, Q) of a finite float64 matrix by LAPACK
+    gerqf and orgrq: M = R @ Q with Q square orthogonal and R upper
+    trapezoidal."""
     m, n = M.shape
     if M.size == 0:
         return np.empty_like(M), np.eye(n, dtype=M.dtype)
@@ -289,9 +286,10 @@ def _ordered_qz(A, B, select, left=True):
     not) and nonsingular (a singular one shows a (0, 0) pair, which
     is_infinite counts as infinite and _klf_core refuses), and its
     infinite block is square (checked) with every peel stage square, so
-    its lambda-free part is nonsingular. _stabilizing_gains passes
-    (A, I); stabilizing_riccati, as scipy's solvers do, checks the
-    solution instead, and reads only Z."""
+    its lambda-free part is nonsingular. rangebasis._stabilizing_gains
+    passes (A, I). stabilizing_riccati, which only
+    rangebasis._riccati_feedback calls, checks the solution instead, as
+    scipy's solvers do, and reads only Z."""
     gges, tgsen = _lapack(("gges", "tgsen"), A.dtype)
     n = A.shape[0]
     # sort_t=0: gges never calls the selector

@@ -10,7 +10,10 @@ minimum-degree basis; stability_region: the unstable ones;
 all_finite_region: every one), and the gains choice decides what a
 state feedback F and an invertible output weighting W, solved on the
 whole trailing block, do to its poles without changing the span
-("none", "stable", or "inner").
+("none", "stable", or "inner"). Every basis built on trailing blocks,
+range_basis's and fact.nrcf's, comes out of one assembly,
+_trailing_basis, and every gain solve out of one Riccati feedback,
+_riccati_feedback, checked by one guard, _check_feedback.
 """
 
 from __future__ import annotations
@@ -74,27 +77,33 @@ def range_basis(
     they are controllable when sys is: y^T [A_bl - lambda E_bl, B_bl] = 0
     extends through the invertible B_n. The splitting form is
     special_klf's, kept on sys per region and tol, so every basis of sys
-    for one region and tol shares one reduction.
+    for one region and tol shares one reduction; _trailing_basis builds
+    the basis on its trailing blocks.
     """
     if gains not in ("none", "stable", "inner"):
         raise InputError(f"gains must be one of 'none', 'stable', 'inner', got {gains!r}")
     sk = special_klf(sys, region or stability_region(sys.ts), tol)
-    F, W = np.zeros((sk.r, sk.n_bl)), np.eye(sk.r)
-    if gains == "inner":
-        F, W = inner_enforcing_gains(sk)
-    elif gains == "stable":
-        F = _stabilizing_gains(sk.A_bl, sk.E_bl, sk.B_bl, sys.ts)
-    R = _basis_realization(sk.A_bl, sk.E_bl, sk.B_bl, sk.C_bl, sk.D_bl, F, W, sys.ts)
+    R, F, W = _trailing_basis(sk, gains)
     return RangeResult(R=R, F=F, W=W, sklf=sk)
 
 
-def _basis_realization(A_bl, E_bl, B_bl, C_bl, D_bl, F, W, ts) -> DescriptorSystem:
-    """The range basis built on the trailing blocks of a splitting form
-    under the feedback F and the weighting W: (A_bl + B_bl F - lambda
-    E_bl, B_bl W, C_bl + D_bl F, D_bl W), with E None when the blocks
-    hold no state."""
-    A_bl, E_bl, B_bl, C_bl, D_bl = (np.array(M) for M in (A_bl, E_bl, B_bl, C_bl, D_bl))
-    return _system(A_bl + B_bl @ F, E_bl if A_bl.shape[0] else None, B_bl @ W, C_bl + D_bl @ F, D_bl @ W, ts)
+def _trailing_basis(blocks, gains: str):
+    """The basis (A_bl + B_bl F - lambda E_bl, B_bl W, C_bl + D_bl F,
+    D_bl W) on the trailing blocks of a splitting form, or of a value
+    with its block names, and the F and W of gains: F = 0 and W = I for
+    "none", inner_enforcing_gains for "inner", _stabilizing_gains for
+    "stable". E_bl None, or no state, stores E as None."""
+    A_bl, E_bl, B_bl, C_bl, D_bl = (
+        None if M is None else np.array(M) for M in (blocks.A_bl, blocks.E_bl, blocks.B_bl, blocks.C_bl, blocks.D_bl)
+    )
+    n_bl, r = B_bl.shape
+    F, W = np.zeros((r, n_bl)), np.eye(r)
+    if gains == "inner":
+        F, W = inner_enforcing_gains(blocks)
+    elif gains == "stable":
+        F = _stabilizing_gains(blocks)
+    R = _system(A_bl + B_bl @ F, E_bl if n_bl else None, B_bl @ W, C_bl + D_bl @ F, D_bl @ W, blocks.ts)
+    return R, F, W
 
 
 def cofactor(sys: DescriptorSystem, rr: RangeResult) -> DescriptorSystem:
@@ -131,27 +140,32 @@ def _inv_sqrt_sym(H):
     return V @ np.diag(1.0 / np.sqrt(w)) @ V.T if H.shape[0] else np.eye(0)
 
 
-def _finite_pair(A_bl, E_bl, B_bl):
+def _finite_pair(blocks):
     """The explicit pair (A, B) of the trailing blocks (A_bl - lambda
     E_bl, B_bl) with E_bl invertible: E_bl^-1 [A_bl B_bl], or [A_bl B_bl]
     for E_bl None. A non-finite entry means a reduction broke down."""
-    AB = np.hstack([A_bl, B_bl])
-    if E_bl is not None:
-        AB = np.linalg.solve(E_bl, AB)
+    n_bl = blocks.A_bl.shape[0]
+    AB = np.hstack([blocks.A_bl, blocks.B_bl])
+    if blocks.E_bl is not None:
+        AB = np.linalg.solve(blocks.E_bl, AB)
     if not np.isfinite(AB).all():
         raise FactorizationError("the explicit pair of the trailing blocks has non-finite entries")
-    return AB[:, : A_bl.shape[0]], AB[:, A_bl.shape[0]:]
+    return AB[:, :n_bl], AB[:, n_bl:]
 
 
 def inner_enforcing_gains(blocks: SpecialKlf):
-    """Feedback F and weighting W making the basis inner (R~ R = I and
-    all poles stable). The zeros of the basis are the splitting form's
+    """Feedback F and weighting W making the basis on the trailing
+    blocks of blocks inner (R~ R = I and all poles stable); blocks is a
+    splitting form or a value with its block names (A_bl to D_bl,
+    bad_eigenvalues, ts). The zeros of the basis are the splitting form's
     record blocks.bad_eigenvalues; one on the stability boundary
-    rejects the basis. The Riccati equation is solved (_inner_gains) on
+    rejects the basis. The Riccati feedback (_riccati_feedback) with the
+    output weights C_bl^T C_bl, D_bl^T D_bl and C_bl^T D_bl is solved on
     the explicit pair E_bl^-1 [A_bl B_bl] of the whole trailing block
-    (_finite_pair), so the block must be stabilizable (range_basis)."""
+    (_finite_pair), so the block must be stabilizable (range_basis).
+    With no state F is empty and W normalizes D_bl."""
     ts = blocks.ts
-    r, n_bl = blocks.r, blocks.n_bl
+    n_bl, r = blocks.B_bl.shape
     D = np.array(blocks.D_bl)
     if r == 0:
         return np.zeros((0, n_bl)), np.eye(0)
@@ -175,86 +189,70 @@ def inner_enforcing_gains(blocks: SpecialKlf):
                 "inner basis does not exist: a zero of the basis lies on the "
                 f"stability boundary (at {lam:.6g})"
             )
-    A, B = _finite_pair(blocks.A_bl, blocks.E_bl, blocks.B_bl)
-    F, W = _inner_gains(A, B, blocks.C_bl, D, ts)
-    _check_gain_size(A, B, F)
+    A, B = _finite_pair(blocks)
+    if n_bl == 0:
+        return np.zeros((r, 0)), _inv_sqrt_sym(D.T @ D)
+    C = blocks.C_bl
+    F, H = _riccati_feedback(A, B, C.T @ C, D.T @ D, C.T @ D, ts)
+    W = _inv_sqrt_sym(H)
+    _check_feedback(A, B, F, ts)
     return F, W
 
 
-def _inner_gains(A, B, C, D, ts):
-    """Feedback F and weighting W making the basis (A + B F, B W,
-    C + D F, D W) of the explicit realization (A, B, C, D) inner, from
-    the stabilizing solution of its Riccati equation; the closed loop
-    A + B F is checked (_check_closed_loop). With no state F is empty
-    and W normalizes D."""
-    if A.shape[0] == 0:
-        return np.zeros((B.shape[1], 0)), _inv_sqrt_sym(D.T @ D)
-    Q = C.T @ C
-    R = D.T @ D
-    S = C.T @ D
+def _riccati_feedback(A, B, Q, R, S, ts):
+    """Feedback F of the stabilizing solution X of the Riccati equation
+    of the explicit pair (A, B) with weights [Q S; S^T R], S None for
+    zero, and the term H it inverts: F = -R^-1 (B^T X + S^T) with H = R
+    in continuous time, F = -H^-1 (B^T X A + S^T) with H = B^T X B + R
+    in discrete time. A solver failure, as at a mode B does not reach,
+    is a FactorizationError."""
+    cross = 0.0 if S is None else S.T
     try:
         X = stabilizing_riccati(A, B, Q, R, S, ts)
         if ts == "continuous":
-            F = -np.linalg.solve(R, B.T @ X + S.T)
-            W = _inv_sqrt_sym(R)
-        else:
-            H = B.T @ X @ B + R
-            F = -np.linalg.solve(H, B.T @ X @ A + S.T)
-            W = _inv_sqrt_sym(H)
+            return -np.linalg.solve(R, B.T @ X + cross), R
+        H = B.T @ X @ B + R
+        return -np.linalg.solve(H, B.T @ X @ A + cross), H
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise FactorizationError(f"inner gain computation failed: {exc}{STABILIZABLE}") from None
-    _check_closed_loop(A, B, F, ts)
-    return F, W
+        raise FactorizationError(f"Riccati gain computation failed: {exc}{STABILIZABLE}") from None
 
 
-def _check_closed_loop(A, B, F, ts):
-    """Refuse a feedback F that leaves a pole of the explicit closed
-    loop A + B F in the instability region of ts: a Riccati solution
-    computed from ill-conditioned data can miss its target."""
+def _check_feedback(A, B, F, ts):
+    """Refuse a feedback F on the explicit pair (A, B) that leaves a
+    pole of the closed loop A + B F in the instability region of ts (a
+    Riccati solution computed from ill-conditioned data can miss its
+    target), or that is so large, ||F||_F noise_floor(s, n) > s with
+    s = max(||A||_F, ||B||_F, sqrt(n)), that it moves a mode B reaches
+    only at roundoff level (a division guard)."""
     closed = np.linalg.eigvals(A + B @ F)
     # only a pole with a positive stability gap can classify bad
     for z in closed[stability_gap(closed, ts) > 0]:
         if classify_eigenvalue(z, 1.0, stability_region(ts)) == "bad":
             raise FactorizationError(f"feedback left the closed-loop pole {z} in the instability region{STABILIZABLE}")
-
-
-def _check_gain_size(A, B, F):
-    """Refuse a feedback F on the explicit pair (A, B) so large, ||F||_F
-    noise_floor(s, n) > s with s = max(||A||_F, ||B||_F, sqrt(n)), that
-    it moves a mode B reaches only at roundoff level: a division guard."""
     n, size = A.shape[0], np.linalg.norm(F)
     scale = max(np.linalg.norm(A), np.linalg.norm(B), np.sqrt(n))
     if size * noise_floor(scale, n) > scale:
         raise FactorizationError(f"feedback of norm {size:.3g} acts through roundoff in B{STABILIZABLE}")
 
 
-def _stabilizing_gains(A_bl, E_bl, B_bl, ts):
+def _stabilizing_gains(blocks):
     """Feedback moving every unstable eigenvalue of the explicit pair
-    (_finite_pair) of the whole block to its reflection, leaving the
-    stable ones untouched. The zero-weight Riccati solution of the
-    anti-stable block mirrors its poles; a solver failure there, as at
-    an unstable mode B_bl does not reach, is a FactorizationError."""
-    n_bl, r = B_bl.shape
+    (_finite_pair) of the whole trailing block to its reflection,
+    leaving the stable ones untouched: the zero-weight Riccati feedback
+    (_riccati_feedback) of the anti-stable block of an ordered QZ
+    mirrors its poles."""
+    n_bl, r = blocks.B_bl.shape
     if n_bl == 0 or r == 0:
         return np.zeros((r, n_bl))
-    A, B = _finite_pair(A_bl, E_bl, B_bl)
-    sel = region_selector(stability_region(ts))
+    A, B = _finite_pair(blocks)
+    sel = region_selector(stability_region(blocks.ts))
     S, T, alpha, beta, Q, _ = _ordered_qz(A, np.eye(n_bl), sel)
     kg = int(sel(alpha, beta).sum())
     kb = n_bl - kg
     if kb == 0:
         return np.zeros((r, n_bl))
     A22 = S[kg:, kg:] @ np.linalg.inv(T[kg:, kg:])
-    B2 = (Q.T @ B)[kg:, :]
-    try:
-        X22 = stabilizing_riccati(A22, B2, np.zeros((kb, kb)), np.eye(r), None, ts)
-        if ts == "continuous":
-            F2 = -B2.T @ X22
-        else:
-            F2 = -np.linalg.solve(B2.T @ X22 @ B2 + np.eye(r), B2.T @ X22 @ A22)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise FactorizationError(f"pole relocation failed: {exc}{STABILIZABLE}") from None
+    F2, _ = _riccati_feedback(A22, (Q.T @ B)[kg:, :], np.zeros((kb, kb)), np.eye(r), None, blocks.ts)
     F = np.hstack([np.zeros((r, kg)), F2]) @ Q.T
-    _check_closed_loop(A, B, F, ts)
-    _check_gain_size(A, B, F)
+    _check_feedback(A, B, F, blocks.ts)
     return F

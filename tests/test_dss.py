@@ -444,6 +444,22 @@ def test_stacks_require_matching_ts():
         stack_vertical(g1, g2)
 
 
+@pytest.mark.parametrize(
+    "connect, message",
+    [
+        (stack_vertical, "vertical stacking requires equal input counts"),
+        (stack_horizontal, "horizontal stacking requires equal output counts"),
+        (series, "series connection requires inner dimensions to match"),
+    ],
+    ids=["stack_vertical", "stack_horizontal", "series"],
+)
+def test_connections_require_matching_dimensions(connect, message):
+    g1 = identity_system(2, "continuous")
+    g2 = identity_system(3, "continuous")
+    with pytest.raises(InputError, match=message):
+        connect(g1, g2)
+
+
 # the parent constructions of the realization assembly, kept as the
 # reference: later BLAS products round by the memory order of these
 # arrays, so the assembly must keep both their values and their layout

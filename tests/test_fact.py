@@ -40,6 +40,7 @@ from rmfact import (
     stability_region,
     stable_rank2_continuous,
     structure,
+    transpose,
     write_system_file,
     zeros,
 )
@@ -490,6 +491,24 @@ def test_pinv_identities_example_two():
     prod, herm = moore_penrose_defects(g, gp, np.random.default_rng(32))
     assert prod <= 1e-7
     assert herm <= 1e-6
+
+
+# at rank_rtol 0.1 normal_rank counts 2 for transposed suite-small system
+# 34, but the first compression's splitting form keeps 3 columns: the core
+# to invert comes out 3 x 2, and pinv names the two counts
+RANK_DISAGREEMENT = "normal_rank counts 2, the range compressions keep a 3 x 2 core; adjust the tolerance"
+
+
+def test_pinv_names_a_rank_disagreement(tmp_path):
+    rng = np.random.default_rng(2024)
+    g = transpose([random_system(rng, n_max=8) for _ in range(35)][34])
+    with pytest.raises(StructureError, match=RANK_DISAGREEMENT):
+        pseudo_inverse(g, ToleranceConfig(0.1))
+    path = tmp_path / "g.json"
+    write_system_file(g, str(path))
+    code, out, err = run_cli(["pinv", path, "--tol", "0.1"])
+    assert code == 3 and out == ""
+    assert RANK_DISAGREEMENT in err
 
 
 def test_pinv_identities_badly_scaled_composition():

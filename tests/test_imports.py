@@ -23,7 +23,9 @@ accessor dss._controllable_observable_part runs the decoupling
 staircases (_controllable_part, _observable_part), so fact reaches a
 decoupling reduction only through it or irreducible_realization, and
 only dss._controllable_part calls the controllability staircase
-controllable_bases."""
+controllable_bases. Only rangebasis._riccati_feedback calls the Riccati
+solver stabilizing_riccati, and fact imports no private gain helper of
+rangebasis: it builds its bases through rangebasis._trailing_basis."""
 
 import ast
 import pathlib
@@ -536,6 +538,24 @@ STAIRCASE_CALLER = ["_controllable_part names controllable_bases"]
 def test_controllable_bases_has_one_caller(module):
     refs = references_of((PACKAGE / module).read_text(), ("controllable_bases",))
     assert [r.split(": ", 1)[1] for r in refs] == (STAIRCASE_CALLER if module == "dss.py" else [])
+
+
+# one Riccati feedback: every gain solve reaches the Riccati solver through
+# rangebasis._riccati_feedback, and fact builds its bases through
+# rangebasis._trailing_basis, not through the private gain helpers
+RICCATI_CALLER = ["<module> names stabilizing_riccati", "_riccati_feedback names stabilizing_riccati"]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_stabilizing_riccati_has_one_caller(module):
+    refs = references_of((PACKAGE / module).read_text(), ("stabilizing_riccati",))
+    assert [r.split(": ", 1)[1] for r in refs] == (RICCATI_CALLER if module == "rangebasis.py" else [])
+
+
+def test_fact_imports_no_private_gain_helper():
+    imports = [node for node in ast.walk(ast.parse((PACKAGE / "fact.py").read_text())) if isinstance(node, ast.ImportFrom)]
+    private = [a.name for node in imports if node.module == "rangebasis" for a in node.names if a.name.startswith("_")]
+    assert private == ["_trailing_basis"]
 
 
 # every random point, a rank probe's or a residual check's, is drawn by

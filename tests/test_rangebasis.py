@@ -9,6 +9,7 @@ from rmfact import (
     cofactor,
     evaluate,
     frequency_grid,
+    inner_outer,
     irreducible_realization,
     make_dss,
     mcmillan_degree,
@@ -181,16 +182,27 @@ def assert_riccati_failure_is_a_factorization_error(monkeypatch, gains, message)
     pytest.fail(f"no system needed a Riccati solve for gains={gains!r}")
 
 
+RICCATI_FAILURE = "Riccati gain computation failed: forced (the trailing blocks must be stabilizable)"
+
+
 def test_stabilizing_riccati_failure_is_a_factorization_error(monkeypatch):
-    assert_riccati_failure_is_a_factorization_error(
-        monkeypatch, "stable", "pole relocation failed: forced (the trailing blocks must be stabilizable)"
-    )
+    assert_riccati_failure_is_a_factorization_error(monkeypatch, "stable", RICCATI_FAILURE)
 
 
 def test_inner_riccati_failure_is_a_factorization_error(monkeypatch):
-    assert_riccati_failure_is_a_factorization_error(
-        monkeypatch, "inner", "inner gain computation failed: forced (the trailing blocks must be stabilizable)"
-    )
+    assert_riccati_failure_is_a_factorization_error(monkeypatch, "inner", RICCATI_FAILURE)
+
+
+@pytest.mark.parametrize("ts", ["continuous", "discrete"])
+def test_inner_basis_of_a_zero_matrix_is_empty(ts):
+    # normal rank 0: the inner gains return before any solve
+    g = make_dss([[0.5]], None, [[1.0, 0.0]], np.zeros((3, 1)), np.zeros((3, 2)), ts)
+    rr = range_basis(g, gains="inner")
+    assert (rr.R.p, rr.R.m) == (3, 0)
+    assert rr.F.size == 0 and rr.W.size == 0
+    Gi, Go = inner_outer(g)
+    assert (Gi.p, Gi.m, Go.p, Go.m) == (3, 0, 0, 2)
+    assert max(product_residuals(g, Gi, Go)) == 0.0
 
 
 def test_inner_boundary_zero_rejected():
