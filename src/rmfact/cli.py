@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import random
 import sys
 
 import numpy as np
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--grid", type=_int_at_least(1), default=None, help="number of grid points for residual and inner checks")
 
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the random evaluation points")
+    seed.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the random evaluation points, drawn by random.Random(seed)")
 
     outdir = argparse.ArgumentParser(add_help=False)
     outdir.add_argument("--out", default=None, help="directory for factor realization files")
@@ -310,7 +311,7 @@ def _fact_command(args, runner, names) -> int:
     sys_, tol, region, gains, report = _run_range_like(args)
     grid = args.grid or RESIDUAL_GRID
     left, right = runner(sys_, region, gains, tol)
-    residuals = product_residuals(sys_, left, right, grid, np.random.default_rng(args.seed))
+    residuals = product_residuals(sys_, left, right, grid, random.Random(args.seed))
     residual = float(max(residuals, default=0.0))
     factors = [(names[0], names[0], left), (names[1], names[1], right)]
     results = {"max_relative_residual": residual, "grid_points": grid}
@@ -340,7 +341,7 @@ def _cmd_pinv(args) -> int:
     sys_, tol, report = _start(args)
     grid = args.grid or RESIDUAL_GRID
     gp = pseudo_inverse(sys_, tol)
-    res = penrose_residuals(sys_, gp, grid, np.random.default_rng(args.seed), args.grid or FREQ_GRID)
+    res = penrose_residuals(sys_, gp, grid, random.Random(args.seed), args.grid or FREQ_GRID)
     results = {"identity_residuals": res, "grid_points": grid}
     lines = [
         f"residuals: G G# G {res['G_Gp_G']:.3e}, G# G G# {res['Gp_G_Gp']:.3e}, "
@@ -354,7 +355,7 @@ def _cmd_iofac(args) -> int:
     grid = args.grid or FREQ_GRID
     Gi, Go = inner_outer(sys_, tol)
     inner_res = gram_residual([Gi], grid)
-    residuals = product_residuals(sys_, Gi, Go, args.grid or RESIDUAL_GRID, np.random.default_rng(args.seed))
+    residuals = product_residuals(sys_, Gi, Go, args.grid or RESIDUAL_GRID, random.Random(args.seed))
     prod_res = float(max(residuals, default=0.0))
     factors = [("inner", "inner factor", Gi), ("outer", "quasi-outer factor", Go)]
     results = {"inner_residual": inner_res, "max_relative_residual": prod_res, "grid_points": grid}
@@ -403,7 +404,7 @@ def _cmd_verify(args) -> int:
             f"do not compose to {sys_.p}x{sys_.m}"
         )
     grid = args.grid or RESIDUAL_GRID
-    residuals = product_residuals(sys_, left, right, grid, np.random.default_rng(args.seed))
+    residuals = product_residuals(sys_, left, right, grid, random.Random(args.seed))
     residual = float(max(residuals, default=0.0))
     checks = {"max_relative_residual": residual, "grid_points": grid, "threshold": args.threshold}
     ok = residual <= args.threshold

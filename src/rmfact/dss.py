@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,19 +263,26 @@ def _pencil_points(sys: DescriptorSystem, rng):
     """Endless random complex points on the pencil scale of sys,
     ||A||_F/||E||_F (at least 1), the package's one random-point rule.
     No eigenvalue sets the scale: the QZ of an improper realization
-    lists spurious finite eigenvalues of modulus about 1e8."""
+    lists spurious finite eigenvalues of modulus about 1e8.
+
+    rng draws the real and then the imaginary part of each point:
+    gauss(0, 1) of a random.Random, the package's own generator (a cold
+    process has loaded it already, unlike numpy.random), or
+    standard_normal() of a numpy Generator."""
     norm_e = np.linalg.norm(sys.e_matrix, "fro")
     radius = max(1.0, np.linalg.norm(sys.A, "fro") / norm_e) if norm_e else 1.0
+    draw = (lambda: rng.gauss(0.0, 1.0)) if isinstance(rng, random.Random) else rng.standard_normal
     while True:
-        yield complex(rng.standard_normal(), rng.standard_normal()) * radius
+        yield complex(draw(), draw()) * radius
 
 
 def _nonpole_samples(systems, count: int, rng) -> list:
     """count pairs (z, (G1(z), G2(z), ...)) at points on the pencil scale
     of the first system, G. A point at which one of the systems does not
     evaluate to working precision is replaced by a fresh draw; only an
-    exhausted budget of 100*count + 100 draws raises EvaluationError."""
-    points = _pencil_points(systems[0], np.random.default_rng(0) if rng is None else rng)
+    exhausted budget of 100*count + 100 draws raises EvaluationError.
+    rng is any generator _pencil_points takes; None is random.Random(0)."""
+    points = _pencil_points(systems[0], random.Random(0) if rng is None else rng)
     draws, samples = itertools.islice(points, 100 * count + 100), []
     while len(samples) < count:
         z = next(draws, None)
@@ -292,13 +300,16 @@ def random_nonpole_points(systems, count: int, rng=None):
     first system, G, at which every given system evaluates to working
     precision (_nonpole_samples). The other systems do not move the
     points: a factor of G on its own larger scale would be evaluated
-    where only its D term is seen."""
+    where only its D term is seen. rng is a random.Random or a numpy
+    Generator (_pencil_points), random.Random(0) when None."""
     return [z for z, _ in _nonpole_samples(systems, count, rng)]
 
 
 def nonpole_evaluations(systems, count: int, rng=None) -> list:
     """Values (G1(z), G2(z), ...) of the given systems at the count
-    points random_nonpole_points draws, from the same evaluations."""
+    points random_nonpole_points draws for the same rng (a random.Random
+    or a numpy Generator; random.Random(0) when None), from the same
+    evaluations."""
     return [values for _, values in _nonpole_samples(systems, count, rng)]
 
 
@@ -330,12 +341,12 @@ def normal_rank(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> in
     again. Only two points of one pair that both fall that close, and
     rank low by the same count, pass the cross-check.
 
-    The points come from default_rng(0) under the package's one
+    The points come from random.Random(0) under the package's one
     random-point rule (_pencil_points), on the pencil's scale
     ||A||/||E|| (at least 1): drawn on that of a spurious huge
     eigenvalue, an infinite Jordan block's 1/|lambda0| falls under the
     threshold."""
-    points = _pencil_points(sys, np.random.default_rng(0))
+    points = _pencil_points(sys, random.Random(0))
     M, N = system_pencil(sys)
     for _ in range(5):
         ranks = []

@@ -66,7 +66,8 @@ FREQ_GRID = 32
 def product_residuals(sys, left, right, count=RESIDUAL_GRID, rng=None) -> list:
     """||G(z) - L(z) R(z)||_F / (1 + ||G(z)||_F) at count random points
     on G's pencil scale at which G, L and R evaluate (nonpole_evaluations;
-    no eigenvalue is computed)."""
+    no eigenvalue is computed), drawn by rng: a random.Random or a numpy
+    Generator, random.Random(0) when None."""
     return [
         np.linalg.norm(Gz - Lz @ Rz, "fro") / (1.0 + np.linalg.norm(Gz, "fro"))
         for Gz, Lz, Rz in nonpole_evaluations([sys, left, right], count, rng)
@@ -90,9 +91,10 @@ def penrose_residuals(sys, gp, count=RESIDUAL_GRID, rng=None, grid=FREQ_GRID) ->
     each divided by 1 + ||G(z)||_F and maximized: G G# G - G and
     G# G G# - G# at count random points on G's pencil scale at which G
     and G# evaluate (nonpole_evaluations; no eigenvalue is computed),
-    and the Hermitian defects of G G# and G# G on frequency_grid(grid),
-    the axis where those identities hold. A grid point at which G or
-    G# does not evaluate is skipped."""
+    drawn by rng (a random.Random or a numpy Generator, random.Random(0)
+    when None), and the Hermitian defects of G G# and G# G on
+    frequency_grid(grid), the axis where those identities hold. A grid
+    point at which G or G# does not evaluate is skipped."""
     w1 = w2 = 0.0
     for Gz, Pz in nonpole_evaluations([sys, gp], count, rng):
         scale = 1.0 + np.linalg.norm(Gz, "fro")

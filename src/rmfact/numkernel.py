@@ -32,10 +32,14 @@ contract for argument checks, warnings or messages.
 The routines are the function objects of scipy's compiled wrapper
 module `scipy.linalg._flapack` (and `_flapack_64` in an ILP64 build),
 the ones scipy.linalg.lapack.get_lapack_funcs hands out. The module is
-loaded from its file, because importing the scipy.linalg package that
-holds it would load all of scipy.linalg and take about half of a cold
-`rmfact` command's time; where the file cannot be loaded, the module
-comes from scipy.linalg.lapack instead. Only this module imports scipy.
+loaded from its file, found through the install path that
+importlib.util.find_spec("scipy") reports: importing the scipy.linalg
+package that holds it would load all of scipy.linalg and take about
+half of a cold `rmfact` command's time, and even the scipy package's
+own __init__ runs nothing the bindings need. `_flapack_64` is bound
+where its extension file exists, which only an ILP64 build ships, and
+is None elsewhere. Where `_flapack` cannot be found or loaded, both
+come from scipy.linalg.lapack instead. Only this module imports scipy.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .exceptions import InputError, StructureError
 
@@ -63,28 +66,31 @@ class KernelError(StructureError, np.linalg.LinAlgError):
 
 def _compiled(name: str):
     """scipy's compiled module scipy.linalg.<name>, loaded from its file
-    under scipy's package path without running the scipy.linalg
+    under scipy's install path without running the scipy or scipy.linalg
     package's __init__, and registered under its full name so that a
-    later import of scipy.linalg shares it."""
+    later import of scipy.linalg shares it; None where scipy ships no
+    such file."""
     full = f"scipy.linalg.{name}"
     if full in sys.modules:
         return sys.modules[full]
-    spec = importlib.machinery.PathFinder.find_spec(full, [os.path.join(p, "linalg") for p in scipy.__path__])
+    scipy_spec = importlib.util.find_spec("scipy")
+    paths = [os.path.join(p, "linalg") for p in scipy_spec.submodule_search_locations] if scipy_spec else []
+    spec = importlib.machinery.PathFinder.find_spec(full, paths)
     if spec is None:
-        raise ImportError(f"no compiled module {full} under {scipy.__path__}")
+        return None
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return sys.modules.setdefault(full, module)
 
 
 # the wrapper modules behind scipy.linalg.lapack, _flapack_64 only in an
-# ILP64 build; a scipy without the file or the build record (older than
-# 1.11) takes them from scipy.linalg.lapack itself
+# ILP64 build, which alone ships its file; a scipy whose _flapack file
+# cannot be found or loaded serves both from scipy.linalg.lapack itself
 try:
-    _flapack = _compiled("_flapack")
-    _ilp64 = scipy.__config__.CONFIG["Build Dependencies"]["lapack"]["has ilp64"]
-    _flapack_64 = _compiled("_flapack_64") if _ilp64 else None
-except (ImportError, AttributeError, KeyError):
+    _flapack, _flapack_64 = _compiled("_flapack"), _compiled("_flapack_64")
+except ImportError:
+    _flapack = None
+if _flapack is None:
     from scipy.linalg.lapack import _flapack, _flapack_64
 
 

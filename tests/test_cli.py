@@ -484,7 +484,7 @@ HYGIENE_PROBE = """
 import contextlib, io, json, sys
 import rmfact.cli
 def loaded():
-    return [name for name in ("scipy.signal", "scipy.linalg") if name in sys.modules]
+    return [name for name in ("scipy", "scipy.linalg", "scipy.signal", "numpy.random") if name in sys.modules]
 report = {"import": loaded(), "codes": []}
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
@@ -496,7 +496,9 @@ print(json.dumps(report))
 
 def test_cli_import_leaves_out_scipy_signal(tmp_path):
     # every subcommand on both example systems, so that no path of a
-    # cold command loads either package lazily
+    # cold command loads any of these lazily: numkernel loads only the
+    # compiled LAPACK wrappers, and the random points come from the
+    # stdlib random module
     argvs = []
     for name, argv in GOLDEN_COMMANDS.items():
         for ex in (EX1, EX2):

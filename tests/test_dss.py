@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import warnings
 
 import numpy as np
@@ -16,12 +17,14 @@ from rmfact import (
     conjugate,
     evaluate,
     frequency_grid,
+    full_rank_factorize,
     irreducible_realization,
     make_dss,
     mcmillan_degree,
     normal_rank,
     poles,
     polynomial_rank2_discrete,
+    product_residuals,
     random_nonpole_points,
     series,
     stable_rank2_continuous,
@@ -363,6 +366,49 @@ def test_random_points_follow_the_first_system_alone():
     listed = random_nonpole_points([g, h], 12, np.random.default_rng(2))
     assert listed == random_nonpole_points([g], 12, np.random.default_rng(2))
     assert listed != random_nonpole_points([h], 12, np.random.default_rng(2))
+
+
+# the one random-point rule draws each point's real and then imaginary
+# part from the caller's generator: standard_normal() of a numpy
+# Generator, the draws of perfbench's checks and of the tests, or
+# gauss(0, 1) of a random.Random, the package's own default
+POINT_SYSTEMS = {"standard": stable_rank2_continuous, "improper": polynomial_rank2_discrete}
+GENERATORS = {
+    "numpy": (np.random.default_rng, lambda rng: rng.standard_normal()),
+    "stdlib": (random.Random, lambda rng: rng.gauss(0.0, 1.0)),
+}
+
+
+def hand_drawn_points(g, draw, count):
+    norm_e = np.linalg.norm(g.e_matrix, "fro")
+    radius = max(1.0, np.linalg.norm(g.A, "fro") / norm_e)
+    return [complex(draw(), draw()) * radius for _ in range(count)]
+
+
+@pytest.mark.parametrize("generator", list(GENERATORS))
+@pytest.mark.parametrize("name", list(POINT_SYSTEMS))
+def test_random_points_are_the_generators_draws(name, generator):
+    g = POINT_SYSTEMS[name]()
+    make, draw = GENERATORS[generator]
+    rng = make(11)
+    want = hand_drawn_points(g, lambda: draw(rng), 8)
+    assert random_nonpole_points([g], 8, make(11)) == want
+    values = nonpole_evaluations([g], 8, make(11))
+    assert all(np.array_equal(v, evaluate(g, z)) for (v,), z in zip(values, want))
+    L, R = full_rank_factorize(g)
+    by_hand = []
+    for z in want:
+        Gz = evaluate(g, z)
+        by_hand.append(np.linalg.norm(Gz - evaluate(L, z) @ evaluate(R, z), "fro") / (1.0 + np.linalg.norm(Gz, "fro")))
+    assert product_residuals(g, L, R, 8, make(11)) == by_hand
+
+
+def test_stdlib_points_repeat_for_a_seed_and_default_to_seed_0():
+    g = stable_rank2_continuous()
+    pts = random_nonpole_points([g], 12, random.Random(5))
+    assert pts == random_nonpole_points([g], 12, random.Random(5))
+    assert pts != random_nonpole_points([g], 12, random.Random(6))
+    assert random_nonpole_points([g], 12) == random_nonpole_points([g], 12, random.Random(0))
 
 
 def test_frequency_grid_layout():

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -628,7 +629,7 @@ def test_frf_report_reads_the_residual_routine_and_the_structure_query(tmp_path)
     report = run_cli_json(["frf", ex1, "--seed", "0"])["results"]
     g = stable_rank2_continuous()
     L, R = full_rank_factorize(g)
-    residuals = product_residuals(g, L, R, RESIDUAL_GRID, np.random.default_rng(0))
+    residuals = product_residuals(g, L, R, RESIDUAL_GRID, random.Random(0))
     assert report["max_relative_residual"] == max(residuals)
     assert report["grid_points"] == RESIDUAL_GRID
     for key, sys in (("R", L), ("X", R)):

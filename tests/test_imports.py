@@ -256,7 +256,7 @@ def test_only_numkernel_imports_scipy(module):
 
 def test_numkernel_imports_scipy_only_for_its_lapack_bindings():
     imports = scipy_imports((PACKAGE / KERNEL_HOME).read_text())
-    assert [line.split(": ", 1)[1] for line in imports] == ["scipy", "scipy.linalg.lapack"]
+    assert [line.split(": ", 1)[1] for line in imports] == ["scipy.linalg.lapack"]
 
 
 # outside data enters through io and gallery, which check it with
@@ -560,8 +560,8 @@ def test_fact_imports_no_private_gain_helper():
 
 # every random point, a rank probe's or a residual check's, is drawn by
 # dss._pencil_points on the pencil scale of one system
-RANDOM_DRAWS = ("standard_normal",)
-POINT_GENERATOR = {"_pencil_points names standard_normal"}
+RANDOM_DRAWS = ("standard_normal", "gauss")
+POINT_GENERATOR = {"_pencil_points names standard_normal", "_pencil_points names gauss"}
 
 
 def test_draw_checker_flags_every_spelling():
@@ -573,12 +573,16 @@ def test_draw_checker_flags_every_spelling():
         "    return draw() + np.random.default_rng(0).standard_normal(2)\n"
         "def _pencil_points(sys, rng):\n"
         "    yield complex(rng.standard_normal(), rng.normal())\n"
+        "def stdlib_probe(rng):\n"
+        "    return complex(rng.gauss(0.0, 1.0), random.gauss())\n"
     )
     assert references_of(source, RANDOM_DRAWS) == [
         "line 2: <module> names standard_normal",
         "line 4: probe names standard_normal",
         "line 5: probe names standard_normal",
         "line 7: _pencil_points names standard_normal",
+        "line 9: stdlib_probe names gauss",
+        "line 9: stdlib_probe names gauss",
     ]
 
 

@@ -285,6 +285,35 @@ def test_bindings_are_scipys_function_objects(order):
     assert report["linalg_loaded"] == (order != "rmfact-first")
 
 
+# numkernel finds the wrapper modules without running the scipy package
+# and binds _flapack_64 where its file exists; a later import of
+# scipy.linalg.lapack, which reads the ILP64 flag of scipy's build
+# record, shares both module objects
+MODULE_PROBE = """
+import json, sys
+from rmfact import numkernel
+scipy_loaded = "scipy" in sys.modules
+from scipy.linalg import lapack
+print(json.dumps({
+    "scipy_loaded": scipy_loaded,
+    "flapack": numkernel._flapack is lapack._flapack,
+    "flapack_64": numkernel._flapack_64 is lapack._flapack_64,
+    "ilp64": lapack.HAS_ILP64,
+    "none_64": numkernel._flapack_64 is None,
+}))
+"""
+
+
+def test_wrapper_modules_are_scipys_without_its_build_record():
+    src = str(pathlib.Path(numkernel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", MODULE_PROBE], env=env, capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(done.stdout)
+    assert report["scipy_loaded"] is False
+    assert report["flapack"] is True and report["flapack_64"] is True
+    assert report["none_64"] is not report["ilp64"]
+
+
 # a pair whose QZ iteration failed is not in Schur form: reordering it
 # would go on from garbage, so the ordered QZ raises as the unordered does
 def test_failed_qz_iteration_is_an_error(monkeypatch):
