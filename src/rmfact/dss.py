@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -98,13 +99,23 @@ def _system(A, E, B, C, D, ts: str) -> DescriptorSystem:
     matching shapes, not shape-checked or copied. E equal to the
     identity is stored as None and the matrices are made read-only. A
     non-finite entry means a reduction broke down: StructureError."""
-    if E is not None and np.array_equal(E, np.eye(A.shape[0])):
+    n = A.shape[0]
+    # an E whose leading entry is not 1 is no identity, which spares
+    # most computed E the full comparison
+    if E is not None and (n == 0 or E[0, 0] == 1.0) and np.array_equal(E, np.eye(n)):
         E = None
-    for name, M in zip("AEBCD", (A, E, B, C, D)):
-        if M is None:
-            continue
-        if not np.isfinite(M).all():
-            raise StructureError(f"computed realization has non-finite entries in {name}")
+    mats = (A, B, C, D) if E is None else (A, E, B, C, D)
+    # a finite sum proves every entry finite; only a sum that is not,
+    # which finite entries near the overflow threshold also give
+    # (silently), is followed by the test of each entry that names the
+    # matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(np.add.reduce(M, None) for M in mats)
+    if not math.isfinite(total):
+        for name, M in zip("AEBCD", (A, E, B, C, D)):
+            if M is not None and not np.isfinite(M).all():
+                raise StructureError(f"computed realization has non-finite entries in {name}")
+    for M in mats:
         M.setflags(write=False)
     return DescriptorSystem(A, E, B, C, D, ts)
 

@@ -48,6 +48,7 @@ from .exceptions import EvaluationError, FactorizationError, InputError, Structu
 from .klf import (
     RegionPartition,
     _check_bad_stabilizable,
+    _finite_eigenvalues,
     _pencil_threshold,
     on_stability_boundary,
     region_none,
@@ -174,11 +175,16 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
       state change, under which the inner gains are covariant.
     E's rank and the stabilizability check are decided at tol, by the
     threshold special_klf would use, that of the graph's pencil; E of
-    full rank there makes [E B] so too. The check runs on the minimal
-    realization, which shares (A, E, B) with [G; I], and reads the
-    finite poles of G that the boundary check computed, from the one QZ
-    of its (A, E). A singular E (G improper) keeps special_klf, at tol:
-    only it isolates the constant block.
+    full rank there makes [E B] so too. E's rank is decided first, as
+    nothing before the pole boundary check raises. With E None the
+    poles of G are poles(red), one QZ of (A, I); with E of full rank
+    they are the one QZ of (A, E), as the pole Kronecker-like form would
+    peel nothing at its threshold, no larger than the graph's, and hand
+    the untouched pair to the same gges, whose infinite eigenvalue it
+    would refuse. The check runs on the minimal realization, which
+    shares (A, E, B) with [G; I], and reads those finite poles. A
+    singular E (G improper) keeps poles(red) and special_klf, at tol:
+    only they isolate the infinite and constant blocks.
 
     Either way the basis is range_basis's: rangebasis._trailing_basis
     with the gains of inner_enforcing_gains, solved on the explicit pair
@@ -189,17 +195,21 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
     Poles of G on the region boundary are rejected: the factors would
     have to absorb a marginal mode and the normalization degrades."""
     red = irreducible_realization(sys, DEFAULT_TOL)
-    finite_poles = poles(red).finite
+    graph = stack_vertical(red, identity_system(sys.m, sys.ts))
+    M, N = system_pencil(graph)
+    thresh = _pencil_threshold(M, N, tol)
+    n = red.n
+    proper = red.E is None or svd_rank_abs(red.E, thresh) == n
+    if proper and red.E is not None:
+        finite_poles = tuple(a / b for a, b in _finite_eigenvalues(red.A, red.E))
+    else:
+        finite_poles = poles(red).finite
     for lam in finite_poles:
         if on_stability_boundary(lam, sys.ts):
             raise FactorizationError(
                 f"coprime factorization rejected: pole on the stability boundary (at {lam:.6g})"
             )
-    graph = stack_vertical(red, identity_system(sys.m, sys.ts))
-    M, N = system_pencil(graph)
-    thresh = _pencil_threshold(M, N, tol)
-    n = red.n
-    if red.E is None or svd_rank_abs(red.E, thresh) == n:
+    if proper:
         _check_bad_stabilizable(red, stability_region(sys.ts), thresh, finite_poles)
         blocks = SimpleNamespace(
             A_bl=M[:n, :n], E_bl=None if red.E is None else N[:n, :n], B_bl=M[:n, n:],

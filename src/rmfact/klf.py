@@ -271,12 +271,7 @@ def _klf_core(M0, N0, thresh) -> KlfResult:
             "rank decisions produced a non-square regular block; adjust the tolerance"
         )
     nF = nF_r
-    finite = generalized_eigenvalues(Mw[iR:r1, jR:c1], Nw[iR:r1, jR:c1])
-    if any(is_infinite(a, b) for a, b in finite):
-        raise StructureError(
-            "regular split leaked an infinite eigenvalue into the finite block; "
-            "adjust the tolerance"
-        )
+    finite = _finite_eigenvalues(Mw[iR:r1, jR:c1], Nw[iR:r1, jR:c1])
 
     return KlfResult(
         M=Mw,
@@ -292,6 +287,19 @@ def _klf_core(M0, N0, thresh) -> KlfResult:
         infinite_shape=(iI, jI),
         left_shape=(m - r1 - iI, n - c1 - jI),
     )
+
+
+def _finite_eigenvalues(M, N):
+    """QZ (alpha, beta) pairs of the regular block M - lambda*N that a
+    rank decision split off as finite; an infinite one (is_infinite)
+    means the decision leaked it: StructureError."""
+    finite = generalized_eigenvalues(M, N)
+    if any(is_infinite(a, b) for a, b in finite):
+        raise StructureError(
+            "regular split leaked an infinite eigenvalue into the finite block; "
+            "adjust the tolerance"
+        )
+    return finite
 
 
 def _left_minimal_indices(res: KlfResult, thresh) -> tuple:

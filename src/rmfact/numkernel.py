@@ -10,8 +10,8 @@ computation. `svd` (gesdd), `rq` (gerqf, orgrq),
 `stabilizing_riccati` (gebal, geqrf, orgqr, gges, tgsen, getrf, trtrs)
 call LAPACK directly, and no other module calls an SVD, RQ, QZ or
 Riccati routine; `dss` and `rangebasis` solve their small linear
-systems with numpy.linalg.solve. A routine's optimal workspace is
-queried once per argument shapes and then reused (_gesdd, _workspace).
+systems with numpy.linalg.solve. One bind-once cache, _BOUND, keeps
+each routine binding and each optimal workspace per argument shapes.
 
 The kernels take checked, finite float64 (complex128 also for svd)
 data and do not check it again. Outside data is checked where it
@@ -94,12 +94,36 @@ if _flapack is None:
     from scipy.linalg.lapack import _flapack, _flapack_64
 
 
+# the bind-once cache: routine tuples of _lapack and optimal workspaces of
+# _kept_lwork, each kept on its first use
+_BOUND = {}
+
+# gesdd as scipy.linalg.svd binds it (ilp64="preferred")
+_SVD_MODULE = _flapack_64 or _flapack
+
+
 def _lapack(names, dtype, module=_flapack):
     """The compiled LAPACK routines `names` of module for a float64 or
     complex128 dtype: the objects get_lapack_funcs(names, dtype=dtype)
-    returns. Only svd binds complex ones."""
-    prefix = "z" if np.dtype(dtype).kind == "c" else "d"
-    return [getattr(module, prefix + name) for name in names]
+    returns, bound once (_BOUND). Only svd binds complex ones."""
+    key = (names, dtype, module)
+    routines = _BOUND.get(key)
+    if routines is None:
+        prefix = "z" if np.dtype(dtype).kind == "c" else "d"
+        routines = _BOUND[key] = tuple(getattr(module, prefix + name) for name in names)
+    return routines
+
+
+def _kept_lwork(key, results):
+    """Keep under key (the routine and the argument shapes and options
+    LAPACK's answer depends on) the lwork that a workspace query's
+    results, ending (work, info), give; kernels read it as
+    _BOUND.get(key) or _kept_lwork(key, query), as lwork >= 1."""
+    *_, work, info = results
+    if info != 0:
+        raise ValueError(f"workspace query failed: {info}")
+    lwork = _BOUND[key] = int(np.ravel(work)[0].real)
+    return lwork
 
 
 @dataclass(frozen=True)
@@ -209,24 +233,16 @@ def svd(M, compute_uv: bool = True):
         if not compute_uv:
             return s
         return np.eye(M.shape[0], dtype=M.dtype), s, np.eye(M.shape[1], dtype=M.dtype)
-    gesdd, lwork = _gesdd(M.dtype, M.shape, compute_uv)
-    U, s, Vh, info = gesdd(M, compute_uv=compute_uv, lwork=lwork, full_matrices=True, overwrite_a=False)
+    gesdd, gesdd_lwork = _lapack(("gesdd", "gesdd_lwork"), M.dtype, _SVD_MODULE)
+    key = (gesdd, M.shape, compute_uv)
+    lwork = _BOUND.get(key) or _kept_lwork(key, gesdd_lwork(*M.shape, compute_uv, 1))
+    # (a, compute_uv, full_matrices, lwork): f2py parses keywords slowly
+    U, s, Vh, info = gesdd(M, compute_uv, 1, lwork)
     if info > 0:
         raise KernelError("SVD did not converge")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gesdd")
     return (U, s, Vh) if compute_uv else s
-
-
-@functools.lru_cache(maxsize=None)
-def _gesdd(dtype, shape, compute_uv: bool):
-    """gesdd for dtype and its optimal workspace size for shape, queried
-    once: the binding and the query cost more than a small SVD."""
-    gesdd, gesdd_lwork = _lapack(("gesdd", "gesdd_lwork"), dtype, _flapack_64 or _flapack)
-    work, info = gesdd_lwork(*shape, compute_uv=compute_uv, full_matrices=True)
-    if info != 0:
-        raise ValueError(f"gesdd workspace query failed: {info}")
-    return gesdd, int(work.real)
 
 
 def rq(M):
@@ -237,14 +253,14 @@ def rq(M):
     if M.size == 0:
         return np.empty_like(M), np.eye(n, dtype=M.dtype)
     gerqf, orgrq = _lapack(("gerqf", "orgrq"), M.dtype)
-    rqf, tau = _lapack_call(gerqf, "gerqf", M, overwrite_a=False)
+    rqf, tau = _lapack_call(gerqf, "gerqf", (m, n), M)
     R = np.where(_upper_trapezoid(m, n), rqf, 0)
     if n < m:
         head = rqf[-n:]
     else:
         head = np.empty((n, n), dtype=rqf.dtype)
         head[-m:] = rqf
-    Q, = _lapack_call(orgrq, "orgrq", head, tau, overwrite_a=1)
+    Q, = _lapack_call(orgrq, "orgrq", (m, n), head, tau, overwrite=1)
     return R, Q
 
 
@@ -255,23 +271,14 @@ def _upper_trapezoid(m: int, n: int):
     return np.broadcast_to(np.arange(n) >= np.arange(m)[:, None] + (n - m), (m, n))
 
 
-_WORKSPACE = {}
-
-
-def _workspace(f, *args, **kwargs):
-    """Optimal lwork of f(*args, **kwargs), queried once per routine,
-    argument shapes and keyword options (gges asks for less without
-    left Schur vectors), on which alone LAPACK's answer depends."""
-    key = (f, *(np.shape(a) for a in args), *sorted(kwargs.items()))
-    if key not in _WORKSPACE:
-        _WORKSPACE[key] = f(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
-    return _WORKSPACE[key]
-
-
-def _lapack_call(f, name, *args, **kwargs):
-    """f(*args, **kwargs) at the optimal workspace (_workspace), without
-    the trailing (work, info) results; info < 0 raises."""
-    out = f(*args, lwork=_workspace(f, *args, **kwargs), **kwargs)
+def _lapack_call(f, name, shapes, *args, overwrite=0):
+    """f(*args, lwork, overwrite) of a routine whose last two options
+    are lwork and overwrite_a (geqrf, orgqr, gerqf, orgrq), at the
+    optimal workspace kept under (f, shapes), shapes those of args,
+    without the trailing (work, info) results. info < 0 raises."""
+    key = (f, shapes)
+    lwork = _BOUND.get(key) or _kept_lwork(key, f(*args, -1))
+    out = f(*args, lwork, overwrite)
     if out[-1] < 0:
         raise ValueError(f"illegal value in argument {-out[-1]} of {name}")
     return out[:-2]
@@ -298,8 +305,9 @@ def _ordered_qz(A, B, select, left=True):
     scipy's solvers do, and reads only Z."""
     gges, tgsen = _lapack(("gges", "tgsen"), A.dtype)
     n = A.shape[0]
+    key = (gges, n, left)
     # sort_t=0: gges never calls the selector
-    lwork = _workspace(gges, lambda *_: None, A, B, jobvsl=int(left))
+    lwork = _BOUND.get(key) or _kept_lwork(key, gges(lambda *_: None, A, B, jobvsl=int(left), lwork=-1))
     S, T, _, alphar, alphai, beta, Q, Z, _, info = gges(
         lambda *_: None, A, B, jobvsl=int(left), lwork=lwork, sort_t=0
     )
@@ -320,18 +328,21 @@ def _ordered_qz(A, B, select, left=True):
 
 def _left_half_plane(alpha, beta):
     """Finite eigenvalues alpha/beta with negative real part."""
-    keep = np.zeros(alpha.shape, dtype=bool)
     finite = beta != 0
-    keep[finite] = (alpha[finite] / beta[finite]).real < 0.0
-    return keep
+    return finite & ((alpha / np.where(finite, beta, 1.0)).real < 0.0)
 
 
 def _inside_unit_circle(alpha, beta):
     """Finite eigenvalues alpha/beta of modulus below 1."""
-    keep = np.zeros(alpha.shape, dtype=bool)
     finite = beta != 0
-    keep[finite] = abs(alpha[finite] / beta[finite]) < 1.0
-    return keep
+    return finite & (abs(alpha / np.where(finite, beta, 1.0)) < 1.0)
+
+
+def _norm1(M):
+    """np.linalg.norm(M, 1) of a finite float matrix, the largest
+    absolute column sum, from the same column sums without the dispatch."""
+    return max(np.add.reduce(abs(M), 0).tolist())
+
 
 
 def stabilizing_riccati(A, B, Q, R, S, ts: str):
@@ -347,16 +358,20 @@ def stabilizing_riccati(A, B, Q, R, S, ts: str):
     the columns of R, gges and tgsen to lead with the stable
     eigenvalues (without the left Schur vectors scipy also forms: X
     reads only Z, and S, T and Z come out the same), and getrf and
-    trtrs to solve for X from the stable deflating subspace. In continuous time a numerically singular R
-    raises ValueError. A pencil whose stable subspace cannot be
-    isolated, such as one with an eigenvalue on the stability boundary,
-    raises LinAlgError.
+    trtrs to solve for X from the stable deflating subspace. In
+    continuous time a numerically singular R raises ValueError. A pencil
+    whose stable subspace cannot be isolated, such as one with an
+    eigenvalue on the stability boundary, raises LinAlgError.
+
+    The calls come in scipy's order with scipy's arguments, so X is
+    scipy's bit for bit; the Python around them (bindings from _BOUND,
+    pivots as ints, one-norms by _norm1) moves no bit.
     """
     continuous = ts == "continuous"
     m, n = B.shape
     if continuous:
         min_sv = svd(R, compute_uv=False)[-1]
-        if min_sv == 0.0 or min_sv < np.spacing(1.0) * np.linalg.norm(R, 1):
+        if min_sv == 0.0 or min_sv < EPS * _norm1(R):
             raise ValueError("Matrix r is numerically singular.")
 
     # H - lambda J, rows and columns in the blocks (m, m, n); zero S
@@ -386,13 +401,13 @@ def stabilizing_riccati(A, B, Q, R, S, ts: str):
     W = np.abs(H) + np.abs(J)
     np.fill_diagonal(W, 0.0)
     gebal, geqrf, orgqr, getrf, trtrs = _lapack(("gebal", "geqrf", "orgqr", "getrf", "trtrs"), H.dtype)
-    _, lo, hi, ps, _ = gebal(W, scale=1, permute=0)
-    sca = np.ones_like(ps)
-    sca[lo:hi + 1] = ps[lo:hi + 1]
+    # without permuting, gebal balances rows and columns lo = 0 to
+    # hi = N - 1: every entry of sca is a scale
+    sca = gebal(W, scale=1, permute=0)[3]
     # gebal scales by powers of 2, so close to 1 is equal to 1
     if (sca != 1.0).any():
         sca = np.log2(sca)
-        half = np.round((sca[m:2 * m] - sca[:m]) / 2)
+        half = ((sca[m:2 * m] - sca[:m]) / 2).round()
         sca = 2 ** np.concatenate([half, -half, sca[2 * m:]])
         scale = sca[:, None] * np.reciprocal(sca)
         H *= scale
@@ -400,10 +415,10 @@ def stabilizing_riccati(A, B, Q, R, S, ts: str):
 
     # deflate the n columns of R: the trailing N - n columns of the full
     # orthogonal factor of H[:, -n:] span their left null space
-    qr, tau = _lapack_call(geqrf, "geqrf", H[:, -n:], overwrite_a=False)
+    qr, tau = _lapack_call(geqrf, "geqrf", (N, n), H[:, -n:])
     full = np.empty((N, N))
     full[:, :n] = qr
-    U, = _lapack_call(orgqr, "orgqr", full, tau, overwrite_a=1)
+    U, = _lapack_call(orgqr, "orgqr", (N, n), full, tau, overwrite=1)
     H = U[:, n:].T.dot(H[:, :2 * m])
     if continuous:
         J = U[:2 * m, n:].T.dot(J[:2 * m, :2 * m])
@@ -415,26 +430,29 @@ def stabilizing_riccati(A, B, Q, R, S, ts: str):
     u00 = u[:m, :m]
     u10 = u[m:, :m]
     lu, piv, _ = getrf(u00)
-    sv = svd(np.triu(lu), compute_uv=False)
-    if sv[-1] == 0 or 1 / (sv[0] / sv[-1]) < np.spacing(1.0):
+    sv = svd(np.where(_upper_trapezoid(m, m), lu, 0.0), compute_uv=False)
+    if sv[-1] == 0 or 1 / (sv[0] / sv[-1]) < EPS:
         raise np.linalg.LinAlgError("Failed to find a finite solution.")
     # X = u10 u00^-1 from u00 = P L U: trtrs reads only the triangle of
     # lu.T it is told to, U.T below and L.T above the diagonal
     y, _ = trtrs(lu.T, u10.T, lower=1)
     x, _ = trtrs(lu.T, y, lower=0, unitdiag=1)
-    perm = np.arange(m)
-    for i, p in enumerate(piv):
-        perm[[i, p]] = perm[[p, i]]
+    # P of u00 = P L U from the row interchanges of piv, in order; x
+    # takes the product with P, as scipy's does: an index would move the
+    # same values but could leave a zero with the other sign
+    perm = list(range(m))
+    for i, p in enumerate(piv.tolist()):
+        perm[i], perm[p] = perm[p], perm[i]
     P = np.zeros((m, m))
-    P[perm, np.arange(m)] = 1.0
+    for i, p in enumerate(perm):
+        P[p, i] = 1.0
     x = x.T.dot(P.T)
     x *= sca[:m, None] * sca[:m]
 
     # the stable subspace of a solvable equation makes u00.T u10 symmetric
     u_sym = u00.T.dot(u10)
-    n_u_sym = np.linalg.norm(u_sym, 1)
-    u_sym = u_sym - u_sym.T
-    if np.linalg.norm(u_sym, 1) > max(np.spacing(1000.0), 0.1 * n_u_sym):
+    n_u_sym = _norm1(u_sym)
+    if _norm1(u_sym - u_sym.T) > max(np.spacing(1000.0), 0.1 * n_u_sym):
         raise np.linalg.LinAlgError(
             "The associated Hamiltonian pencil has eigenvalues too close to the imaginary axis"
             if continuous
@@ -455,15 +473,8 @@ def generalized_eigenvalues(A, E):
     )
     if info != 0:
         raise KernelError(f"QZ iteration failed: gges info {info}")
-    return _eigenvalue_pairs(alphar + 1j * alphai, beta)
-
-
-def _eigenvalue_pairs(alpha, beta):
-    """(alpha, beta) pairs from QZ output with beta made nonnegative."""
-    return [
-        (complex(-a), float(-b)) if b < 0 else (complex(a), float(b))
-        for a, b in zip(alpha, beta)
-    ]
+    pairs = zip((alphar + 1j * alphai).tolist(), beta.tolist())
+    return [(-a, -b) if b < 0 else (a, b) for a, b in pairs]
 
 
 # -- internal compression helpers -------------------------------------------

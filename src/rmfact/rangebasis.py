@@ -97,11 +97,11 @@ def _trailing_basis(blocks, gains: str):
         None if M is None else np.array(M) for M in (blocks.A_bl, blocks.E_bl, blocks.B_bl, blocks.C_bl, blocks.D_bl)
     )
     n_bl, r = B_bl.shape
-    F, W = np.zeros((r, n_bl)), np.eye(r)
     if gains == "inner":
         F, W = inner_enforcing_gains(blocks)
-    elif gains == "stable":
-        F = _stabilizing_gains(blocks)
+    else:
+        F = _stabilizing_gains(blocks) if gains == "stable" else np.zeros((r, n_bl))
+        W = np.eye(r)
     R = _system(A_bl + B_bl @ F, E_bl if n_bl else None, B_bl @ W, C_bl + D_bl @ F, D_bl @ W, blocks.ts)
     return R, F, W
 
@@ -117,7 +117,7 @@ def cofactor(sys: DescriptorSystem, rr: RangeResult) -> DescriptorSystem:
     if r == 0:
         CD = np.zeros((0, sys.n + sys.m))
     else:
-        block = np.hstack([np.zeros((r, c1)), -rr.F, np.eye(r), np.zeros((r, m_n))])
+        block = np.concatenate([np.zeros((r, c1)), -rr.F, np.eye(r), np.zeros((r, m_n))], axis=1)
         CD = np.linalg.solve(rr.W, block) @ sk.Z.T
     Ct = CD[:, : sys.n]
     Dt = CD[:, sys.n:]
@@ -145,7 +145,7 @@ def _finite_pair(blocks):
     E_bl, B_bl) with E_bl invertible: E_bl^-1 [A_bl B_bl], or [A_bl B_bl]
     for E_bl None. A non-finite entry means a reduction broke down."""
     n_bl = blocks.A_bl.shape[0]
-    AB = np.hstack([blocks.A_bl, blocks.B_bl])
+    AB = np.concatenate([blocks.A_bl, blocks.B_bl], axis=1)
     if blocks.E_bl is not None:
         AB = np.linalg.solve(blocks.E_bl, AB)
     if not np.isfinite(AB).all():

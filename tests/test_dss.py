@@ -483,6 +483,43 @@ def test_computed_realization_with_nonfinite_entries_is_a_structure_error(name):
         _system(*mats.values(), "continuous")
 
 
+def huge_realization():
+    """A, E, B, C, D of finite entries +-1e308: the sums of A, E and D
+    overflow to inf and that of B to -inf, so their total is NaN; C's
+    cancels to 0."""
+    big = 1e308
+    return dict(
+        A=np.full((2, 2), big),
+        E=np.array([[big, big], [-big, -big]]),
+        B=np.full((2, 2), -big),
+        C=np.array([[big, -big], [big, -big]]),
+        D=np.full((2, 2), big),
+    )
+
+
+# _system tests finiteness by one sum per matrix; a sum that is not
+# finite sends it, without a warning, to the entry test, which accepts
+# finite entries and names the matrix that holds a non-finite one
+def test_computed_realization_accepts_finite_entries_whose_sums_overflow():
+    mats = huge_realization()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = _system(*(M.copy() for M in mats.values()), "discrete")
+    for got, want in zip((g.A, g.E, g.B, g.C, g.D), mats.values()):
+        assert np.array_equal(got, want) and not got.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", "AEBCD")
+def test_computed_realization_names_the_matrix_with_a_non_finite_entry(name, bad):
+    small = dict(A=np.eye(2), E=np.diag([1.0, 0.0]), B=np.ones((2, 2)), C=np.ones((2, 2)), D=np.zeros((2, 2)))
+    for mats in (small, huge_realization()):
+        mats[name] = mats[name].copy()
+        mats[name][0, -1] = bad
+        with pytest.raises(StructureError, match=f"computed realization has non-finite entries in {name}$"):
+            _system(*mats.values(), "continuous")
+
+
 def test_stacks_require_matching_ts():
     g1 = identity_system(2, "continuous")
     g2 = identity_system(2, "discrete")

@@ -315,6 +315,37 @@ def test_nrcf_reduces_only_an_improper_graph(monkeypatch):
         assert gram_residual([N, M], 16) <= 1e-8
 
 
+# nrcf reads the poles of a minimal realization whose E has full rank
+# from one QZ of (A, E), in place of the pole Kronecker-like form, which
+# peels nothing there and hands that pair to the same QZ
+def test_full_rank_e_poles_are_the_one_qz_of_the_pencil():
+    rng = np.random.default_rng(2024)
+    seen = 0
+    for _ in range(100):
+        red = irreducible_realization(random_system(rng, n_max=8))
+        pol = poles(red)
+        if red.E is None or len(pol.finite) < red.n:
+            continue
+        pairs = rmfact.numkernel.generalized_eigenvalues(red.A, red.E)
+        assert tuple(a / b for a, b in pairs) == pol.finite
+        seen += 1
+    assert seen == 28
+
+
+# a pole pair that is_infinite counts as infinite, of an E ranked full
+# at the graph's threshold, is refused as the pole Kronecker-like form
+# refuses it, before any reduction of the graph
+def test_nrcf_refuses_a_full_rank_e_pole_that_reads_infinite(monkeypatch):
+    g = make_dss(np.diag([-1.0, -1e3]), np.diag([1.0, 1e-9]), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)), "continuous")
+    red = irreducible_realization(g)
+    assert red.n == 2 and np.linalg.matrix_rank(red.E) == 2
+    reduced = splitting_reductions(monkeypatch)
+    for refuse in (lambda: poles(red), lambda: nrcf(g)):
+        with pytest.raises(StructureError, match="^regular split leaked an infinite eigenvalue into the finite block"):
+            refuse()
+    assert reduced == []
+
+
 def counted_staircases_and_qz(monkeypatch):
     """Call counts of the controllability staircase and the eigenvalue QZ,
     through every binding the package calls them by."""

@@ -61,17 +61,18 @@ def test_rq_kernel_matches_scipy(shape, dtype):
 # shapes; one call per shape would miss a size kept for the wrong shape
 # or routine, so these interleave them from an empty cache
 def test_workspace_is_kept_per_routine_and_shape(monkeypatch):
-    monkeypatch.setattr(numkernel, "_WORKSPACE", {})
+    monkeypatch.setattr(numkernel, "_BOUND", {})
     gerqf, geqrf = numkernel._lapack(("gerqf", "geqrf"), float)
     zgerqf, = numkernel._lapack(("gerqf",), complex)
     M = kernel_matrix((6, 2), float)
     # dgerqf asks 3 times dgeqrf's workspace on a 6 x 2 matrix
     for f, a in [(gerqf, M), (geqrf, M), (gerqf, M.T), (zgerqf, M + 0j), (geqrf, M.T), (gerqf, M)]:
-        assert numkernel._workspace(f, a) == f(a, lwork=-1)[-2][0].real
+        numkernel._lapack_call(f, "f", a.shape, a)
+        assert numkernel._BOUND[f, a.shape] == f(a, lwork=-1)[-2][0].real
 
 
 def test_rq_kernel_matches_scipy_across_interleaved_shapes(monkeypatch):
-    monkeypatch.setattr(numkernel, "_WORKSPACE", {})
+    monkeypatch.setattr(numkernel, "_BOUND", {})
     # a size kept for 1 x 2 (32) is below the 40 gerqf needs at 40 x 3
     shapes = [(1, 2), (3, 5), (5, 3), (40, 3), (3, 5), (4, 4), (5, 3)]
     for shape in shapes:
@@ -79,19 +80,20 @@ def test_rq_kernel_matches_scipy_across_interleaved_shapes(monkeypatch):
         assert_arrays_equal(numkernel.rq(M), scipy.linalg.rq(M))
 
 
-def riccati_data(ts, k, with_s, spread, seed=3):
-    """(A, B, Q, R, S) of a random output weighting [C D].T [C D]; with
-    spread, a diagonal state similarity puts A's entries 1e-6..1e6 apart,
-    which makes the balancing scale the pencil."""
+def riccati_data(ts, k, with_s, spread, seed=3, inputs=2):
+    """(A, B, Q, R, S) of a random output weighting [C D].T [C D] with
+    as many outputs as inputs; with spread, a diagonal state similarity
+    puts A's entries 1e-6..1e6 apart, which makes the balancing scale
+    the pencil."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((k, k))
-    B = rng.standard_normal((k, 2))
-    C = rng.standard_normal((2, k))
-    D = rng.standard_normal((2, 2))
+    B = rng.standard_normal((k, inputs))
+    C = rng.standard_normal((inputs, k))
+    D = rng.standard_normal((inputs, inputs))
     if spread:
         d = 10.0 ** np.linspace(-3.0, 3.0, k) if k > 1 else np.array([1e6])
         A, B, C = d[:, None] * A / d, d[:, None] * B, C / d
-    R = D.T @ D + (np.eye(2) if ts == "continuous" else 0.0)
+    R = D.T @ D + (np.eye(inputs) if ts == "continuous" else 0.0)
     return A, B, C.T @ C, R, C.T @ D if with_s else None
 
 
@@ -116,14 +118,92 @@ def assert_riccati_like_scipy(A, B, Q, R, S, ts):
 
 @pytest.mark.parametrize("spread", [False, True], ids=["unit", "spread"])
 @pytest.mark.parametrize("with_s", [False, True], ids=["no-s", "s"])
-@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("k", range(1, 9))
 @pytest.mark.parametrize("ts", ["continuous", "discrete"])
 def test_riccati_kernel_matches_scipy(ts, k, with_s, spread):
     assert assert_riccati_like_scipy(*riccati_data(ts, k, with_s, spread), ts) is None
 
 
+# the orders (to 8) and input counts (to 4) of suite-small's gain
+# solves; the test above draws 2 inputs
+@pytest.mark.parametrize("with_s", [False, True], ids=["no-s", "s"])
+@pytest.mark.parametrize("inputs", [1, 3, 4])
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("ts", ["continuous", "discrete"])
+def test_riccati_kernel_matches_scipy_for_each_input_count(ts, k, inputs, with_s):
+    assert assert_riccati_like_scipy(*riccati_data(ts, k, with_s, False, inputs=inputs), ts) is None
+
+
+def recording_getrf(get, pivots):
+    """numkernel's LAPACK binder get, with each getrf it hands out
+    appending its pivot indices to pivots."""
+
+    def record(getrf):
+        def call(*args, **kwargs):
+            out = getrf(*args, **kwargs)
+            pivots.append(out[1].copy())
+            return out
+
+        return call
+
+    def patched(names, *args):
+        return [record(f) if name == "getrf" else f for name, f in zip(names, get(names, *args))]
+
+    return patched
+
+
+# X = u10 u00^-1 applies the row interchanges of getrf in order; a pivot
+# sequence that is not the identity checks that order bit for bit
+@pytest.mark.parametrize("ts", ["continuous", "discrete"])
+def test_riccati_kernel_matches_scipy_where_getrf_pivots(ts, monkeypatch):
+    pivots = []
+    monkeypatch.setattr(numkernel, "_lapack", recording_getrf(numkernel._lapack, pivots))
+    assert assert_riccati_like_scipy(*riccati_data(ts, 6, True, False, inputs=3), ts) is None
+    assert len(pivots) == 1
+    assert not np.array_equal(pivots[0], np.arange(6))
+
+
+# one bind-once cache holds each routine tuple and each optimal lwork:
+# a repeated call adds no entry, a new shape or option exactly one, and
+# the kept lwork is LAPACK's own answer
+def test_bind_once_cache_adds_one_entry_per_new_shape_or_option(monkeypatch):
+    monkeypatch.setattr(numkernel, "_BOUND", {})
+    M = kernel_matrix((5, 3), float)
+    numkernel.svd(M)
+    size = len(numkernel._BOUND)
+    for _ in range(3):
+        numkernel.svd(M.copy())
+    assert len(numkernel._BOUND) == size
+    numkernel.svd(M, compute_uv=False)
+    assert len(numkernel._BOUND) == size + 1
+    numkernel.svd(M.T.copy())
+    assert len(numkernel._BOUND) == size + 2
+    gesdd, gesdd_lwork = numkernel._lapack(("gesdd", "gesdd_lwork"), M.dtype, numkernel._SVD_MODULE)
+    for shape, compute_uv in [((5, 3), True), ((5, 3), False), ((3, 5), True)]:
+        work, info = gesdd_lwork(*shape, compute_uv=compute_uv, full_matrices=True)
+        assert info == 0 and numkernel._BOUND[gesdd, shape, compute_uv] == int(work)
+
+    A, B = kernel_matrix((4, 4), float, 1), kernel_matrix((4, 4), float, 2)
+    _ordered_qz(A, B, numkernel._left_half_plane)
+    size = len(numkernel._BOUND)
+    _ordered_qz(B, A, numkernel._left_half_plane)
+    assert len(numkernel._BOUND) == size
+    _ordered_qz(A, B, numkernel._left_half_plane, left=False)
+    assert len(numkernel._BOUND) == size + 1
+    gges, = numkernel._lapack(("gges",), A.dtype)
+    for left in (True, False):
+        want = gges(lambda *_: None, A, B, jobvsl=int(left), lwork=-1)[-2][0].real
+        assert numkernel._BOUND[gges, 4, left] == want
+
+    data = riccati_data("discrete", 5, True, False)
+    numkernel.stabilizing_riccati(*data, "discrete")
+    size = len(numkernel._BOUND)
+    numkernel.stabilizing_riccati(*data, "discrete")
+    assert len(numkernel._BOUND) == size
+
+
 def test_riccati_kernel_matches_scipy_across_interleaved_shapes(monkeypatch):
-    monkeypatch.setattr(numkernel, "_WORKSPACE", {})
+    monkeypatch.setattr(numkernel, "_BOUND", {})
     # a gges size kept for order 1 is below the minimum at order 8
     for ts, k in [("continuous", 1), ("discrete", 8), ("continuous", 8), ("discrete", 1), ("continuous", 1)]:
         assert assert_riccati_like_scipy(*riccati_data(ts, k, True, False), ts) is None
@@ -261,7 +341,7 @@ differ = [
 differ += [
     ("gesdd ilp64=preferred", np.dtype(dtype).name)
     for dtype in (np.float64, np.complex128)
-    if numkernel._gesdd(np.dtype(dtype), (3, 2), True)[0]
+    if numkernel._lapack(("gesdd",), dtype, numkernel._flapack_64 or numkernel._flapack)[0]
     is not get_lapack_funcs(("gesdd",), dtype=dtype, ilp64="preferred")[0]
 ]
 print(json.dumps({"linalg_loaded": linalg_loaded, "differ": differ}))
