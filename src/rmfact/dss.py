@@ -487,45 +487,72 @@ def irreducible_realization(sys: DescriptorSystem, tol: ToleranceConfig = DEFAUL
 # -- poles, zeros, McMillan degree -------------------------------------------
 
 
-def _eigen_list_from_pencil(M, N, tol: ToleranceConfig) -> EigenvalueList:
-    from .klf import _klf_core, _pencil_threshold
+def _eigen_list_from_pencil(M, N, thresh) -> EigenvalueList:
+    """Finite eigenvalues and decremented infinite multiplicities of
+    M - lambda*N, ranked against the absolute threshold thresh, from the
+    eigenvalue-only route of the Kronecker-like form: _klf_core
+    accumulates no transformation the list would throw away."""
+    from .klf import _klf_core
 
     if M.size == 0:
         return EigenvalueList((), ())
-    res = _klf_core(M, N, _pencil_threshold(M, N, tol))
+    res = _klf_core(M, N, thresh, False)
     infinite = tuple(d - 1 for d in res.infinite_divisor_degrees if d > 1)
     return EigenvalueList(tuple(a / b for a, b in res.finite_eigenvalues), infinite)
 
 
 def _irreducible_poles(red: DescriptorSystem, tol: ToleranceConfig) -> EigenvalueList:
     """Poles of the irreducible realization red. With E None they are
-    the QZ eigenvalues of (A, I), all finite: the Kronecker-like form of
-    A - lambda*I ranks I as nonsingular at the first decision of each
-    peel, transforms nothing and hands A and I to the same gges call,
-    so both routes give the same bits. Otherwise the Kronecker-like
-    form of A - lambda*E decides the finite and infinite part."""
+    the QZ eigenvalues of (A, I), all finite. With E of full rank at the
+    pencil threshold of (A, E) they are the one QZ of (A, E), checked by
+    klf._finite_eigenvalues, which refuses a pair that reads infinite.
+    Either way the Kronecker-like form of A - lambda*E would rank E as
+    nonsingular at the first decision of each peel (its SVDs of E and
+    svd_rank_abs's differ only by roundoff, so only a singular value
+    within roundoff of the threshold could tell them apart), transform
+    nothing and hand the same pair to the same gges call, so both
+    routes give the same bits. Otherwise the eigenvalue-only route of
+    that form, at the same threshold, decides the finite and infinite
+    part."""
     if red.E is None:
         return EigenvalueList(tuple(a / b for a, b in generalized_eigenvalues(red.A, np.eye(red.n))), ())
-    return _eigen_list_from_pencil(red.A, red.E, tol)
+    from .klf import _finite_eigenvalues, _pencil_threshold
+
+    thresh = _pencil_threshold(red.A, red.E, tol)
+    if svd_rank_abs(red.E, thresh) == red.n:
+        return EigenvalueList(tuple(a / b for a, b in _finite_eigenvalues(red.A, red.E)), ())
+    return _eigen_list_from_pencil(red.A, red.E, thresh)
+
+
+def _irreducible_zeros(red: DescriptorSystem, tol: ToleranceConfig) -> EigenvalueList:
+    """Zeros of the irreducible realization red: the eigenvalue-only
+    Kronecker-like form of its system matrix pencil."""
+    from .klf import _pencil_threshold
+
+    M, N = system_pencil(red)
+    return _eigen_list_from_pencil(M, N, _pencil_threshold(M, N, tol))
 
 
 def poles(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> EigenvalueList:
     """Pole structure of G: finite eigenvalues of A - lambda*E of an
     irreducible realization, plus infinite eigenvalue multiplicities
-    decremented by one (_irreducible_poles)."""
+    decremented by one (_irreducible_poles: one QZ when E is None or of
+    full rank, else the eigenvalue-only Kronecker-like form)."""
     return _irreducible_poles(irreducible_realization(sys, tol), tol)
 
 
 def zeros(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> EigenvalueList:
     """Zero structure of G from the regular part of the Kronecker-like
-    form of the system matrix pencil of an irreducible realization."""
-    return _eigen_list_from_pencil(*system_pencil(irreducible_realization(sys, tol)), tol)
+    form of the system matrix pencil of an irreducible realization,
+    computed without its transformations (_irreducible_zeros)."""
+    return _irreducible_zeros(irreducible_realization(sys, tol), tol)
 
 
 def mcmillan_degree(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Total pole count, finite plus infinite: the order of an
     irreducible realization with E None, whose poles are all finite,
-    else the count of _irreducible_poles."""
+    else the count of _irreducible_poles (one QZ for E of full rank,
+    which still refuses a pole pair that reads infinite)."""
     red = irreducible_realization(sys, tol)
     return red.n if red.E is None else _irreducible_poles(red, tol).total
 
@@ -544,7 +571,9 @@ class Structure:
 def structure(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Structure:
     """normal_rank, poles, zeros and mcmillan_degree of G in one pass,
     all from a single irreducible realization, which carries no
-    uncontrollable or unobservable eigenvalue to disturb the rank probe."""
+    uncontrollable or unobservable eigenvalue to disturb the rank probe.
+    The poles and zeros take the routes of poles and zeros: neither
+    computes a transformation of a Kronecker-like form."""
     red = irreducible_realization(sys, tol)
     pol = _irreducible_poles(red, tol)
-    return Structure(normal_rank(red, tol), pol, _eigen_list_from_pencil(*system_pencil(red), tol), pol.total)
+    return Structure(normal_rank(red, tol), pol, _irreducible_zeros(red, tol), pol.total)

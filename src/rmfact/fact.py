@@ -48,7 +48,6 @@ from .exceptions import EvaluationError, FactorizationError, InputError, Structu
 from .klf import (
     RegionPartition,
     _check_bad_stabilizable,
-    _finite_eigenvalues,
     _pencil_threshold,
     on_stability_boundary,
     region_none,
@@ -175,16 +174,11 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
       state change, under which the inner gains are covariant.
     E's rank and the stabilizability check are decided at tol, by the
     threshold special_klf would use, that of the graph's pencil; E of
-    full rank there makes [E B] so too. E's rank is decided first, as
-    nothing before the pole boundary check raises. With E None the
-    poles of G are poles(red), one QZ of (A, I); with E of full rank
-    they are the one QZ of (A, E), as the pole Kronecker-like form would
-    peel nothing at its threshold, no larger than the graph's, and hand
-    the untouched pair to the same gges, whose infinite eigenvalue it
-    would refuse. The check runs on the minimal realization, which
-    shares (A, E, B) with [G; I], and reads those finite poles. A
-    singular E (G improper) keeps poles(red) and special_klf, at tol:
-    only they isolate the infinite and constant blocks.
+    full rank there makes [E B] so too. The poles of G are poles(red),
+    whatever E is. The check runs on the minimal realization, which
+    shares (A, E, B) with [G; I], and reads their finite part. A
+    singular E (G improper) keeps special_klf, at tol: only it isolates
+    the infinite and constant blocks.
 
     Either way the basis is range_basis's: rangebasis._trailing_basis
     with the gains of inner_enforcing_gains, solved on the explicit pair
@@ -200,10 +194,7 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
     thresh = _pencil_threshold(M, N, tol)
     n = red.n
     proper = red.E is None or svd_rank_abs(red.E, thresh) == n
-    if proper and red.E is not None:
-        finite_poles = tuple(a / b for a, b in _finite_eigenvalues(red.A, red.E))
-    else:
-        finite_poles = poles(red).finite
+    finite_poles = poles(red).finite
     for lam in finite_poles:
         if on_stability_boundary(lam, sys.ts):
             raise FactorizationError(

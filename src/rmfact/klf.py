@@ -128,16 +128,18 @@ def region_selector(region: RegionPartition):
 # -- general Kronecker-like form ---------------------------------------------
 
 
-def _stage_peel(M, N, thresh):
+def _stage_peel(M, N, thresh, transforms=True):
     """In-place staircase peeling. Repeatedly compresses the columns of
     the active window of N to push its kernel to the leading columns,
     then row-compresses the corresponding columns of M. Peeled strips
     carry the right singular and infinite structure; the residual
     window has a lambda part of full column rank. Returns orthogonal
-    (Q, Z), the stair sizes [(s_k, tau_k)], and the residual origin."""
+    (Q, Z), the stair sizes [(s_k, tau_k)], and the residual origin.
+    With transforms False, Q and Z are not accumulated (None): M and N
+    and every rank decision are the same either way."""
     m, n = M.shape
-    Q = np.eye(m)
-    Z = np.eye(n)
+    Q = np.eye(m) if transforms else None
+    Z = np.eye(n) if transforms else None
     stairs = []
     i0 = j0 = 0
     while n - j0 > 0:
@@ -151,11 +153,13 @@ def _stage_peel(M, N, thresh):
             break
         M[:, j0:] = M[:, j0:] @ Zk
         N[:, j0:] = N[:, j0:] @ Zk
-        Z[:, j0:] = Z[:, j0:] @ Zk
+        if transforms:
+            Z[:, j0:] = Z[:, j0:] @ Zk
         Qk, s = row_compress(M[i0:, j0:j0 + tau], thresh)
         M[i0:, :] = Qk.T @ M[i0:, :]
         N[i0:, :] = Qk.T @ N[i0:, :]
-        Q[:, i0:] = Q[:, i0:] @ Qk
+        if transforms:
+            Q[:, i0:] = Q[:, i0:] @ Qk
         M[i0 + s:, j0:j0 + tau] = 0.0
         N[i0:, j0:j0 + tau] = 0.0
         stairs.append((s, tau))
@@ -168,18 +172,19 @@ def _rot(M):
     return M[::-1, ::-1]
 
 
-def _stage_split_trailing(M, N, thresh):
+def _stage_split_trailing(M, N, thresh, transforms=True):
     """Peel the infinite and left singular structure to the trailing
     block by running the staircase peel on the rotated transpose.
     Returns (Q, Z, Mt, Nt, r1, c1) with Q.T (M - lambda N) Z block
     upper triangular and the leading r1 x c1 block holding the right
-    singular and finite structure."""
+    singular and finite structure; Q and Z are None with transforms
+    False. M and N are not changed."""
     m, n = M.shape
     M2 = _rot(M.T).copy()
     N2 = _rot(N.T).copy()
-    Q2, Z2, _, i2, j2 = _stage_peel(M2, N2, thresh)
-    Qb = _rot(Z2).copy()
-    Zb = _rot(Q2).copy()
+    Q2, Z2, _, i2, j2 = _stage_peel(M2, N2, thresh, transforms)
+    Qb = _rot(Z2).copy() if transforms else None
+    Zb = _rot(Q2).copy() if transforms else None
     Mt = _rot(M2.T).copy()
     Nt = _rot(N2.T).copy()
     return Qb, Zb, Mt, Nt, m - j2, n - i2
@@ -213,12 +218,16 @@ class KlfResult:
 
     _klf_core computes every field except left_minimal_indices, which
     it leaves None: only kronecker_like_form reads the left structure,
-    and it peels the trailing left singular block for it."""
+    and it peels the trailing left singular block for it. On the
+    eigenvalue-only route (_klf_core with transforms False) Q and Z are
+    None and the block of M and N above the infinite and left singular
+    block is left as the first peel leaves it: only the diagonal blocks
+    and the invariants are the form's."""
 
     M: np.ndarray
     N: np.ndarray
-    Q: np.ndarray
-    Z: np.ndarray
+    Q: np.ndarray | None
+    Z: np.ndarray | None
     right_minimal_indices: tuple
     finite_eigenvalues: tuple
     infinite_divisor_degrees: tuple
@@ -229,40 +238,45 @@ class KlfResult:
     left_shape: tuple
 
 
-def _klf_core(M0, N0, thresh) -> KlfResult:
+def _klf_core(M0, N0, thresh, transforms=True) -> KlfResult:
     """Kronecker-like form of M0 - lambda*N0 with every rank decision
     against the absolute threshold thresh, in three staircase peels:
     the split of the infinite and left singular structure to the
     trailing block, the right singular peel of the leading block and
     the infinite peel of the trailing one, then the QZ eigenvalues of
     the finite block. The left minimal indices are not computed
-    (None); kronecker_like_form adds them."""
+    (None); kronecker_like_form adds them.
+
+    transforms False is the eigenvalue-only route of the structure
+    queries (dss._eigen_list_from_pencil): no peel accumulates Q or Z,
+    and the second and third peels leave the off-diagonal block
+    M[:r1, c1:] alone. The diagonal blocks see the same arithmetic on
+    both routes, so every rank decision and eigenvalue is the same bit
+    for bit."""
     m, n = M0.shape
-    Mw = M0.copy()
-    Nw = N0.copy()
-    Q1, Z1, Mw, Nw, r1, c1 = _stage_split_trailing(Mw, Nw, thresh)
-    Q = Q1
-    Z = Z1
+    Q, Z, Mw, Nw, r1, c1 = _stage_split_trailing(M0, N0, thresh, transforms)
 
     subM = Mw[:r1, :c1].copy()
     subN = Nw[:r1, :c1].copy()
-    Q2, Z2, stairs_r, iR, jR = _stage_peel(subM, subN, thresh)
+    Q2, Z2, stairs_r, iR, jR = _stage_peel(subM, subN, thresh, transforms)
     Mw[:r1, :c1] = subM
     Nw[:r1, :c1] = subN
-    Mw[:r1, c1:] = Q2.T @ Mw[:r1, c1:]
-    Nw[:r1, c1:] = Q2.T @ Nw[:r1, c1:]
-    Q[:, :r1] = Q[:, :r1] @ Q2
-    Z[:, :c1] = Z[:, :c1] @ Z2
+    if transforms:
+        Mw[:r1, c1:] = Q2.T @ Mw[:r1, c1:]
+        Nw[:r1, c1:] = Q2.T @ Nw[:r1, c1:]
+        Q[:, :r1] = Q[:, :r1] @ Q2
+        Z[:, :c1] = Z[:, :c1] @ Z2
 
     subM = Mw[r1:, c1:].copy()
     subN = Nw[r1:, c1:].copy()
-    Q3, Z3, stairs_i, iI, jI = _stage_peel(subM, subN, thresh)
+    Q3, Z3, stairs_i, iI, jI = _stage_peel(subM, subN, thresh, transforms)
     Mw[r1:, c1:] = subM
     Nw[r1:, c1:] = subN
-    Mw[:r1, c1:] = Mw[:r1, c1:] @ Z3
-    Nw[:r1, c1:] = Nw[:r1, c1:] @ Z3
-    Q[:, r1:] = Q[:, r1:] @ Q3
-    Z[:, c1:] = Z[:, c1:] @ Z3
+    if transforms:
+        Mw[:r1, c1:] = Mw[:r1, c1:] @ Z3
+        Nw[:r1, c1:] = Nw[:r1, c1:] @ Z3
+        Q[:, r1:] = Q[:, r1:] @ Q3
+        Z[:, c1:] = Z[:, c1:] @ Z3
 
     nF_r = r1 - iR
     nF_c = c1 - jR
@@ -310,7 +324,7 @@ def _left_minimal_indices(res: KlfResult, thresh) -> tuple:
     mL, nL = res.left_shape
     ML = _rot(res.M[m - mL:, n - nL:].T).copy()
     NL = _rot(res.N[m - mL:, n - nL:].T).copy()
-    return _indices_from_stairs(_stage_peel(ML, NL, thresh)[2])
+    return _indices_from_stairs(_stage_peel(ML, NL, thresh, False)[2])
 
 
 def _pencil_threshold(M, N, tol: ToleranceConfig):

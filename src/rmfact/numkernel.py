@@ -135,7 +135,9 @@ class ToleranceConfig:
 
     Rank decisions use rank_threshold(scale, k): klf._pencil_threshold,
     for every decision of a Kronecker-like or splitting form reduction
-    (sigma_max([M N]), k = max(M.shape)); dss.controllable_bases (the
+    (sigma_max([M N]), k = max(M.shape)) and for the rank of E that
+    dss._irreducible_poles decides before it (E of full rank at the
+    threshold of (A, E) takes one QZ); dss.controllable_bases (the
     largest Frobenius norm of the row-scaled A, E, B, k = n); the rank
     of E in dss._remove_nondynamic (max(||A||_F, ||E||_F), k = n); and
     dss.normal_rank (sigma_max(S(z)), k = max(S.shape)).

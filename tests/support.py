@@ -299,3 +299,21 @@ def failing_gges(get):
         return [fail(f) if name == "gges" else f for name, f in zip(names, get(names, *args))]
 
     return patched
+
+
+def leaking_gges(get):
+    """numkernel's LAPACK binder get, with each gges it hands out
+    reporting every beta as 0, an infinite eigenvalue, after a real
+    run."""
+
+    def leak(gges):
+        def call(*args, **kwargs):
+            out = gges(*args, **kwargs)
+            return out if kwargs.get("lwork") == -1 else (*out[:5], 0.0 * out[5], *out[6:])
+
+        return call
+
+    def patched(names, *args):
+        return [leak(f) if name == "gges" else f for name, f in zip(names, get(names, *args))]
+
+    return patched

@@ -36,18 +36,20 @@ from rmfact import (
     zeros,
 )
 from rmfact.dss import (
-    _eigen_list_from_pencil,
+    EigenvalueList,
     _remove_nondynamic,
     _system,
     identity_system,
     nonpole_evaluations,
     system_pencil,
 )
+from rmfact.klf import kronecker_like_form
 from rmfact.numkernel import DEFAULT_TOL
 
 from support import (
     RELAXED,
     assert_multiset_close,
+    improper_system,
     overflowing_pencil_system,
     random_system,
     rank_deficient_system,
@@ -628,17 +630,52 @@ def test_assembly_keeps_the_block_constructions_layout(ts):
 # -- poles of a standard realization -------------------------------------------
 
 
+def with_full_rank_e(g, rng):
+    """g with E replaced by a random one whose singular values lie in
+    [0.5, 2]: a realization every pole query reads by one QZ."""
+    n = g.n
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return make_dss(g.A, q1 @ np.diag(rng.uniform(0.5, 2.0, n)) @ q2.T, g.B, g.C, g.D, g.ts)
+
+
+def with_dependent_input(g, rng):
+    """The square part of g (its first min(p, m) outputs and inputs)
+    with one more input, a random combination of the others: a system
+    pencil with right singular structure beside the finite zeros of the
+    square part."""
+    k = min(g.p, g.m)
+    v = rng.standard_normal((k, 1))
+    B, D = g.B[:, :k], g.D[:k, :k]
+    return make_dss(g.A, g.E, np.hstack([B, B @ v]), g.C[:k], np.hstack([D, D @ v]), g.ts)
+
+
+def klf_eigen_list(M, N) -> EigenvalueList:
+    """The eigenvalue list of M - lambda*N read off the full
+    kronecker_like_form, transformations and all."""
+    res = kronecker_like_form(M, N)
+    infinite = tuple(d - 1 for d in res.infinite_divisor_degrees if d > 1)
+    return EigenvalueList(tuple(a / b for a, b in res.finite_eigenvalues), infinite)
+
+
 @pytest.mark.parametrize("improper_prob", [0.0, 1.0])
 def test_poles_equal_the_klf_route_bit_for_bit(improper_prob):
-    # E None takes the QZ of (A, I) without a Kronecker-like form; the
-    # form it skips would hand the same A and I to the same QZ call
+    # E None or of full rank takes one QZ without a Kronecker-like form;
+    # the form it skips would hand the same pair to the same QZ call. A
+    # singular E (an improper G) and every system pencil take the form's
+    # eigenvalue-only route, whose rank decisions and regular block are
+    # the full form's, with right singular structure beside finite zeros
+    # too
     rng = np.random.default_rng(404)
+    erng = np.random.default_rng(406)
+    irng = np.random.default_rng(407)
     for _ in range(40):
         g = random_system(rng, n_max=8, improper_prob=improper_prob)
-        red = irreducible_realization(g)
-        pl = poles(g)
-        assert pl == _eigen_list_from_pencil(red.A, red.e_matrix, DEFAULT_TOL)
-        assert mcmillan_degree(g) == pl.total
+        for h in (g, with_full_rank_e(g, erng), with_dependent_input(g, erng), improper_system(irng)):
+            red = irreducible_realization(h)
+            pl = poles(h)
+            assert pl == klf_eigen_list(red.A, red.e_matrix)
+            assert zeros(h) == klf_eigen_list(*system_pencil(red))
+            assert mcmillan_degree(h) == pl.total
 
 
 def test_standard_realization_poles_skip_the_klf(monkeypatch):
@@ -651,13 +688,20 @@ def test_standard_realization_poles_skip_the_klf(monkeypatch):
 
     monkeypatch.setattr(rmfact.klf, "_klf_core", counting)
     rng = np.random.default_rng(405)
+    erng = np.random.default_rng(406)
     for _ in range(20):
         g = random_system(rng, n_max=8, improper_prob=0.0)
         assert len(poles(g).finite) == mcmillan_degree(g) == irreducible_realization(g).n
+        # E of full rank: one QZ of (A, E)
+        h = with_full_rank_e(g, erng)
+        assert irreducible_realization(h).E is not None
+        assert len(poles(h).finite) == mcmillan_degree(h) == irreducible_realization(h).n
     assert calls == []
     # the zeros still come from the form of the system matrix pencil
     zeros(g)
     assert len(calls) == 1
+    zeros(h)
+    assert len(calls) == 2
 
 
 def coarse_tolerance_system():

@@ -55,6 +55,7 @@ from support import (
     decoupling_reductions,
     improper_system,
     irreducible_reductions,
+    leaking_gges,
     moore_penrose_defects,
     pad_state,
     product_residual,
@@ -334,15 +335,26 @@ def test_full_rank_e_poles_are_the_one_qz_of_the_pencil():
 
 # a pole pair that is_infinite counts as infinite, of an E ranked full
 # at the graph's threshold, is refused as the pole Kronecker-like form
-# refuses it, before any reduction of the graph
+# refuses it, before any reduction of the graph; every pole query reads
+# such an E by one QZ and refuses the same pair, also one that only a
+# QZ reporting beta = 0 makes infinite
 def test_nrcf_refuses_a_full_rank_e_pole_that_reads_infinite(monkeypatch):
     g = make_dss(np.diag([-1.0, -1e3]), np.diag([1.0, 1e-9]), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)), "continuous")
-    red = irreducible_realization(g)
-    assert red.n == 2 and np.linalg.matrix_rank(red.E) == 2
+    h = make_dss(np.diag([-1.0, -3.0]), np.diag([1.0, 2.0]), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)), "continuous")
+    reds = [irreducible_realization(g), irreducible_realization(h)]
+    for red in reds:
+        assert red.n == 2 and np.linalg.matrix_rank(red.E) == 2
     reduced = splitting_reductions(monkeypatch)
-    for refuse in (lambda: poles(red), lambda: nrcf(g)):
+    queries = (poles, mcmillan_degree, structure)
+    cases = [lambda: nrcf(g)] + [lambda q=q: q(reds[0]) for q in queries]
+    for refuse in cases:
         with pytest.raises(StructureError, match="^regular split leaked an infinite eigenvalue into the finite block"):
             refuse()
+    assert mcmillan_degree(h) == 2
+    monkeypatch.setattr(rmfact.numkernel, "_lapack", leaking_gges(rmfact.numkernel._lapack))
+    for query in queries:
+        with pytest.raises(StructureError, match="^regular split leaked an infinite eigenvalue into the finite block"):
+            query(reds[1])
     assert reduced == []
 
 

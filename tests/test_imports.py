@@ -25,7 +25,9 @@ decoupling reduction only through it or irreducible_realization, and
 only dss._controllable_part calls the controllability staircase
 controllable_bases. Only rangebasis._riccati_feedback calls the Riccati
 solver stabilizing_riccati, and fact imports no private gain helper of
-rangebasis: it builds its bases through rangebasis._trailing_basis."""
+rangebasis: it builds its bases through rangebasis._trailing_basis.
+Only dss._eigen_list_from_pencil calls klf._klf_core without its
+transformations, so the forms that read Q and Z always have them."""
 
 import ast
 import pathlib
@@ -593,3 +595,58 @@ def test_random_points_have_one_generator(module):
     assert [r for r in refs if r.split(": ", 1)[1] not in allowed] == []
     if module == "dss.py":
         assert refs
+
+
+# the structure queries read only the eigenvalues of a Kronecker-like form:
+# dss._eigen_list_from_pencil is the one call of _klf_core that drops the
+# transformations, which special_klf and kronecker_like_form read
+def calls_without_transforms(source: str, name: str) -> list:
+    """Calls in source of the function name that pass its transforms
+    argument, fourth positionally or by keyword, as anything but the
+    constant True, with the innermost def that makes each, in line
+    order."""
+    found = []
+
+    def dropped(call):
+        given = call.args[3:4] + [k.value for k in call.keywords if k.arg == "transforms"]
+        return any(not (isinstance(v, ast.Constant) and v.value is True) for v in given)
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name and dropped(child):
+                    found.append((child.lineno, f"{where} calls {name}"))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return [f"line {line}: {call}" for line, call in sorted(found)]
+
+
+def test_transforms_checker_flags_every_spelling():
+    source = (
+        "from . import klf\n"
+        "from .klf import _klf_core\n"
+        "def full(M, N, t):\n"
+        "    return _klf_core(M, N, t), klf._klf_core(M, N, t, True), _klf_core(M, N, t, transforms=True)\n"
+        "def eigen(M, N, t, flag):\n"
+        "    return _klf_core(M, N, t, False), klf._klf_core(M, N, t, transforms=flag)\n"
+        "def other(M, N, t):\n"
+        "    return _klf_core(M, N, t, 0), _stage_peel(M, N, t, False)\n"
+    )
+    assert calls_without_transforms(source, "_klf_core") == [
+        "line 6: eigen calls _klf_core",
+        "line 6: eigen calls _klf_core",
+        "line 8: other calls _klf_core",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_only_the_eigenvalue_lists_drop_the_klf_transformations(module):
+    calls = calls_without_transforms((PACKAGE / module).read_text(), "_klf_core")
+    expected = ["_eigen_list_from_pencil calls _klf_core"] if module == "dss.py" else []
+    assert [c.split(": ", 1)[1] for c in calls] == expected
