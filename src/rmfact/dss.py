@@ -32,10 +32,12 @@ from .numkernel import (
     ToleranceConfig,
     _matrix,
     controllability_staircase,
+    frobenius_norm,
     generalized_eigenvalues,
     is_pole_to_working_precision,
     noise_floor,
     row_scaling,
+    solve,
     svd,
     svd_rank_abs,
     thresholded_svd,
@@ -280,8 +282,8 @@ def _pencil_points(sys: DescriptorSystem, rng):
     gauss(0, 1) of a random.Random, the package's own generator (a cold
     process has loaded it already, unlike numpy.random), or
     standard_normal() of a numpy Generator."""
-    norm_e = np.linalg.norm(sys.e_matrix, "fro")
-    radius = max(1.0, np.linalg.norm(sys.A, "fro") / norm_e) if norm_e else 1.0
+    norm_e = frobenius_norm(sys.e_matrix)
+    radius = max(1.0, frobenius_norm(sys.A) / norm_e) if norm_e else 1.0
     draw = (lambda: rng.gauss(0.0, 1.0)) if isinstance(rng, random.Random) else rng.standard_normal
     while True:
         yield complex(draw(), draw()) * radius
@@ -387,7 +389,7 @@ def controllable_bases(A, E, B, tol: ToleranceConfig):
     if E is not None:
         d = row_scaling(np.hstack([A, E, B]))[:, None]
         A, B, E = d * A, d * B, d * E
-    scale = max(np.linalg.norm(A, "fro"), np.sqrt(n) if E is None else np.linalg.norm(E, "fro"), np.linalg.norm(B, "fro"))
+    scale = max(frobenius_norm(A), np.sqrt(n) if E is None else frobenius_norm(E), frobenius_norm(B))
     thresh = tol.rank_threshold(scale, n)
     Q, Z, k = controllability_staircase(A, E, B, thresh)
     Q, Z = Q[:, :k], Z[:, :k]
@@ -435,7 +437,7 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
     if n == 0 or Emat is None:
         return sys
     # ranked on the pencil's scale, an E of roundoff has rank 0
-    scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(Emat, "fro"))
+    scale = max(frobenius_norm(A), frobenius_norm(Emat))
     U, _, V, q = thresholded_svd(Emat, tol.rank_threshold(scale, n))
     if q == n:
         return sys
@@ -444,7 +446,7 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
     # the eliminable part of A22 must be solidly nonzero on the
     # scale of A itself; entries at roundoff level are kept as
     # dynamic structure rather than divided by (a division guard)
-    U3, _, V3, q2 = thresholded_svd(A22, noise_floor(max(np.linalg.norm(A, "fro"), 1.0), n))
+    U3, _, V3, q2 = thresholded_svd(A22, noise_floor(max(frobenius_norm(A), 1.0), n))
     if q2 == 0:
         return sys
     # the k kept states first, the q2 eliminated ones last
@@ -452,7 +454,7 @@ def _remove_nondynamic(sys: DescriptorSystem, tol: ToleranceConfig) -> Descripto
     R = np.hstack([V[:, :q], V2 @ V3[:, q2:], V2 @ V3[:, :q2]])
     k = n - q2
     T, Bt, Ct = L.T @ A @ R, L.T @ sys.B, sys.C @ R
-    X = np.linalg.solve(T[k:, k:], np.hstack([T[k:, :k], Bt[k:]]))
+    X = solve(T[k:, k:], np.hstack([T[k:, :k], Bt[k:]]))
     return _system(
         T[:k, :k] - T[:k, k:] @ X[:, :k],
         L[:, :k].T @ Emat @ R[:, :k] if k else None,
@@ -501,7 +503,7 @@ def _eigen_list_from_pencil(M, N, thresh) -> EigenvalueList:
     return EigenvalueList(tuple(a / b for a, b in res.finite_eigenvalues), infinite)
 
 
-def _irreducible_poles(red: DescriptorSystem, tol: ToleranceConfig) -> EigenvalueList:
+def _irreducible_poles(red: DescriptorSystem, tol: ToleranceConfig, full_rank_e: bool = False) -> EigenvalueList:
     """Poles of the irreducible realization red. With E None they are
     the QZ eigenvalues of (A, I), all finite. With E of full rank at the
     pencil threshold of (A, E) they are the one QZ of (A, E), checked by
@@ -513,15 +515,18 @@ def _irreducible_poles(red: DescriptorSystem, tol: ToleranceConfig) -> Eigenvalu
     nothing and hand the same pair to the same gges call, so both
     routes give the same bits. Otherwise the eigenvalue-only route of
     that form, at the same threshold, decides the finite and infinite
-    part."""
+    part. full_rank_e says a caller has proven E of full rank at a
+    threshold no lower (fact.nrcf, at its graph's threshold), so neither
+    the threshold SVD nor E's SVD runs again."""
     if red.E is None:
         return EigenvalueList(tuple(a / b for a, b in generalized_eigenvalues(red.A, np.eye(red.n))), ())
     from .klf import _finite_eigenvalues, _pencil_threshold
 
-    thresh = _pencil_threshold(red.A, red.E, tol)
-    if svd_rank_abs(red.E, thresh) == red.n:
-        return EigenvalueList(tuple(a / b for a, b in _finite_eigenvalues(red.A, red.E)), ())
-    return _eigen_list_from_pencil(red.A, red.E, thresh)
+    if not full_rank_e:
+        thresh = _pencil_threshold(red.A, red.E, tol)
+        if svd_rank_abs(red.E, thresh) < red.n:
+            return _eigen_list_from_pencil(red.A, red.E, thresh)
+    return EigenvalueList(tuple(a / b for a, b in _finite_eigenvalues(red.A, red.E)), ())
 
 
 def _irreducible_zeros(red: DescriptorSystem, tol: ToleranceConfig) -> EigenvalueList:

@@ -29,6 +29,7 @@ import numpy as np
 from .dss import (
     DescriptorSystem,
     _controllable_observable_part,
+    _irreducible_poles,
     _remove_nondynamic,
     _system,
     conjugate,
@@ -38,7 +39,6 @@ from .dss import (
     irreducible_realization,
     nonpole_evaluations,
     normal_rank,
-    poles,
     series,
     stack_vertical,
     system_pencil,
@@ -175,10 +175,13 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
     E's rank and the stabilizability check are decided at tol, by the
     threshold special_klf would use, that of the graph's pencil; E of
     full rank there makes [E B] so too. The poles of G are poles(red),
-    whatever E is. The check runs on the minimal realization, which
-    shares (A, E, B) with [G; I], and reads their finite part. A
-    singular E (G improper) keeps special_klf, at tol: only it isolates
-    the infinite and constant blocks.
+    whatever E is; an E of full rank there is not ranked again, since
+    the graph's threshold at tol is never below that of (A, E) at
+    DEFAULT_TOL, and its poles are the one QZ of (A, E). The check runs
+    on the minimal realization, which shares (A, E, B) with [G; I], and
+    reads their finite part. A singular E (G improper) keeps
+    special_klf, at tol: only it isolates the infinite and constant
+    blocks.
 
     Either way the basis is range_basis's: rangebasis._trailing_basis
     with the gains of inner_enforcing_gains, solved on the explicit pair
@@ -194,7 +197,7 @@ def nrcf(sys: DescriptorSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Factoriza
     thresh = _pencil_threshold(M, N, tol)
     n = red.n
     proper = red.E is None or svd_rank_abs(red.E, thresh) == n
-    finite_poles = poles(red).finite
+    finite_poles = _irreducible_poles(red, DEFAULT_TOL, proper).finite
     for lam in finite_poles:
         if on_stability_boundary(lam, sys.ts):
             raise FactorizationError(

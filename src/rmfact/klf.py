@@ -26,6 +26,7 @@ from .numkernel import (
     _matrix,
     _ordered_qz,
     col_compress,
+    frobenius_norm,
     generalized_eigenvalues,
     is_infinite,
     null_basis,
@@ -453,7 +454,7 @@ def _check_bad_stabilizable(sys, region, thresh, eigenvalues):
 
 def _set_block(X, index, value=0.0) -> float:
     """Set X[index] to value and return the Frobenius norm of the change."""
-    change = np.linalg.norm(X[index] - value)
+    change = frobenius_norm(X[index] - value)
     X[index] = value
     return change
 
@@ -477,7 +478,7 @@ def special_klf(sys, region: RegionPartition, tol: ToleranceConfig = DEFAULT_TOL
     n, m, p = sys.n, sys.m, sys.p
     Ms, Ns = system_pencil(sys)
     thresh = _pencil_threshold(Ms, Ns, tol)
-    bound = max(1e4 * thresh, 1e-10 * max(np.linalg.norm(Ms), np.linalg.norm(Ns), 1.0))
+    bound = max(1e4 * thresh, 1e-10 * max(frobenius_norm(Ms), frobenius_norm(Ns), 1.0))
     # stabilizable at infinity; the identity E (E None) is never rank-decided
     if sys.E is not None and svd_rank_abs(np.hstack([sys.E, sys.B]), thresh) < n:
         raise StructureError("realization is not stabilizable at infinity: [E B] is row rank deficient")

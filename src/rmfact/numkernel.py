@@ -1,17 +1,23 @@
-"""Dense numerical kernels: the LAPACK SVD, RQ and QZ bindings, the
-thresholded rank decisions, an exact power-of-2 row scaling, the
-controllability staircase, the ordered generalized Schur (QZ)
-decomposition and the stabilizing Riccati solver.
+"""Dense numerical kernels: the LAPACK SVD, RQ, QZ, linear-solve and
+eigenvalue bindings, the thresholded rank decisions, a Frobenius norm,
+an exact power-of-2 row scaling, the controllability staircase, the
+ordered generalized Schur (QZ) decomposition and the stabilizing
+Riccati solver.
 
 Every reduction in this package funnels its rank decisions through the
 helpers here so that a single tolerance policy governs the whole
 computation. `svd` (gesdd), `rq` (gerqf, orgrq),
-`generalized_eigenvalues` (gges), `_ordered_qz` (gges, tgsen) and
-`stabilizing_riccati` (gebal, geqrf, orgqr, gges, tgsen, getrf, trtrs)
-call LAPACK directly, and no other module calls an SVD, RQ, QZ or
-Riccati routine; `dss` and `rangebasis` solve their small linear
-systems with numpy.linalg.solve. One bind-once cache, _BOUND, keeps
-each routine binding and each optimal workspace per argument shapes.
+`generalized_eigenvalues` (gges), `_ordered_qz` (gges, tgsen),
+`stabilizing_riccati` (gebal, geqrf, orgqr, gges, tgsen, getrf, trtrs),
+`solve` (gesv), `symmetric_eigen` (syevd) and `eigenvalues` (geev) call
+LAPACK directly, and no other module calls an SVD, RQ, QZ or Riccati
+routine. `dss`, `klf` and `rangebasis` solve their small linear
+systems, take symmetric and closed-loop eigenvalues and real Frobenius
+norms (`frobenius_norm`) through these, without numpy.linalg's Python
+dispatch; only `dss.evaluate` still calls numpy.linalg.solve, in
+complex arithmetic for the residual certificates. One bind-once cache,
+_BOUND, keeps each routine binding and each optimal workspace per
+argument shapes.
 
 The kernels take checked, finite float64 (complex128 also for svd)
 data and do not check it again. Outside data is checked where it
@@ -19,15 +25,19 @@ enters: by `_matrix`, the one cast-and-check helper, in make_dss and
 kronecker_like_form, the only raw-array entry points; by io and the
 CLI as they parse. dss._system scans each computed realization once,
 and dss.evaluate refuses a point at which the pencil overflows. A
-failed SVD or QZ iteration, or a failed QZ reordering, raises
-KernelError, both a StructureError and a LinAlgError; the Riccati
-solver raises LinAlgError when no stabilizing solution is found and
-ValueError for a singular continuous-time R. Apart from
-`generalized_eigenvalues`, each kernel makes the LAPACK calls of its
-scipy.linalg counterpart (`stabilizing_riccati` leaves out the left
-Schur vectors it does not read) and so, on valid data, returns its
+failed SVD, QZ or eigenvalue iteration, a failed QZ reordering, or a
+singular matrix to solve raises KernelError, both a StructureError and
+a LinAlgError; the Riccati solver raises LinAlgError when no
+stabilizing solution is found and ValueError for a singular
+continuous-time R. Apart from `generalized_eigenvalues`, `solve`,
+`symmetric_eigen` and `eigenvalues`, each kernel makes the LAPACK calls
+of its scipy.linalg counterpart (`stabilizing_riccati` leaves out the
+left Schur vectors it does not read) and so, on valid data, returns its
 results bit for bit; the tests use scipy as that oracle, not as the
-contract for argument checks, warnings or messages.
+contract for argument checks, warnings or messages. `solve`,
+`symmetric_eigen` and `eigenvalues` make the LAPACK calls of
+numpy.linalg's solve, eigh and eigvals through scipy's bindings, so
+they return the bits of scipy's own dgesv, dsyevd and dgeev calls.
 
 The routines are the function objects of scipy's compiled wrapper
 module `scipy.linalg._flapack` (and `_flapack_64` in an ILP64 build),
@@ -60,8 +70,9 @@ EPS = float(np.finfo(float).eps)
 
 
 class KernelError(StructureError, np.linalg.LinAlgError):
-    """A failed SVD or QZ iteration or QZ reordering; a LinAlgError too,
-    for callers that catch numpy's."""
+    """A failed SVD, QZ or eigenvalue iteration, a failed QZ reordering
+    or a singular matrix to solve; a LinAlgError too, for callers that
+    catch numpy's."""
 
 
 def _compiled(name: str):
@@ -137,10 +148,12 @@ class ToleranceConfig:
     for every decision of a Kronecker-like or splitting form reduction
     (sigma_max([M N]), k = max(M.shape)) and for the rank of E that
     dss._irreducible_poles decides before it (E of full rank at the
-    threshold of (A, E) takes one QZ); dss.controllable_bases (the
-    largest Frobenius norm of the row-scaled A, E, B, k = n); the rank
-    of E in dss._remove_nondynamic (max(||A||_F, ||E||_F), k = n); and
-    dss.normal_rank (sigma_max(S(z)), k = max(S.shape)).
+    threshold of (A, E) takes one QZ; fact.nrcf hands it the full rank
+    its graph's threshold, never lower, has proven);
+    dss.controllable_bases (the largest Frobenius norm of the row-scaled
+    A, E, B, k = n); the rank of E in dss._remove_nondynamic
+    (max(||A||_F, ||E||_F), k = n); and dss.normal_rank
+    (sigma_max(S(z)), k = max(S.shape)).
 
     Division guards use noise_floor(scale, k) and ignore rank_rtol: the
     A22 pivot block of dss._remove_nondynamic, the Gramian of
@@ -346,6 +359,12 @@ def _norm1(M):
     return max(np.add.reduce(abs(M), 0).tolist())
 
 
+def frobenius_norm(M) -> float:
+    """np.linalg.norm(M) of a real float array, numpy's own
+    sqrt(x.dot(x)) on M raveled in memory order, without the dispatch."""
+    x = M.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
 
 def stabilizing_riccati(A, B, Q, R, S, ts: str):
     """Stabilizing solution X of the algebraic Riccati equation of the
@@ -477,6 +496,69 @@ def generalized_eigenvalues(A, E):
         raise KernelError(f"QZ iteration failed: gges info {info}")
     pairs = zip((alphar + 1j * alphai).tolist(), beta.tolist())
     return [(-a, -b) if b < 0 else (a, b) for a, b in pairs]
+
+
+def solve(a, b):
+    """x with a @ x = b, a square float64 and b of as many rows, by one
+    LAPACK gesv call, returned in C order as numpy.linalg.solve returns
+    it (a product with x rounds by its memory layout). A singular a (an
+    exactly zero pivot) raises KernelError, where numpy raises its
+    LinAlgError; gesv factors a only when b has a column."""
+    if a.shape[0] == 0:
+        return np.zeros(b.shape)
+    gesv, = _lapack(("gesv",), a.dtype)
+    _, _, x, info = gesv(a, b)
+    if info > 0:
+        raise KernelError("Singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gesv")
+    return np.ascontiguousarray(x)
+
+
+def symmetric_eigen(H):
+    """Eigenvalues w, ascending, and orthonormal eigenvectors V of the
+    symmetric float64 H by LAPACK syevd on its lower triangle at the
+    queried workspace: the call of numpy.linalg.eigh. A failure to
+    converge raises KernelError."""
+    n = H.shape[0]
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    syevd, syevd_lwork = _lapack(("syevd", "syevd_lwork"), H.dtype)
+    key = (syevd, n)
+    # the query returns (work, iwork, info); the iwork it asks is
+    # syevd's default liwork, 3 + 5n
+    lwork = _BOUND.get(key) or _kept_lwork(key, syevd_lwork(n, 1, 1)[::2])
+    # (a, compute_v, lower, lwork)
+    w, V, info = syevd(H, 1, 1, lwork)
+    if info > 0:
+        raise KernelError("Eigenvalues did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of syevd")
+    return w, V
+
+
+def eigenvalues(A):
+    """Eigenvalues of the square float64 A by LAPACK geev without
+    eigenvectors at the queried workspace, the call of
+    numpy.linalg.eigvals, and like it real when no imaginary part is
+    nonzero, else complex. A failure to converge raises KernelError."""
+    n = A.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    geev, geev_lwork = _lapack(("geev", "geev_lwork"), A.dtype)
+    key = (geev, n)
+    lwork = _BOUND.get(key) or _kept_lwork(key, geev_lwork(n, 0, 0))
+    # (a, compute_vl, compute_vr, lwork)
+    wr, wi, _, _, info = geev(A, 0, 0, lwork)
+    if info > 0:
+        raise KernelError("Eigenvalues did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of geev")
+    if not wi.any():
+        return wr
+    w = wr.astype(complex)
+    w.imag = wi
+    return w
 
 
 # -- internal compression helpers -------------------------------------------

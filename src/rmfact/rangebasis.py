@@ -38,9 +38,13 @@ from .numkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
     _ordered_qz,
+    eigenvalues,
+    frobenius_norm,
     noise_floor,
+    solve,
     stabilizing_riccati,
     svd,
+    symmetric_eigen,
 )
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ def cofactor(sys: DescriptorSystem, rr: RangeResult) -> DescriptorSystem:
         CD = np.zeros((0, sys.n + sys.m))
     else:
         block = np.concatenate([np.zeros((r, c1)), -rr.F, np.eye(r), np.zeros((r, m_n))], axis=1)
-        CD = np.linalg.solve(rr.W, block) @ sk.Z.T
+        CD = solve(rr.W, block) @ sk.Z.T
     Ct = CD[:, : sys.n]
     Dt = CD[:, sys.n:]
     return _system(sys.A, sys.E, sys.B, Ct, Dt, sys.ts)
@@ -131,13 +135,16 @@ STABILIZABLE = " (the trailing blocks must be stabilizable)"
 
 
 def _inv_sqrt_sym(H):
+    """H^-1/2 of the Gramian H from the eigenpairs (w, V) of its
+    symmetric part (symmetric_eigen): V with its columns scaled by
+    w^-1/2, times V^T."""
     # a division guard (ToleranceConfig): w holds squared singular values
-    w, V = np.linalg.eigh(0.5 * (H + H.T))
+    w, V = symmetric_eigen(0.5 * (H + H.T))
     if H.shape[0] and w[0] <= noise_floor(max(w[-1], 1.0), H.shape[0]):
         raise FactorizationError(
             "inner normalization failed: the weighting Gramian is numerically singular"
         )
-    return V @ np.diag(1.0 / np.sqrt(w)) @ V.T if H.shape[0] else np.eye(0)
+    return (V * (1.0 / np.sqrt(w))) @ V.T
 
 
 def _finite_pair(blocks):
@@ -147,7 +154,7 @@ def _finite_pair(blocks):
     n_bl = blocks.A_bl.shape[0]
     AB = np.concatenate([blocks.A_bl, blocks.B_bl], axis=1)
     if blocks.E_bl is not None:
-        AB = np.linalg.solve(blocks.E_bl, AB)
+        AB = solve(blocks.E_bl, AB)
     if not np.isfinite(AB).all():
         raise FactorizationError("the explicit pair of the trailing blocks has non-finite entries")
     return AB[:, :n_bl], AB[:, n_bl:]
@@ -210,9 +217,9 @@ def _riccati_feedback(A, B, Q, R, S, ts):
     try:
         X = stabilizing_riccati(A, B, Q, R, S, ts)
         if ts == "continuous":
-            return -np.linalg.solve(R, B.T @ X + cross), R
+            return -solve(R, B.T @ X + cross), R
         H = B.T @ X @ B + R
-        return -np.linalg.solve(H, B.T @ X @ A + cross), H
+        return -solve(H, B.T @ X @ A + cross), H
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise FactorizationError(f"Riccati gain computation failed: {exc}{STABILIZABLE}") from None
 
@@ -224,13 +231,13 @@ def _check_feedback(A, B, F, ts):
     target), or that is so large, ||F||_F noise_floor(s, n) > s with
     s = max(||A||_F, ||B||_F, sqrt(n)), that it moves a mode B reaches
     only at roundoff level (a division guard)."""
-    closed = np.linalg.eigvals(A + B @ F)
+    closed = eigenvalues(A + B @ F)
     # only a pole with a positive stability gap can classify bad
     for z in closed[stability_gap(closed, ts) > 0]:
         if classify_eigenvalue(z, 1.0, stability_region(ts)) == "bad":
             raise FactorizationError(f"feedback left the closed-loop pole {z} in the instability region{STABILIZABLE}")
-    n, size = A.shape[0], np.linalg.norm(F)
-    scale = max(np.linalg.norm(A), np.linalg.norm(B), np.sqrt(n))
+    n, size = A.shape[0], frobenius_norm(F)
+    scale = max(frobenius_norm(A), frobenius_norm(B), np.sqrt(n))
     if size * noise_floor(scale, n) > scale:
         raise FactorizationError(f"feedback of norm {size:.3g} acts through roundoff in B{STABILIZABLE}")
 
@@ -251,7 +258,8 @@ def _stabilizing_gains(blocks):
     kb = n_bl - kg
     if kb == 0:
         return np.zeros((r, n_bl))
-    A22 = S[kg:, kg:] @ np.linalg.inv(T[kg:, kg:])
+    # S T^-1 of the triangular T, as the solve T^T A22^T = S^T
+    A22 = solve(T[kg:, kg:].T, S[kg:, kg:].T).T
     F2, _ = _riccati_feedback(A22, (Q.T @ B)[kg:, :], np.zeros((kb, kb)), np.eye(r), None, blocks.ts)
     F = np.hstack([np.zeros((r, kg)), F2]) @ Q.T
     _check_feedback(A, B, F, blocks.ts)

@@ -440,7 +440,8 @@ def test_nrcf_keeps_the_stabilizability_check_of_a_proper_graph():
 def test_nrcf_ranks_no_e_b_of_a_proper_graph(monkeypatch):
     # E ranked full at the pencil threshold makes [E B] so too
     # (sigma_i([E B]) >= sigma_i(E)): only special_klf, which must
-    # isolate a singular E, tests stabilizability at infinity
+    # isolate a singular E, tests stabilizability at infinity. The pole
+    # query takes that full rank as proven and ranks E no second time
     rng = np.random.default_rng(2024)
     g = [random_system(rng, n_max=8) for _ in range(2)][1]
     red = irreducible_realization(g)
@@ -452,12 +453,13 @@ def test_nrcf_ranks_no_e_b_of_a_proper_graph(monkeypatch):
         ranked.append(np.array(M))
         return rank(M, thresh)
 
-    # nrcf ranks E, and klf's PBH check ranks [A - lambda E, B]
-    monkeypatch.setattr(rmfact.fact, "svd_rank_abs", recording)
-    monkeypatch.setattr(rmfact.klf, "svd_rank_abs", recording)
+    # nrcf ranks E, klf's PBH check ranks [A - lambda E, B], and dss's
+    # pole query would rank E again
+    for module in (rmfact.fact, rmfact.klf, rmfact.dss):
+        monkeypatch.setattr(module, "svd_rank_abs", recording)
     nrcf(g)
     EB = np.hstack([red.E, red.B])
-    assert any(M.shape == red.E.shape and np.array_equal(M, red.E) for M in ranked)
+    assert sum(M.shape == red.E.shape and np.array_equal(M, red.E) for M in ranked) == 1
     assert not any(M.shape == EB.shape and np.array_equal(M, EB) for M in ranked)
 
 

@@ -257,11 +257,12 @@ def solve_matrix(kind, r, rng):
 SOLVE_KINDS = ["identity", "diagonal", "spd", "sym-indefinite", "upper", "lower", "tridiagonal", "general"]
 
 
-# the cofactor's solve, numpy.linalg.solve like every small solve in dss
-# and rangebasis, against scipy's structure-dispatching solve: the same x
-# to within the roundoff the condition number allows, in C order, since
-# the product that follows rounds differently on a Fortran-order operand;
-# an identity weighting hands the block back unchanged
+# numkernel.solve, the solve of every small system in dss and rangebasis
+# (only dss.evaluate's complex solve is numpy's), against scipy's
+# structure-dispatching solve: the same x to within the roundoff the
+# condition number allows, in C order, as numpy.linalg.solve returns it,
+# since the product that follows rounds differently on a Fortran-order
+# operand; an identity weighting hands the block back unchanged
 @pytest.mark.parametrize("kind", SOLVE_KINDS)
 @pytest.mark.parametrize("r", range(1, 7))
 def test_solve_kernel_matches_scipy(kind, r):
@@ -272,7 +273,7 @@ def test_solve_kernel_matches_scipy(kind, r):
         b = rng.standard_normal((r, k)) * 10.0 ** rng.integers(-3, 4, (r, 1))
         b[rng.random((r, k)) < 0.2] = -0.0
         want = scipy.linalg.solve(a, b)
-        got = np.linalg.solve(a, b)
+        got = numkernel.solve(a, b)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.flags.c_contiguous
         bound = 4 * r * numkernel.EPS * cond * np.linalg.norm(want, axis=0)
@@ -298,8 +299,115 @@ def test_solve_kernel_raises_scipys_error_on_a_singular_matrix(a):
     b = np.ones((a.shape[0], 3))
     with pytest.raises(np.linalg.LinAlgError):
         scipy.linalg.solve(a, b)
+    # a package error that is still numpy's LinAlgError, as numpy's solve raises
+    with pytest.raises(numkernel.KernelError, match="Singular matrix"):
+        numkernel.solve(a, b)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(a, b)
+
+
+def symmetric_matrix(r, seed):
+    M = kernel_matrix((r, r), float, seed)
+    return 0.5 * (M + M.T) if seed % 2 else M @ M.T
+
+
+# the three kernels make scipy's own LAPACK calls, so they return those
+# calls' bits: gesv with its defaults, syevd on the lower triangle and
+# geev without vectors, each at the workspace its query names; syevd and
+# geev are also numpy's eigh and eigvals calls, bit for bit here
+@pytest.mark.parametrize("r", range(1, 9))
+def test_solve_kernel_is_scipys_gesv(r):
+    lapack = scipy.linalg.lapack
+    for seed in range(5):
+        a = kernel_matrix((r, r), float, seed)
+        for k in (1, 3, r + 2):
+            b = kernel_matrix((r, k), float, seed + 100)
+            _, _, want, info = lapack.dgesv(a, b)
+            assert info == 0
+            got = numkernel.solve(a, b)
+            assert np.array_equal(got, want) and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_symmetric_eigen_kernel_is_scipys_syevd_and_numpys_eigh(r):
+    lapack = scipy.linalg.lapack
+    for seed in range(6):
+        H = symmetric_matrix(r, seed)
+        work, iwork, info = lapack.dsyevd_lwork(r, compute_v=1, lower=1)
+        assert info == 0
+        want = lapack.dsyevd(H, compute_v=1, lower=1, lwork=int(work), liwork=iwork)
+        assert want[-1] == 0
+        w, V = numkernel.symmetric_eigen(H)
+        assert_arrays_equal([w, V], want[:2])
+        assert_arrays_equal([w, V], np.linalg.eigh(H))
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_eigenvalues_kernel_is_scipys_geev_and_numpys_eigvals(r):
+    lapack = scipy.linalg.lapack
+    for seed in range(6):
+        # seed 0 of each order: a triangular matrix with real eigenvalues
+        A = np.triu(kernel_matrix((r, r), float, seed)) if seed == 0 else kernel_matrix((r, r), float, seed)
+        work, info = lapack.dgeev_lwork(r, compute_vl=0, compute_vr=0)
+        wr, wi, _, _, info = lapack.dgeev(A, compute_vl=0, compute_vr=0, lwork=int(work))
+        assert info == 0
+        got = numkernel.eigenvalues(A)
+        assert np.array_equal(got.real, wr) and np.array_equal(got.imag, wi)
+        # numpy's type rule: real when no imaginary part is nonzero
+        want = np.linalg.eigvals(A)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        if seed == 0:
+            assert got.dtype == float
+
+
+# the empty shapes the gain path reaches: a trailing block with no state
+# (n_bl = 0) solves 0 x 0 systems with 0 or k right-hand sides
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_kernels_take_empty_matrices(k):
+    a, b = np.zeros((0, 0)), np.zeros((0, k))
+    got, want = numkernel.solve(a, b), np.linalg.solve(a, b)
+    assert got.shape == want.shape == (0, k) and got.dtype == want.dtype
+    w, V = numkernel.symmetric_eigen(a)
+    assert_arrays_equal([w, V], np.linalg.eigh(a))
+    assert_arrays_equal([numkernel.eigenvalues(a)], [np.linalg.eigvals(a)])
+
+
+# a failure to converge reaches the caller as a KernelError, like gesdd's
+def failing(name, get):
+    """numkernel's LAPACK binder get, with the routine name it hands out
+    reporting info 1 after a real run."""
+
+    def fail(f):
+        return lambda *args: (*f(*args)[:-1], 1)
+
+    def patched(names, *args):
+        return [fail(f) if n == name else f for n, f in zip(names, get(names, *args))]
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "name, kernel, message",
+    [
+        ("syevd", lambda M: numkernel.symmetric_eigen(M @ M.T), "Eigenvalues did not converge"),
+        ("geev", numkernel.eigenvalues, "Eigenvalues did not converge"),
+        ("gesv", lambda M: numkernel.solve(M, M), "Singular matrix"),
+    ],
+)
+def test_failed_kernel_is_a_kernel_error(name, kernel, message, monkeypatch):
+    monkeypatch.setattr(numkernel, "_lapack", failing(name, numkernel._lapack))
+    with pytest.raises(numkernel.KernelError, match=message) as caught:
+        kernel(kernel_matrix((4, 4), float, 1))
+    assert isinstance(caught.value, StructureError) and isinstance(caught.value, np.linalg.LinAlgError)
+
+
+# the Frobenius norm of dss, klf and rangebasis is numpy's arithmetic
+# without its dispatch, in every memory layout it meets
+def test_frobenius_norm_is_numpys():
+    M = kernel_matrix((7, 5), float, 4) * 10.0 ** np.arange(-3, 4)[:, None]
+    for X in (M, M.T, np.asfortranarray(M), M[1:5, ::2], M[2], np.zeros((0, 3)), M[:, :0]):
+        got = numkernel.frobenius_norm(X)
+        assert type(got) is float and got == np.linalg.norm(X)
 
 
 def lapack_names():
