@@ -1,16 +1,18 @@
-"""Dense numerical kernels: the LAPACK SVD, RQ, QZ, linear-solve and
-eigenvalue bindings, the thresholded rank decisions, a Frobenius norm,
-an exact power-of-2 row scaling, the controllability staircase, the
-ordered generalized Schur (QZ) decomposition and the stabilizing
-Riccati solver.
+"""Dense numerical kernels: the LAPACK SVD, RQ, QZ, real Schur,
+linear-solve and eigenvalue bindings, the thresholded rank decisions, a
+Frobenius norm, an exact power-of-2 row scaling, the controllability
+staircase, the ordered generalized (QZ) and real Schur decompositions
+and the stabilizing Riccati solver.
 
 Every reduction in this package funnels its rank decisions through the
 helpers here so that a single tolerance policy governs the whole
 computation. `svd` (gesdd), `rq` (gerqf, orgrq),
 `generalized_eigenvalues` (gges), `_ordered_qz` (gges, tgsen),
-`stabilizing_riccati` (gebal, geqrf, orgqr, gges, tgsen, getrf, trtrs),
-`solve` (gesv), `symmetric_eigen` (syevd) and `eigenvalues` (geev) call
-LAPACK directly, and no other module calls an SVD, RQ, QZ or Riccati
+`_ordered_schur` (gees, trsen), `stabilizing_riccati` (continuous
+time: potrf, trtrs, gebal, gees, trsen, getrf, potrs, trsyl; discrete
+time: gebal, geqrf, orgqr, gges, tgsen, getrf, trtrs), `solve` (gesv),
+`symmetric_eigen` (syevd) and `eigenvalues` (geev) call LAPACK
+directly, and no other module calls an SVD, RQ, QZ, Schur or Riccati
 routine. `dss`, `klf` and `rangebasis` solve their small linear
 systems, take symmetric and closed-loop eigenvalues and real Frobenius
 norms (`frobenius_norm`) through these, without numpy.linalg's Python
@@ -25,16 +27,20 @@ enters: by `_matrix`, the one cast-and-check helper, in make_dss and
 kronecker_like_form, the only raw-array entry points; by io and the
 CLI as they parse. dss._system scans each computed realization once,
 and dss.evaluate refuses a point at which the pencil overflows. A
-failed SVD, QZ or eigenvalue iteration, a failed QZ reordering, or a
-singular matrix to solve raises KernelError, both a StructureError and
-a LinAlgError; the Riccati solver raises LinAlgError when no
-stabilizing solution is found and ValueError for a singular
-continuous-time R. Apart from `generalized_eigenvalues`, `solve`,
-`symmetric_eigen` and `eigenvalues`, each kernel makes the LAPACK calls
-of its scipy.linalg counterpart (`stabilizing_riccati` leaves out the
+failed SVD, QZ, Schur or eigenvalue iteration, a failed QZ or Schur
+reordering, or a singular matrix to solve raises KernelError, both a
+StructureError and a LinAlgError; the Riccati solver raises
+LinAlgError when no stabilizing solution is found and ValueError for a
+singular continuous-time R. Apart from `generalized_eigenvalues`,
+`solve`, `symmetric_eigen`, `eigenvalues` and the continuous-time
+`stabilizing_riccati`, each kernel makes the LAPACK calls of its
+scipy.linalg counterpart (`_ordered_schur` those of scipy.linalg.schur
+with a sort; the discrete-time `stabilizing_riccati` leaves out the
 left Schur vectors it does not read) and so, on valid data, returns its
 results bit for bit; the tests use scipy as that oracle, not as the
-contract for argument checks, warnings or messages. `solve`,
+contract for argument checks, warnings or messages. The continuous-time
+Riccati solve is not scipy's method, and its contract is accuracy
+against scipy's solution (see `stabilizing_riccati`). `solve`,
 `symmetric_eigen` and `eigenvalues` make the LAPACK calls of
 numpy.linalg's solve, eigh and eigvals through scipy's bindings, so
 they return the bits of scipy's own dgesv, dsyevd and dgeev calls.
@@ -70,9 +76,9 @@ EPS = float(np.finfo(float).eps)
 
 
 class KernelError(StructureError, np.linalg.LinAlgError):
-    """A failed SVD, QZ or eigenvalue iteration, a failed QZ reordering
-    or a singular matrix to solve; a LinAlgError too, for callers that
-    catch numpy's."""
+    """A failed SVD, QZ, real Schur or eigenvalue iteration, a failed QZ
+    or Schur reordering or a singular matrix to solve; a LinAlgError
+    too, for callers that catch numpy's."""
 
 
 def _compiled(name: str):
@@ -314,10 +320,10 @@ def _ordered_qz(A, B, select, left=True):
     not) and nonsingular (a singular one shows a (0, 0) pair, which
     is_infinite counts as infinite and _klf_core refuses), and its
     infinite block is square (checked) with every peel stage square, so
-    its lambda-free part is nonsingular. rangebasis._stabilizing_gains
-    passes (A, I). stabilizing_riccati, which only
-    rangebasis._riccati_feedback calls, checks the solution instead, as
-    scipy's solvers do, and reads only Z."""
+    its lambda-free part is nonsingular. The discrete-time
+    stabilizing_riccati, which only rangebasis._riccati_feedback calls,
+    checks the solution instead, as scipy's solvers do, and reads only
+    Z."""
     gges, tgsen = _lapack(("gges", "tgsen"), A.dtype)
     n = A.shape[0]
     key = (gges, n, left)
@@ -339,6 +345,35 @@ def _ordered_qz(A, B, select, left=True):
             "far from generalized Schur form; the problem is very ill-conditioned."
         )
     return S, T, alphar + alphai * 1j, beta, Q if left else None, Z
+
+
+def _ordered_schur(A, select=None):
+    """Real Schur form (T, Z, k) of the square A by gees, Z.T A Z = T,
+    reordered by trsen (job "N") so that the k eigenvalues w for which
+    the boolean array select(w, 1) is true lead, as _ordered_qz's
+    select(alpha, beta) with every beta 1: the LAPACK calls of
+    scipy.linalg.schur(A, sort=...), whose gees makes the same trsen
+    call, and so its T, Z and k bit for bit. With select None the form
+    keeps gees's order and k is 0. A failed Schur iteration or
+    reordering raises KernelError."""
+    gees, trsen = _lapack(("gees", "trsen"), A.dtype)
+    n = A.shape[0]
+    key = (gees, n)
+    # sort_t=0: gees never calls the selector
+    lwork = _BOUND.get(key) or _kept_lwork(key, gees(lambda *_: None, A, lwork=-1))
+    T, _, wr, wi, Z, _, info = gees(lambda *_: None, A, lwork=lwork)
+    if info != 0:
+        raise KernelError(f"Schur iteration failed: gees info {info}")
+    if select is None:
+        return T, Z, 0
+    # (select, t, q, job, wantq, lwork, liwork, overwrite_t, overwrite_q)
+    T, Z, _, _, k, _, _, info = trsen(select(wr + wi * 1j, np.ones(n)), T, Z, "N", 1, max(n, 1), 1, 1, 1)
+    if info != 0:
+        raise KernelError(
+            "Reordering of the Schur form failed because the swapped blocks would be too far "
+            "from Schur form; the problem is very ill-conditioned."
+        )
+    return T, Z, k
 
 
 def _left_half_plane(alpha, beta):
@@ -367,34 +402,119 @@ def frobenius_norm(M) -> float:
 
 
 def stabilizing_riccati(A, B, Q, R, S, ts: str):
-    """Stabilizing solution X of the algebraic Riccati equation of the
-    real pair (A, B) with symmetric weights [Q S; S.T R], S None for
-    zero: A.T X + X A - (X B + S) R^-1 (B.T X + S.T) + Q = 0 for
-    ts "continuous", A.T X A - X - (A.T X B + S) (R + B.T X B)^-1
-    (B.T X A + S.T) + Q = 0 for ts "discrete".
+    """Stabilizing solution X, exactly symmetric, of the algebraic
+    Riccati equation of the real pair (A, B) with symmetric weights
+    [Q S; S.T R], S None for zero: A.T X + X A - (X B + S) R^-1 (B.T X
+    + S.T) + Q = 0 for ts "continuous", A.T X A - X - (A.T X B + S)
+    (R + B.T X B)^-1 (B.T X A + S.T) + Q = 0 for ts "discrete".
 
-    The LAPACK calls of scipy's continuous and discrete ARE solvers (e
-    None, s=S, balanced) on the extended pencil H - lambda J: gebal on
-    |H| + |J| for the symplectic balancing, geqrf and orgqr to deflate
-    the columns of R, gges and tgsen to lead with the stable
-    eigenvalues (without the left Schur vectors scipy also forms: X
-    reads only Z, and S, T and Z come out the same), and getrf and
-    trtrs to solve for X from the stable deflating subspace. In
-    continuous time a numerically singular R raises ValueError. A pencil
-    whose stable subspace cannot be isolated, such as one with an
-    eigenvalue on the stability boundary, raises LinAlgError.
+    Continuous time (_continuous_riccati) takes R positive definite, as
+    every caller's is: D^T D of a full-column-rank D, I + D^T D, or I.
+    It is Laub's Schur method on the Hamiltonian matrix followed by one
+    Newton (Kleinman) step. Its contract is accuracy, not scipy's bits:
+    on the tests' data the relative residual stays below 1e-13 and X
+    within 1e-7 of scipy's solve_continuous_are. A numerically singular
+    R raises scipy's ValueError.
 
-    The calls come in scipy's order with scipy's arguments, so X is
-    scipy's bit for bit; the Python around them (bindings from _BOUND,
-    pivots as ints, one-norms by _norm1) moves no bit.
+    Discrete time (_discrete_riccati) makes the LAPACK calls of scipy's
+    solve_discrete_are (e None, s=S, balanced) in scipy's order with
+    scipy's arguments, so X is scipy's bit for bit; the Python around
+    them (bindings from _BOUND, pivots as ints, one-norms by _norm1)
+    moves no bit. Its symplectic pencil has an infinite eigenvalue
+    wherever A is singular, so it has no matrix form without A^-1.
+
+    A problem whose stable subspace cannot be isolated, such as one with
+    an eigenvalue on the stability boundary that B does not reach,
+    raises LinAlgError.
     """
-    continuous = ts == "continuous"
-    m, n = B.shape
-    if continuous:
-        min_sv = svd(R, compute_uv=False)[-1]
-        if min_sv == 0.0 or min_sv < EPS * _norm1(R):
-            raise ValueError("Matrix r is numerically singular.")
+    if ts == "continuous":
+        return _continuous_riccati(A, B, Q, R, S)
+    return _discrete_riccati(A, B, Q, R, S)
 
+
+# the LinAlgError of a stable subspace that cannot be isolated
+_HAMILTONIAN_BOUNDARY = "The associated Hamiltonian matrix has eigenvalues too close to the imaginary axis"
+
+
+def _continuous_riccati(A, B, Q, R, S):
+    """Continuous-time stabilizing_riccati. With R = L L^T (potrf),
+    B~ = B L^-T and S~ = S L^-T (trtrs), so that R^-1 is never formed,
+    the Hamiltonian matrix [A - B~ S~^T, -B~ B~^T; -(Q - S~ S~^T),
+    -(A - B~ S~^T)^T] is balanced (_symplectic_scaling) and takes an
+    ordered real Schur form (_ordered_schur) with its eigenvalues of
+    negative real part first; X = u10 u00^-1 from the leading Schur
+    vectors (_graph_solution). One Newton step follows, always: with
+    K = R^-1 (B^T X + S^T) (potrs) and the residual Res(X), it solves
+    (A - B K)^T dX + dX (A - B K) = -Res on a real Schur form of A - B K
+    by trsyl, in the state coordinates of the balancing, and returns
+    X + sym(dX). Fewer than n stable eigenvalues, a singular u00, an
+    asymmetric u00^T u10, or a Lyapunov equation trsyl cannot solve
+    (any info but 0, also a perturbed near-singular one) or whose dX is
+    not finite raise LinAlgError."""
+    m = B.shape[0]
+    min_sv = svd(R, compute_uv=False)[-1]
+    if min_sv == 0.0 or min_sv < EPS * _norm1(R):
+        raise ValueError("Matrix r is numerically singular.")
+    potrf, potrs, trtrs, trsyl = _lapack(("potrf", "potrs", "trtrs", "trsyl"), A.dtype)
+    L, info = potrf(R, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Matrix r is not positive definite.")
+    # L^-1 [B^T S^T] = [B~^T S~^T]
+    BS, _ = trtrs(L, B.T if S is None else np.concatenate([B.T, S.T], axis=1), lower=1)
+    Bt = BS[:, :m]
+    H = np.empty((2 * m, 2 * m))
+    H[:m, m:] = -Bt.T.dot(Bt)
+    if S is None:
+        H[:m, :m] = A
+        H[m:, :m] = -Q
+    else:
+        St = BS[:, m:]
+        H[:m, :m] = A - Bt.T.dot(St)
+        H[m:, :m] = St.T.dot(St) - Q
+    H[m:, m:] = -H[:m, :m].T
+    sca = _symplectic_scaling(np.abs(H), m)
+    if sca is not None:
+        H *= sca[:, None] * np.reciprocal(sca)
+    _, U, k = _ordered_schur(H, _left_half_plane)
+    if k != m:
+        raise np.linalg.LinAlgError(_HAMILTONIAN_BOUNDARY)
+    X = _graph_solution(U, m, sca, _HAMILTONIAN_BOUNDARY)
+
+    # the Newton step: Res(X + dX) = Res(X) + (A - B K)^T dX + dX (A - B K)
+    # up to the quadratic term, and the real Schur form A - B K = U T U^T
+    # turns its Lyapunov equation into T^T Y + Y T = -U^T Res U; with the
+    # balancing D = diag(d), it is solved for D^-1 dX D^-1 on D (A - B K)
+    # D^-1 and D^-1 Res D^-1, exactly scaled, which spares trsyl the
+    # spread of an unbalanced closed loop
+    XBS = X.dot(B) if S is None else X.dot(B) + S
+    K, _ = potrs(L, XBS.T, lower=1)
+    res = A.T.dot(X)
+    res = res + res.T + Q - XBS.dot(K)
+    closed = A - B.dot(K)
+    if sca is not None:
+        d = sca[:m]
+        closed *= d[:, None] / d
+        res /= d[:, None] * d
+    T, U, _ = _ordered_schur(closed)
+    # trsyl solves T^T Y + Y T = scale (-U^T Res U), scale <= 1
+    Y, scale, info = trsyl(T, T, -U.T.dot(res).dot(U), "T")
+    dX = U.dot(Y).dot(U.T) / scale
+    if sca is not None:
+        dX *= d[:, None] * d
+    if info != 0 or not np.isfinite(dX).all():
+        raise np.linalg.LinAlgError(f"The Newton step of the Riccati solution failed: trsyl info {info}")
+    return X + (dX + dX.T) / 2
+
+
+def _discrete_riccati(A, B, Q, R, S):
+    """Discrete-time stabilizing_riccati, scipy's calls on the extended
+    pencil H - lambda J: the symplectic balancing
+    (_symplectic_scaling) of |H| + |J|, geqrf and orgqr to deflate the
+    columns of R, gges and tgsen to lead with the stable eigenvalues
+    (without the left Schur vectors scipy also forms: X reads only Z,
+    and S, T and Z come out the same), and getrf and trtrs to solve for
+    X from the stable deflating subspace (_graph_solution)."""
+    m, n = B.shape
     # H - lambda J, rows and columns in the blocks (m, m, n); zero S
     # leaves +0 blocks
     N = 2 * m + n
@@ -407,47 +527,61 @@ def stabilizing_riccati(A, B, Q, R, S, ts: str):
         H[m:2 * m, 2 * m:] = -S
         H[2 * m:, :m] = S.T
     H[2 * m:, 2 * m:] = R
-    if continuous:
-        H[m:2 * m, m:2 * m] = -A.T
-        H[2 * m:, m:2 * m] = B.T
-        J[:2 * m, :2 * m] = np.eye(2 * m)
-    else:
-        H[m:2 * m, m:2 * m] = np.eye(m)
-        J[:m, :m] = np.eye(m)
-        J[m:2 * m, m:2 * m] = A.T
-        J[2 * m:, m:2 * m] = -B.T
+    H[m:2 * m, m:2 * m] = np.eye(m)
+    J[:m, :m] = np.eye(m)
+    J[m:2 * m, m:2 * m] = A.T
+    J[2 * m:, m:2 * m] = -B.T
 
-    # balance |H| + |J| off its diagonal, then impose diag(D, D^-1, .)
-    # with D the power-of-2 geometric mean of the two halves (Benner)
-    W = np.abs(H) + np.abs(J)
-    np.fill_diagonal(W, 0.0)
-    gebal, geqrf, orgqr, getrf, trtrs = _lapack(("gebal", "geqrf", "orgqr", "getrf", "trtrs"), H.dtype)
-    # without permuting, gebal balances rows and columns lo = 0 to
-    # hi = N - 1: every entry of sca is a scale
-    sca = gebal(W, scale=1, permute=0)[3]
-    # gebal scales by powers of 2, so close to 1 is equal to 1
-    if (sca != 1.0).any():
-        sca = np.log2(sca)
-        half = ((sca[m:2 * m] - sca[:m]) / 2).round()
-        sca = 2 ** np.concatenate([half, -half, sca[2 * m:]])
+    sca = _symplectic_scaling(np.abs(H) + np.abs(J), m)
+    if sca is not None:
         scale = sca[:, None] * np.reciprocal(sca)
         H *= scale
         J *= scale
 
     # deflate the n columns of R: the trailing N - n columns of the full
     # orthogonal factor of H[:, -n:] span their left null space
+    geqrf, orgqr = _lapack(("geqrf", "orgqr"), H.dtype)
     qr, tau = _lapack_call(geqrf, "geqrf", (N, n), H[:, -n:])
     full = np.empty((N, N))
     full[:, :n] = qr
     U, = _lapack_call(orgqr, "orgqr", (N, n), full, tau, overwrite=1)
     H = U[:, n:].T.dot(H[:, :2 * m])
-    if continuous:
-        J = U[:2 * m, n:].T.dot(J[:2 * m, :2 * m])
-    else:
-        J = U[:, n:].T.dot(J[:, :2 * m])
+    J = U[:, n:].T.dot(J[:, :2 * m])
 
-    stable = _left_half_plane if continuous else _inside_unit_circle
-    u = _ordered_qz(H, J, stable, left=False)[5]
+    u = _ordered_qz(H, J, _inside_unit_circle, left=False)[5]
+    return _graph_solution(
+        u, m, sca, "The associated symplectic pencil has eigenvalues too close to the unit circle"
+    )
+
+
+def _symplectic_scaling(W, m):
+    """The scales sca of the symplectic balancing of a Riccati matrix or
+    pencil whose absolute values are W, rows and columns in the blocks
+    (m, m, rest), to apply as sca[:, None] / sca: gebal's scales of W
+    off its diagonal, with the leading 2m made diag(D, D^-1), D the
+    power-of-2 geometric mean of the two halves (Benner); None when
+    gebal scales nothing. W is overwritten."""
+    np.fill_diagonal(W, 0.0)
+    gebal, = _lapack(("gebal",), W.dtype)
+    # without permuting, gebal balances rows and columns lo = 0 to
+    # hi = N - 1: every entry of sca is a scale
+    sca = gebal(W, scale=1, permute=0)[3]
+    # gebal scales by powers of 2, so close to 1 is equal to 1
+    if not (sca != 1.0).any():
+        return None
+    sca = np.log2(sca)
+    half = ((sca[m:2 * m] - sca[:m]) / 2).round()
+    return 2 ** np.concatenate([half, -half, sca[2 * m:]])
+
+
+def _graph_solution(u, m, sca, boundary):
+    """Symmetric X = u10 u00^-1 from the leading m columns of the
+    orthogonal u = [u00 .; u10 .] of a balanced Riccati problem, the
+    balancing sca (None: none) undone. A numerically singular u00
+    raises LinAlgError, and so, with the message boundary, does a u00^T
+    u10 that is not symmetric, which the stable subspace of a solvable
+    equation makes it."""
+    getrf, trtrs = _lapack(("getrf", "trtrs"), u.dtype)
     u00 = u[:m, :m]
     u10 = u[m:, :m]
     lu, piv, _ = getrf(u00)
@@ -468,17 +602,13 @@ def stabilizing_riccati(A, B, Q, R, S, ts: str):
     for i, p in enumerate(perm):
         P[p, i] = 1.0
     x = x.T.dot(P.T)
-    x *= sca[:m, None] * sca[:m]
+    if sca is not None:
+        x *= sca[:m, None] * sca[:m]
 
-    # the stable subspace of a solvable equation makes u00.T u10 symmetric
     u_sym = u00.T.dot(u10)
     n_u_sym = _norm1(u_sym)
     if _norm1(u_sym - u_sym.T) > max(np.spacing(1000.0), 0.1 * n_u_sym):
-        raise np.linalg.LinAlgError(
-            "The associated Hamiltonian pencil has eigenvalues too close to the imaginary axis"
-            if continuous
-            else "The associated symplectic pencil has eigenvalues too close to the unit circle"
-        )
+        raise np.linalg.LinAlgError(boundary)
     return (x + x.T) / 2
 
 

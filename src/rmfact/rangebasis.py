@@ -18,6 +18,7 @@ _riccati_feedback, checked by one guard, _check_feedback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from .klf import (
 from .numkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
-    _ordered_qz,
+    _ordered_schur,
     eigenvalues,
     frobenius_norm,
     noise_floor,
@@ -246,21 +247,24 @@ def _stabilizing_gains(blocks):
     """Feedback moving every unstable eigenvalue of the explicit pair
     (_finite_pair) of the whole trailing block to its reflection,
     leaving the stable ones untouched: the zero-weight Riccati feedback
-    (_riccati_feedback) of the anti-stable block of an ordered QZ
-    mirrors its poles."""
+    (_riccati_feedback) of the anti-stable block A22 of an ordered real
+    Schur form of A (_ordered_schur) mirrors its poles. With zero Q the
+    Riccati equation is homogeneous in X and R, so the weight R = c^2 I,
+    c the power of 2 nearest ||B2||_F, leaves the feedback unchanged
+    and keeps X of the size of a well-scaled B2's: a B2 of norm 1e-8
+    and R = I would ask for an X of 1e16."""
     n_bl, r = blocks.B_bl.shape
     if n_bl == 0 or r == 0:
         return np.zeros((r, n_bl))
     A, B = _finite_pair(blocks)
-    sel = region_selector(stability_region(blocks.ts))
-    S, T, alpha, beta, Q, _ = _ordered_qz(A, np.eye(n_bl), sel)
-    kg = int(sel(alpha, beta).sum())
+    S, Q, kg = _ordered_schur(A, region_selector(stability_region(blocks.ts)))
     kb = n_bl - kg
     if kb == 0:
         return np.zeros((r, n_bl))
-    # S T^-1 of the triangular T, as the solve T^T A22^T = S^T
-    A22 = solve(T[kg:, kg:].T, S[kg:, kg:].T).T
-    F2, _ = _riccati_feedback(A22, (Q.T @ B)[kg:, :], np.zeros((kb, kb)), np.eye(r), None, blocks.ts)
+    B2 = (Q.T @ B)[kg:, :]
+    size = frobenius_norm(B2)
+    c = 2.0 ** round(math.log2(size)) if size else 1.0
+    F2, _ = _riccati_feedback(S[kg:, kg:], B2, np.zeros((kb, kb)), (c * c) * np.eye(r), None, blocks.ts)
     F = np.hstack([np.zeros((r, kg)), F2]) @ Q.T
     _check_feedback(A, B, F, blocks.ts)
     return F

@@ -284,21 +284,30 @@ def write_examples(dirpath):
     return p1, p2
 
 
-def failing_gges(get):
-    """numkernel's LAPACK binder get, with each gges it hands out
-    reporting a failed QZ iteration (info 1) after a real run."""
+def _failing(routine):
+    """A patch of numkernel's LAPACK binder get whose routine (gges or
+    gees) reports a failed iteration (info 1) after a real run."""
 
-    def fail(gges):
-        def call(*args, **kwargs):
-            out = gges(*args, **kwargs)
-            return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
+    def patch(get):
+        def fail(f):
+            def call(*args, **kwargs):
+                out = f(*args, **kwargs)
+                return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
 
-        return call
+            return call
 
-    def patched(names, *args):
-        return [fail(f) if name == "gges" else f for name, f in zip(names, get(names, *args))]
+        def patched(names, *args):
+            return [fail(f) if name == routine else f for name, f in zip(names, get(names, *args))]
 
-    return patched
+        return patched
+
+    return patch
+
+
+# numkernel's LAPACK binder get, with each gges (QZ) or gees (real Schur
+# form) it hands out reporting a failed iteration
+failing_gges = _failing("gges")
+failing_gees = _failing("gees")
 
 
 def leaking_gges(get):

@@ -3,10 +3,11 @@ every module uses each name it imports (a stand-in for a linter's
 unused-import check), every function reads each of its parameters,
 only numkernel imports scipy (scipy.linalg.lapack only as the loader
 fallback), and only numkernel may bind the LAPACK
-SVD, RQ and QZ routines, scipy's lu_factor, lu_solve and solve or its
-Riccati solvers, call numpy's solve, inv, eigh or eigvals (dss.evaluate's
-complex solve excepted), or take a matrix 2-norm (an SVD), so every call
-goes through its kernels. Only io and gallery call make_dss, and only
+SVD, RQ, QZ and real Schur routines, scipy's lu_factor, lu_solve and
+solve, its Cholesky factor or its Riccati, Sylvester and Lyapunov
+solvers, call numpy's solve, inv, eigh, eigvals or cholesky
+(dss.evaluate's complex solve excepted), or take a matrix 2-norm (an
+SVD), so every call goes through its kernels. Only io and gallery call make_dss, and only
 dss._system the DescriptorSystem constructor, so computed realizations
 skip the input checks. Only dss and fact draw evaluation points
 (frequency_grid, nonpole_evaluations), so every residual of a
@@ -138,6 +139,13 @@ KERNELS = {
     "numpy.linalg.inv",
     "numpy.linalg.eigh",
     "numpy.linalg.eigvals",
+    # numkernel's continuous Riccati solve takes real Schur forms, a
+    # Cholesky factor and a Sylvester solve through LAPACK directly
+    "scipy.linalg.schur",
+    "scipy.linalg.cholesky",
+    "numpy.linalg.cholesky",
+    "scipy.linalg.solve_sylvester",
+    "scipy.linalg.solve_continuous_lyapunov",
 }
 
 # (module, function, kernel) references outside numkernel, with why:
@@ -223,6 +231,8 @@ def test_kernel_checker_flags_every_spelling():
         "norm(M, ord=2), sla.norm(M, 2)\n"
         "from numpy.linalg import eigh as sym_eig, inv\n"
         "np.linalg.solve(M, b), linalg.eigvals(M)\n"
+        "sla.schur(M, sort='lhp'), linalg.cholesky(M), scipy.linalg.solve_sylvester(A, B, C)\n"
+        "from scipy.linalg import cholesky, solve_continuous_lyapunov as lyapunov\n"
     )
     assert kernel_references(source) == [
         "line 4: scipy.linalg.lu_factor",
@@ -238,6 +248,11 @@ def test_kernel_checker_flags_every_spelling():
         "line 15: numpy.linalg.inv",
         "line 16: numpy.linalg.eigvals",
         "line 16: numpy.linalg.solve",
+        "line 17: numpy.linalg.cholesky",
+        "line 17: scipy.linalg.schur",
+        "line 17: scipy.linalg.solve_sylvester",
+        "line 18: scipy.linalg.cholesky",
+        "line 18: scipy.linalg.solve_continuous_lyapunov",
     ]
 
 

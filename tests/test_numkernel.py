@@ -10,7 +10,15 @@ import pytest
 import scipy.linalg
 
 import rmfact
-from rmfact import FactorizationError, RmfactError, inner_enforcing_gains, numkernel, range_basis, stable_rank2_continuous
+from rmfact import (
+    FactorizationError,
+    RmfactError,
+    inner_enforcing_gains,
+    numkernel,
+    polynomial_rank2_discrete,
+    range_basis,
+    stable_rank2_continuous,
+)
 from rmfact.exceptions import InputError, StructureError
 from rmfact.numkernel import (
     ToleranceConfig,
@@ -21,7 +29,7 @@ from rmfact.numkernel import (
     thresholded_svd,
 )
 
-from support import failing_gges
+from support import failing_gees, failing_gges
 
 def kernel_matrix(shape, dtype, seed=0):
     rng = np.random.default_rng(seed)
@@ -101,16 +109,48 @@ def riccati_reference(ts):
     return scipy.linalg.solve_continuous_are if ts == "continuous" else scipy.linalg.solve_discrete_are
 
 
+def riccati_residual(A, B, Q, R, S, X):
+    """Relative residual of the continuous Riccati equation at X: the
+    Frobenius norm of A^T X + X A - (X B + S) K + Q, K = R^-1 (B^T X +
+    S^T), over the sum of the norms of its terms' factors, ||Q|| +
+    2 ||A|| ||X|| + ||X B + S|| ||K||, the scale of its rounding."""
+    XBS = X @ B if S is None else X @ B + S
+    K = np.linalg.solve(R, XBS.T)
+    res = A.T @ X + X @ A - XBS @ K + Q
+    norm = np.linalg.norm
+    return norm(res) / (norm(Q) + 2 * norm(A) * norm(X) + norm(XBS) * norm(K))
+
+
+def assert_riccati_contract(A, B, Q, R, S, X, want):
+    """The continuous kernel's accuracy contract against scipy's X want:
+    relative residual at most 1e-13, X within 1e-7 of want, X exactly
+    symmetric, and its feedback stabilizing."""
+    assert X.dtype == want.dtype and X.shape == want.shape
+    assert riccati_residual(A, B, Q, R, S, X) <= 1e-13
+    assert np.linalg.norm(X - want) <= 1e-7 * np.linalg.norm(want)
+    assert np.array_equal(X, X.T)
+    K = np.linalg.solve(R, B.T @ X + (0.0 if S is None else S.T))
+    assert np.linalg.eigvals(A - B @ K).real.max() < 0
+
+
 def assert_riccati_like_scipy(A, B, Q, R, S, ts):
-    """The kernel returns scipy's X bit for bit, or raises its error."""
+    """In discrete time the kernel returns scipy's X bit for bit, or
+    raises its error with its message. In continuous time X meets the
+    accuracy contract (assert_riccati_contract) against scipy's, or the
+    kernel raises an error of scipy's type, a plain ValueError (the
+    singular R) with scipy's message; the kernel's error is returned."""
     try:
         want = riccati_reference(ts)(A, B, Q, R, s=S)
     except (np.linalg.LinAlgError, ValueError) as exc:
         with pytest.raises(type(exc)) as got:
             numkernel.stabilizing_riccati(A, B, Q, R, S, ts)
-        assert str(got.value) == str(exc)
-        return exc
+        if ts == "discrete" or type(exc) is ValueError:
+            assert str(got.value) == str(exc)
+        return got.value
     got = numkernel.stabilizing_riccati(A, B, Q, R, S, ts)
+    if ts == "continuous":
+        assert_riccati_contract(A, B, Q, R, S, got, want)
+        return None
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()
     return None
@@ -153,7 +193,8 @@ def recording_getrf(get, pivots):
 
 
 # X = u10 u00^-1 applies the row interchanges of getrf in order; a pivot
-# sequence that is not the identity checks that order bit for bit
+# sequence that is not the identity checks that order, bit for bit in
+# discrete time and by the accuracy contract in continuous time
 @pytest.mark.parametrize("ts", ["continuous", "discrete"])
 def test_riccati_kernel_matches_scipy_where_getrf_pivots(ts, monkeypatch):
     pivots = []
@@ -227,7 +268,71 @@ def riccati_failure_data(ts, case):
     ],
 )
 def test_riccati_kernel_fails_like_scipy(ts, case, error):
-    assert isinstance(assert_riccati_like_scipy(*riccati_failure_data(ts, case), ts), error)
+    got = assert_riccati_like_scipy(*riccati_failure_data(ts, case), ts)
+    assert isinstance(got, error)
+    if (ts, case) == ("continuous", "boundary-mode"):
+        # the Hamiltonian matrix of the boundary mode has a double
+        # eigenvalue at 0, which its stable subspace cannot hold
+        assert str(got) == "The associated Hamiltonian matrix has eigenvalues too close to the imaginary axis"
+
+
+def counting_lapack(get, counts):
+    """numkernel's LAPACK binder get, with each routine it hands out
+    counting its calls in counts by name, workspace queries left out."""
+
+    def count(name, f):
+        def call(*args, **kwargs):
+            if kwargs.get("lwork") != -1:
+                counts[name] = counts.get(name, 0) + 1
+            return f(*args, **kwargs)
+
+        return call
+
+    def patched(names, *args):
+        return [count(name, f) for name, f in zip(names, get(names, *args))]
+
+    return patched
+
+
+# a continuous solve takes real Schur forms of the Hamiltonian matrix and
+# of the closed loop of its Newton step, and no QZ; a discrete one the
+# QZ of its extended pencil, and no Schur form
+@pytest.mark.parametrize("ts", ["continuous", "discrete"])
+def test_riccati_kernel_takes_schur_forms_only_in_continuous_time(ts, monkeypatch):
+    counts = {}
+    monkeypatch.setattr(numkernel, "_lapack", counting_lapack(numkernel._lapack, counts))
+    numkernel.stabilizing_riccati(*riccati_data(ts, 5, True, True), ts)
+    if ts == "continuous":
+        assert counts["gees"] == 2 and counts["trsen"] == 1 and counts["trsyl"] == 1
+        assert counts["potrf"] == 1 and "gges" not in counts and "tgsen" not in counts
+        assert "geqrf" not in counts and "orgqr" not in counts
+    else:
+        assert counts["gges"] == 1 and counts["tgsen"] == 1
+        assert not {"gees", "trsen", "trsyl", "potrf"} & set(counts)
+
+
+# the ordered real Schur form makes scipy's calls: gees with a sort
+# runs the same trsen on the same form
+@pytest.mark.parametrize(
+    "select, sort",
+    [
+        (numkernel._left_half_plane, lambda x, y: x < 0.0),
+        (numkernel._inside_unit_circle, lambda x, y: abs(x + 1j * y) < 1.0),
+        (lambda w, _: np.zeros(w.shape, dtype=bool), lambda x, y: False),
+        (None, None),
+    ],
+    ids=["left-half-plane", "unit-disk", "none", "unsorted"],
+)
+@pytest.mark.parametrize("k", [1, 2, 5, 8, 17])
+def test_ordered_schur_kernel_matches_scipy(k, select, sort):
+    A = kernel_matrix((k, k), float, k)
+    got = numkernel._ordered_schur(A, select)
+    if sort is None:
+        want = (*scipy.linalg.schur(A), 0)
+    else:
+        want = scipy.linalg.schur(A, sort=sort)
+    assert_arrays_equal(got[:2], want[:2])
+    assert got[2] == want[2]
 
 
 def solve_matrix(kind, r, rng):
@@ -538,11 +643,33 @@ def test_failed_qz_iteration_is_a_package_error(entry, monkeypatch):
     assert isinstance(caught.value, StructureError)
 
 
+# the continuous gain solve iterates on the Hamiltonian matrix (gees),
+# the discrete one on the symplectic pencil (gges)
 def test_failed_qz_iteration_fails_the_inner_gains(monkeypatch):
+    get = numkernel._lapack
     blocks = range_basis(stable_rank2_continuous(), gains="inner").sklf
-    monkeypatch.setattr(numkernel, "_lapack", failing_gges(numkernel._lapack))
+    monkeypatch.setattr(numkernel, "_lapack", failing_gees(get))
+    with pytest.raises(FactorizationError, match="Riccati gain computation failed: Schur iteration failed: gees info 1"):
+        inner_enforcing_gains(blocks)
+    monkeypatch.setattr(numkernel, "_lapack", get)
+    blocks = range_basis(polynomial_rank2_discrete(), gains="inner").sklf
+    assert blocks.A_bl.shape[0] > 0
+    monkeypatch.setattr(numkernel, "_lapack", failing_gges(get))
     with pytest.raises(FactorizationError, match="Riccati gain computation failed: QZ iteration failed: gges info 1"):
         inner_enforcing_gains(blocks)
+
+
+# every entry point whose work reaches a real Schur form, past the QZ
+# iterations of its splitting form
+SCHUR_ENTRY_POINTS = {name: QZ_ENTRY_POINTS[name] for name in ("range_basis-stable", "nrcf", "pinv", "iofac")}
+
+
+@pytest.mark.parametrize("entry", list(SCHUR_ENTRY_POINTS))
+def test_failed_schur_iteration_is_a_package_error(entry, monkeypatch):
+    g = stable_rank2_continuous()
+    monkeypatch.setattr(numkernel, "_lapack", failing_gees(numkernel._lapack))
+    with pytest.raises(RmfactError, match="Schur iteration failed"):
+        SCHUR_ENTRY_POINTS[entry](g)
 
 
 def default_threshold(M):
